@@ -3,7 +3,7 @@ aggregation: seeded random feature mapping, closed-form ridge classifiers,
 exact spatial/temporal statistics aggregation and its communication-efficient
 estimated-gram variant."""
 
-from .client import ClientShard, UploadPayload, add_noise, extract_payload, split_dummy
+from .client import ClientShard, UploadPayload, add_noise, extract_payload
 from .config import PRESETS, ExperimentConfig, load_config, parse_config
 from .core import (
     ClassifierWeights,
@@ -54,7 +54,6 @@ from .runner import (
     run_experiment,
 )
 from .server import (
-    GlobalModel,
     StageAggregate,
     TemporalState,
     estimate_gram,
@@ -78,7 +77,6 @@ __all__ = [
     "ExperimentReport",
     "FeatureDataset",
     "FormatError",
-    "GlobalModel",
     "NumericalError",
     "PRESETS",
     "ProtocolError",
@@ -115,7 +113,6 @@ __all__ = [
     "run_experiment",
     "save_features",
     "spatial_aggregate",
-    "split_dummy",
     "split_tasks",
     "temporal_aggregate",
     "update_classifier",

@@ -16,17 +16,18 @@ from pathlib import Path
 import numpy as np
 
 from .config import load_config
-from .core import apply_map, make_random_map, predict
+from .core import apply_map
 from .data import save_features, generate_synthetic
 from .errors import FormatError, NumericalError, StsaError
-from .prng import derive_seed
 from .runner import (
     centralized_oracle,
+    experiment_map,
     load_experiment_data,
     make_schedule,
     run_estimator_study,
     run_experiment,
     synth_spec_from_config,
+    task_accuracy,
 )
 
 EXIT_CONFIG = 2
@@ -56,27 +57,22 @@ def _cmd_oracle(args) -> int:
     config = load_config(args.config)
     train, test = load_experiment_data(config)
     schedule = make_schedule(config, train.class_count)
-    d = train.features.shape[1]
-    rmap = make_random_map(
-        derive_seed(config.seed, "map"),
-        d,
-        config.M if config.map_enabled else d,
-        config.map_enabled,
-        config.map_scale,
+    rmap = experiment_map(config, train.features.shape[1])
+    _, weights = centralized_oracle(
+        apply_map(rmap, train.features),
+        train.labels,
+        schedule.classes_through(schedule.stages),
+        config.gamma,
     )
-    weights = centralized_oracle(train, schedule, rmap, config.gamma)
     mapped_test = apply_map(rmap, test.features)
-    lines = ["schema = stsa-oracle/1"]
-    per_task = []
-    for tau, task in enumerate(schedule.tasks, start=1):
-        rows = np.flatnonzero(np.isin(test.labels, task))
-        acc = (
-            float(np.mean(predict(weights, mapped_test[rows]) == test.labels[rows]))
-            if rows.size
-            else 0.0
+    per_task = [
+        task_accuracy(
+            weights, mapped_test, test.labels, np.flatnonzero(np.isin(test.labels, task))
         )
-        per_task.append(acc)
-        lines.append(f"task {tau} accuracy = {acc!r}")
+        for task in schedule.tasks
+    ]
+    lines = ["schema = stsa-oracle/1"]
+    lines += [f"task {tau} accuracy = {acc!r}" for tau, acc in enumerate(per_task, start=1)]
     lines.append(f"final average accuracy = {sum(per_task) / len(per_task)!r}")
     _emit("\n".join(lines) + "\n", args.out)
     return 0

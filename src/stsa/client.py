@@ -61,50 +61,21 @@ class UploadPayload:
 def _partition_indices(
     n: int, k_d: int, stream: ChaChaStream, labels: np.ndarray, stratified: bool
 ) -> list[np.ndarray]:
-    """Seeded shuffle + round-robin split of range(n) into k_d cells."""
-    cells: list[list[int]] = [[] for _ in range(k_d)]
-    slot = 0
-    if stratified:
-        # Shuffle within each class; the round-robin counter runs across
-        # classes so cell sizes still differ by at most one.
-        for cls in np.unique(labels):
-            idx = np.flatnonzero(labels == cls)
-            for i in stream.permutation(idx.size):
-                cells[slot % k_d].append(int(idx[i]))
-                slot += 1
-    else:
-        for i in stream.permutation(n):
-            cells[slot % k_d].append(int(i))
-            slot += 1
-    return [np.sort(np.asarray(cell, dtype=np.int64)) for cell in cells]
+    """Seeded shuffle of range(n) dealt round-robin into k_d sorted cells.
 
-
-def split_dummy(
-    shard: ClientShard, k_d: int, seed: int, stratified: bool = False
-) -> list[ClientShard]:
-    """Split a shard into k_d dummy-client sub-shards.
-
-    Deterministic seeded shuffle followed by round-robin assignment: sizes
-    differ by at most one, the union is the shard, cells are disjoint.
+    Cell sizes differ by at most one and the cells disjointly cover range(n).
+    Stratified splits shuffle within each class and deal the classes one
+    after another, so every class is also balanced across the cells.
     """
-    if k_d < 1:
-        raise ConfigurationError(f"dummy client count must be >= 1, got {k_d}")
-    if shard.size >= 1 and k_d > shard.size:
-        raise ConfigurationError(
-            f"cannot split {shard.size} samples into {k_d} dummy clients"
-        )
-    if k_d == 1:
-        return [shard]
-    cells = _partition_indices(shard.size, k_d, ChaChaStream(seed), shard.labels, stratified)
-    return [
-        ClientShard(
-            client_id=shard.client_id,
-            task_id=shard.task_id,
-            features=shard.features[cell],
-            labels=shard.labels[cell],
-        )
-        for cell in cells
-    ]
+    if stratified:
+        shuffled = [
+            idx[stream.permutation(idx.size)]
+            for idx in (np.flatnonzero(labels == cls) for cls in np.unique(labels))
+        ]
+        order = np.concatenate(shuffled) if shuffled else np.empty(0, dtype=np.int64)
+    else:
+        order = stream.permutation(n)
+    return [np.sort(order[j::k_d]) for j in range(k_d)]
 
 
 def extract_payload(
@@ -141,14 +112,11 @@ def extract_payload(
     if k_d < 1:
         raise ConfigurationError(f"dummy client count must be >= 1, got {k_d}")
     # A shard smaller than k_d caps the split at one sample per dummy client.
-    effective = min(k_d, shard.size) if shard.size >= 1 else 1
+    effective = max(1, min(k_d, shard.size))
     feat = apply_map(rmap, shard.features)
-    if effective == 1:
-        cells = [np.arange(shard.size, dtype=np.int64)]
-    else:
-        cells = _partition_indices(
-            shard.size, effective, ChaChaStream(seed), shard.labels, stratified
-        )
+    cells = _partition_indices(
+        shard.size, effective, ChaChaStream(seed), shard.labels, stratified
+    )
     records = tuple(
         local_statistics(
             feat[cell],

@@ -261,7 +261,8 @@ def ridge_solve(
     residual = C - (G @ weights + used_gamma * weights)
     c_norm = np.linalg.norm(C, "fro")
     r_norm = np.linalg.norm(residual, "fro")
-    if r_norm > SOLVE_RESIDUAL_BOUND * c_norm and c_norm > 0.0:
+    # Written so that a NaN residual or NaN C fails the gate too.
+    if not r_norm <= SOLVE_RESIDUAL_BOUND * c_norm:
         raise NumericalError(
             f"solve residual {r_norm / c_norm:.3e} exceeds {SOLVE_RESIDUAL_BOUND:.0e}",
             attempted_gammas=attempts,

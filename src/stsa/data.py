@@ -79,14 +79,6 @@ class FeatureDataset:
     def size(self) -> int:
         return self.features.shape[0]
 
-    def subset(self, indices: np.ndarray) -> "FeatureDataset":
-        return FeatureDataset(
-            features=self.features[indices],
-            labels=self.labels[indices],
-            class_count=self.class_count,
-            role=self.role,
-        )
-
 
 @dataclass(frozen=True)
 class SynthSpec:
@@ -282,6 +274,9 @@ def load_features(path) -> FeatureDataset:
         .reshape(n, d)
         .astype(np.float64)
     )
+    finite = np.isfinite(features).all(axis=1)
+    if not finite.all():
+        raise FormatError(f"non-finite feature value in row {int(np.argmin(finite))}")
     labels = np.frombuffer(
         data, dtype="<u4", count=n, offset=_HEADER.size + n * d * 4
     ).astype(np.int64)

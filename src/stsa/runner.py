@@ -10,6 +10,7 @@ centralized solution, which the aggregation is exactly equivalent to.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -164,30 +165,52 @@ def _rel_frobenius(delta: np.ndarray, reference: np.ndarray) -> float:
     return delta_norm / ref_norm
 
 
+def experiment_map(config: ExperimentConfig, input_dim: int) -> RandomMap:
+    """The run's shared random map, seeded from the config, for raw dim ``input_dim``."""
+    return make_random_map(
+        derive_seed(config.seed, "map"),
+        input_dim,
+        config.M if config.map_enabled else input_dim,
+        config.map_enabled,
+        config.map_scale,
+    )
+
+
+def task_accuracy(
+    weights: ClassifierWeights,
+    mapped_test: np.ndarray,
+    test_labels: np.ndarray,
+    rows: np.ndarray,
+) -> float:
+    """Top-1 accuracy on the given test rows; 0.0 when there are none."""
+    if rows.size == 0:
+        return 0.0
+    return float(np.mean(predict(weights, mapped_test[rows]) == test_labels[rows]))
+
+
 def centralized_oracle(
-    all_train: FeatureDataset,
-    schedule: TaskSchedule,
-    rmap: RandomMap,
+    mapped_train: np.ndarray,
+    labels: np.ndarray,
+    class_ids: Sequence[int],
     gamma: float,
-) -> ClassifierWeights:
-    """Ridge solution with unrestricted access to all pooled data.
+) -> tuple[SpatialStatistics, ClassifierWeights]:
+    """Pooled statistics and ridge solution with access to all data.
 
     This is the equivalence reference for the federated-incremental path.
-    It pools every sample of the schedule's classes, maps them once, and
-    solves the regularized normal equations with a plain LU solve, a route
-    independent of the SPD factorization used by the aggregation path.
+    It pools every mapped sample of ``class_ids`` and solves the regularized
+    normal equations with a plain LU solve, a route independent of the SPD
+    factorization used by the aggregation path.
     """
-    class_ids = schedule.classes_through(schedule.stages)
+    class_ids = tuple(int(c) for c in class_ids)
     if not class_ids:
-        raise ConfigurationError("schedule has no classes")
-    idx = np.flatnonzero(np.isin(all_train.labels, class_ids))
+        raise ConfigurationError("the oracle needs at least one class")
+    idx = np.flatnonzero(np.isin(labels, class_ids))
     if idx.size == 0:
-        raise ConfigurationError("no training samples match the schedule's classes")
-    feat = apply_map(rmap, all_train.features[idx])
-    stats = local_statistics(feat, all_train.labels[idx], class_ids)
-    system = stats.gram + gamma * np.eye(rmap.output_dim)
+        raise ConfigurationError("no training samples match the oracle's classes")
+    stats = local_statistics(mapped_train[idx], labels[idx], class_ids)
+    system = stats.gram + gamma * np.eye(mapped_train.shape[1])
     weights = np.linalg.solve(system, stats.corr)
-    return ClassifierWeights(weights=weights, class_ids=tuple(class_ids))
+    return stats, ClassifierWeights(weights=weights, class_ids=class_ids)
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
@@ -195,21 +218,14 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     config.validate()
     train, test = load_experiment_data(config)
     schedule = make_schedule(config, train.class_count)
-    d = train.features.shape[1]
-    rmap = make_random_map(
-        derive_seed(config.seed, "map"),
-        d,
-        config.M if config.map_enabled else d,
-        config.map_enabled,
-        config.map_scale,
-    )
+    rmap = experiment_map(config, train.features.shape[1])
     mapped_test = apply_map(rmap, test.features)
     test_rows = [
         np.flatnonzero(np.isin(test.labels, task)) for task in schedule.tasks
     ]
     mapped_train = apply_map(rmap, train.features) if config.oracle_check else None
 
-    state = TemporalState.initial(rmap.output_dim, estimated=config.mode == "efficient")
+    state = TemporalState.initial(rmap.output_dim)
     ledger = CommLedger(mode=config.mode, elem_bytes=config.elem_bytes)
     noise_on = config.noise_q > 0.0 and config.noise_s > 0.0
     global_parts = None
@@ -275,33 +291,26 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
             else:
                 stage_gram = agg.gram
             state = temporal_aggregate(state, stage_gram, agg.corr, task_classes)
-            model = update_classifier(state, config.gamma, rmap)
+            weights = update_classifier(state, config.gamma)
         except StsaError as exc:
             raise type(exc)(f"stage {t}: {exc}") from exc
 
-        row = []
-        for tau in range(1, t + 1):
-            rows = test_rows[tau - 1]
-            if rows.size == 0:
-                row.append(0.0)
-                continue
-            preds = predict(model.weights, mapped_test[rows])
-            row.append(float(np.mean(preds == test.labels[rows])))
-        acc_rows.append(tuple(row))
+        acc_rows.append(
+            tuple(
+                task_accuracy(weights, mapped_test, test.labels, rows)
+                for rows in test_rows[:t]
+            )
+        )
 
         if config.oracle_check:
-            prefix = TaskSchedule(tasks=schedule.tasks[:t])
-            seen = prefix.classes_through(t)
-            pooled_idx = np.flatnonzero(np.isin(train.labels, seen))
-            pooled = local_statistics(
-                mapped_train[pooled_idx], train.labels[pooled_idx], seen
+            pooled, w_star = centralized_oracle(
+                mapped_train, train.labels, schedule.classes_through(t), config.gamma
             )
-            w_star = centralized_oracle(train, prefix, rmap, config.gamma)
             oracle_deltas.append(
                 StageOracleDelta(
                     stage=t,
                     w_delta=_rel_frobenius(
-                        model.weights.weights - w_star.weights, w_star.weights
+                        weights.weights - w_star.weights, w_star.weights
                     ),
                     gram_delta=_rel_frobenius(state.gram_acc - pooled.gram, pooled.gram),
                     corr_delta=_rel_frobenius(state.corr_acc - pooled.corr, pooled.corr),

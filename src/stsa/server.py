@@ -14,7 +14,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import ClassifierWeights, RandomMap, SpatialStatistics, ridge_solve
+from .core import ClassifierWeights, SpatialStatistics, ridge_solve
 from .errors import EstimationError, ProtocolError
 
 #: Contributing noised label frequencies are floored here before division.
@@ -48,26 +48,15 @@ class TemporalState:
     corr_acc: np.ndarray
     class_ids: tuple[int, ...]
     stage: int
-    estimated: bool
 
     @classmethod
-    def initial(cls, m: int, estimated: bool = False) -> "TemporalState":
+    def initial(cls, m: int) -> "TemporalState":
         return cls(
             gram_acc=np.zeros((m, m)),
             corr_acc=np.zeros((m, 0)),
             class_ids=(),
             stage=0,
-            estimated=estimated,
         )
-
-
-@dataclass(frozen=True)
-class GlobalModel:
-    """Distributable model: random-map descriptor plus classifier weights."""
-
-    random_map: RandomMap | None
-    weights: ClassifierWeights
-    stage: int
 
 
 def spatial_aggregate(payloads: Iterable, task_classes: Sequence[int]) -> StageAggregate:
@@ -199,15 +188,11 @@ def temporal_aggregate(
         corr_acc=np.hstack([state.corr_acc, corr_new]),
         class_ids=state.class_ids + tuple(int(c) for c in task_classes),
         stage=state.stage + 1,
-        estimated=state.estimated,
     )
 
 
-def update_classifier(
-    state: TemporalState, gamma: float, random_map: RandomMap | None = None
-) -> GlobalModel:
+def update_classifier(state: TemporalState, gamma: float) -> ClassifierWeights:
     """Closed-form classifier update W = (G_acc + gamma I)^-1 C_acc."""
     if state.stage < 1 or not state.class_ids:
         raise ProtocolError("cannot update the classifier from an empty state")
-    weights = ridge_solve(state.gram_acc, state.corr_acc, gamma, class_ids=state.class_ids)
-    return GlobalModel(random_map=random_map, weights=weights, stage=state.stage)
+    return ridge_solve(state.gram_acc, state.corr_acc, gamma, class_ids=state.class_ids)

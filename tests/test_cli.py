@@ -1,7 +1,11 @@
 """CLI subcommands and exit-code mapping."""
 
+from dataclasses import replace
+
+import numpy as np
+
 from stsa.cli import main
-from stsa.data import load_features
+from stsa.data import load_features, save_features
 from stsa.errors import NumericalError
 
 SMALL_CONFIG = """
@@ -117,6 +121,26 @@ def test_truncated_feature_file_exits_4(tmp_path, capsys):
     )
     assert main(["run", "--config", str(run_cfg)]) == 4
     assert "format error" in capsys.readouterr().err
+
+
+def test_non_finite_feature_file_exits_4(tmp_path, capsys):
+    spec = write_config(tmp_path)
+    prefix = tmp_path / "bench"
+    assert main(["gen-features", "--spec", str(spec), "--out", str(prefix)]) == 0
+    train_path = tmp_path / "bench.train.stsafeat"
+    train = load_features(train_path)
+    features = train.features.copy()
+    features[0, 0] = np.nan
+    save_features(replace(train, features=features), train_path)
+    run_cfg = write_config(
+        tmp_path,
+        SMALL_CONFIG
+        + f"data = files\ntrain_path = {train_path}\n"
+        + f"test_path = {prefix}.test.stsafeat\n",
+        name="nan.cfg",
+    )
+    assert main(["run", "--config", str(run_cfg)]) == 4
+    assert "non-finite" in capsys.readouterr().err
 
 
 def test_numerical_error_exits_3(tmp_path, monkeypatch, capsys):

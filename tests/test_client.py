@@ -1,9 +1,9 @@
-"""Payload extraction: dummy splitting, efficient uploads, privacy noise."""
+"""Payload extraction: dummy-client splits, efficient uploads, privacy noise."""
 
 import numpy as np
 import pytest
 
-from stsa.client import ClientShard, add_noise, extract_payload, split_dummy
+from stsa.client import ClientShard, add_noise, extract_payload
 from stsa.core import apply_map, local_statistics, make_random_map
 from stsa.errors import ConfigurationError, DomainError
 from stsa.metrics import comm_bytes
@@ -19,48 +19,68 @@ def make_shard(n=10, d=3, classes=(0, 1), seed=0, client_id=2, task_id=1):
     )
 
 
+def dummy_cells(shard, k_d, seed, stratified=False):
+    """Row indices each efficient-mode record covers.
+
+    One-hot features under the identity map make row i of a record's corr
+    nonzero exactly when sample i went to that dummy client.
+    """
+    one_hot = ClientShard(
+        client_id=shard.client_id,
+        task_id=shard.task_id,
+        features=np.eye(shard.size),
+        labels=shard.labels,
+    )
+    rmap = make_random_map(0, shard.size, shard.size, enabled=False)
+    classes = tuple(int(c) for c in np.unique(shard.labels))
+    payload = extract_payload(
+        one_hot, rmap, classes, mode="efficient", k_d=k_d, seed=seed, stratified=stratified
+    )
+    return [np.flatnonzero(rec.corr.sum(axis=1)) for rec in payload.records]
+
+
 class TestSplitDummy:
+    """The dummy-client split that efficient-mode extract_payload applies."""
+
     def test_single_cell_returns_input(self):
         shard = make_shard()
-        subs = split_dummy(shard, 1, seed=5)
-        assert len(subs) == 1
-        assert subs[0] is shard
+        cells = dummy_cells(shard, 1, seed=5)
+        assert len(cells) == 1
+        assert cells[0].tolist() == list(range(shard.size))
 
     def test_round_robin_sizes(self):
-        subs = split_dummy(make_shard(n=10), 3, seed=5)
-        assert sorted(s.size for s in subs) == [3, 3, 4]
+        cells = dummy_cells(make_shard(n=10), 3, seed=5)
+        assert sorted(cell.size for cell in cells) == [3, 3, 4]
 
     def test_partition_is_disjoint_and_exhaustive(self):
-        shard = make_shard(n=17)
-        subs = split_dummy(shard, 4, seed=8)
-        rows = np.vstack([s.features for s in subs])
-        # Every original row appears exactly once across the cells.
-        key = lambda arr: sorted(map(tuple, arr.tolist()))
-        assert key(rows) == key(shard.features)
-        assert sum(s.size for s in subs) == shard.size
+        for stratified in (False, True):
+            cells = dummy_cells(make_shard(n=17), 4, seed=8, stratified=stratified)
+            # Every original row appears exactly once across the cells.
+            assert sorted(np.concatenate(cells).tolist()) == list(range(17))
 
     def test_determinism(self):
         shard = make_shard(n=12)
-        first = split_dummy(shard, 3, seed=99)
-        second = split_dummy(shard, 3, seed=99)
-        for a, b in zip(first, second):
-            assert np.array_equal(a.features, b.features)
-            assert np.array_equal(a.labels, b.labels)
+        first = dummy_cells(shard, 3, seed=99)
+        second = dummy_cells(shard, 3, seed=99)
+        assert all(np.array_equal(a, b) for a, b in zip(first, second))
+        assert any(
+            not np.array_equal(a, b) for a, b in zip(first, dummy_cells(shard, 3, seed=98))
+        )
 
     def test_stratified_split_balances_classes(self):
         feat = np.arange(24, dtype=float).reshape(12, 2)
         labels = np.array([0] * 6 + [1] * 6)
         shard = ClientShard(client_id=0, task_id=1, features=feat, labels=labels)
-        subs = split_dummy(shard, 3, seed=1, stratified=True)
-        for sub in subs:
-            assert np.sum(sub.labels == 0) == 2
-            assert np.sum(sub.labels == 1) == 2
+        rmap = make_random_map(13, 2, 6)
+        payload = extract_payload(
+            shard, rmap, (0, 1), mode="efficient", k_d=3, seed=1, stratified=True
+        )
+        assert [rec.label_freq.tolist() for rec in payload.records] == [[2, 2]] * 3
 
-    def test_oversplit_is_a_configuration_error(self):
+    def test_zero_cells_is_a_configuration_error(self):
+        rmap = make_random_map(13, 3, 6)
         with pytest.raises(ConfigurationError):
-            split_dummy(make_shard(n=3), 4, seed=0)
-        with pytest.raises(ConfigurationError):
-            split_dummy(make_shard(n=3), 0, seed=0)
+            extract_payload(make_shard(n=3), rmap, (0, 1), mode="efficient", k_d=0)
 
 
 class TestExtractPayload:

@@ -192,6 +192,20 @@ class TestRidgeSolve:
         with pytest.raises(DomainError):
             ridge_solve(np.eye(2), np.eye(2), -1.0)
 
+    def test_nan_gram_is_a_numerical_error(self):
+        g = np.array([[1.0, np.nan], [np.nan, 1.0]])
+        with pytest.raises(NumericalError):
+            ridge_solve(g, np.eye(2), 1.0)
+
+    def test_nan_corr_is_a_numerical_error(self):
+        c = np.array([[1.0], [np.nan]])
+        with pytest.raises(NumericalError):
+            ridge_solve(np.eye(2), c, 1.0)
+
+    def test_zero_corr_gives_zero_weights(self):
+        w = ridge_solve(np.eye(2), np.zeros((2, 3)), 1.0)
+        assert np.array_equal(w.weights, np.zeros((2, 3)))
+
     def test_shape_mismatch(self):
         with pytest.raises(DimensionError):
             ridge_solve(np.eye(3), np.eye(2), 1.0)

@@ -196,6 +196,17 @@ class TestFeatureFiles:
             load_features(path)
         assert f"expected {len(blob)} bytes, got {len(blob) - 5}" in str(err.value)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_feature_rejected(self, tmp_path, bad):
+        spec = random_synth_spec(2, 3, train_per_class=4, test_per_class=1, seed=5)
+        train, _ = generate_synthetic(spec)
+        features = train.features.copy()
+        features[5, 1] = bad
+        path = tmp_path / "bad-value.stsafeat"
+        save_features(FeatureDataset(features, train.labels, 2, "train"), path)
+        with pytest.raises(FormatError, match="row 5"):
+            load_features(path)
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.stsafeat"
         path.write_bytes(b"NOTAFEAT" + bytes(28))

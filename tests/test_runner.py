@@ -5,7 +5,7 @@ import pytest
 
 from stsa.config import ExperimentConfig
 from stsa.core import apply_map, make_random_map, predict
-from stsa.data import FeatureDataset, SynthSpec, TaskSchedule, random_synth_spec
+from stsa.data import SynthSpec, random_synth_spec
 from stsa.errors import ConfigurationError, EstimationError
 from stsa.metrics import (
     avg_incremental_accuracy,
@@ -16,7 +16,9 @@ from stsa.metrics import (
 from stsa.prng import derive_seed
 from stsa.runner import (
     centralized_oracle,
+    experiment_map,
     load_experiment_data,
+    make_schedule,
     run_estimator_study,
     run_experiment,
 )
@@ -44,17 +46,35 @@ class TestRunExperiment:
             assert entry.gram_delta <= 1e-12
             assert entry.corr_delta <= 1e-12
 
+    @pytest.mark.parametrize("repartition", [True, False])
+    @pytest.mark.parametrize("beta", [0.1, 100.0])
+    @pytest.mark.parametrize("k", [1, 3, 7])
+    def test_full_mode_weights_do_not_depend_on_the_split(self, k, beta, repartition):
+        # Data and map depend on the seed only, so these runs differ in the
+        # client split alone; every split must reach the pooled solution.
+        cfg = ExperimentConfig(
+            **{**SMALL, "K": k, "beta": beta},
+            repartition_each_task=repartition,
+            oracle_check=True,
+        )
+        report = run_experiment(cfg)
+        assert len(report.comm.entries) == cfg.T * k
+        assert [entry.w_delta <= 1e-8 for entry in report.oracle] == [True] * cfg.T
+
     def test_full_mode_accuracies_equal_oracle_accuracies(self):
         # Evaluating the federated classifier and the pooled-oracle one must
         # give the same final accuracy row (weights agree to ~1e-14).
         cfg = ExperimentConfig(**SMALL)
         report = run_experiment(cfg)
         train, test = load_experiment_data(cfg)
-        from stsa.runner import make_schedule
-
         schedule = make_schedule(cfg, train.class_count)
-        rmap = make_random_map(derive_seed(cfg.seed, "map"), cfg.synth_dim, cfg.M)
-        w_star = centralized_oracle(train, schedule, rmap, cfg.gamma)
+        rmap = experiment_map(cfg, cfg.synth_dim)
+        _, w_star = centralized_oracle(
+            apply_map(rmap, train.features),
+            train.labels,
+            schedule.classes_through(schedule.stages),
+            cfg.gamma,
+        )
         mapped_test = apply_map(rmap, test.features)
         for tau, task in enumerate(schedule.tasks, start=1):
             rows = np.flatnonzero(np.isin(test.labels, task))
@@ -181,55 +201,41 @@ class TestRunExperiment:
 
 class TestCentralizedOracle:
     def test_hand_ridge_case(self):
-        train = FeatureDataset(
-            features=np.array([[1.0, 0.0], [1.0, 1.0]]),
-            labels=np.array([0, 1], dtype=np.int64),
-            class_count=2,
-            role="train",
-        )
-        schedule = TaskSchedule(tasks=((0, 1),))
-        rmap = make_random_map(0, 2, 2, enabled=False)
-        w = centralized_oracle(train, schedule, rmap, gamma=0.0)
+        feat = np.array([[1.0, 0.0], [1.0, 1.0]])
+        labels = np.array([0, 1], dtype=np.int64)
+        stats, w = centralized_oracle(feat, labels, (0, 1), gamma=0.0)
+        assert np.array_equal(stats.gram, feat.T @ feat)
+        assert np.array_equal(stats.corr, feat.T @ np.eye(2)[labels])
         assert np.allclose(w.weights, np.array([[1.0, 0.0], [-1.0, 1.0]]), atol=1e-12)
         assert predict(w, np.array([[1.0, 0.0], [1.0, 1.0]])).tolist() == [0, 1]
 
     def test_single_class_gives_one_column(self):
-        train = FeatureDataset(
-            features=np.array([[2.0], [1.0]]),
-            labels=np.array([0, 0], dtype=np.int64),
-            class_count=1,
-            role="train",
-        )
-        schedule = TaskSchedule(tasks=((0,),))
-        rmap = make_random_map(0, 1, 1, enabled=False)
-        w = centralized_oracle(train, schedule, rmap, gamma=1.0)
+        feat = np.array([[2.0], [1.0], [3.0]])
+        labels = np.array([0, 0, 1], dtype=np.int64)
+        stats, w = centralized_oracle(feat, labels, (0,), gamma=1.0)
+        # Rows of classes outside the list are not pooled.
+        assert stats.gram.tolist() == [[5.0]]
+        assert stats.label_freq.tolist() == [2]
         assert w.weights.shape == (1, 1)
         assert w.class_ids == (0,)
 
     def test_doubling_samples_and_gamma_leaves_weights_unchanged(self):
         rng = np.random.default_rng(4)
-        feats = rng.normal(size=(12, 3))
+        feat = apply_map(make_random_map(2, 3, 5), rng.normal(size=(12, 3)))
         labels = rng.integers(0, 3, size=12).astype(np.int64)
-        once = FeatureDataset(features=feats, labels=labels, class_count=3, role="train")
-        twice = FeatureDataset(
-            features=np.vstack([feats, feats]),
-            labels=np.concatenate([labels, labels]),
-            class_count=3,
-            role="train",
+        _, w1 = centralized_oracle(feat, labels, (0, 1, 2), gamma=2.5)
+        _, w2 = centralized_oracle(
+            np.vstack([feat, feat]), np.concatenate([labels, labels]), (0, 1, 2), gamma=5.0
         )
-        schedule = TaskSchedule(tasks=((0, 1, 2),))
-        rmap = make_random_map(2, 3, 5)
-        w1 = centralized_oracle(once, schedule, rmap, gamma=2.5)
-        w2 = centralized_oracle(twice, schedule, rmap, gamma=5.0)
         assert np.allclose(w1.weights, w2.weights, rtol=1e-12)
 
     def test_empty_schedule_rejected(self):
-        train = FeatureDataset(
-            features=np.ones((1, 2)), labels=np.zeros(1, dtype=np.int64),
-            class_count=1, role="train",
-        )
+        feat = np.ones((1, 2))
+        labels = np.zeros(1, dtype=np.int64)
         with pytest.raises(ConfigurationError):
-            centralized_oracle(train, TaskSchedule(tasks=()), make_random_map(0, 2, 2), 1.0)
+            centralized_oracle(feat, labels, (), 1.0)
+        with pytest.raises(ConfigurationError, match="no training samples"):
+            centralized_oracle(feat, labels, (1,), 1.0)
 
 
 class TestEstimatorStudy:

@@ -280,9 +280,9 @@ class TestUpdateClassifier:
         # One sample with feature e1 and gamma=1 gives weight 1/2 on e1.
         stats = local_statistics(np.array([[1.0, 0.0]]), np.array([7]), [7])
         state = temporal_aggregate(TemporalState.initial(2), stats.gram, stats.corr, [7])
-        model = update_classifier(state, gamma=1.0)
-        assert model.weights.class_ids == (7,)
-        assert np.allclose(model.weights.weights, np.array([[0.5], [0.0]]), rtol=1e-12)
+        w = update_classifier(state, gamma=1.0)
+        assert w.class_ids == (7,)
+        assert np.allclose(w.weights, np.array([[0.5], [0.0]]), rtol=1e-12)
 
     def test_matches_pooled_ridge_over_two_stages(self):
         rng = np.random.default_rng(5)
@@ -296,11 +296,11 @@ class TestUpdateClassifier:
         state = temporal_aggregate(state, s1.gram, s1.corr, [0, 1])
         s2 = local_statistics(feat[20:], labels[20:], [2, 3])
         state = temporal_aggregate(state, s2.gram, s2.corr, [2, 3])
-        model = update_classifier(state, gamma=0.1)
+        w = update_classifier(state, gamma=0.1)
 
         pooled = local_statistics(feat, labels, [0, 1, 2, 3])
         oracle = np.linalg.solve(pooled.gram + 0.1 * np.eye(7), pooled.corr)
-        delta = np.linalg.norm(model.weights.weights - oracle, "fro")
+        delta = np.linalg.norm(w.weights - oracle, "fro")
         assert delta <= 1e-8 * np.linalg.norm(oracle, "fro")
 
     def test_empty_state_rejected(self):
