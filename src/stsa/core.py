@@ -23,6 +23,9 @@ SOLVE_RESIDUAL_BOUND = 1e-8
 # Jitter escalation ladder for the SPD factorization, mildest first.
 _JITTER_EXPONENTS = (6, 4, 2)
 
+# Rows per block of the symmetry check.
+_SYMMETRY_BLOCK = 256
+
 
 @dataclass(frozen=True)
 class RandomMap:
@@ -203,6 +206,16 @@ def local_statistics(
     )
 
 
+def _max_asymmetry(G: np.ndarray) -> float:
+    """max |G - G^T|, one row block at a time so no M x M temporary is made."""
+    worst = 0.0
+    for i in range(0, G.shape[0], _SYMMETRY_BLOCK):
+        rows = slice(i, i + _SYMMETRY_BLOCK)
+        diff = G[rows] - G[:, rows].T
+        worst = max(worst, float(np.abs(diff, out=diff).max()))
+    return worst
+
+
 def ridge_solve(
     G: np.ndarray,
     C: np.ndarray,
@@ -210,6 +223,9 @@ def ridge_solve(
     class_ids: Sequence[int] | None = None,
 ) -> ClassifierWeights:
     """Solve (G + gamma I) W = C by SPD factorization, never explicit inverse.
+
+    A non-finite G or C, or a G that is not symmetric within tolerance, is
+    rejected with a NumericalError before any factorization.
 
     One step of iterative refinement keeps the relative residual under
     SOLVE_RESIDUAL_BOUND. If the Cholesky factorization fails (indefinite
@@ -226,9 +242,16 @@ def ridge_solve(
         )
     if gamma < 0.0:
         raise DomainError(f"ridge coefficient must be >= 0, got {gamma}")
+    # max/min propagate NaN and keep inf, so they check finiteness with no
+    # temporary the size of G.
+    g_max, g_min = G.max(), G.min()
+    if not (np.isfinite(g_max) and np.isfinite(g_min)):
+        raise NumericalError("gram matrix has non-finite entries")
+    if not np.isfinite(C).all():
+        raise NumericalError("corr matrix has non-finite entries")
     m = G.shape[0]
-    scale = np.abs(G).max()
-    if scale > 0.0 and np.abs(G - G.T).max() > 1e-9 * scale:
+    scale = max(g_max, -g_min)
+    if scale > 0.0 and _max_asymmetry(G) > 1e-9 * scale:
         raise NumericalError("gram matrix is not symmetric within tolerance")
     if class_ids is None:
         class_ids = range(C.shape[1])
@@ -239,10 +262,16 @@ def ridge_solve(
     attempts += [gamma * (1.0 + 10.0**-k * frob / m) for k in _JITTER_EXPONENTS]
     factor = None
     used_gamma = None
+    diagonal = np.diag_indices(m)
     for g in attempts:
-        system = G + g * np.eye(m)
+        # A Fortran-ordered copy is factorized in place; LAPACK would copy a
+        # C-ordered one anyway. A failed attempt leaves it overwritten.
+        system = np.array(G, order="F")
+        system[diagonal] += g
         try:
-            factor = scipy.linalg.cho_factor(system, lower=True, check_finite=False)
+            factor = scipy.linalg.cho_factor(
+                system, lower=True, overwrite_a=True, check_finite=False
+            )
         except scipy.linalg.LinAlgError:
             continue
         used_gamma = g

@@ -253,9 +253,13 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
                 part[np.isin(train.labels[part], task_classes)] for part in global_parts
             ]
 
-        payloads = []
-        for k in range(config.K):
-            try:
+        client = None  # the client computing its upload, for error context
+
+        def uploads():
+            """Each client's upload in client order, made when the server asks."""
+            nonlocal client
+            for k in range(config.K):
+                client = k
                 shard = ClientShard(
                     client_id=k,
                     task_id=t,
@@ -279,13 +283,15 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
                         config.noise_s,
                         derive_seed(config.seed, f"noise/stage={t}/client={k}"),
                     )
-            except StsaError as exc:
-                raise type(exc)(f"stage {t}, client {k}: {exc}") from exc
-            ledger.add(t, k, payload.byte_size)
-            payloads.append(payload)
+                client = None
+                ledger.add(t, k, payload.byte_size)
+                yield payload
+                # Let go of this upload before making the next one, so the
+                # server's fold is its last use.
+                del shard, payload
 
         try:
-            agg = spatial_aggregate(payloads, task_classes)
+            agg = spatial_aggregate(uploads(), task_classes)
             if config.mode == "efficient":
                 stage_gram = estimate_gram(agg.records, task_classes)
             else:
@@ -293,7 +299,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
             state = temporal_aggregate(state, stage_gram, agg.corr, task_classes)
             weights = update_classifier(state, config.gamma)
         except StsaError as exc:
-            raise type(exc)(f"stage {t}: {exc}") from exc
+            where = f"stage {t}" if client is None else f"stage {t}, client {client}"
+            raise type(exc)(f"{where}: {exc}") from exc
 
         acc_rows.append(
             tuple(

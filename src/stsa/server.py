@@ -1,8 +1,8 @@
 """Server-side aggregation: spatial, temporal, gram estimation, classifier.
 
-Spatial aggregation sums client statistics within a task; temporal
-aggregation accumulates the gram across tasks and concatenates correlation
-columns. When clients upload first-order records only, the server
+Spatial aggregation folds client statistics into a running sum within a
+task, one upload at a time; temporal aggregation accumulates the gram
+across tasks and concatenates correlation columns. When clients upload first-order records only, the server
 reconstructs an unbiased estimate of the task gram from the per-record
 correlation columns and label frequencies before accumulating it.
 """
@@ -25,9 +25,10 @@ MIN_COUNT = 1e-6
 class StageAggregate:
     """Spatially aggregated statistics for one task.
 
-    ``gram`` is the exact summed G in full mode and None in efficient mode;
-    ``records`` keeps the canonically ordered per-record uploads so that the
-    gram estimator can run on them.
+    ``gram`` is the exact summed G in full mode and None in efficient mode.
+    ``records`` holds the efficient-mode first-order records in canonical
+    (client_id, dummy_index) order, for the gram estimator; it is empty in
+    full mode, where every client gram is dropped once it has been summed.
     """
 
     gram: np.ndarray | None
@@ -60,55 +61,90 @@ class TemporalState:
 
 
 def spatial_aggregate(payloads: Iterable, task_classes: Sequence[int]) -> StageAggregate:
-    """Sum uploads across clients for one task.
+    """Sum one task's uploads across clients, folding each in as it arrives.
 
-    Records are folded in canonical (client_id, dummy_index) order so that
-    any arrival order of payloads gives bit-identical sums. All payloads
-    must share one mode, one task and one mapped dimension.
+    ``payloads`` is consumed lazily, one upload per client, from clients
+    0..K-1. Sums are folded in canonical (client_id, dummy_index) order: an
+    upload whose client id is the next one due is added at once, one that
+    arrives early is parked until every lower id has been added. Any arrival
+    order therefore gives bit-identical sums, and in-order arrival holds no
+    client gram beyond the one being added. A duplicate client id, or a gap
+    in the ids, is a ProtocolError. All uploads must share one mode, one
+    task and one mapped dimension.
     """
-    payloads = list(payloads)
-    if not payloads:
-        raise ProtocolError("spatial aggregation needs at least one payload")
-    mode = payloads[0].mode
-    records: list[SpatialStatistics] = []
-    for p in payloads:
-        if p.mode != mode:
-            raise ProtocolError(f"mixed payload modes {mode!r} and {p.mode!r}")
-        records.extend(p.records)
-    if not records:
-        raise ProtocolError("payloads contain no statistics records")
-
-    task_id = records[0].task_id
-    m = records[0].feature_dim
     c_t = len(task_classes)
-    for rec in records:
-        if rec.task_id != task_id:
-            raise ProtocolError(f"mixed task ids {task_id} and {rec.task_id}")
-        if rec.feature_dim != m:
-            raise ProtocolError(f"mixed mapped dimensions {m} and {rec.feature_dim}")
-        if rec.corr.shape[1] != c_t:
-            raise ProtocolError(
-                f"record has {rec.corr.shape[1]} class columns, task has {c_t}"
-            )
-        if mode == "full" and rec.gram is None:
-            raise ProtocolError("full-mode record is missing its gram matrix")
-        if mode == "efficient" and rec.gram is not None:
-            raise ProtocolError("efficient-mode record carries a gram matrix")
+    mode = task_id = m = None
+    corr = gram = None
+    records: list[SpatialStatistics] = []
+    parked: dict[int, object] = {}
+    due = 0  # the client id to fold next
+    for payload in payloads:
+        if not payload.records:
+            raise ProtocolError("payload contains no statistics records")
+        if mode is None:
+            mode = payload.mode
+            task_id = payload.records[0].task_id
+            m = payload.records[0].feature_dim
+            corr = np.zeros((m, c_t))
+            gram = np.zeros((m, m)) if mode == "full" else None
+        elif payload.mode != mode:
+            raise ProtocolError(f"mixed payload modes {mode!r} and {payload.mode!r}")
+        client_id = payload.records[0].client_id
+        for rec in payload.records:
+            if rec.task_id != task_id:
+                raise ProtocolError(f"mixed task ids {task_id} and {rec.task_id}")
+            if rec.feature_dim != m:
+                raise ProtocolError(f"mixed mapped dimensions {m} and {rec.feature_dim}")
+            if rec.corr.shape[1] != c_t:
+                raise ProtocolError(
+                    f"record has {rec.corr.shape[1]} class columns, task has {c_t}"
+                )
+            if mode == "full" and rec.gram is None:
+                raise ProtocolError("full-mode record is missing its gram matrix")
+            if mode == "efficient" and rec.gram is not None:
+                raise ProtocolError("efficient-mode record carries a gram matrix")
+            if rec.client_id != client_id:
+                raise ProtocolError(
+                    f"one payload mixes client ids {client_id} and {rec.client_id}"
+                )
+        if client_id < 0:
+            raise ProtocolError(f"negative client id {client_id}")
+        if client_id < due or client_id in parked:
+            raise ProtocolError(f"duplicate upload from client {client_id}")
+        parked[client_id] = payload
+        # Only ``parked`` refers to the upload now, so folding frees it.
+        del payload, rec
+        while due in parked:
+            _fold(parked.pop(due), corr, gram, records)
+            due += 1
 
-    records.sort(key=lambda r: (r.client_id, r.dummy_index))
-    corr = np.zeros((m, c_t))
-    for rec in records:
-        corr += rec.corr
-    gram = None
-    if mode == "full":
-        gram = np.zeros((m, m))
-        for rec in records:
-            gram += rec.gram
+    if mode is None:
+        raise ProtocolError("spatial aggregation needs at least one payload")
+    if parked:
+        raise ProtocolError(
+            f"missing upload from client {due}; clients up to {max(parked)} uploaded"
+        )
+    if gram is not None:
         # Entrywise privacy noise breaks exact symmetry; averaging the
         # triangles is the unbiased symmetric projection and keeps the SPD
         # solve path uniform. A no-op up to rounding for clean uploads.
-        gram = (gram + gram.T) / 2.0
+        gram += gram.T
+        gram /= 2.0
     return StageAggregate(gram=gram, corr=corr, records=tuple(records))
+
+
+def _fold(payload, corr: np.ndarray, gram: np.ndarray | None, records: list) -> None:
+    """Add one client's records to the running sums in dummy-index order.
+
+    Full mode adds each gram into ``gram``; efficient mode keeps the
+    first-order records for the gram estimator instead.
+    """
+    for rec in sorted(payload.records, key=lambda r: r.dummy_index):
+        corr += rec.corr
+        if gram is None:
+            records.append(rec)
+        else:
+            gram += rec.gram
 
 
 def estimate_gram(

@@ -3,10 +3,12 @@
 from dataclasses import replace
 
 import numpy as np
+import pytest
 
+import stsa.runner
 from stsa.cli import main
 from stsa.data import load_features, save_features
-from stsa.errors import NumericalError
+from stsa.errors import DomainError, NumericalError
 
 SMALL_CONFIG = """
 synth_classes = 6
@@ -160,3 +162,32 @@ def test_estimation_shortfall_exits_2(tmp_path, capsys):
     cfg = write_config(tmp_path, solo, name="kd.cfg")
     assert main(["run", "--config", str(cfg)]) == 2
     assert "single record" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("drained", [False, True], ids=["lazy", "drained"])
+@pytest.mark.parametrize(
+    "error, code, label",
+    [(NumericalError, 3, "numerical error"), (DomainError, 2, "configuration error")],
+)
+def test_client_error_is_prefixed_once(tmp_path, monkeypatch, capsys, error, code, label, drained):
+    # The server consumes the uploads as clients make them, so a client
+    # failure surfaces inside the server's aggregation; it must still name
+    # the stage and the client once.
+    extract = stsa.runner.extract_payload
+
+    def failing(shard, *args, **kwargs):
+        if (shard.task_id, shard.client_id) == (2, 1):
+            raise error("boom")
+        return extract(shard, *args, **kwargs)
+
+    monkeypatch.setattr(stsa.runner, "extract_payload", failing)
+    if drained:
+        # A wrapper that lists every upload before aggregating, as a tracer may.
+        aggregate = stsa.runner.spatial_aggregate
+        monkeypatch.setattr(
+            stsa.runner,
+            "spatial_aggregate",
+            lambda payloads, classes: aggregate(list(payloads), classes),
+        )
+    assert main(["run", "--config", str(write_config(tmp_path))]) == code
+    assert capsys.readouterr().err == f"{label}: stage 2, client 1: boom\n"

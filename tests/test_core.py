@@ -1,5 +1,7 @@
 """Kernel operations against hand-computed and analytic oracles."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -188,6 +190,15 @@ class TestRidgeSolve:
         with pytest.raises(NumericalError, match="symmetric"):
             ridge_solve(g, np.eye(2), 1.0)
 
+    @pytest.mark.parametrize("row, col", [(299, 3), (3, 299), (260, 270)])
+    def test_asymmetry_in_any_row_block_is_rejected(self, row, col):
+        # The check walks the gram in blocks of rows; a flaw in a later block
+        # or above the diagonal must be found too.
+        g = np.eye(300)
+        g[row, col] = 0.5
+        with pytest.raises(NumericalError, match="symmetric"):
+            ridge_solve(g, np.ones((300, 1)), 1.0)
+
     def test_negative_gamma_is_rejected(self):
         with pytest.raises(DomainError):
             ridge_solve(np.eye(2), np.eye(2), -1.0)
@@ -201,6 +212,19 @@ class TestRidgeSolve:
         c = np.array([[1.0], [np.nan]])
         with pytest.raises(NumericalError):
             ridge_solve(np.eye(2), c, 1.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("target", ["gram", "corr"])
+    def test_non_finite_input_is_named_without_warning(self, target, bad):
+        g, c = np.eye(3), np.ones((3, 2))
+        if target == "gram":
+            g[0, 2] = g[2, 0] = bad
+        else:
+            c[1, 0] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match=f"{target} matrix has non-finite"):
+                ridge_solve(g, c, 1.0)
 
     def test_zero_corr_gives_zero_weights(self):
         w = ridge_solve(np.eye(2), np.zeros((2, 3)), 1.0)

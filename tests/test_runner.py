@@ -1,9 +1,13 @@
 """End-to-end runs, the centralized oracle, and the estimator study."""
 
+import tracemalloc
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from stsa.config import ExperimentConfig
+from stsa.config import ExperimentConfig, load_config
 from stsa.core import apply_map, make_random_map, predict
 from stsa.data import SynthSpec, random_synth_spec
 from stsa.errors import ConfigurationError, EstimationError
@@ -145,6 +149,21 @@ class TestRunExperiment:
         cfg = ExperimentConfig(**{**SMALL, "K": 1}, mode="efficient", K_D=1)
         with pytest.raises(EstimationError, match="stage 1"):
             run_experiment(cfg)
+
+    def test_full_mode_peak_memory_is_flat_in_k(self):
+        # The server folds each client gram into the running sum as it
+        # arrives, so 32 clients must not hold more grams than 2 do.
+        config = load_config(Path(__file__).resolve().parent.parent / "configs" / "benchmark.cfg")
+        config = replace(config, mode="full", oracle_check=False)
+        peaks = {}
+        for k in (2, 32):
+            tracemalloc.start()
+            try:
+                run_experiment(replace(config, K=k))
+                peaks[k] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[32] <= peaks[2] + 4 * config.M**2 * 8
 
     def test_tiny_shards_and_empty_clients_survive(self):
         cfg = ExperimentConfig(

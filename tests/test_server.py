@@ -1,9 +1,12 @@
 """Server aggregation, gram estimation and the closed-form update."""
 
+import itertools
+import weakref
+
 import numpy as np
 import pytest
 
-from stsa.client import ClientShard, extract_payload
+from stsa.client import ClientShard, UploadPayload, extract_payload
 from stsa.core import SpatialStatistics, apply_map, local_statistics, make_random_map
 from stsa.errors import EstimationError, ProtocolError
 from stsa.prng import ChaChaStream
@@ -64,19 +67,88 @@ class TestSpatialAggregate:
         assert np.allclose(agg.gram, pooled.gram, rtol=1e-12)
         assert np.allclose(agg.corr, pooled.corr, rtol=1e-12)
 
-    def test_payload_order_is_canonicalized(self):
+    def payloads(self, mode):
         cuts = [(0, 10), (10, 20), (20, 30)]
-        payloads = full_payloads_from_partition(
-            [self.raw[a:b] for a, b in cuts],
-            [self.labels[a:b] for a, b in cuts],
-            self.rmap,
-            self.classes,
-        )
-        forward = spatial_aggregate(payloads, self.classes)
-        backward = spatial_aggregate(list(reversed(payloads)), self.classes)
-        assert np.array_equal(forward.gram, backward.gram)
-        assert np.array_equal(forward.corr, backward.corr)
-        assert [r.client_id for r in backward.records] == [0, 1, 2]
+        return [
+            extract_payload(
+                ClientShard(
+                    client_id=k, task_id=1, features=self.raw[a:b], labels=self.labels[a:b]
+                ),
+                self.rmap,
+                self.classes,
+                mode=mode,
+                k_d=2,
+                seed=k,
+            )
+            for k, (a, b) in enumerate(cuts)
+        ]
+
+    def test_payload_order_is_canonicalized(self):
+        for mode in ("full", "efficient"):
+            payloads = self.payloads(mode)
+            forward = spatial_aggregate(payloads, self.classes)
+            for order in itertools.permutations(payloads):
+                shuffled = spatial_aggregate(order, self.classes)
+                if mode == "full":
+                    assert np.array_equal(forward.gram, shuffled.gram)
+                else:
+                    assert shuffled.gram is None
+                    assert [(r.client_id, r.dummy_index) for r in shuffled.records] == [
+                        (0, 0), (0, 1), (1, 0), (1, 1), (2, 0), (2, 1)
+                    ]
+                assert np.array_equal(forward.corr, shuffled.corr)
+
+    def test_full_mode_keeps_no_client_grams(self):
+        agg = spatial_aggregate(self.payloads("full"), self.classes)
+        assert agg.records == ()
+
+    def test_client_gram_is_freed_once_folded(self):
+        # Payloads produced in client order: client k's gram must be dead
+        # before client k + 2's payload is made.
+        refs = []
+        alive = []
+
+        def stream():
+            for k in range(6):
+                if k >= 2:
+                    alive.append(refs[k - 2]() is not None)
+                rows = slice(5 * k, 5 * k + 5)
+                shard = ClientShard(
+                    client_id=k, task_id=1, features=self.raw[rows], labels=self.labels[rows]
+                )
+                payload = extract_payload(shard, self.rmap, self.classes, mode="full")
+                refs.append(weakref.ref(payload.records[0].gram))
+                yield payload
+
+        spatial_aggregate(stream(), self.classes)
+        assert alive == [False] * 4
+
+    def test_duplicate_upload_rejected(self):
+        payloads = self.payloads("full")
+        with pytest.raises(ProtocolError, match="duplicate upload from client 1"):
+            spatial_aggregate(payloads + [payloads[1]], self.classes)
+        with pytest.raises(ProtocolError, match="duplicate upload from client 2"):
+            spatial_aggregate([payloads[2], payloads[0], payloads[2]], self.classes)
+
+    @pytest.mark.parametrize("kept", [(0, 2), (1, 2)])
+    def test_missing_upload_rejected(self, kept):
+        payloads = self.payloads("efficient")
+        missing = ({0, 1, 2} - set(kept)).pop()
+        with pytest.raises(ProtocolError, match=f"missing upload from client {missing}"):
+            spatial_aggregate([payloads[k] for k in kept], self.classes)
+
+    def test_payload_must_carry_one_valid_client_id(self):
+        def upload(*client_ids):
+            records = tuple(
+                record(np.ones((8, 3)), [1, 1, 1], client_id=c, dummy_index=j)
+                for j, c in enumerate(client_ids)
+            )
+            return UploadPayload(mode="efficient", records=records, byte_size=0)
+
+        with pytest.raises(ProtocolError, match="mixes client ids 0 and 1"):
+            spatial_aggregate([upload(0, 1)], self.classes)
+        with pytest.raises(ProtocolError, match="negative client id -1"):
+            spatial_aggregate([upload(-1)], self.classes)
 
     def test_mixed_modes_rejected(self):
         shard = ClientShard(client_id=0, task_id=1, features=self.raw[:5], labels=self.labels[:5])
