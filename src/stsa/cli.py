@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import load_config
-from .core import apply_map
+from .core import apply_map, local_statistics
 from .data import save_features, generate_synthetic
 from .errors import FormatError, NumericalError, StsaError
 from .runner import (
@@ -58,12 +58,9 @@ def _cmd_oracle(args) -> int:
     train, test = load_experiment_data(config)
     schedule = make_schedule(config, train.class_count)
     rmap = experiment_map(config, train.features.shape[1])
-    _, weights = centralized_oracle(
-        apply_map(rmap, train.features),
-        train.labels,
-        schedule.classes_through(schedule.stages),
-        config.gamma,
-    )
+    class_ids = schedule.classes_through(schedule.stages)
+    pooled = local_statistics(apply_map(rmap, train.features), train.labels, class_ids)
+    weights = centralized_oracle(pooled, class_ids, config.gamma)
     mapped_test = apply_map(rmap, test.features)
     per_task = [
         task_accuracy(

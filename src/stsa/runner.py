@@ -189,28 +189,45 @@ def task_accuracy(
 
 
 def centralized_oracle(
-    mapped_train: np.ndarray,
-    labels: np.ndarray,
-    class_ids: Sequence[int],
-    gamma: float,
-) -> tuple[SpatialStatistics, ClassifierWeights]:
-    """Pooled statistics and ridge solution with access to all data.
+    pooled: SpatialStatistics, class_ids: Sequence[int], gamma: float
+) -> ClassifierWeights:
+    """Ridge solution of statistics pooled with access to all data.
 
     This is the equivalence reference for the federated-incremental path.
-    It pools every mapped sample of ``class_ids`` and solves the regularized
-    normal equations with a plain LU solve, a route independent of the SPD
-    factorization used by the aggregation path.
+    ``pooled`` holds the gram and the corr columns of every training sample
+    of ``class_ids``, in that column order. The regularized normal
+    equations are solved with a plain LU solve, a route independent of the
+    SPD factorization used by the aggregation path.
     """
     class_ids = tuple(int(c) for c in class_ids)
     if not class_ids:
         raise ConfigurationError("the oracle needs at least one class")
-    idx = np.flatnonzero(np.isin(labels, class_ids))
-    if idx.size == 0:
+    if not pooled.label_freq.any():
         raise ConfigurationError("no training samples match the oracle's classes")
-    stats = local_statistics(mapped_train[idx], labels[idx], class_ids)
-    system = stats.gram + gamma * np.eye(mapped_train.shape[1])
-    weights = np.linalg.solve(system, stats.corr)
-    return stats, ClassifierWeights(weights=weights, class_ids=class_ids)
+    system = pooled.gram.copy()
+    system[np.diag_indices(system.shape[0])] += gamma
+    weights = np.linalg.solve(system, pooled.corr)
+    return ClassifierWeights(weights=weights, class_ids=class_ids)
+
+
+def _pool_task(pooled: SpatialStatistics | None, task: SpatialStatistics) -> SpatialStatistics:
+    """The oracle's statistics of one more task: grams summed, columns appended.
+
+    Each task is pooled once, at its own stage, and added to the pooled
+    statistics of the earlier tasks. The sum is taken in ``task``'s gram, so
+    no third M x M array is made.
+    """
+    if pooled is None:
+        return task
+    gram = task.gram
+    gram += pooled.gram
+    return SpatialStatistics(
+        gram=gram,
+        corr=np.hstack([pooled.corr, task.corr]),
+        label_freq=np.concatenate([pooled.label_freq, task.label_freq]),
+        task_id=task.task_id,
+        client_id=task.client_id,
+    )
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
@@ -223,7 +240,6 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     test_rows = [
         np.flatnonzero(np.isin(test.labels, task)) for task in schedule.tasks
     ]
-    mapped_train = apply_map(rmap, train.features) if config.oracle_check else None
 
     state = TemporalState.initial(rmap.output_dim)
     ledger = CommLedger(mode=config.mode, elem_bytes=config.elem_bytes)
@@ -236,6 +252,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
 
     acc_rows: list[tuple[float, ...]] = []
     oracle_deltas: list[StageOracleDelta] | None = [] if config.oracle_check else None
+    pooled = None  # the oracle's statistics of tasks 1..t
 
     for t in range(1, schedule.stages + 1):
         task_classes = schedule.tasks[t - 1]
@@ -291,7 +308,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
                 del shard, payload
 
         try:
-            agg = spatial_aggregate(uploads(), task_classes)
+            agg = spatial_aggregate(uploads(), task_classes, config.K)
             if config.mode == "efficient":
                 stage_gram = estimate_gram(agg.records, task_classes)
             else:
@@ -310,9 +327,13 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
         )
 
         if config.oracle_check:
-            pooled, w_star = centralized_oracle(
-                mapped_train, train.labels, schedule.classes_through(t), config.gamma
+            task_pool = local_statistics(
+                apply_map(rmap, train.features[task_idx]),
+                train.labels[task_idx],
+                task_classes,
             )
+            pooled = _pool_task(pooled, task_pool)
+            w_star = centralized_oracle(pooled, schedule.classes_through(t), config.gamma)
             oracle_deltas.append(
                 StageOracleDelta(
                     stage=t,

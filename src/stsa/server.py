@@ -2,9 +2,10 @@
 
 Spatial aggregation folds client statistics into a running sum within a
 task, one upload at a time; temporal aggregation accumulates the gram
-across tasks and concatenates correlation columns. When clients upload first-order records only, the server
-reconstructs an unbiased estimate of the task gram from the per-record
-correlation columns and label frequencies before accumulating it.
+across tasks and concatenates correlation columns. When clients upload
+first-order records only, the server reconstructs an unbiased estimate of
+the task gram from the per-record correlation columns and label
+frequencies before accumulating it.
 """
 
 from __future__ import annotations
@@ -60,18 +61,25 @@ class TemporalState:
         )
 
 
-def spatial_aggregate(payloads: Iterable, task_classes: Sequence[int]) -> StageAggregate:
+def spatial_aggregate(
+    payloads: Iterable, task_classes: Sequence[int], client_count: int
+) -> StageAggregate:
     """Sum one task's uploads across clients, folding each in as it arrives.
 
     ``payloads`` is consumed lazily, one upload per client, from clients
-    0..K-1. Sums are folded in canonical (client_id, dummy_index) order: an
-    upload whose client id is the next one due is added at once, one that
-    arrives early is parked until every lower id has been added. Any arrival
-    order therefore gives bit-identical sums, and in-order arrival holds no
-    client gram beyond the one being added. A duplicate client id, or a gap
-    in the ids, is a ProtocolError. All uploads must share one mode, one
-    task and one mapped dimension.
+    0..client_count-1. Sums are folded in canonical (client_id, dummy_index)
+    order: an upload whose client id is the next one due is added at once,
+    one that arrives early is parked until every lower id has been added.
+    Any arrival order therefore gives bit-identical sums, and in-order
+    arrival holds no client gram beyond the one being added. A duplicate or
+    out-of-range client id, or a missing one, is a ProtocolError, and so is
+    a NaN or infinite label frequency or sum. All uploads must share one
+    mode, one task and one mapped dimension.
     """
+    if client_count < 1:
+        raise ProtocolError(
+            f"spatial aggregation needs at least one client, got {client_count}"
+        )
     c_t = len(task_classes)
     mode = task_id = m = None
     corr = gram = None
@@ -103,12 +111,20 @@ def spatial_aggregate(payloads: Iterable, task_classes: Sequence[int]) -> StageA
                 raise ProtocolError("full-mode record is missing its gram matrix")
             if mode == "efficient" and rec.gram is not None:
                 raise ProtocolError("efficient-mode record carries a gram matrix")
+            if not np.isfinite(rec.label_freq).all():
+                raise ProtocolError(
+                    f"client {rec.client_id} uploaded non-finite label frequencies"
+                )
             if rec.client_id != client_id:
                 raise ProtocolError(
                     f"one payload mixes client ids {client_id} and {rec.client_id}"
                 )
         if client_id < 0:
             raise ProtocolError(f"negative client id {client_id}")
+        if client_id >= client_count:
+            raise ProtocolError(
+                f"client id {client_id} is out of range for {client_count} clients"
+            )
         if client_id < due or client_id in parked:
             raise ProtocolError(f"duplicate upload from client {client_id}")
         parked[client_id] = payload
@@ -118,13 +134,18 @@ def spatial_aggregate(payloads: Iterable, task_classes: Sequence[int]) -> StageA
             _fold(parked.pop(due), corr, gram, records)
             due += 1
 
-    if mode is None:
-        raise ProtocolError("spatial aggregation needs at least one payload")
-    if parked:
+    if due < client_count:
         raise ProtocolError(
-            f"missing upload from client {due}; clients up to {max(parked)} uploaded"
+            f"missing upload from client {due}; expected clients 0..{client_count - 1}"
         )
+    # A NaN or infinite entry in any upload survives the sum, so checking
+    # the sums once covers every upload. max/min propagate NaN and keep inf,
+    # so the gram check needs no M x M temporary.
+    if not np.isfinite(corr).all():
+        raise ProtocolError("summed uploads have non-finite corr entries")
     if gram is not None:
+        if not (np.isfinite(gram.max()) and np.isfinite(gram.min())):
+            raise ProtocolError("summed uploads have non-finite gram entries")
         # Entrywise privacy noise breaks exact symmetry; averaging the
         # triangles is the unbiased symmetric projection and keeps the SPD
         # solve path uniform. A no-op up to rounding for clean uploads.

@@ -1,6 +1,10 @@
 """CLI subcommands and exit-code mapping."""
 
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +13,8 @@ import stsa.runner
 from stsa.cli import main
 from stsa.data import load_features, save_features
 from stsa.errors import DomainError, NumericalError
+
+ROOT = Path(__file__).resolve().parent.parent
 
 SMALL_CONFIG = """
 synth_classes = 6
@@ -155,6 +161,38 @@ def test_numerical_error_exits_3(tmp_path, monkeypatch, capsys):
     assert "numerical error" in capsys.readouterr().err
 
 
+def test_non_finite_upload_exits_2(tmp_path, monkeypatch, capsys):
+    # The server checks each stage's summed uploads, so one client's NaN
+    # gram fails the stage, not a client.
+    extract = stsa.runner.extract_payload
+
+    def poisoned(shard, *args, **kwargs):
+        payload = extract(shard, *args, **kwargs)
+        if (shard.task_id, shard.client_id) == (2, 1):
+            payload.records[0].gram[0, 0] = np.nan
+        return payload
+
+    monkeypatch.setattr(stsa.runner, "extract_payload", poisoned)
+    assert main(["run", "--config", str(write_config(tmp_path))]) == 2
+    assert capsys.readouterr().err == (
+        "configuration error: stage 2: summed uploads have non-finite gram entries\n"
+    )
+
+
+def test_python_dash_m_runs_the_cli():
+    paths = [str(ROOT / "src"), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    config = ROOT / "configs" / "benchmark.cfg"
+    done = subprocess.run(
+        [sys.executable, "-m", "stsa", "oracle", "--config", str(config)],
+        capture_output=True,
+        env=env,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == (ROOT / "tests" / "golden" / "benchmark-oracle.txt").read_bytes()
+
+
 def test_estimation_shortfall_exits_2(tmp_path, capsys):
     # One client, one dummy: per-class holder count is 1 and estimation
     # is impossible, which is a configuration-class failure.
@@ -187,7 +225,7 @@ def test_client_error_is_prefixed_once(tmp_path, monkeypatch, capsys, error, cod
         monkeypatch.setattr(
             stsa.runner,
             "spatial_aggregate",
-            lambda payloads, classes: aggregate(list(payloads), classes),
+            lambda payloads, *args: aggregate(list(payloads), *args),
         )
     assert main(["run", "--config", str(write_config(tmp_path))]) == code
     assert capsys.readouterr().err == f"{label}: stage 2, client 1: boom\n"

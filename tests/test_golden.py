@@ -19,3 +19,10 @@ def test_benchmark_report_matches_golden(tmp_path, mode, golden):
     config = ROOT / "configs" / "benchmark.cfg"
     assert main(["run", "--config", str(config), "--mode", mode, "--out", str(out)]) == 0
     assert out.read_bytes() == (GOLDEN / golden).read_bytes()
+
+
+def test_oracle_report_matches_golden(tmp_path):
+    out = tmp_path / "oracle.txt"
+    config = ROOT / "configs" / "benchmark.cfg"
+    assert main(["oracle", "--config", str(config), "--out", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / "benchmark-oracle.txt").read_bytes()

@@ -7,8 +7,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import stsa.runner
 from stsa.config import ExperimentConfig, load_config
-from stsa.core import apply_map, make_random_map, predict
+from stsa.core import apply_map, local_statistics, make_random_map, predict
 from stsa.data import SynthSpec, random_synth_spec
 from stsa.errors import ConfigurationError, EstimationError
 from stsa.metrics import (
@@ -73,17 +74,32 @@ class TestRunExperiment:
         train, test = load_experiment_data(cfg)
         schedule = make_schedule(cfg, train.class_count)
         rmap = experiment_map(cfg, cfg.synth_dim)
-        _, w_star = centralized_oracle(
-            apply_map(rmap, train.features),
-            train.labels,
-            schedule.classes_through(schedule.stages),
-            cfg.gamma,
-        )
+        class_ids = schedule.classes_through(schedule.stages)
+        pooled = local_statistics(apply_map(rmap, train.features), train.labels, class_ids)
+        w_star = centralized_oracle(pooled, class_ids, cfg.gamma)
         mapped_test = apply_map(rmap, test.features)
         for tau, task in enumerate(schedule.tasks, start=1):
             rows = np.flatnonzero(np.isin(test.labels, task))
             oracle_acc = float(np.mean(predict(w_star, mapped_test[rows]) == test.labels[rows]))
             assert report.accuracy.get(cfg.T, tau) == oracle_acc
+
+    def test_oracle_pools_each_training_row_once(self, monkeypatch):
+        # Clients pool through stsa.client's name, so every row counted here
+        # was pooled by the oracle: each task's rows once, at its own stage.
+        pooled_rows = []
+        original = stsa.runner.local_statistics
+
+        def counting(feat, *args, **kwargs):
+            pooled_rows.append(feat.shape[0])
+            return original(feat, *args, **kwargs)
+
+        monkeypatch.setattr(stsa.runner, "local_statistics", counting)
+        cfg = ExperimentConfig(**SMALL, oracle_check=True)
+        run_experiment(cfg)
+        train, _ = load_experiment_data(cfg)
+        schedule = make_schedule(cfg, train.class_count)
+        assert pooled_rows == [int(np.isin(train.labels, task).sum()) for task in schedule.tasks]
+        assert sum(pooled_rows) == train.labels.size
 
     def test_degenerate_federation_is_plain_ridge(self):
         # K = 1, T = 1: the run reduces to ridge classification on the
@@ -218,11 +234,18 @@ class TestRunExperiment:
         assert report.accuracy.stages == SMALL["T"]
 
 
+def pool(feat, labels, class_ids):
+    """Pooled statistics of the rows of ``class_ids``, in that column order."""
+    rows = np.isin(labels, class_ids)
+    return local_statistics(feat[rows], labels[rows], class_ids)
+
+
 class TestCentralizedOracle:
     def test_hand_ridge_case(self):
         feat = np.array([[1.0, 0.0], [1.0, 1.0]])
         labels = np.array([0, 1], dtype=np.int64)
-        stats, w = centralized_oracle(feat, labels, (0, 1), gamma=0.0)
+        stats = pool(feat, labels, (0, 1))
+        w = centralized_oracle(stats, (0, 1), gamma=0.0)
         assert np.array_equal(stats.gram, feat.T @ feat)
         assert np.array_equal(stats.corr, feat.T @ np.eye(2)[labels])
         assert np.allclose(w.weights, np.array([[1.0, 0.0], [-1.0, 1.0]]), atol=1e-12)
@@ -231,30 +254,39 @@ class TestCentralizedOracle:
     def test_single_class_gives_one_column(self):
         feat = np.array([[2.0], [1.0], [3.0]])
         labels = np.array([0, 0, 1], dtype=np.int64)
-        stats, w = centralized_oracle(feat, labels, (0,), gamma=1.0)
-        # Rows of classes outside the list are not pooled.
+        stats = pool(feat, labels, (0,))
+        w = centralized_oracle(stats, (0,), gamma=1.0)
+        # Rows of classes outside the list are not pooled: (5 + 1) w = 3.
         assert stats.gram.tolist() == [[5.0]]
         assert stats.label_freq.tolist() == [2]
-        assert w.weights.shape == (1, 1)
+        assert w.weights.tolist() == [[0.5]]
         assert w.class_ids == (0,)
 
     def test_doubling_samples_and_gamma_leaves_weights_unchanged(self):
         rng = np.random.default_rng(4)
         feat = apply_map(make_random_map(2, 3, 5), rng.normal(size=(12, 3)))
         labels = rng.integers(0, 3, size=12).astype(np.int64)
-        _, w1 = centralized_oracle(feat, labels, (0, 1, 2), gamma=2.5)
-        _, w2 = centralized_oracle(
-            np.vstack([feat, feat]), np.concatenate([labels, labels]), (0, 1, 2), gamma=5.0
-        )
+        w1 = centralized_oracle(pool(feat, labels, (0, 1, 2)), (0, 1, 2), gamma=2.5)
+        doubled = pool(np.vstack([feat, feat]), np.concatenate([labels, labels]), (0, 1, 2))
+        w2 = centralized_oracle(doubled, (0, 1, 2), gamma=5.0)
         assert np.allclose(w1.weights, w2.weights, rtol=1e-12)
 
     def test_empty_schedule_rejected(self):
         feat = np.ones((1, 2))
         labels = np.zeros(1, dtype=np.int64)
         with pytest.raises(ConfigurationError):
-            centralized_oracle(feat, labels, (), 1.0)
+            centralized_oracle(pool(feat, labels, ()), (), 1.0)
         with pytest.raises(ConfigurationError, match="no training samples"):
-            centralized_oracle(feat, labels, (1,), 1.0)
+            centralized_oracle(pool(feat, labels, (1,)), (1,), 1.0)
+
+    def test_gamma_leaves_the_pooled_gram_untouched(self):
+        # The runner adds the next task's gram to the same pooled statistics.
+        feat = np.array([[1.0, 2.0], [0.5, 1.0], [3.0, 0.0]])
+        labels = np.array([0, 1, 1], dtype=np.int64)
+        stats = pool(feat, labels, (0, 1))
+        before = stats.gram.copy()
+        centralized_oracle(stats, (0, 1), gamma=4.0)
+        assert np.array_equal(stats.gram, before)
 
 
 class TestEstimatorStudy:

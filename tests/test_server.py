@@ -2,6 +2,7 @@
 
 import itertools
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -48,7 +49,7 @@ class TestSpatialAggregate:
 
     def test_single_payload_passthrough(self):
         payloads = full_payloads_from_partition([self.raw], [self.labels], self.rmap, self.classes)
-        agg = spatial_aggregate(payloads, self.classes)
+        agg = spatial_aggregate(payloads, self.classes, 1)
         assert np.allclose(agg.gram, payloads[0].records[0].gram, rtol=1e-15)
         assert np.array_equal(agg.corr, payloads[0].records[0].corr)
 
@@ -62,7 +63,7 @@ class TestSpatialAggregate:
             self.rmap,
             self.classes,
         )
-        agg = spatial_aggregate(payloads, self.classes)
+        agg = spatial_aggregate(payloads, self.classes, 3)
         pooled = local_statistics(apply_map(self.rmap, self.raw), self.labels, self.classes)
         assert np.allclose(agg.gram, pooled.gram, rtol=1e-12)
         assert np.allclose(agg.corr, pooled.corr, rtol=1e-12)
@@ -86,9 +87,9 @@ class TestSpatialAggregate:
     def test_payload_order_is_canonicalized(self):
         for mode in ("full", "efficient"):
             payloads = self.payloads(mode)
-            forward = spatial_aggregate(payloads, self.classes)
+            forward = spatial_aggregate(payloads, self.classes, 3)
             for order in itertools.permutations(payloads):
-                shuffled = spatial_aggregate(order, self.classes)
+                shuffled = spatial_aggregate(order, self.classes, 3)
                 if mode == "full":
                     assert np.array_equal(forward.gram, shuffled.gram)
                 else:
@@ -99,7 +100,7 @@ class TestSpatialAggregate:
                 assert np.array_equal(forward.corr, shuffled.corr)
 
     def test_full_mode_keeps_no_client_grams(self):
-        agg = spatial_aggregate(self.payloads("full"), self.classes)
+        agg = spatial_aggregate(self.payloads("full"), self.classes, 3)
         assert agg.records == ()
 
     def test_client_gram_is_freed_once_folded(self):
@@ -120,22 +121,28 @@ class TestSpatialAggregate:
                 refs.append(weakref.ref(payload.records[0].gram))
                 yield payload
 
-        spatial_aggregate(stream(), self.classes)
+        spatial_aggregate(stream(), self.classes, 6)
         assert alive == [False] * 4
 
     def test_duplicate_upload_rejected(self):
         payloads = self.payloads("full")
         with pytest.raises(ProtocolError, match="duplicate upload from client 1"):
-            spatial_aggregate(payloads + [payloads[1]], self.classes)
+            spatial_aggregate(payloads + [payloads[1]], self.classes, 3)
         with pytest.raises(ProtocolError, match="duplicate upload from client 2"):
-            spatial_aggregate([payloads[2], payloads[0], payloads[2]], self.classes)
+            spatial_aggregate([payloads[2], payloads[0], payloads[2]], self.classes, 3)
 
     @pytest.mark.parametrize("kept", [(0, 2), (1, 2)])
     def test_missing_upload_rejected(self, kept):
         payloads = self.payloads("efficient")
         missing = ({0, 1, 2} - set(kept)).pop()
         with pytest.raises(ProtocolError, match=f"missing upload from client {missing}"):
-            spatial_aggregate([payloads[k] for k in kept], self.classes)
+            spatial_aggregate([payloads[k] for k in kept], self.classes, 3)
+
+    @pytest.mark.parametrize("mode", ["full", "efficient"])
+    def test_missing_last_upload_rejected(self, mode):
+        payloads = self.payloads(mode)
+        with pytest.raises(ProtocolError, match="missing upload from client 2"):
+            spatial_aggregate(payloads[:2], self.classes, 3)
 
     def test_payload_must_carry_one_valid_client_id(self):
         def upload(*client_ids):
@@ -146,16 +153,36 @@ class TestSpatialAggregate:
             return UploadPayload(mode="efficient", records=records, byte_size=0)
 
         with pytest.raises(ProtocolError, match="mixes client ids 0 and 1"):
-            spatial_aggregate([upload(0, 1)], self.classes)
+            spatial_aggregate([upload(0, 1)], self.classes, 3)
         with pytest.raises(ProtocolError, match="negative client id -1"):
-            spatial_aggregate([upload(-1)], self.classes)
+            spatial_aggregate([upload(-1)], self.classes, 3)
+        with pytest.raises(ProtocolError, match="client id 3 is out of range for 3 clients"):
+            spatial_aggregate([upload(3)], self.classes, 3)
+
+    @pytest.mark.parametrize(
+        "mode, field, value, what",
+        [
+            ("full", "gram", np.nan, "gram entries"),
+            ("full", "corr", np.inf, "corr entries"),
+            ("efficient", "corr", -np.inf, "corr entries"),
+            ("efficient", "label_freq", np.nan, "label frequencies"),
+        ],
+    )
+    def test_non_finite_upload_rejected(self, mode, field, value, what):
+        payloads = self.payloads(mode)
+        first, *rest = payloads[1].records
+        bad = getattr(first, field).astype(np.float64)  # a float copy, so NaN fits
+        bad.flat[0] = value
+        payloads[1] = replace(payloads[1], records=(replace(first, **{field: bad}), *rest))
+        with pytest.raises(ProtocolError, match=f"non-finite {what}"):
+            spatial_aggregate(payloads, self.classes, 3)
 
     def test_mixed_modes_rejected(self):
         shard = ClientShard(client_id=0, task_id=1, features=self.raw[:5], labels=self.labels[:5])
         full = extract_payload(shard, self.rmap, self.classes, mode="full")
         eff = extract_payload(shard, self.rmap, self.classes, mode="efficient", k_d=1)
         with pytest.raises(ProtocolError, match="mixed payload modes"):
-            spatial_aggregate([full, eff], self.classes)
+            spatial_aggregate([full, eff], self.classes, 2)
 
     def test_mismatched_dimension_rejected(self):
         small = make_random_map(3, 4, 6)
@@ -163,7 +190,7 @@ class TestSpatialAggregate:
         a = extract_payload(shard, self.rmap, self.classes, mode="full")
         b = extract_payload(shard, small, self.classes, mode="full")
         with pytest.raises(ProtocolError, match="mixed mapped dimensions"):
-            spatial_aggregate([a, b], self.classes)
+            spatial_aggregate([a, b], self.classes, 2)
 
     def test_mixed_task_ids_rejected(self):
         shard1 = ClientShard(client_id=0, task_id=1, features=self.raw[:5], labels=self.labels[:5])
@@ -171,11 +198,13 @@ class TestSpatialAggregate:
         a = extract_payload(shard1, self.rmap, self.classes, mode="full")
         b = extract_payload(shard2, self.rmap, self.classes, mode="full")
         with pytest.raises(ProtocolError, match="mixed task ids"):
-            spatial_aggregate([a, b], self.classes)
+            spatial_aggregate([a, b], self.classes, 2)
 
     def test_empty_payload_list_rejected(self):
         with pytest.raises(ProtocolError):
-            spatial_aggregate([], self.classes)
+            spatial_aggregate([], self.classes, 3)
+        with pytest.raises(ProtocolError, match="at least one client"):
+            spatial_aggregate([], self.classes, 0)
 
 
 class TestEstimateGram:
