@@ -16,10 +16,11 @@ from pathlib import Path
 import numpy as np
 
 from .config import load_config
-from .core import apply_map, local_statistics
+from .core import apply_map
 from .data import save_features, generate_synthetic
 from .errors import FormatError, NumericalError, StsaError
 from .runner import (
+    _pool_task,
     centralized_oracle,
     experiment_map,
     load_experiment_data,
@@ -58,8 +59,12 @@ def _cmd_oracle(args) -> int:
     train, test = load_experiment_data(config)
     schedule = make_schedule(config, train.class_count)
     rmap = experiment_map(config, train.features.shape[1])
+    pooled = None
+    for task in schedule.tasks:
+        pooled = _pool_task(
+            pooled, rmap, train, np.flatnonzero(np.isin(train.labels, task)), task
+        )
     class_ids = schedule.classes_through(schedule.stages)
-    pooled = local_statistics(apply_map(rmap, train.features), train.labels, class_ids)
     weights = centralized_oracle(pooled, class_ids, config.gamma)
     mapped_test = apply_map(rmap, test.features)
     per_task = [

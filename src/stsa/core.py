@@ -136,6 +136,10 @@ def apply_map(rmap: RandomMap, raw: np.ndarray) -> np.ndarray:
         raise DimensionError(
             f"raw feature dim {raw.shape[1]} does not match map input dim {rmap.input_dim}"
         )
+    # relu would turn -inf (or +inf times a negative weight) into a plausible
+    # 0.0, so non-finite input is rejected before it is lifted.
+    if not np.isfinite(raw).all():
+        raise NumericalError("raw features have non-finite entries")
     return np.maximum(raw @ rmap.matrix, 0.0)
 
 

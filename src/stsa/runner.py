@@ -210,13 +210,22 @@ def centralized_oracle(
     return ClassifierWeights(weights=weights, class_ids=class_ids)
 
 
-def _pool_task(pooled: SpatialStatistics | None, task: SpatialStatistics) -> SpatialStatistics:
+def _pool_task(
+    pooled: SpatialStatistics | None,
+    rmap: RandomMap,
+    train: FeatureDataset,
+    task_idx: np.ndarray,
+    task_classes: Sequence[int],
+) -> SpatialStatistics:
     """The oracle's statistics of one more task: grams summed, columns appended.
 
-    Each task is pooled once, at its own stage, and added to the pooled
-    statistics of the earlier tasks. The sum is taken in ``task``'s gram, so
-    no third M x M array is made.
+    The task's training rows ``task_idx`` are mapped and pooled once and added
+    to ``pooled``, the statistics of the earlier tasks. The sum is taken in
+    the new task's gram, so no third M x M array is made.
     """
+    task = local_statistics(
+        apply_map(rmap, train.features[task_idx]), train.labels[task_idx], task_classes
+    )
     if pooled is None:
         return task
     gram = task.gram
@@ -327,12 +336,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
         )
 
         if config.oracle_check:
-            task_pool = local_statistics(
-                apply_map(rmap, train.features[task_idx]),
-                train.labels[task_idx],
-                task_classes,
-            )
-            pooled = _pool_task(pooled, task_pool)
+            pooled = _pool_task(pooled, rmap, train, task_idx, task_classes)
             w_star = centralized_oracle(pooled, schedule.classes_through(t), config.gamma)
             oracle_deltas.append(
                 StageOracleDelta(

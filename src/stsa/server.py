@@ -178,9 +178,17 @@ def estimate_gram(
         G_i = (n_i - 1)/(K_i - 1) * sum_k c_k c_k^T / n_k
             - (n_i - K_i)/(n_i (K_i - 1)) * (sum_k c_k)(sum_k c_k)^T
 
-    where n_i = sum_k n_k and K_i counts the contributing records. Classes
-    absent everywhere contribute nothing; a class held by a single record
-    cannot be estimated and raises. The result is exactly symmetrized.
+    where n_i = sum_k n_k and K_i counts the contributing records; n_k is
+    floored at MIN_COUNT. Classes absent everywhere contribute nothing; a
+    class held by a single record cannot be estimated and raises.
+
+    Every class's terms are summed by one product G = L U^T. U stacks, per
+    class, its contributing columns c_k and their total t_i = sum_k c_k; L
+    stacks the matching (c_k / n_k) * (n_i - 1)/(K_i - 1) and
+    -(n_i - K_i)/(n_i (K_i - 1)) * t_i. Dividing by n_k before applying the
+    class scalar keeps integer-exact data exact: c_k / n_k is then the
+    exact class mean, where a premultiplied (n_i - 1)/((K_i - 1) n_k) or a
+    square-root weighting rounds. The result is exactly symmetrized.
     """
     records = list(records)
     if not records:
@@ -192,10 +200,13 @@ def estimate_gram(
                 f"record shape {rec.corr.shape} does not match "
                 f"({m}, {len(task_classes)})"
             )
-    g_hat = np.zeros((m, m))
+    counts = np.array([rec.label_freq for rec in records], dtype=np.float64)
+    # by_class[i] holds class i's column of every record, one row each.
+    by_class = np.stack([rec.corr.T for rec in records], axis=1)
+    left: list[np.ndarray] = []
+    right: list[np.ndarray] = []
     for i, cls in enumerate(task_classes):
-        counts = np.array([float(rec.label_freq[i]) for rec in records])
-        contributing = counts > 0.0
+        contributing = counts[:, i] > 0.0
         k_i = int(contributing.sum())
         if k_i == 0:
             continue
@@ -204,14 +215,20 @@ def estimate_gram(
                 f"class {cls} is held by a single record; gram estimation "
                 f"needs at least 2 (use dummy clients)"
             )
-        cols = np.stack([rec.corr[:, i] for rec, keep in zip(records, contributing) if keep])
-        n_k = np.maximum(counts[contributing], MIN_COUNT)
+        cols = by_class[i, contributing]
+        n_k = np.maximum(counts[contributing, i], MIN_COUNT)
         n_i = float(n_k.sum())
-        first = (cols.T / n_k) @ cols
         total = cols.sum(axis=0)
-        g_hat += (n_i - 1.0) / (k_i - 1.0) * first
-        g_hat -= (n_i - k_i) / (n_i * (k_i - 1.0)) * np.outer(total, total)
-    return (g_hat + g_hat.T) / 2.0
+        left.append((cols / n_k[:, None]) * ((n_i - 1.0) / (k_i - 1.0)))
+        left.append(-((n_i - k_i) / (n_i * (k_i - 1.0))) * total[None, :])
+        right.append(cols)
+        right.append(total[None, :])
+    if not left:
+        return np.zeros((m, m))
+    g_hat = np.concatenate(left).T @ np.concatenate(right)
+    g_hat += g_hat.T
+    g_hat /= 2.0
+    return g_hat
 
 
 def temporal_aggregate(

@@ -11,6 +11,7 @@ import pytest
 
 import stsa.runner
 from stsa.cli import main
+from stsa.config import load_config
 from stsa.data import load_features, save_features
 from stsa.errors import DomainError, NumericalError
 
@@ -66,6 +67,31 @@ def test_oracle_command(tmp_path, capsys):
     out = capsys.readouterr().out
     assert out.startswith("schema = stsa-oracle/1")
     assert "final average accuracy" in out
+
+
+def test_oracle_command_pools_task_by_task(tmp_path, monkeypatch, capsys):
+    # Every training row is pooled exactly once, one task per call, so the
+    # whole training set is never mapped at once. Rows pooled through any
+    # other name go uncounted and fail the first assertion.
+    pooled_rows = []
+    original = stsa.runner.local_statistics
+
+    def counting(feat, labels, *args, **kwargs):
+        pooled_rows.append(sorted(labels.tolist()))
+        return original(feat, labels, *args, **kwargs)
+
+    monkeypatch.setattr(stsa.runner, "local_statistics", counting)
+    cfg = write_config(tmp_path)
+    assert main(["oracle", "--config", str(cfg)]) == 0
+    config = load_config(cfg)
+    train, _ = stsa.runner.load_experiment_data(config)
+    schedule = stsa.runner.make_schedule(config, train.class_count)
+    assert pooled_rows == [
+        sorted(train.labels[np.isin(train.labels, task)].tolist()) for task in schedule.tasks
+    ]
+    assert sum(map(len, pooled_rows)) == train.labels.size
+    assert max(map(len, pooled_rows)) < train.labels.size
+    assert capsys.readouterr().out.startswith("schema = stsa-oracle/1")
 
 
 def test_estimator_study_command(tmp_path, capsys):

@@ -88,6 +88,14 @@ class TestApplyMap:
         with pytest.raises(DimensionError):
             apply_map(m, np.zeros((2, 4)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_is_rejected(self, bad):
+        m = make_random_map(3, 5, 9)
+        raw = np.ones((4, 5))
+        raw[2, 3] = bad
+        with pytest.raises(NumericalError, match="raw features have non-finite entries"):
+            apply_map(m, raw)
+
 
 class TestLocalStatistics:
     def test_identity_features(self):

@@ -12,6 +12,7 @@ from stsa.core import SpatialStatistics, apply_map, local_statistics, make_rando
 from stsa.errors import EstimationError, ProtocolError
 from stsa.prng import ChaChaStream
 from stsa.server import (
+    MIN_COUNT,
     TemporalState,
     estimate_gram,
     spatial_aggregate,
@@ -279,6 +280,58 @@ class TestEstimateGram:
         with_ghost = estimate_gram([good1, good2, ghost], [0])
         without = estimate_gram([good1, good2], [0])
         assert np.array_equal(with_ghost, without)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_the_per_class_formula(self, seed):
+        # Noised float counts: positive ones contribute, non-positive ones do
+        # not, tiny positive ones are floored at MIN_COUNT, and the last
+        # class is absent from every record.
+        rng = np.random.default_rng(seed)
+        m = 40
+        c_t = int(rng.integers(2, 11))
+        k = int(rng.integers(3, 13))
+        counts = rng.uniform(1.0, 30.0, size=(k, c_t))
+        counts[rng.random((k, c_t)) < 0.3] = rng.uniform(-2.0, 0.0)
+        counts[:2, :-1] = rng.uniform(1.0, 30.0, size=(2, c_t - 1))
+        counts[2, 0] = 3e-7
+        counts[:, -1] = -rng.random(k)
+        records = []
+        for j in range(k):
+            corr = rng.normal(size=(m, c_t)) * np.sqrt(np.maximum(counts[j], MIN_COUNT))
+            records.append(record(corr, counts[j], client_id=j))
+
+        g = estimate_gram(records, list(range(c_t)))
+        expected = per_class_estimator(records, c_t, m)
+        assert np.linalg.norm(g - expected) <= 1e-12 * np.linalg.norm(expected)
+        assert np.array_equal(g, g.T)
+
+    def test_no_contributing_class_gives_zeros(self):
+        records = [
+            record(np.ones((5, 2)), [0.0, -0.3], client_id=0),
+            record(np.ones((5, 2)), [-1.0, 0.0], client_id=1),
+        ]
+        g = estimate_gram(records, [0, 1])
+        assert np.array_equal(g, np.zeros((5, 5)))
+
+
+def per_class_estimator(records, c_t, m):
+    """The estimator's docstring formula, evaluated one class at a time."""
+    g = np.zeros((m, m))
+    for i in range(c_t):
+        held = [
+            (rec.corr[:, i], max(float(rec.label_freq[i]), MIN_COUNT))
+            for rec in records
+            if rec.label_freq[i] > 0
+        ]
+        if not held:
+            continue
+        k = len(held)
+        n = sum(count for _, count in held)
+        total = sum(col for col, _ in held)
+        first = sum(np.outer(col, col) / count for col, count in held)
+        g += (n - 1.0) / (k - 1.0) * first
+        g -= (n - k) / (n * (k - 1.0)) * np.outer(total, total)
+    return (g + g.T) / 2.0
 
 
 def scalar_estimator_oracle(cols, counts):
