@@ -48,12 +48,11 @@ class ClientShard:
 class UploadPayload:
     """What one client transmits for one task.
 
-    Full mode: exactly one record, gram present. Efficient mode: one record
-    per dummy client, gram absent everywhere, records disjointly covering
-    the shard.
+    The records' shape is the upload's mode. Full mode: exactly one record,
+    gram present. Efficient mode: one record per dummy client, gram absent
+    everywhere, records disjointly covering the shard.
     """
 
-    mode: str
     records: tuple[SpatialStatistics, ...]
     byte_size: int
 
@@ -105,7 +104,7 @@ def extract_payload(
             client_id=shard.client_id,
         )
         size = comm_bytes(rmap.output_dim, c_t, 1, MODE_FULL, elem_bytes)
-        return UploadPayload(mode=MODE_FULL, records=(stats,), byte_size=size)
+        return UploadPayload(records=(stats,), byte_size=size)
 
     if mode != MODE_EFFICIENT:
         raise ConfigurationError(f"unknown payload mode {mode!r}")
@@ -130,17 +129,18 @@ def extract_payload(
         for j, cell in enumerate(cells)
     )
     size = comm_bytes(rmap.output_dim, c_t, len(records), MODE_EFFICIENT, elem_bytes)
-    return UploadPayload(mode=MODE_EFFICIENT, records=records, byte_size=size)
+    return UploadPayload(records=records, byte_size=size)
 
 
 def add_noise(payload: UploadPayload, q: float, s: float, seed: int) -> UploadPayload:
     """Perturb every transmitted array entrywise by q * N(0, s^2).
 
-    Full mode noises G and C; efficient mode noises C and a real-valued copy
-    of the label frequencies. q = 0 or s = 0 returns the payload unchanged.
+    A record with a gram (full mode) has G and C noised; a record without one
+    (efficient mode) has C and a real-valued copy of the label frequencies
+    noised. q = 0 or s = 0 returns the payload unchanged.
     """
-    if q < 0.0 or s < 0.0:
-        raise DomainError(f"noise parameters must be non-negative, got q={q}, s={s}")
+    if not (0.0 <= q < np.inf and 0.0 <= s < np.inf):
+        raise DomainError(f"noise parameters must be finite and non-negative, got q={q}, s={s}")
     if q == 0.0 or s == 0.0:
         return payload
     stream = ChaChaStream(seed)
@@ -151,10 +151,10 @@ def add_noise(payload: UploadPayload, q: float, s: float, seed: int) -> UploadPa
 
     noised = []
     for rec in payload.records:
-        if payload.mode == MODE_FULL:
+        if rec.gram is not None:
             noised.append(replace(rec, gram=perturb(rec.gram), corr=perturb(rec.corr)))
         else:
             noised.append(
                 replace(rec, corr=perturb(rec.corr), label_freq=perturb(rec.label_freq))
             )
-    return UploadPayload(mode=payload.mode, records=tuple(noised), byte_size=payload.byte_size)
+    return replace(payload, records=tuple(noised))

@@ -7,6 +7,7 @@ document is applied first; explicit keys override it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import get_type_hints
@@ -58,6 +59,10 @@ class ExperimentConfig:
     study_trials: int = 1000
 
     def validate(self) -> "ExperimentConfig":
+        for key, hint in _FIELDS.items():
+            value = getattr(self, key)
+            if hint is float and not math.isfinite(value):
+                raise ConfigurationError(f"{key} must be finite, got {value}")
         if self.data not in ("synthetic", "files"):
             raise ConfigurationError(f"data must be synthetic or files, got {self.data!r}")
         if self.data == "files" and (not self.train_path or not self.test_path):
@@ -70,6 +75,8 @@ class ExperimentConfig:
             raise ConfigurationError(f"T must be >= 1, got {self.T}")
         if self.K < 1:
             raise ConfigurationError(f"K must be >= 1, got {self.K}")
+        if self.M < 1:
+            raise ConfigurationError(f"M must be >= 1, got {self.M}")
         if self.K_D < 1:
             raise ConfigurationError(f"K_D must be >= 1, got {self.K_D}")
         if self.beta <= 0.0:

@@ -194,8 +194,8 @@ def dirichlet_partition(
     """
     if k < 1:
         raise ConfigurationError(f"client count must be >= 1, got {k}")
-    if beta <= 0.0:
-        raise ConfigurationError(f"dirichlet beta must be > 0, got {beta}")
+    if not 0.0 < beta < np.inf:
+        raise ConfigurationError(f"dirichlet beta must be finite and > 0, got {beta}")
     labels = np.asarray(labels, dtype=np.int64)
     stream = ChaChaStream(seed)
     cells: list[list[np.ndarray]] = [[] for _ in range(k)]

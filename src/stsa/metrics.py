@@ -1,14 +1,13 @@
 """Class-incremental evaluation metrics and communication accounting.
 
 The accuracy grid A[t][tau] holds the accuracy on task tau measured after
-stage t, so only the lower triangle (tau <= t) is defined. Entries may be
-NaN while a run is still filling the grid; the metric functions reject
-incomplete input.
+stage t, so only the lower triangle (tau <= t) is defined. The grid is
+built whole, and every entry must lie in [0, 1]; NaN fails that check at
+construction, so the metric functions never see an undefined entry.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 from .errors import DomainError
@@ -32,7 +31,7 @@ class AccuracyMatrix:
                     f"accuracy row {t} must have {t} entries, got {len(row)}"
                 )
             for a in row:
-                if not math.isnan(a) and not 0.0 <= a <= 1.0:
+                if not 0.0 <= a <= 1.0:
                     raise DomainError(f"accuracy {a} outside [0, 1]")
 
     @property
@@ -45,12 +44,6 @@ class AccuracyMatrix:
         return self.rows[t - 1][tau - 1]
 
 
-def _require_complete(values, what: str):
-    for v in values:
-        if math.isnan(v):
-            raise DomainError(f"incomplete accuracy matrix: {what} has undefined entries")
-
-
 def avg_incremental_accuracy(acc: AccuracyMatrix) -> float:
     """Sum over stages of the stage's mean seen-task accuracy.
 
@@ -59,7 +52,6 @@ def avg_incremental_accuracy(acc: AccuracyMatrix) -> float:
     """
     total = 0.0
     for t, row in enumerate(acc.rows, start=1):
-        _require_complete(row, f"stage {t}")
         total += sum(row) / t
     return total
 
@@ -67,7 +59,6 @@ def avg_incremental_accuracy(acc: AccuracyMatrix) -> float:
 def final_average_accuracy(acc: AccuracyMatrix) -> float:
     """Mean accuracy over all tasks after the final stage."""
     last = acc.rows[-1]
-    _require_complete(last, f"stage {acc.stages}")
     return sum(last) / len(last)
 
 
@@ -81,8 +72,6 @@ def average_forgetting(acc: AccuracyMatrix) -> float:
     T = acc.stages
     if T < 2:
         raise DomainError("average forgetting is undefined for a single stage")
-    for t, row in enumerate(acc.rows, start=1):
-        _require_complete(row, f"stage {t}")
     total = 0.0
     for tau in range(1, T):
         best = max(acc.rows[t - 1][tau - 1] for t in range(tau, T))
@@ -118,8 +107,6 @@ def comm_bytes(
 class CommLedger:
     """Per-(stage, client) upload byte counts for one run."""
 
-    mode: str
-    elem_bytes: int = DEFAULT_ELEM_BYTES
     entries: dict[tuple[int, int], int] = field(default_factory=dict)
 
     def add(self, stage: int, client_id: int, nbytes: int):

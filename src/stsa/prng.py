@@ -75,8 +75,10 @@ class ChaChaStream:
 
     def gamma(self, alpha: float, n: int) -> np.ndarray:
         """n i.i.d. Gamma(alpha, 1) draws (Marsaglia-Tsang squeeze method)."""
-        if alpha <= 0.0:
-            raise ValueError(f"gamma shape must be positive, got {alpha}")
+        # A NaN or infinite shape would never be accepted below, so the
+        # rejection loop would spin forever.
+        if not 0.0 < alpha < math.inf:
+            raise ValueError(f"gamma shape must be positive and finite, got {alpha}")
         boost = None
         if alpha < 1.0:
             # Gamma(a) = Gamma(a + 1) * U^(1/a) for a < 1.

@@ -97,8 +97,8 @@ class ExperimentReport:
                     f"gram_delta = {entry.gram_delta!r} corr_delta = {entry.corr_delta!r}"
                 )
         lines += ["", "[comm]"]
-        lines.append(f"mode = {self.comm.mode}")
-        lines.append(f"elem_bytes = {self.comm.elem_bytes}")
+        lines.append(f"mode = {self.config.mode}")
+        lines.append(f"elem_bytes = {self.config.elem_bytes}")
         for (stage, client), nbytes in sorted(self.comm.entries.items()):
             lines.append(f"stage {stage} client {client}: {nbytes}")
         lines.append(f"total = {self.comm.total}")
@@ -170,7 +170,7 @@ def experiment_map(config: ExperimentConfig, input_dim: int) -> RandomMap:
     return make_random_map(
         derive_seed(config.seed, "map"),
         input_dim,
-        config.M if config.map_enabled else input_dim,
+        config.M,
         config.map_enabled,
         config.map_scale,
     )
@@ -251,8 +251,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     ]
 
     state = TemporalState.initial(rmap.output_dim)
-    ledger = CommLedger(mode=config.mode, elem_bytes=config.elem_bytes)
-    noise_on = config.noise_q > 0.0 and config.noise_s > 0.0
+    ledger = CommLedger()
     global_parts = None
     if not config.repartition_each_task:
         global_parts = dirichlet_partition(
@@ -302,13 +301,12 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
                     config.stratified_dummy,
                     config.elem_bytes,
                 )
-                if noise_on:
-                    payload = add_noise(
-                        payload,
-                        config.noise_q,
-                        config.noise_s,
-                        derive_seed(config.seed, f"noise/stage={t}/client={k}"),
-                    )
+                payload = add_noise(
+                    payload,
+                    config.noise_q,
+                    config.noise_s,
+                    derive_seed(config.seed, f"noise/stage={t}/client={k}"),
+                )
                 client = None
                 ledger.add(t, k, payload.byte_size)
                 yield payload
@@ -318,15 +316,17 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
 
         try:
             agg = spatial_aggregate(uploads(), task_classes, config.K)
-            if config.mode == "efficient":
+            stage_gram = agg.gram
+            if stage_gram is None:  # efficient mode: the records carry no gram
                 stage_gram = estimate_gram(agg.records, task_classes)
-            else:
-                stage_gram = agg.gram
             state = temporal_aggregate(state, stage_gram, agg.corr, task_classes)
             weights = update_classifier(state, config.gamma)
         except StsaError as exc:
             where = f"stage {t}" if client is None else f"stage {t}, client {client}"
-            raise type(exc)(f"{where}: {exc}") from exc
+            # Prefix the message in place, so the error keeps its type and
+            # attributes such as NumericalError.attempted_gammas.
+            exc.args = (f"{where}: {exc}",)
+            raise
 
         acc_rows.append(
             tuple(

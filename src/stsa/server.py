@@ -39,26 +39,20 @@ class StageAggregate:
 
 @dataclass(frozen=True)
 class TemporalState:
-    """Accumulated statistics over stages 1..stage.
+    """Accumulated statistics over the stages folded in so far.
 
     ``gram_acc`` is the summed (exact or estimated) gram, ``corr_acc`` the
     column-concatenated correlations, ``class_ids`` the concatenated task
-    class lists in arrival order.
+    class lists in arrival order; the initial state has no class ids.
     """
 
     gram_acc: np.ndarray
     corr_acc: np.ndarray
     class_ids: tuple[int, ...]
-    stage: int
 
     @classmethod
     def initial(cls, m: int) -> "TemporalState":
-        return cls(
-            gram_acc=np.zeros((m, m)),
-            corr_acc=np.zeros((m, 0)),
-            class_ids=(),
-            stage=0,
-        )
+        return cls(gram_acc=np.zeros((m, m)), corr_acc=np.zeros((m, 0)), class_ids=())
 
 
 def spatial_aggregate(
@@ -73,15 +67,16 @@ def spatial_aggregate(
     Any arrival order therefore gives bit-identical sums, and in-order
     arrival holds no client gram beyond the one being added. A duplicate or
     out-of-range client id, or a missing one, is a ProtocolError, and so is
-    a NaN or infinite label frequency or sum. All uploads must share one
-    mode, one task and one mapped dimension.
+    a NaN or infinite label frequency or sum. All records must share one
+    task and one mapped dimension, and either all carry a gram (full mode)
+    or none does (efficient mode); the first record sets which.
     """
     if client_count < 1:
         raise ProtocolError(
             f"spatial aggregation needs at least one client, got {client_count}"
         )
     c_t = len(task_classes)
-    mode = task_id = m = None
+    task_id = m = None
     corr = gram = None
     records: list[SpatialStatistics] = []
     parked: dict[int, object] = {}
@@ -89,14 +84,12 @@ def spatial_aggregate(
     for payload in payloads:
         if not payload.records:
             raise ProtocolError("payload contains no statistics records")
-        if mode is None:
-            mode = payload.mode
+        if m is None:
+            # The first record sets the stage's task, dimension and mode.
             task_id = payload.records[0].task_id
             m = payload.records[0].feature_dim
             corr = np.zeros((m, c_t))
-            gram = np.zeros((m, m)) if mode == "full" else None
-        elif payload.mode != mode:
-            raise ProtocolError(f"mixed payload modes {mode!r} and {payload.mode!r}")
+            gram = None if payload.records[0].gram is None else np.zeros((m, m))
         client_id = payload.records[0].client_id
         for rec in payload.records:
             if rec.task_id != task_id:
@@ -107,10 +100,8 @@ def spatial_aggregate(
                 raise ProtocolError(
                     f"record has {rec.corr.shape[1]} class columns, task has {c_t}"
                 )
-            if mode == "full" and rec.gram is None:
-                raise ProtocolError("full-mode record is missing its gram matrix")
-            if mode == "efficient" and rec.gram is not None:
-                raise ProtocolError("efficient-mode record carries a gram matrix")
+            if (rec.gram is None) != (gram is None):
+                raise ProtocolError("uploads mix full-mode and efficient-mode records")
             if not np.isfinite(rec.label_freq).all():
                 raise ProtocolError(
                     f"client {rec.client_id} uploaded non-finite label frequencies"
@@ -119,9 +110,7 @@ def spatial_aggregate(
                 raise ProtocolError(
                     f"one payload mixes client ids {client_id} and {rec.client_id}"
                 )
-        if client_id < 0:
-            raise ProtocolError(f"negative client id {client_id}")
-        if client_id >= client_count:
+        if not 0 <= client_id < client_count:
             raise ProtocolError(
                 f"client id {client_id} is out of range for {client_count} clients"
             )
@@ -261,12 +250,11 @@ def temporal_aggregate(
         gram_acc=state.gram_acc + gram_new,
         corr_acc=np.hstack([state.corr_acc, corr_new]),
         class_ids=state.class_ids + tuple(int(c) for c in task_classes),
-        stage=state.stage + 1,
     )
 
 
 def update_classifier(state: TemporalState, gamma: float) -> ClassifierWeights:
     """Closed-form classifier update W = (G_acc + gamma I)^-1 C_acc."""
-    if state.stage < 1 or not state.class_ids:
+    if not state.class_ids:
         raise ProtocolError("cannot update the classifier from an empty state")
     return ridge_solve(state.gram_acc, state.corr_acc, gamma, class_ids=state.class_ids)

@@ -5,13 +5,14 @@ import subprocess
 import sys
 from dataclasses import replace
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 import pytest
 
 import stsa.runner
 from stsa.cli import main
-from stsa.config import load_config
+from stsa.config import ExperimentConfig, load_config
 from stsa.data import load_features, save_features
 from stsa.errors import DomainError, NumericalError
 
@@ -129,6 +130,20 @@ def test_bad_config_exits_2(tmp_path, capsys):
     cfg = write_config(tmp_path, "T = 0\n", name="bad.cfg")
     assert main(["run", "--config", str(cfg)]) == 2
     assert "configuration error" in capsys.readouterr().err
+
+
+FLOAT_KEYS = [k for k, hint in get_type_hints(ExperimentConfig).items() if hint is float]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("key", FLOAT_KEYS)
+def test_non_finite_config_float_exits_2(tmp_path, capsys, key, value):
+    # A NaN or infinite beta would make the Dirichlet sampler spin forever,
+    # and NaN noise_q would silently switch noise off.
+    kept = [line for line in SMALL_CONFIG.splitlines() if not line.startswith(key)]
+    cfg = write_config(tmp_path, "\n".join(kept) + f"\n{key} = {value}\n", name="nf.cfg")
+    assert main(["run", "--config", str(cfg)]) == 2
+    assert f"{key} must be finite, got {value}" in capsys.readouterr().err
 
 
 def test_missing_config_exits_2(tmp_path, capsys):

@@ -91,7 +91,6 @@ class TestExtractPayload:
     def test_full_mode_matches_kernel_statistics(self):
         shard = make_shard(n=8)
         payload = extract_payload(shard, self.rmap, self.classes, mode="full")
-        assert payload.mode == "full"
         assert len(payload.records) == 1
         oracle = local_statistics(
             apply_map(self.rmap, shard.features), shard.labels, self.classes
@@ -220,3 +219,10 @@ class TestAddNoise:
         payload = extract_payload(make_shard(), self.rmap, self.classes, mode="full")
         with pytest.raises(DomainError):
             add_noise(payload, -0.1, 1.0, seed=0)
+
+    @pytest.mark.parametrize("q, s", [(float("nan"), 1.0), (0.2, float("inf"))])
+    def test_non_finite_parameters_rejected(self, q, s):
+        # NaN fails every comparison, so it must not pass as "no noise".
+        payload = extract_payload(make_shard(), self.rmap, self.classes, mode="full")
+        with pytest.raises(DomainError, match="finite and non-negative"):
+            add_noise(payload, q, s, seed=0)

@@ -72,6 +72,9 @@ def test_validation_catches_bad_values():
         ExperimentConfig(data="files").validate()  # missing paths
     with pytest.raises(ConfigurationError):
         ExperimentConfig(noise_q=-1.0).validate()
+    # A disabled map ignores M, but M = 0 is still an invalid config.
+    with pytest.raises(ConfigurationError, match="M must be >= 1, got 0"):
+        ExperimentConfig(M=0, map_enabled=False).validate()
 
 
 def test_study_k_values():

@@ -105,6 +105,10 @@ class TestDirichletPartition:
             dirichlet_partition([0, 1], 0, beta=1.0, seed=0)
         with pytest.raises(ConfigurationError):
             dirichlet_partition([0, 1], 2, beta=0.0, seed=0)
+        # A non-finite beta would leave the Dirichlet sampler spinning.
+        for beta in (float("nan"), float("inf")):
+            with pytest.raises(ConfigurationError, match="finite"):
+                dirichlet_partition([0, 1], 2, beta=beta, seed=0)
 
 
 class TestGenerateSynthetic:

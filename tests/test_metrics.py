@@ -33,9 +33,9 @@ class TestAvgIncrementalAccuracy:
         assert avg_incremental_accuracy(CONSTANT) == pytest.approx(3 * 0.6, abs=1e-15)
 
     def test_incomplete_matrix_rejected(self):
-        incomplete = AccuracyMatrix(rows=((0.9,), (float("nan"), 0.7)))
-        with pytest.raises(DomainError, match="incomplete"):
-            avg_incremental_accuracy(incomplete)
+        # A NaN entry fails the [0, 1] range check when the grid is built.
+        with pytest.raises(DomainError, match=r"accuracy nan outside \[0, 1\]"):
+            AccuracyMatrix(rows=((0.9,), (float("nan"), 0.7)))
 
 
 class TestFinalAverageAccuracy:
@@ -49,9 +49,8 @@ class TestFinalAverageAccuracy:
         assert final_average_accuracy(SINGLE) == 0.9
 
     def test_incomplete_final_row_rejected(self):
-        incomplete = AccuracyMatrix(rows=((0.9,), (0.8, float("nan"))))
-        with pytest.raises(DomainError, match="incomplete"):
-            final_average_accuracy(incomplete)
+        with pytest.raises(DomainError, match=r"accuracy nan outside \[0, 1\]"):
+            AccuracyMatrix(rows=((0.9,), (0.8, float("nan"))))
 
 
 class TestAverageForgetting:
@@ -140,7 +139,7 @@ class TestCommBytes:
 
 class TestCommLedger:
     def test_totals(self):
-        ledger = CommLedger(mode="full", elem_bytes=4)
+        ledger = CommLedger()
         ledger.add(1, 0, 100)
         ledger.add(1, 1, 150)
         ledger.add(2, 0, 200)
@@ -149,7 +148,7 @@ class TestCommLedger:
         assert ledger.total == 450
 
     def test_negative_bytes_rejected(self):
-        ledger = CommLedger(mode="full")
+        ledger = CommLedger()
         with pytest.raises(DomainError):
             ledger.add(1, 0, -1)
 

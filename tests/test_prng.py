@@ -1,6 +1,7 @@
 """Deterministic stream and seed-derivation behavior."""
 
 import numpy as np
+import pytest
 
 from stsa.prng import ChaChaStream, derive_seed
 
@@ -59,6 +60,13 @@ def test_gamma_moments():
         # Gamma(a, 1): mean a, variance a.
         assert abs(g.mean() - alpha) < 4.0 * np.sqrt(alpha / g.size)
         assert abs(g.var() - alpha) < 0.05 * max(alpha, 1.0)
+
+
+@pytest.mark.parametrize("alpha", [float("nan"), float("inf"), 0.0])
+def test_gamma_rejects_invalid_shape(alpha):
+    # No draw is ever accepted for a NaN or infinite shape.
+    with pytest.raises(ValueError, match="positive and finite"):
+        ChaChaStream(0).gamma(alpha, 3)
 
 
 def test_dirichlet_sums_to_one():

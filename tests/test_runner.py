@@ -11,7 +11,7 @@ import stsa.runner
 from stsa.config import ExperimentConfig, load_config
 from stsa.core import apply_map, local_statistics, make_random_map, predict
 from stsa.data import SynthSpec, random_synth_spec
-from stsa.errors import ConfigurationError, EstimationError
+from stsa.errors import ConfigurationError, EstimationError, NumericalError
 from stsa.metrics import (
     avg_incremental_accuracy,
     average_forgetting,
@@ -165,6 +165,15 @@ class TestRunExperiment:
         cfg = ExperimentConfig(**{**SMALL, "K": 1}, mode="efficient", K_D=1)
         with pytest.raises(EstimationError, match="stage 1"):
             run_experiment(cfg)
+
+    def test_stage_context_keeps_the_error_attributes(self, monkeypatch):
+        def failing(state, gamma):
+            raise NumericalError("not positive definite", attempted_gammas=(1.0, 2.0))
+
+        monkeypatch.setattr(stsa.runner, "update_classifier", failing)
+        with pytest.raises(NumericalError, match="^stage 1: not positive definite$") as err:
+            run_experiment(ExperimentConfig(**SMALL))
+        assert err.value.attempted_gammas == (1.0, 2.0)
 
     def test_full_mode_peak_memory_is_flat_in_k(self):
         # The server folds each client gram into the running sum as it

@@ -151,11 +151,11 @@ class TestSpatialAggregate:
                 record(np.ones((8, 3)), [1, 1, 1], client_id=c, dummy_index=j)
                 for j, c in enumerate(client_ids)
             )
-            return UploadPayload(mode="efficient", records=records, byte_size=0)
+            return UploadPayload(records=records, byte_size=0)
 
         with pytest.raises(ProtocolError, match="mixes client ids 0 and 1"):
             spatial_aggregate([upload(0, 1)], self.classes, 3)
-        with pytest.raises(ProtocolError, match="negative client id -1"):
+        with pytest.raises(ProtocolError, match="client id -1 is out of range for 3 clients"):
             spatial_aggregate([upload(-1)], self.classes, 3)
         with pytest.raises(ProtocolError, match="client id 3 is out of range for 3 clients"):
             spatial_aggregate([upload(3)], self.classes, 3)
@@ -179,11 +179,22 @@ class TestSpatialAggregate:
             spatial_aggregate(payloads, self.classes, 3)
 
     def test_mixed_modes_rejected(self):
-        shard = ClientShard(client_id=0, task_id=1, features=self.raw[:5], labels=self.labels[:5])
-        full = extract_payload(shard, self.rmap, self.classes, mode="full")
-        eff = extract_payload(shard, self.rmap, self.classes, mode="efficient", k_d=1)
-        with pytest.raises(ProtocolError, match="mixed payload modes"):
-            spatial_aggregate([full, eff], self.classes, 2)
+        # The first record sets the stage's mode; a record of the other
+        # mode, in a later payload or in the same one, is rejected.
+        full = self.payloads("full")
+        eff = self.payloads("efficient")
+        gram = full[0].records[0].gram
+        one_payload = (eff[0].records[0], replace(eff[0].records[1], gram=gram))
+        cases = [
+            [full[0], eff[1], full[2]],  # a full stage receives gram-less records
+            [eff[0], full[1], eff[2]],  # an efficient stage receives a gram
+            [replace(eff[0], records=one_payload), eff[1], eff[2]],
+        ]
+        for uploads in cases:
+            with pytest.raises(
+                ProtocolError, match="uploads mix full-mode and efficient-mode records"
+            ):
+                spatial_aggregate(uploads, self.classes, 3)
 
     def test_mismatched_dimension_rejected(self):
         small = make_random_map(3, 4, 6)
@@ -363,7 +374,6 @@ class TestTemporalAggregate:
         assert np.array_equal(out.gram_acc, g)
         assert np.array_equal(out.corr_acc, c)
         assert out.class_ids == (4,)
-        assert out.stage == 1
 
     def test_columns_concatenate_in_task_order(self):
         state = TemporalState.initial(3)
@@ -384,7 +394,7 @@ class TestTemporalAggregate:
         state = temporal_aggregate(state, g1, rng.normal(size=(4, 2)), [0, 1])
         state = temporal_aggregate(state, g2, rng.normal(size=(4, 2)), [2, 3])
         assert np.allclose(state.gram_acc, g1 + g2, rtol=1e-12)
-        assert state.stage == 2
+        assert state.class_ids == (0, 1, 2, 3)
 
     def test_class_overlap_rejected(self):
         state = temporal_aggregate(TemporalState.initial(2), np.eye(2), np.ones((2, 2)), [0, 1])
