@@ -46,13 +46,15 @@ class ClientShard:
 
 @dataclass(frozen=True)
 class UploadPayload:
-    """What one client transmits for one task.
+    """What client ``client_id`` transmits for task ``task_id``, named once.
 
     The records' shape is the upload's mode. Full mode: exactly one record,
     gram present. Efficient mode: one record per dummy client, gram absent
-    everywhere, records disjointly covering the shard.
+    everywhere, records disjointly covering the shard; record j is dummy client j's.
     """
 
+    client_id: int
+    task_id: int
     records: tuple[SpatialStatistics, ...]
     byte_size: int
 
@@ -96,15 +98,11 @@ def extract_payload(
     c_t = len(task_classes)
     if mode == MODE_FULL:
         feat = apply_map(rmap, shard.features)
-        stats = local_statistics(
-            feat,
-            shard.labels,
-            task_classes,
-            task_id=shard.task_id,
-            client_id=shard.client_id,
-        )
+        stats = local_statistics(feat, shard.labels, task_classes)
         size = comm_bytes(rmap.output_dim, c_t, 1, MODE_FULL, elem_bytes)
-        return UploadPayload(records=(stats,), byte_size=size)
+        return UploadPayload(
+            client_id=shard.client_id, task_id=shard.task_id, records=(stats,), byte_size=size
+        )
 
     if mode != MODE_EFFICIENT:
         raise ConfigurationError(f"unknown payload mode {mode!r}")
@@ -117,19 +115,13 @@ def extract_payload(
         shard.size, effective, ChaChaStream(seed), shard.labels, stratified
     )
     records = tuple(
-        local_statistics(
-            feat[cell],
-            shard.labels[cell],
-            task_classes,
-            task_id=shard.task_id,
-            client_id=shard.client_id,
-            dummy_index=j,
-            include_gram=False,
-        )
-        for j, cell in enumerate(cells)
+        local_statistics(feat[cell], shard.labels[cell], task_classes, include_gram=False)
+        for cell in cells
     )
     size = comm_bytes(rmap.output_dim, c_t, len(records), MODE_EFFICIENT, elem_bytes)
-    return UploadPayload(records=records, byte_size=size)
+    return UploadPayload(
+        client_id=shard.client_id, task_id=shard.task_id, records=records, byte_size=size
+    )
 
 
 def add_noise(payload: UploadPayload, q: float, s: float, seed: int) -> UploadPayload:

@@ -57,7 +57,7 @@ class RandomMap:
 
 @dataclass(frozen=True)
 class SpatialStatistics:
-    """One (possibly dummy) client's per-task upload.
+    """One shard's statistics {G, C, n} for one task; the upload names its sender.
 
     ``gram`` is X^T X (M, M) and is absent in communication-efficient mode;
     ``corr`` is X^T Y (M, c_t) with Y one-hot over the task's class list;
@@ -68,9 +68,6 @@ class SpatialStatistics:
     gram: np.ndarray | None
     corr: np.ndarray
     label_freq: np.ndarray
-    task_id: int
-    client_id: int
-    dummy_index: int = 0
 
     def __post_init__(self):
         if self.corr.ndim != 2:
@@ -166,12 +163,9 @@ def local_statistics(
     labels: np.ndarray,
     task_classes: Sequence[int],
     *,
-    task_id: int = 1,
-    client_id: int = 0,
-    dummy_index: int = 0,
     include_gram: bool = True,
 ) -> SpatialStatistics:
-    """Compute one shard's upload statistics from mapped features.
+    """Compute one shard's statistics from mapped features; they name no sender.
 
     G = X^T X, C = X^T Y with Y one-hot over ``task_classes`` in the given
     order, label_freq = per-class counts. A zero-row ``feat`` yields zero
@@ -200,14 +194,7 @@ def local_statistics(
     gram = feat.T @ feat if include_gram else None
     corr = feat.T @ onehot
     freq = onehot.sum(axis=0).astype(np.int64)
-    return SpatialStatistics(
-        gram=gram,
-        corr=corr,
-        label_freq=freq,
-        task_id=task_id,
-        client_id=client_id,
-        dummy_index=dummy_index,
-    )
+    return SpatialStatistics(gram=gram, corr=corr, label_freq=freq)
 
 
 def _max_asymmetry(G: np.ndarray) -> float:
@@ -233,8 +220,8 @@ def ridge_solve(
 
     One step of iterative refinement keeps the relative residual under
     SOLVE_RESIDUAL_BOUND. If the Cholesky factorization fails (indefinite
-    estimated gram), gamma is escalated along the jitter ladder
-    gamma * (1 + 10^-k * ||G||_F / M) for k in (6, 4, 2) before giving up.
+    estimated gram), gamma is escalated along the distinct levels of the
+    jitter ladder gamma * (1 + 10^-k * ||G||_F / M) for k in (6, 4, 2).
     """
     G = np.asarray(G, dtype=np.float64)
     C = np.asarray(C, dtype=np.float64)
@@ -264,6 +251,8 @@ def ridge_solve(
     frob = float(np.linalg.norm(G, "fro"))
     attempts = [float(gamma)]
     attempts += [gamma * (1.0 + 10.0**-k * frob / m) for k in _JITTER_EXPONENTS]
+    # Every level is 0.0 at gamma = 0; a repeat would refactorize one matrix.
+    attempts = list(dict.fromkeys(attempts))
     factor = None
     used_gamma = None
     diagonal = np.diag_indices(m)

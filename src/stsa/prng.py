@@ -75,14 +75,19 @@ class ChaChaStream:
 
     def gamma(self, alpha: float, n: int) -> np.ndarray:
         """n i.i.d. Gamma(alpha, 1) draws (Marsaglia-Tsang squeeze method)."""
+        out, u = self._gamma_parts(alpha, n)
+        return out if u is None else out * u ** (1.0 / alpha)
+
+    def _gamma_parts(self, alpha: float, n: int) -> tuple[np.ndarray, np.ndarray | None]:
+        """Gamma draws as (X, U): X ~ Gamma(alpha), U None for alpha >= 1; else
+        X ~ Gamma(alpha + 1) and U uniform, with Gamma(alpha) = X * U^(1/alpha)."""
         # A NaN or infinite shape would never be accepted below, so the
         # rejection loop would spin forever.
         if not 0.0 < alpha < math.inf:
             raise ValueError(f"gamma shape must be positive and finite, got {alpha}")
         boost = None
         if alpha < 1.0:
-            # Gamma(a) = Gamma(a + 1) * U^(1/a) for a < 1.
-            boost = self.random(n) ** (1.0 / alpha)
+            boost = self.random(n)
             alpha = alpha + 1.0
         d = alpha - 1.0 / 3.0
         c = 1.0 / math.sqrt(9.0 * d)
@@ -99,17 +104,23 @@ class ChaChaStream:
             accept = valid & (log_u < 0.5 * x * x + d - d * v + d * log_v)
             out[remaining[accept]] = d * v[accept]
             remaining = remaining[~accept]
-        if boost is not None:
-            out *= boost
-        return out
+        return out, boost
 
     def dirichlet(self, alpha: float, k: int) -> np.ndarray:
-        """One draw from Dir(alpha * 1_k)."""
+        """One draw from Dir(alpha * 1_k); finite and summing to 1 for any alpha > 0."""
         if k == 1:
             return np.ones(1)
-        g = self.gamma(alpha, k)
-        total = g.sum()
-        while total <= 0.0:  # all-zero underflow is possible for tiny alpha
-            g = self.gamma(alpha, k)
+        while True:
+            base, u = self._gamma_parts(alpha, k)
+            g = base if u is None else base * u ** (1.0 / alpha)
             total = g.sum()
-        return g / total
+            if total > 0.0:
+                return g / total
+            # Every boosted draw underflowed, so normalize in log space by the
+            # largest log: log g = (alpha log base + log U) / alpha.
+            with np.errstate(divide="ignore", over="ignore"):
+                scaled = alpha * np.log(base) + np.log(u)
+                top = scaled.max()
+                if top > -math.inf:  # else every U was exactly 0: draw again
+                    w = np.exp((scaled - top) / alpha)
+                    return w / w.sum()

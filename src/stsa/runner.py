@@ -234,8 +234,6 @@ def _pool_task(
         gram=gram,
         corr=np.hstack([pooled.corr, task.corr]),
         label_freq=np.concatenate([pooled.label_freq, task.label_freq]),
-        task_id=task.task_id,
-        client_id=task.client_id,
     )
 
 
@@ -415,14 +413,7 @@ def _estimation_trial(spec: SynthSpec, k: int, stream: ChaChaStream) -> float:
             corrs[j, :, cls] = x[rows].sum(axis=0)
             counts[j, cls] = rows.size
     records = [
-        SpatialStatistics(
-            gram=None,
-            corr=corrs[j],
-            label_freq=counts[j],
-            task_id=1,
-            client_id=j,
-        )
-        for j in range(k)
+        SpatialStatistics(gram=None, corr=corrs[j], label_freq=counts[j]) for j in range(k)
     ]
     g_hat = estimate_gram(records, range(c))
     return float(np.linalg.norm(g_hat - gram_true, "fro") ** 2)

@@ -28,8 +28,8 @@ class StageAggregate:
 
     ``gram`` is the exact summed G in full mode and None in efficient mode.
     ``records`` holds the efficient-mode first-order records in canonical
-    (client_id, dummy_index) order, for the gram estimator; it is empty in
-    full mode, where every client gram is dropped once it has been summed.
+    (client id, record position) order, for the gram estimator; it is empty
+    in full mode, where every client gram is dropped once it has been summed.
     """
 
     gram: np.ndarray | None
@@ -61,15 +61,15 @@ def spatial_aggregate(
     """Sum one task's uploads across clients, folding each in as it arrives.
 
     ``payloads`` is consumed lazily, one upload per client, from clients
-    0..client_count-1. Sums are folded in canonical (client_id, dummy_index)
-    order: an upload whose client id is the next one due is added at once,
-    one that arrives early is parked until every lower id has been added.
-    Any arrival order therefore gives bit-identical sums, and in-order
+    0..client_count-1. Sums are folded in canonical (client id, record
+    position) order: an upload whose client id is the next one due is added
+    at once, one that arrives early is parked until every lower id has been
+    added. Any arrival order therefore gives bit-identical sums, and in-order
     arrival holds no client gram beyond the one being added. A duplicate or
     out-of-range client id, or a missing one, is a ProtocolError, and so is
-    a NaN or infinite label frequency or sum. All records must share one
-    task and one mapped dimension, and either all carry a gram (full mode)
-    or none does (efficient mode); the first record sets which.
+    a NaN or infinite label frequency or sum. All uploads must share one
+    task and all records one mapped dimension; either every record carries a
+    gram (full mode) or none does (efficient mode), and the first sets which.
     """
     if client_count < 1:
         raise ProtocolError(
@@ -85,15 +85,15 @@ def spatial_aggregate(
         if not payload.records:
             raise ProtocolError("payload contains no statistics records")
         if m is None:
-            # The first record sets the stage's task, dimension and mode.
-            task_id = payload.records[0].task_id
+            # The first upload sets the stage's task, dimension and mode.
+            task_id = payload.task_id
             m = payload.records[0].feature_dim
             corr = np.zeros((m, c_t))
             gram = None if payload.records[0].gram is None else np.zeros((m, m))
-        client_id = payload.records[0].client_id
+        client_id = payload.client_id
+        if payload.task_id != task_id:
+            raise ProtocolError(f"mixed task ids {task_id} and {payload.task_id}")
         for rec in payload.records:
-            if rec.task_id != task_id:
-                raise ProtocolError(f"mixed task ids {task_id} and {rec.task_id}")
             if rec.feature_dim != m:
                 raise ProtocolError(f"mixed mapped dimensions {m} and {rec.feature_dim}")
             if rec.corr.shape[1] != c_t:
@@ -104,11 +104,7 @@ def spatial_aggregate(
                 raise ProtocolError("uploads mix full-mode and efficient-mode records")
             if not np.isfinite(rec.label_freq).all():
                 raise ProtocolError(
-                    f"client {rec.client_id} uploaded non-finite label frequencies"
-                )
-            if rec.client_id != client_id:
-                raise ProtocolError(
-                    f"one payload mixes client ids {client_id} and {rec.client_id}"
+                    f"client {client_id} uploaded non-finite label frequencies"
                 )
         if not 0 <= client_id < client_count:
             raise ProtocolError(
@@ -144,12 +140,12 @@ def spatial_aggregate(
 
 
 def _fold(payload, corr: np.ndarray, gram: np.ndarray | None, records: list) -> None:
-    """Add one client's records to the running sums in dummy-index order.
+    """Add one client's records to the running sums in upload order.
 
     Full mode adds each gram into ``gram``; efficient mode keeps the
     first-order records for the gram estimator instead.
     """
-    for rec in sorted(payload.records, key=lambda r: r.dummy_index):
+    for rec in payload.records:
         corr += rec.corr
         if gram is None:
             records.append(rec)

@@ -89,8 +89,7 @@ def test_criterion_2_unbiasedness():
                 corrs[j, :, i] = x[rows].sum(axis=0)
                 counts[j, i] = rows.size
         records = [
-            SpatialStatistics(gram=None, corr=corrs[j], label_freq=counts[j],
-                              task_id=1, client_id=j)
+            SpatialStatistics(gram=None, corr=corrs[j], label_freq=counts[j])
             for j in range(k)
         ]
         g = estimate_gram(records, range(classes))

@@ -186,6 +186,13 @@ class TestRidgeSolve:
         assert len(err.value.attempted_gammas) == 4
         assert err.value.attempted_gammas[0] == 1.0
 
+    def test_zero_gamma_singular_gram_is_factorized_once(self):
+        # At gamma = 0 every jitter level is 0.0, so one attempt is the trail.
+        v = np.arange(1.0, 5.0)
+        with pytest.raises(NumericalError, match=r"jitter level \[0\.0\]") as err:
+            ridge_solve(np.outer(v, v), np.ones((4, 1)), 0.0)
+        assert err.value.attempted_gammas == (0.0,)
+
     def test_jitter_escalation_recovers_mild_indefiniteness(self):
         # Smallest eigenvalue -1.001 defeats gamma=1 but not the k=4 rung,
         # gamma * (1 + 1e-4 * ||G||_F / M) with ||G||_F ~ 50.

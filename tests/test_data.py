@@ -100,6 +100,15 @@ class TestDirichletPartition:
         uniform = np.mean([mean_entropy(100.0, s) for s in seeds])
         assert skewed < uniform
 
+    def test_vanishing_beta_gives_each_class_to_one_client(self):
+        labels = np.repeat(np.arange(6), 25)
+        parts = dirichlet_partition(labels, 4, beta=1e-300, seed=5)
+        combined = np.concatenate(parts)
+        assert np.array_equal(np.sort(combined), np.arange(len(labels)))
+        for cls in range(6):
+            holders = [k for k, part in enumerate(parts) if (labels[part] == cls).any()]
+            assert len(holders) == 1
+
     def test_invalid_arguments(self):
         with pytest.raises(ConfigurationError):
             dirichlet_partition([0, 1], 0, beta=1.0, seed=0)

@@ -75,3 +75,13 @@ def test_dirichlet_sums_to_one():
     assert np.all(p >= 0.0)
     assert abs(p.sum() - 1.0) < 1e-12
     assert ChaChaStream(12).dirichlet(0.5, 1).tolist() == [1.0]
+
+
+@pytest.mark.parametrize("alpha", [1e-300, 5e-324])
+def test_dirichlet_with_underflowing_gamma_draws_is_a_vertex(alpha):
+    # Every boosted Gamma draw underflows to 0 at these shapes; the log-space
+    # draw puts all mass on the largest log, a vertex of the simplex.
+    for seed in range(20):
+        p = ChaChaStream(seed).dirichlet(alpha, 3)
+        assert np.all(np.isfinite(p))
+        assert sorted(p.tolist()) == [0.0, 0.0, 1.0]

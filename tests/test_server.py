@@ -21,14 +21,9 @@ from stsa.server import (
 )
 
 
-def record(corr, freq, task_id=1, client_id=0, dummy_index=0, gram=None):
+def record(corr, freq, gram=None):
     return SpatialStatistics(
-        gram=gram,
-        corr=np.asarray(corr, dtype=np.float64),
-        label_freq=np.asarray(freq),
-        task_id=task_id,
-        client_id=client_id,
-        dummy_index=dummy_index,
+        gram=gram, corr=np.asarray(corr, dtype=np.float64), label_freq=np.asarray(freq)
     )
 
 
@@ -89,15 +84,16 @@ class TestSpatialAggregate:
         for mode in ("full", "efficient"):
             payloads = self.payloads(mode)
             forward = spatial_aggregate(payloads, self.classes, 3)
+            # Client id order, then each upload's own record (dummy) order.
+            canonical = [rec for p in payloads for rec in p.records]
             for order in itertools.permutations(payloads):
                 shuffled = spatial_aggregate(order, self.classes, 3)
                 if mode == "full":
                     assert np.array_equal(forward.gram, shuffled.gram)
                 else:
                     assert shuffled.gram is None
-                    assert [(r.client_id, r.dummy_index) for r in shuffled.records] == [
-                        (0, 0), (0, 1), (1, 0), (1, 1), (2, 0), (2, 1)
-                    ]
+                    assert len(shuffled.records) == 6
+                    assert all(a is b for a, b in zip(shuffled.records, canonical))
                 assert np.array_equal(forward.corr, shuffled.corr)
 
     def test_full_mode_keeps_no_client_grams(self):
@@ -146,15 +142,10 @@ class TestSpatialAggregate:
             spatial_aggregate(payloads[:2], self.classes, 3)
 
     def test_payload_must_carry_one_valid_client_id(self):
-        def upload(*client_ids):
-            records = tuple(
-                record(np.ones((8, 3)), [1, 1, 1], client_id=c, dummy_index=j)
-                for j, c in enumerate(client_ids)
-            )
-            return UploadPayload(records=records, byte_size=0)
+        def upload(client_id):
+            records = (record(np.ones((8, 3)), [1, 1, 1]),)
+            return UploadPayload(client_id=client_id, task_id=1, records=records, byte_size=0)
 
-        with pytest.raises(ProtocolError, match="mixes client ids 0 and 1"):
-            spatial_aggregate([upload(0, 1)], self.classes, 3)
         with pytest.raises(ProtocolError, match="client id -1 is out of range for 3 clients"):
             spatial_aggregate([upload(-1)], self.classes, 3)
         with pytest.raises(ProtocolError, match="client id 3 is out of range for 3 clients"):
@@ -224,15 +215,15 @@ class TestEstimateGram:
         # Every record holds one class-0 sample with the same feature v, so
         # the second term vanishes (n = K) and the estimate is K * v v^T.
         v = np.array([2.0, 1.0])
-        records = [record(np.array([v]).T, [1], client_id=k) for k in range(3)]
+        records = [record(np.array([v]).T, [1]) for _ in range(3)]
         g = estimate_gram(records, [0])
         assert np.array_equal(g, 3.0 * np.outer(v, v))
 
     def test_hand_evaluated_two_record_case(self):
         # Record 1 holds (1,0) and (0,2); record 2 holds (3,1) and (1,1).
         # Scalar evaluation of the estimator gives [[13, 5], [5, 4]].
-        r1 = record(np.array([[1.0], [2.0]]), [2], client_id=0)
-        r2 = record(np.array([[4.0], [2.0]]), [2], client_id=1)
+        r1 = record(np.array([[1.0], [2.0]]), [2])
+        r2 = record(np.array([[4.0], [2.0]]), [2])
         g = estimate_gram([r1, r2], [0])
         oracle = scalar_estimator_oracle(
             cols=[[1.0, 2.0], [4.0, 2.0]], counts=[2.0, 2.0]
@@ -252,7 +243,7 @@ class TestEstimateGram:
             x = mu + np.sqrt(sigma_diag) * stream.standard_normal(n * m).reshape(n, m)
             recs = []
             for j, rows in enumerate(np.array_split(np.arange(n), k)):
-                recs.append(record(np.array([x[rows].sum(axis=0)]).T, [rows.size], client_id=j))
+                recs.append(record(np.array([x[rows].sum(axis=0)]).T, [rows.size]))
             g = estimate_gram(recs, [0])
             acc += g
             acc2 += g * g
@@ -263,31 +254,31 @@ class TestEstimateGram:
         assert (z <= 3.0).mean() >= 0.99
 
     def test_absent_class_contributes_nothing(self):
-        r1 = record(np.array([[1.0, 0.0], [2.0, 0.0]]), [2, 0], client_id=0)
-        r2 = record(np.array([[4.0, 0.0], [2.0, 0.0]]), [2, 0], client_id=1)
+        r1 = record(np.array([[1.0, 0.0], [2.0, 0.0]]), [2, 0])
+        r2 = record(np.array([[4.0, 0.0], [2.0, 0.0]]), [2, 0])
         g = estimate_gram([r1, r2], [0, 1])
         assert np.allclose(g, np.array([[13.0, 5.0], [5.0, 4.0]]), rtol=1e-14)
 
     def test_single_holder_class_raises(self):
-        r1 = record(np.array([[1.0, 1.0], [2.0, 1.0]]), [2, 1], client_id=0)
-        r2 = record(np.array([[4.0, 0.0], [2.0, 0.0]]), [2, 0], client_id=1)
+        r1 = record(np.array([[1.0, 1.0], [2.0, 1.0]]), [2, 1])
+        r2 = record(np.array([[4.0, 0.0], [2.0, 0.0]]), [2, 0])
         with pytest.raises(EstimationError, match="class 9"):
             estimate_gram([r1, r2], [0, 9])
 
     def test_output_is_exactly_symmetric(self):
         stream = ChaChaStream(99)
         records = [
-            record(stream.standard_normal(6).reshape(3, 2), [3, 2], client_id=k)
-            for k in range(4)
+            record(stream.standard_normal(6).reshape(3, 2), [3, 2])
+            for _ in range(4)
         ]
         g = estimate_gram(records, [0, 1])
         assert np.array_equal(g, g.T)
 
     def test_noised_nonpositive_counts_are_excluded(self):
         # A record whose noised count went negative must not contribute.
-        good1 = record(np.array([[1.0], [2.0]]), [2.0], client_id=0)
-        good2 = record(np.array([[4.0], [2.0]]), [2.0], client_id=1)
-        ghost = record(np.array([[100.0], [100.0]]), [-0.004], client_id=2)
+        good1 = record(np.array([[1.0], [2.0]]), [2.0])
+        good2 = record(np.array([[4.0], [2.0]]), [2.0])
+        ghost = record(np.array([[100.0], [100.0]]), [-0.004])
         with_ghost = estimate_gram([good1, good2, ghost], [0])
         without = estimate_gram([good1, good2], [0])
         assert np.array_equal(with_ghost, without)
@@ -309,7 +300,7 @@ class TestEstimateGram:
         records = []
         for j in range(k):
             corr = rng.normal(size=(m, c_t)) * np.sqrt(np.maximum(counts[j], MIN_COUNT))
-            records.append(record(corr, counts[j], client_id=j))
+            records.append(record(corr, counts[j]))
 
         g = estimate_gram(records, list(range(c_t)))
         expected = per_class_estimator(records, c_t, m)
@@ -318,8 +309,8 @@ class TestEstimateGram:
 
     def test_no_contributing_class_gives_zeros(self):
         records = [
-            record(np.ones((5, 2)), [0.0, -0.3], client_id=0),
-            record(np.ones((5, 2)), [-1.0, 0.0], client_id=1),
+            record(np.ones((5, 2)), [0.0, -0.3]),
+            record(np.ones((5, 2)), [-1.0, 0.0]),
         ]
         g = estimate_gram(records, [0, 1])
         assert np.array_equal(g, np.zeros((5, 5)))
