@@ -12,9 +12,6 @@ from dataclasses import dataclass, field
 
 from .errors import DomainError
 
-#: Uploads are transmitted as 32-bit values by default.
-DEFAULT_ELEM_BYTES = 4
-
 
 @dataclass(frozen=True)
 class AccuracyMatrix:
@@ -79,13 +76,7 @@ def average_forgetting(acc: AccuracyMatrix) -> float:
     return total / (T - 1)
 
 
-def comm_bytes(
-    m: int,
-    c_t: int,
-    k_d: int,
-    mode: str,
-    elem_bytes: int = DEFAULT_ELEM_BYTES,
-) -> int:
+def comm_bytes(m: int, c_t: int, k_d: int, mode: str, elem_bytes: int) -> int:
     """Upload size in bytes for one client at one stage.
 
     Full mode ships {G, C}: (M + c_t) x M elements. Efficient mode ships
@@ -113,9 +104,6 @@ class CommLedger:
         if nbytes < 0:
             raise DomainError(f"negative byte count {nbytes}")
         self.entries[(stage, client_id)] = self.entries.get((stage, client_id), 0) + nbytes
-
-    def stage_total(self, stage: int) -> int:
-        return sum(v for (t, _), v in self.entries.items() if t == stage)
 
     @property
     def total(self) -> int:

@@ -41,6 +41,7 @@ from .metrics import (
     CommLedger,
     avg_incremental_accuracy,
     average_forgetting,
+    comm_bytes,
     final_average_accuracy,
 )
 from .prng import ChaChaStream, derive_seed
@@ -262,6 +263,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
 
     for t in range(1, schedule.stages + 1):
         task_classes = schedule.tasks[t - 1]
+        c_t = len(task_classes)
         task_idx = np.flatnonzero(np.isin(train.labels, task_classes))
         if config.repartition_each_task:
             parts = dirichlet_partition(
@@ -297,7 +299,6 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
                     config.K_D,
                     derive_seed(config.seed, f"dummy/stage={t}/client={k}"),
                     config.stratified_dummy,
-                    config.elem_bytes,
                 )
                 payload = add_noise(
                     payload,
@@ -306,7 +307,10 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
                     derive_seed(config.seed, f"noise/stage={t}/client={k}"),
                 )
                 client = None
-                ledger.add(t, k, payload.byte_size)
+                records = len(payload.records)
+                ledger.add(
+                    t, k, comm_bytes(rmap.output_dim, c_t, records, config.mode, config.elem_bytes)
+                )
                 yield payload
                 # Let go of this upload before making the next one, so the
                 # server's fold is its last use.

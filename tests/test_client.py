@@ -1,12 +1,14 @@
 """Payload extraction: dummy-client splits, efficient uploads, privacy noise."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
-from stsa.client import ClientShard, add_noise, extract_payload
+from stsa.client import ClientShard, UploadPayload, add_noise, extract_payload
 from stsa.core import apply_map, local_statistics, make_random_map
 from stsa.errors import ConfigurationError, DomainError
-from stsa.metrics import comm_bytes
+from stsa.prng import ChaChaStream
 
 
 def make_shard(n=10, d=3, classes=(0, 1), seed=0, client_id=2, task_id=1):
@@ -77,10 +79,13 @@ class TestSplitDummy:
         )
         assert [rec.label_freq.tolist() for rec in payload.records] == [[2, 2]] * 3
 
-    def test_zero_cells_is_a_configuration_error(self):
+    @pytest.mark.parametrize("mode", ["full", "efficient"])
+    def test_zero_cells_is_a_configuration_error(self, mode):
+        # k_d is checked before the mode's path is taken, so full mode,
+        # which makes no dummy clients, rejects it too.
         rmap = make_random_map(13, 3, 6)
-        with pytest.raises(ConfigurationError):
-            extract_payload(make_shard(n=3), rmap, (0, 1), mode="efficient", k_d=0)
+        with pytest.raises(ConfigurationError, match="dummy client count must be >= 1"):
+            extract_payload(make_shard(n=3), rmap, (0, 1), mode=mode, k_d=0)
 
 
 class TestExtractPayload:
@@ -97,7 +102,10 @@ class TestExtractPayload:
         )
         assert np.array_equal(payload.records[0].gram, oracle.gram)
         assert np.array_equal(payload.records[0].corr, oracle.corr)
-        assert payload.byte_size == comm_bytes(6, 2, 1, "full")
+        assert np.array_equal(payload.records[0].label_freq, oracle.label_freq)
+
+    def test_upload_is_a_header_and_its_records(self):
+        assert [f.name for f in fields(UploadPayload)] == ["client_id", "task_id", "records"]
 
     def test_efficient_single_dummy_equals_full_corr(self):
         shard = make_shard(n=8)
@@ -130,13 +138,13 @@ class TestExtractPayload:
 
     def test_efficient_never_carries_gram(self):
         eff = extract_payload(make_shard(n=6), self.rmap, self.classes, mode="efficient", k_d=3)
+        assert len(eff.records) == 3
         assert all(rec.gram is None for rec in eff.records)
-        assert eff.byte_size == comm_bytes(6, 2, 3, "efficient")
 
     def test_dummy_count_is_capped_by_shard_size(self):
         eff = extract_payload(make_shard(n=4), self.rmap, self.classes, mode="efficient", k_d=50)
         assert len(eff.records) == 4
-        assert eff.byte_size == comm_bytes(6, 2, 4, "efficient")
+        assert sorted(int(rec.label_freq.sum()) for rec in eff.records) == [1, 1, 1, 1]
 
     def test_empty_shard_yields_single_zero_record(self):
         shard = ClientShard(
@@ -154,7 +162,7 @@ class TestExtractPayload:
         assert (eff.client_id, eff.task_id) == (2, 1)
 
     def test_unknown_mode(self):
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigurationError, match="unknown payload mode 'compressed'"):
             extract_payload(make_shard(), self.rmap, self.classes, mode="compressed")
 
 
@@ -208,6 +216,22 @@ class TestAddNoise:
         for rec in noised.records:
             assert rec.label_freq.dtype == np.float64
             assert rec.gram is None
+
+    @pytest.mark.parametrize("mode", ["full", "efficient"])
+    def test_draw_order(self, mode):
+        # One stream per upload: full mode draws G then C, efficient mode
+        # draws C then n for each record in turn.
+        payload = extract_payload(make_shard(n=6), self.rmap, self.classes, mode=mode, k_d=2)
+        noised = add_noise(payload, 0.5, 2.0, seed=9)
+        stream = ChaChaStream(9)
+        for rec, out in zip(payload.records, noised.records):
+            names = ("gram", "corr") if mode == "full" else ("corr", "label_freq")
+            for name in names:
+                clean = getattr(rec, name)
+                draw = 0.5 * 2.0 * stream.standard_normal(clean.size).reshape(clean.shape)
+                assert np.array_equal(getattr(out, name), clean + draw)
+        if mode == "full":
+            assert noised.records[0].label_freq is payload.records[0].label_freq
 
     def test_determinism(self):
         payload = extract_payload(make_shard(), self.rmap, self.classes, mode="full")

@@ -98,28 +98,28 @@ class TestAccuracyMatrixValidation:
 
 class TestCommBytes:
     def test_full_mode_formula(self):
-        assert comm_bytes(5000, 10, 50, "full") == (5000 + 10) * 5000 * 4
+        assert comm_bytes(5000, 10, 50, "full", 4) == (5000 + 10) * 5000 * 4
 
     def test_efficient_mode_formula(self):
-        assert comm_bytes(5000, 10, 50, "efficient") == (5000 + 1) * 10 * 50 * 4
+        assert comm_bytes(5000, 10, 50, "efficient", 4) == (5000 + 1) * 10 * 50 * 4
 
     def test_reference_totals_over_ten_stages(self):
         # 10 stages of (M + c_t) x M 32-bit values is ~955.6 MiB for the
         # full path and ~95.4 MiB for the efficient one.
-        full_mb = 10 * comm_bytes(5000, 10, 50, "full") / 1024**2
-        eff_mb = 10 * comm_bytes(5000, 10, 50, "efficient") / 1024**2
+        full_mb = 10 * comm_bytes(5000, 10, 50, "full", 4) / 1024**2
+        eff_mb = 10 * comm_bytes(5000, 10, 50, "efficient", 4) / 1024**2
         assert abs(full_mb - 955.6) / 955.6 <= 0.15
         assert abs(eff_mb - 95.4) / 95.4 <= 0.15
 
     def test_reference_totals_low_dimension_regime(self):
         # M=1250 with K_D=10 lands at ~60.1 MiB full / ~4.77 MiB efficient.
-        full_mb = 10 * comm_bytes(1250, 10, 10, "full") / 1024**2
-        eff_mb = 10 * comm_bytes(1250, 10, 10, "efficient") / 1024**2
+        full_mb = 10 * comm_bytes(1250, 10, 10, "full", 4) / 1024**2
+        eff_mb = 10 * comm_bytes(1250, 10, 10, "efficient", 4) / 1024**2
         assert abs(full_mb - 60.1) / 60.1 <= 0.15
         assert abs(eff_mb - 4.77) / 4.77 <= 0.15
 
     def test_empty_task_costs_nothing_in_efficient_mode(self):
-        assert comm_bytes(5000, 0, 50, "efficient") == 0
+        assert comm_bytes(5000, 0, 50, "efficient", 4) == 0
 
     def test_monotone_in_every_argument(self):
         base = dict(m=100, c_t=10, k_d=5, elem_bytes=4)
@@ -132,9 +132,9 @@ class TestCommBytes:
 
     def test_invalid_arguments(self):
         with pytest.raises(DomainError):
-            comm_bytes(0, 10, 5, "full")
+            comm_bytes(0, 10, 5, "full", 4)
         with pytest.raises(DomainError):
-            comm_bytes(10, 10, 5, "sparse")
+            comm_bytes(10, 10, 5, "sparse", 4)
 
 
 class TestCommLedger:
@@ -143,9 +143,9 @@ class TestCommLedger:
         ledger.add(1, 0, 100)
         ledger.add(1, 1, 150)
         ledger.add(2, 0, 200)
-        assert ledger.stage_total(1) == 250
-        assert ledger.stage_total(2) == 200
-        assert ledger.total == 450
+        ledger.add(2, 0, 50)
+        assert ledger.entries == {(1, 0): 100, (1, 1): 150, (2, 0): 250}
+        assert ledger.total == 500
 
     def test_negative_bytes_rejected(self):
         ledger = CommLedger()

@@ -152,14 +152,26 @@ class TestRunExperiment:
         assert len(report.comm.entries) == cfg.T * cfg.K
         assert report.comm.total == cfg.T * cfg.K * per_stage_client
 
-    def test_efficient_ledger_counts_actual_records(self):
-        cfg = ExperimentConfig(**SMALL, mode="efficient", K_D=4)
+    def test_efficient_ledger_counts_actual_records(self, monkeypatch):
+        # At beta = 0.1 the shards hold 0 to 77 rows, so K_D = 30 caps some
+        # uploads at the shard size and an empty shard sends one record.
+        shard_sizes = {}
+        extract = stsa.runner.extract_payload
+
+        def recording(shard, *args, **kwargs):
+            shard_sizes[(shard.task_id, shard.client_id)] = shard.size
+            return extract(shard, *args, **kwargs)
+
+        monkeypatch.setattr(stsa.runner, "extract_payload", recording)
+        cfg = ExperimentConfig(**{**SMALL, "beta": 0.1}, mode="efficient", K_D=30)
         report = run_experiment(cfg)
         c_t = cfg.synth_classes // cfg.T
-        # No client shard is smaller than K_D here, so the nominal formula
-        # applies; byte counts must never exceed it.
-        cap = comm_bytes(cfg.M, c_t, 4, "efficient", cfg.elem_bytes)
-        assert all(0 < v <= cap for v in report.comm.entries.values())
+        records = {key: max(1, min(cfg.K_D, n)) for key, n in shard_sizes.items()}
+        assert {1, cfg.K_D} < set(records.values())
+        assert report.comm.entries == {
+            key: comm_bytes(cfg.M, c_t, r, "efficient", cfg.elem_bytes)
+            for key, r in records.items()
+        }
 
     def test_estimation_failure_carries_stage_context(self):
         cfg = ExperimentConfig(**{**SMALL, "K": 1}, mode="efficient", K_D=1)

@@ -144,7 +144,7 @@ class TestSpatialAggregate:
     def test_payload_must_carry_one_valid_client_id(self):
         def upload(client_id):
             records = (record(np.ones((8, 3)), [1, 1, 1]),)
-            return UploadPayload(client_id=client_id, task_id=1, records=records, byte_size=0)
+            return UploadPayload(client_id=client_id, task_id=1, records=records)
 
         with pytest.raises(ProtocolError, match="client id -1 is out of range for 3 clients"):
             spatial_aggregate([upload(-1)], self.classes, 3)
