@@ -221,7 +221,8 @@ def ridge_solve(
     One step of iterative refinement keeps the relative residual under
     SOLVE_RESIDUAL_BOUND. If the Cholesky factorization fails (indefinite
     estimated gram), gamma is escalated along the distinct levels of the
-    jitter ladder gamma * (1 + 10^-k * ||G||_F / M) for k in (6, 4, 2).
+    jitter ladder gamma + 10^-k * ||G||_F / M * max(gamma, 1) for k in
+    (6, 4, 2), so gamma = 0 escalates too.
     """
     G = np.asarray(G, dtype=np.float64)
     C = np.asarray(C, dtype=np.float64)
@@ -249,9 +250,12 @@ def ridge_solve(
     class_ids = tuple(int(c) for c in class_ids)
 
     frob = float(np.linalg.norm(G, "fro"))
+    # Rung k is gamma + 10^-k ||G||_F / M * max(gamma, 1). For gamma >= 1,
+    # gamma / unit is exactly 1, so it rounds as gamma * (1 + 10^-k ||G||_F / M).
+    unit = max(float(gamma), 1.0)
     attempts = [float(gamma)]
-    attempts += [gamma * (1.0 + 10.0**-k * frob / m) for k in _JITTER_EXPONENTS]
-    # Every level is 0.0 at gamma = 0; a repeat would refactorize one matrix.
+    attempts += [unit * (gamma / unit + 10.0**-k * frob / m) for k in _JITTER_EXPONENTS]
+    # A zero G makes every level gamma; a repeat would refactorize one matrix.
     attempts = list(dict.fromkeys(attempts))
     factor = None
     used_gamma = None

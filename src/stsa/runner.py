@@ -35,7 +35,7 @@ from .data import (
     random_synth_spec,
     split_tasks,
 )
-from .errors import ConfigurationError, StsaError
+from .errors import ConfigurationError, NumericalError, StsaError
 from .metrics import (
     AccuracyMatrix,
     CommLedger,
@@ -144,6 +144,9 @@ def load_experiment_data(config: ExperimentConfig) -> tuple[FeatureDataset, Feat
         return generate_synthetic(synth_spec_from_config(config))
     train = load_features(config.train_path)
     test = load_features(config.test_path)
+    for role, dataset in (("train", train), ("test", test)):
+        if dataset.role != role:
+            raise ConfigurationError(f"{role}_path holds a {dataset.role} split, not a {role} split")
     if train.class_count != test.class_count:
         raise ConfigurationError(
             f"train declares {train.class_count} classes, test {test.class_count}"
@@ -198,7 +201,8 @@ def centralized_oracle(
     ``pooled`` holds the gram and the corr columns of every training sample
     of ``class_ids``, in that column order. The regularized normal
     equations are solved with a plain LU solve, a route independent of the
-    SPD factorization used by the aggregation path.
+    SPD factorization used by the aggregation path; a singular system is a
+    NumericalError.
     """
     class_ids = tuple(int(c) for c in class_ids)
     if not class_ids:
@@ -207,7 +211,10 @@ def centralized_oracle(
         raise ConfigurationError("no training samples match the oracle's classes")
     system = pooled.gram.copy()
     system[np.diag_indices(system.shape[0])] += gamma
-    weights = np.linalg.solve(system, pooled.corr)
+    try:
+        weights = np.linalg.solve(system, pooled.corr)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"the oracle's pooled system G + gamma I is singular: {exc}") from exc
     return ClassifierWeights(weights=weights, class_ids=class_ids)
 
 

@@ -126,6 +126,62 @@ def test_gen_features_then_run_from_files(tmp_path):
     assert "[metrics]" in out.read_text()
 
 
+@pytest.mark.parametrize("swap", ["both", "train_only", "test_only"])
+def test_feature_file_in_the_wrong_role_exits_2(tmp_path, capsys, swap):
+    # With no test samples the test file is empty, and a classifier fit on
+    # it would report chance accuracy without complaint.
+    spec = write_config(
+        tmp_path, SMALL_CONFIG.replace("synth_test_per_class = 20", "synth_test_per_class = 0")
+    )
+    prefix = tmp_path / "bench"
+    assert main(["gen-features", "--spec", str(spec), "--out", str(prefix)]) == 0
+    train_file, test_file = f"{prefix}.train.stsafeat", f"{prefix}.test.stsafeat"
+    train_path, test_path = {
+        "both": (test_file, train_file),
+        "train_only": (test_file, test_file),
+        "test_only": (train_file, train_file),
+    }[swap]
+    run_cfg = write_config(
+        tmp_path,
+        SMALL_CONFIG + f"data = files\ntrain_path = {train_path}\ntest_path = {test_path}\n",
+        name="swapped.cfg",
+    )
+    capsys.readouterr()
+    assert main(["run", "--config", str(run_cfg)]) == 2
+    err = capsys.readouterr().err
+    if swap == "test_only":
+        assert "test_path holds a train split, not a test split" in err
+    else:
+        assert "train_path holds a test split, not a train split" in err
+
+
+SINGULAR_ORACLE_CONFIG = """
+synth_classes = 2
+synth_dim = 4
+synth_train_per_class = 20
+synth_test_per_class = 5
+synth_mean_scale = 50
+synth_noise_std = 0.1
+seed = 2
+T = 1
+K = 1
+gamma = 0
+map_enabled = false
+M = 4
+"""
+
+
+@pytest.mark.parametrize(
+    "command, extra", [("oracle", ""), ("run", "oracle_check = true\n")], ids=["oracle", "run"]
+)
+def test_singular_oracle_system_exits_3(tmp_path, capsys, command, extra):
+    # Raw feature 1 is zero in every row, so the pooled gram is singular at
+    # gamma = 0; the federated solve gets past it on the jitter ladder.
+    cfg = write_config(tmp_path, SINGULAR_ORACLE_CONFIG + extra, name="singular.cfg")
+    assert main([command, "--config", str(cfg)]) == 3
+    assert "numerical error: the oracle's pooled system" in capsys.readouterr().err
+
+
 def test_bad_config_exits_2(tmp_path, capsys):
     cfg = write_config(tmp_path, "T = 0\n", name="bad.cfg")
     assert main(["run", "--config", str(cfg)]) == 2

@@ -79,13 +79,17 @@ class TestSplitDummy:
         )
         assert [rec.label_freq.tolist() for rec in payload.records] == [[2, 2]] * 3
 
-    @pytest.mark.parametrize("mode", ["full", "efficient"])
-    def test_zero_cells_is_a_configuration_error(self, mode):
-        # k_d is checked before the mode's path is taken, so full mode,
-        # which makes no dummy clients, rejects it too.
+    def test_zero_cells_is_a_configuration_error(self):
         rmap = make_random_map(13, 3, 6)
         with pytest.raises(ConfigurationError, match="dummy client count must be >= 1"):
-            extract_payload(make_shard(n=3), rmap, (0, 1), mode=mode, k_d=0)
+            extract_payload(make_shard(n=3), rmap, (0, 1), mode="efficient", k_d=0)
+
+    def test_zero_cells_is_rejected_in_full_mode_too(self):
+        # k_d is checked before the mode's path is taken, so full mode,
+        # which makes no dummy clients, rejects it as well.
+        rmap = make_random_map(13, 3, 6)
+        with pytest.raises(ConfigurationError, match="dummy client count must be >= 1"):
+            extract_payload(make_shard(n=3), rmap, (0, 1), mode="full", k_d=0)
 
 
 class TestExtractPayload:

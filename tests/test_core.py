@@ -4,6 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from stsa.core import (
     ClassifierWeights,
@@ -186,12 +187,39 @@ class TestRidgeSolve:
         assert len(err.value.attempted_gammas) == 4
         assert err.value.attempted_gammas[0] == 1.0
 
-    def test_zero_gamma_singular_gram_is_factorized_once(self):
-        # At gamma = 0 every jitter level is 0.0, so one attempt is the trail.
+    def test_zero_gamma_singular_gram_solves_on_the_jitter_ladder(self):
+        # G = v v^T has rank 1; the k = 6 rung, 1e-6 * ||G||_F / M = 7.5e-6,
+        # makes it positive definite.
         v = np.arange(1.0, 5.0)
+        g, c = np.outer(v, v), np.ones((4, 1))
+        w = ridge_solve(g, c, 0.0)
+        jitter = 1e-6 * np.linalg.norm(g, "fro") / 4
+        residual = np.linalg.norm((g + jitter * np.eye(4)) @ w.weights - c, "fro")
+        assert residual <= 1e-8 * np.linalg.norm(c, "fro")
+
+    def test_zero_gamma_zero_gram_is_factorized_once(self):
+        # With ||G||_F = 0 every jitter level is 0.0, so one attempt is the trail.
         with pytest.raises(NumericalError, match=r"jitter level \[0\.0\]") as err:
-            ridge_solve(np.outer(v, v), np.ones((4, 1)), 0.0)
+            ridge_solve(np.zeros((3, 3)), np.ones((3, 1)), 0.0)
         assert err.value.attempted_gammas == (0.0,)
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.5, 1.0, 3.7, 1e4, 1e6])
+    def test_jitter_ladder_levels(self, monkeypatch, gamma):
+        # For gamma >= 1 the levels round exactly as gamma * (1 + 10^-k ||G||_F / M).
+        def failing(*args, **kwargs):
+            raise scipy.linalg.LinAlgError("forced")
+
+        monkeypatch.setattr(scipy.linalg, "cho_factor", failing)
+        x = np.random.default_rng(3).normal(size=(7, 5))
+        g = x.T @ x
+        frob = np.linalg.norm(g, "fro")
+        with pytest.raises(NumericalError) as err:
+            ridge_solve(g, np.ones((5, 1)), gamma)
+        if gamma >= 1.0:
+            rungs = tuple(gamma * (1.0 + 10.0**-k * frob / 5) for k in (6, 4, 2))
+        else:
+            rungs = tuple(gamma + 10.0**-k * frob / 5 for k in (6, 4, 2))
+        assert err.value.attempted_gammas == (gamma,) + rungs
 
     def test_jitter_escalation_recovers_mild_indefiniteness(self):
         # Smallest eigenvalue -1.001 defeats gamma=1 but not the k=4 rung,
