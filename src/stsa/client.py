@@ -115,12 +115,15 @@ def extract_payload(
 
 
 def add_noise(payload: UploadPayload, q: float, s: float, seed: int) -> UploadPayload:
-    """Perturb every transmitted array entrywise by q * N(0, s^2).
+    """Perturb every transmitted entry by q * N(0, s^2).
 
     A record with a gram (full mode) has G and C noised, in that order; its
-    label counts are not transmitted and stay exact. A record without one
-    (efficient mode) has C and a real-valued copy of the label frequencies
-    noised. q = 0 or s = 0 returns the payload unchanged.
+    label counts are not transmitted and stay exact. G is noised on its
+    upper triangle only, M(M+1)/2 draws in row-major order, which the server
+    mirrors: the Analyze-Gauss construction, with variance q^2 s^2 on every
+    entry of the symmetric gram. A record without one (efficient mode) has C
+    and a real-valued copy of the label frequencies noised. q = 0 or s = 0
+    returns the payload unchanged.
     """
     if not (0.0 <= q < np.inf and 0.0 <= s < np.inf):
         raise DomainError(f"noise parameters must be finite and non-negative, got q={q}, s={s}")
@@ -132,11 +135,22 @@ def add_noise(payload: UploadPayload, q: float, s: float, seed: int) -> UploadPa
         flat = q * s * stream.standard_normal(arr.size)
         return arr.astype(np.float64) + flat.reshape(arr.shape)
 
+    def perturb_upper(gram: np.ndarray) -> np.ndarray:
+        # Row by row, so no index array the size of G is made.
+        m = gram.shape[0]
+        flat = q * s * stream.standard_normal(m * (m + 1) // 2)
+        noised = gram.astype(np.float64)
+        start = 0
+        for i in range(m):
+            noised[i, i:] += flat[start : start + m - i]
+            start += m - i
+        return noised
+
     # Keywords are evaluated in order, so each record draws G, C or C, n.
     records = tuple(
         replace(
             rec,
-            gram=None if rec.gram is None else perturb(rec.gram),
+            gram=None if rec.gram is None else perturb_upper(rec.gram),
             corr=perturb(rec.corr),
             label_freq=perturb(rec.label_freq) if rec.gram is None else rec.label_freq,
         )

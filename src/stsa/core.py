@@ -14,6 +14,7 @@ from typing import Sequence
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.blas import dsyrk
 
 from .errors import DimensionError, DomainError, NumericalError
 from .prng import ChaChaStream
@@ -23,7 +24,7 @@ SOLVE_RESIDUAL_BOUND = 1e-8
 # Jitter escalation ladder for the SPD factorization, mildest first.
 _JITTER_EXPONENTS = (6, 4, 2)
 
-# Rows per block of the symmetry check.
+# Rows and columns per tile of the symmetry check and the mirror.
 _SYMMETRY_BLOCK = 256
 
 
@@ -59,7 +60,10 @@ class RandomMap:
 class SpatialStatistics:
     """One shard's statistics {G, C, n} for one task; the upload names its sender.
 
-    ``gram`` is X^T X (M, M) and is absent in communication-efficient mode;
+    ``gram`` (M, M) holds the upper triangle of X^T X, diagonal included, and
+    is absent in communication-efficient mode; no value of its strict lower
+    triangle is used (the server only rejects a non-finite one), and
+    ``mirror_upper`` makes a sum of such grams whole;
     ``corr`` is X^T Y (M, c_t) with Y one-hot over the task's class list;
     ``label_freq`` holds per-class sample counts (exact int64 normally,
     float64 once privacy noise has been applied).
@@ -168,9 +172,11 @@ def local_statistics(
     """Compute one shard's statistics from mapped features; they name no sender.
 
     G = X^T X, C = X^T Y with Y one-hot over ``task_classes`` in the given
-    order, label_freq = per-class counts. A zero-row ``feat`` yields zero
-    matrices. ``include_gram=False`` skips G entirely (it is never formed),
-    which is the communication-efficient transmit path.
+    order, label_freq = per-class counts. G is the upper triangle of X^T X
+    from one ``dsyrk``, bit-equal to that of numpy's ``X.T @ X``, with a zero
+    strict lower triangle. A zero-row ``feat`` yields zero matrices.
+    ``include_gram=False`` skips G entirely (it is never formed), which is
+    the communication-efficient transmit path.
     """
     feat = np.asarray(feat, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
@@ -191,19 +197,40 @@ def local_statistics(
     onehot = np.zeros((feat.shape[0], c))
     onehot[np.arange(feat.shape[0]), cols] = 1.0
 
-    gram = feat.T @ feat if include_gram else None
+    # dsyrk fills the lower triangle of the F-ordered X^T X; its transpose is
+    # the C-ordered upper triangle. The upper-triangle variant rounds
+    # differently from numpy's X.T @ X at some shapes, this one does not.
+    gram = dsyrk(1.0, feat.T, lower=1).T if include_gram else None
     corr = feat.T @ onehot
     freq = onehot.sum(axis=0).astype(np.int64)
     return SpatialStatistics(gram=gram, corr=corr, label_freq=freq)
 
 
+def mirror_upper(a: np.ndarray) -> None:
+    """Copy the upper triangle of square ``a`` onto its strict lower triangle, in place.
+
+    Works one column strip of ``_SYMMETRY_BLOCK`` at a time, so no M x M
+    temporary is made.
+    """
+    m = a.shape[0]
+    for j in range(0, m, _SYMMETRY_BLOCK):
+        end = min(j + _SYMMETRY_BLOCK, m)
+        block = a[j:end, j:end]
+        below = np.tril_indices(end - j, -1)
+        block[below] = block.T[below]
+        a[end:, j:end] = a[j:end, end:].T
+
+
 def _max_asymmetry(G: np.ndarray) -> float:
-    """max |G - G^T|, one row block at a time so no M x M temporary is made."""
+    """max |G - G^T| over pairs of square tiles, each pair once, with no M x M temporary."""
     worst = 0.0
-    for i in range(0, G.shape[0], _SYMMETRY_BLOCK):
+    m = G.shape[0]
+    for i in range(0, m, _SYMMETRY_BLOCK):
         rows = slice(i, i + _SYMMETRY_BLOCK)
-        diff = G[rows] - G[:, rows].T
-        worst = max(worst, float(np.abs(diff, out=diff).max()))
+        for j in range(i, m, _SYMMETRY_BLOCK):
+            cols = slice(j, j + _SYMMETRY_BLOCK)
+            diff = G[rows, cols] - G[cols, rows].T
+            worst = max(worst, float(np.abs(diff, out=diff).max()))
     return worst
 
 
@@ -215,14 +242,16 @@ def ridge_solve(
 ) -> ClassifierWeights:
     """Solve (G + gamma I) W = C by SPD factorization, never explicit inverse.
 
-    A non-finite G or C, or a G that is not symmetric within tolerance, is
-    rejected with a NumericalError before any factorization.
+    A non-finite or negative gamma is a DomainError. A non-finite G or C, or
+    a G that is not symmetric within tolerance, is rejected with a
+    NumericalError before any factorization.
 
-    One step of iterative refinement keeps the relative residual under
-    SOLVE_RESIDUAL_BOUND. If the Cholesky factorization fails (indefinite
-    estimated gram), gamma is escalated along the distinct levels of the
-    jitter ladder gamma + 10^-k * ||G||_F / M * max(gamma, 1) for k in
-    (6, 4, 2), so gamma = 0 escalates too.
+    The relative residual must end under SOLVE_RESIDUAL_BOUND; one step of
+    iterative refinement is taken only when the first solve misses it. If
+    the Cholesky factorization fails (indefinite estimated gram), gamma is
+    escalated along the distinct levels of the jitter ladder
+    gamma + 10^-k * ||G||_F / M * max(gamma, 1) for k in (6, 4, 2), so
+    gamma = 0 escalates too.
     """
     G = np.asarray(G, dtype=np.float64)
     C = np.asarray(C, dtype=np.float64)
@@ -232,8 +261,9 @@ def ridge_solve(
         raise DimensionError(
             f"corr shape {C.shape} does not match gram shape {G.shape}"
         )
-    if gamma < 0.0:
-        raise DomainError(f"ridge coefficient must be >= 0, got {gamma}")
+    # Written so that NaN fails too.
+    if not 0.0 <= gamma < np.inf:
+        raise DomainError(f"ridge coefficient must be finite and >= 0, got {gamma}")
     # max/min propagate NaN and keep inf, so they check finiteness with no
     # temporary the size of G.
     g_max, g_min = G.max(), G.min()
@@ -261,13 +291,14 @@ def ridge_solve(
     used_gamma = None
     diagonal = np.diag_indices(m)
     for g in attempts:
-        # A Fortran-ordered copy is factorized in place; LAPACK would copy a
-        # C-ordered one anyway. A failed attempt leaves it overwritten.
-        system = np.array(G, order="F")
+        # The transpose of a C-ordered copy is F-ordered, so LAPACK factorizes
+        # it in place; for a symmetric G it is the same matrix. A failed
+        # attempt leaves it overwritten.
+        system = G.copy()
         system[diagonal] += g
         try:
             factor = scipy.linalg.cho_factor(
-                system, lower=True, overwrite_a=True, check_finite=False
+                system.T, lower=True, overwrite_a=True, check_finite=False
             )
         except scipy.linalg.LinAlgError:
             continue
@@ -280,14 +311,16 @@ def ridge_solve(
         )
 
     weights = scipy.linalg.cho_solve(factor, C, check_finite=False)
-    # One refinement pass; the factorization is reused so this is cheap.
-    residual = C - (G @ weights + used_gamma * weights)
-    weights = weights + scipy.linalg.cho_solve(factor, residual, check_finite=False)
-
     residual = C - (G @ weights + used_gamma * weights)
     c_norm = np.linalg.norm(C, "fro")
     r_norm = np.linalg.norm(residual, "fro")
-    # Written so that a NaN residual or NaN C fails the gate too.
+    # Written so that a NaN residual or NaN C refines and fails the gate too.
+    if not r_norm <= SOLVE_RESIDUAL_BOUND * c_norm:
+        # One refinement pass, reusing the factorization; it only pays when
+        # the backward error is large.
+        weights = weights + scipy.linalg.cho_solve(factor, residual, check_finite=False)
+        residual = C - (G @ weights + used_gamma * weights)
+        r_norm = np.linalg.norm(residual, "fro")
     if not r_norm <= SOLVE_RESIDUAL_BOUND * c_norm:
         raise NumericalError(
             f"solve residual {r_norm / c_norm:.3e} exceeds {SOLVE_RESIDUAL_BOUND:.0e}",

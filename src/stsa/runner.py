@@ -23,6 +23,7 @@ from .core import (
     apply_map,
     local_statistics,
     make_random_map,
+    mirror_upper,
     predict,
 )
 from .data import (
@@ -229,20 +230,19 @@ def _pool_task(
 
     The task's training rows ``task_idx`` are mapped and pooled once and added
     to ``pooled``, the statistics of the earlier tasks. The sum is taken in
-    the new task's gram, so no third M x M array is made.
+    the new task's gram, an upper triangle, so no third M x M array is made;
+    it is then mirrored, so the returned gram is whole.
     """
     task = local_statistics(
         apply_map(rmap, train.features[task_idx]), train.labels[task_idx], task_classes
     )
-    if pooled is None:
-        return task
-    gram = task.gram
-    gram += pooled.gram
-    return SpatialStatistics(
-        gram=gram,
-        corr=np.hstack([pooled.corr, task.corr]),
-        label_freq=np.concatenate([pooled.label_freq, task.label_freq]),
-    )
+    gram, corr, freq = task.gram, task.corr, task.label_freq
+    if pooled is not None:
+        gram += pooled.gram
+        corr = np.hstack([pooled.corr, corr])
+        freq = np.concatenate([pooled.label_freq, freq])
+    mirror_upper(gram)
+    return SpatialStatistics(gram=gram, corr=corr, label_freq=freq)
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
@@ -330,33 +330,31 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
                 stage_gram = estimate_gram(agg.records, task_classes)
             state = temporal_aggregate(state, stage_gram, agg.corr, task_classes)
             weights = update_classifier(state, config.gamma)
+            acc_rows.append(
+                tuple(
+                    task_accuracy(weights, mapped_test, test.labels, rows)
+                    for rows in test_rows[:t]
+                )
+            )
+            if config.oracle_check:
+                pooled = _pool_task(pooled, rmap, train, task_idx, task_classes)
+                w_star = centralized_oracle(pooled, schedule.classes_through(t), config.gamma)
+                oracle_deltas.append(
+                    StageOracleDelta(
+                        stage=t,
+                        w_delta=_rel_frobenius(
+                            weights.weights - w_star.weights, w_star.weights
+                        ),
+                        gram_delta=_rel_frobenius(state.gram_acc - pooled.gram, pooled.gram),
+                        corr_delta=_rel_frobenius(state.corr_acc - pooled.corr, pooled.corr),
+                    )
+                )
         except StsaError as exc:
             where = f"stage {t}" if client is None else f"stage {t}, client {client}"
             # Prefix the message in place, so the error keeps its type and
             # attributes such as NumericalError.attempted_gammas.
             exc.args = (f"{where}: {exc}",)
             raise
-
-        acc_rows.append(
-            tuple(
-                task_accuracy(weights, mapped_test, test.labels, rows)
-                for rows in test_rows[:t]
-            )
-        )
-
-        if config.oracle_check:
-            pooled = _pool_task(pooled, rmap, train, task_idx, task_classes)
-            w_star = centralized_oracle(pooled, schedule.classes_through(t), config.gamma)
-            oracle_deltas.append(
-                StageOracleDelta(
-                    stage=t,
-                    w_delta=_rel_frobenius(
-                        weights.weights - w_star.weights, w_star.weights
-                    ),
-                    gram_delta=_rel_frobenius(state.gram_acc - pooled.gram, pooled.gram),
-                    corr_delta=_rel_frobenius(state.corr_acc - pooled.corr, pooled.corr),
-                )
-            )
 
     accuracy = AccuracyMatrix(rows=tuple(acc_rows))
     literal = avg_incremental_accuracy(accuracy)

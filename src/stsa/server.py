@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import ClassifierWeights, SpatialStatistics, ridge_solve
+from .core import ClassifierWeights, SpatialStatistics, mirror_upper, ridge_solve
 from .errors import EstimationError, ProtocolError
 
 #: Contributing noised label frequencies are floored here before division.
@@ -26,7 +26,8 @@ MIN_COUNT = 1e-6
 class StageAggregate:
     """Spatially aggregated statistics for one task.
 
-    ``gram`` is the exact summed G in full mode and None in efficient mode.
+    ``gram`` is the exact summed G in full mode, symmetric, and None in
+    efficient mode.
     ``records`` holds the efficient-mode first-order records in canonical
     (client id, record position) order, for the gram estimator; it is empty
     in full mode, where every client gram is dropped once it has been summed.
@@ -131,19 +132,18 @@ def spatial_aggregate(
     if gram is not None:
         if not (np.isfinite(gram.max()) and np.isfinite(gram.min())):
             raise ProtocolError("summed uploads have non-finite gram entries")
-        # Entrywise privacy noise breaks exact symmetry; averaging the
-        # triangles is the unbiased symmetric projection and keeps the SPD
-        # solve path uniform. A no-op up to rounding for clean uploads.
-        gram += gram.T
-        gram /= 2.0
+        # Every upload's gram is its upper triangle, noised or not, so the
+        # stage gram is the summed triangle made whole once.
+        mirror_upper(gram)
     return StageAggregate(gram=gram, corr=corr, records=tuple(records))
 
 
 def _fold(payload, corr: np.ndarray, gram: np.ndarray | None, records: list) -> None:
     """Add one client's records to the running sums in upload order.
 
-    Full mode adds each gram into ``gram``; efficient mode keeps the
-    first-order records for the gram estimator instead.
+    Full mode adds each gram into ``gram``; only the upper triangle of the
+    sum is read. Efficient mode keeps the first-order records for the gram
+    estimator instead.
     """
     for rec in payload.records:
         corr += rec.corr

@@ -179,7 +179,9 @@ def test_singular_oracle_system_exits_3(tmp_path, capsys, command, extra):
     # gamma = 0; the federated solve gets past it on the jitter ladder.
     cfg = write_config(tmp_path, SINGULAR_ORACLE_CONFIG + extra, name="singular.cfg")
     assert main([command, "--config", str(cfg)]) == 3
-    assert "numerical error: the oracle's pooled system" in capsys.readouterr().err
+    # A run names the stage whose oracle failed; the oracle command has no stages.
+    where = "stage 1: " if command == "run" else ""
+    assert f"numerical error: {where}the oracle's pooled system" in capsys.readouterr().err
 
 
 def test_bad_config_exits_2(tmp_path, capsys):

@@ -181,8 +181,9 @@ class TestAddNoise:
         assert add_noise(payload, 0.3, 0.0, seed=1) is payload
 
     def test_privacy_setting_noise_scale(self):
-        # q=0.2, s=0.05 should perturb entries with std 0.01; the gram of a
-        # 1024-dim map has >1e6 entries to estimate it from.
+        # q=0.2, s=0.05 should perturb entries with std 0.01; the gram
+        # triangle of a 1024-dim map has >5e5 entries to estimate it from.
+        # The strict lower triangle is not transmitted and is not noised.
         rmap = make_random_map(5, 2, 1024)
         shard = ClientShard(
             client_id=0, task_id=1,
@@ -192,8 +193,10 @@ class TestAddNoise:
         payload = extract_payload(shard, rmap, self.classes, mode="full")
         noised = add_noise(payload, 0.2, 0.05, seed=11)
         delta = noised.records[0].gram - payload.records[0].gram
-        assert delta.size >= 1_000_000
-        assert abs(delta.std() - 0.01) <= 0.05 * 0.01
+        upper = delta[np.triu_indices(1024)]
+        assert upper.size >= 500_000
+        assert abs(upper.std() - 0.01) <= 0.05 * 0.01
+        assert not np.tril(delta, -1).any()
 
     def test_zero_matrix_noise_is_centered(self):
         rmap = make_random_map(5, 2, 1024)
@@ -203,7 +206,8 @@ class TestAddNoise:
         )
         payload = extract_payload(shard, rmap, self.classes, mode="full")
         noised = add_noise(payload, 1.0, 1.0, seed=4)
-        delta = noised.records[0].gram  # original gram is exactly zero
+        # The original gram is exactly zero; only its triangle is noised.
+        delta = noised.records[0].gram[np.triu_indices(1024)]
         assert abs(delta.mean()) <= 3.0 / np.sqrt(delta.size)
 
     def test_full_mode_keeps_integer_frequencies(self):
@@ -223,8 +227,9 @@ class TestAddNoise:
 
     @pytest.mark.parametrize("mode", ["full", "efficient"])
     def test_draw_order(self, mode):
-        # One stream per upload: full mode draws G then C, efficient mode
-        # draws C then n for each record in turn.
+        # One stream per upload: full mode draws G's upper triangle in
+        # row-major order, then C; efficient mode draws C then n for each
+        # record in turn.
         payload = extract_payload(make_shard(n=6), self.rmap, self.classes, mode=mode, k_d=2)
         noised = add_noise(payload, 0.5, 2.0, seed=9)
         stream = ChaChaStream(9)
@@ -232,10 +237,32 @@ class TestAddNoise:
             names = ("gram", "corr") if mode == "full" else ("corr", "label_freq")
             for name in names:
                 clean = getattr(rec, name)
-                draw = 0.5 * 2.0 * stream.standard_normal(clean.size).reshape(clean.shape)
-                assert np.array_equal(getattr(out, name), clean + draw)
+                if name == "gram":
+                    upper = np.triu_indices(clean.shape[0])
+                    expected = clean.copy()
+                    expected[upper] += 0.5 * 2.0 * stream.standard_normal(upper[0].size)
+                else:
+                    draw = 0.5 * 2.0 * stream.standard_normal(clean.size)
+                    expected = clean + draw.reshape(clean.shape)
+                assert np.array_equal(getattr(out, name), expected)
         if mode == "full":
             assert noised.records[0].label_freq is payload.records[0].label_freq
+
+    def test_full_mode_draws_the_triangle_and_corr(self, monkeypatch):
+        # M(M+1)/2 gram draws and M * c_t corr draws, where noising every
+        # gram entry would draw M^2 + M * c_t.
+        draws = []
+        original = ChaChaStream.standard_normal
+
+        def counting(stream, n):
+            draws.append(n)
+            return original(stream, n)
+
+        payload = extract_payload(make_shard(), self.rmap, self.classes, mode="full")
+        monkeypatch.setattr(ChaChaStream, "standard_normal", counting)
+        add_noise(payload, 0.5, 0.5, seed=2)
+        m, c_t = 6, len(self.classes)
+        assert draws == [m * (m + 1) // 2, m * c_t]
 
     def test_determinism(self):
         payload = extract_payload(make_shard(), self.rmap, self.classes, mode="full")

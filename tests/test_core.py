@@ -7,10 +7,12 @@ import pytest
 import scipy.linalg
 
 from stsa.core import (
+    _SYMMETRY_BLOCK,
     ClassifierWeights,
     apply_map,
     local_statistics,
     make_random_map,
+    mirror_upper,
     predict,
     ridge_solve,
 )
@@ -147,6 +149,32 @@ class TestLocalStatistics:
         stats = local_statistics(np.eye(2), np.array([0, 1]), [0, 1], include_gram=False)
         assert stats.gram is None
 
+    @pytest.mark.parametrize(
+        "n, m",
+        [(0, 64), (1, 64), (37, 600), (100, 600), (250, 600), (100, 800),
+         (400, 800), (2000, 800), (100, 2500)],
+    )
+    def test_gram_is_the_upper_triangle_of_numpy_gram(self, n, m):
+        # Bit-equal to numpy's X.T @ X on and above the diagonal, at every
+        # shape the benchmark and the scale records use; zero below it.
+        feat = np.maximum(np.random.default_rng(n + m).normal(size=(n, m)), 0.0)
+        gram = local_statistics(feat, np.zeros(n, dtype=int), [0]).gram
+        assert gram.shape == (m, m) and gram.flags.c_contiguous
+        assert np.array_equal(np.triu(gram), np.triu(feat.T @ feat))
+        assert not np.tril(gram, -1).any()
+
+
+class TestMirrorUpper:
+    @pytest.mark.parametrize(
+        "m",
+        [1, _SYMMETRY_BLOCK - 1, _SYMMETRY_BLOCK, _SYMMETRY_BLOCK + 1, 2 * _SYMMETRY_BLOCK + 3],
+    )
+    def test_copies_the_upper_triangle_down(self, m):
+        a = np.random.default_rng(m).normal(size=(m, m))
+        expected = np.triu(a) + np.triu(a, 1).T
+        mirror_upper(a)
+        assert np.array_equal(a, expected)
+
 
 class TestRidgeSolve:
     def test_diagonal_case(self):
@@ -235,8 +263,8 @@ class TestRidgeSolve:
 
     @pytest.mark.parametrize("row, col", [(299, 3), (3, 299), (260, 270)])
     def test_asymmetry_in_any_row_block_is_rejected(self, row, col):
-        # The check walks the gram in blocks of rows; a flaw in a later block
-        # or above the diagonal must be found too.
+        # The check walks the gram in pairs of square tiles; a flaw in a
+        # later tile, or on either side of the diagonal, must be found too.
         g = np.eye(300)
         g[row, col] = 0.5
         with pytest.raises(NumericalError, match="symmetric"):
@@ -245,6 +273,60 @@ class TestRidgeSolve:
     def test_negative_gamma_is_rejected(self):
         with pytest.raises(DomainError):
             ridge_solve(np.eye(2), np.eye(2), -1.0)
+
+    @pytest.mark.parametrize("gamma", [np.nan, np.inf])
+    def test_non_finite_gamma_is_rejected_before_any_work(self, monkeypatch, gamma):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("factorized with a non-finite gamma")
+
+        monkeypatch.setattr(scipy.linalg, "cho_factor", unreachable)
+        # A NaN gram would be a NumericalError; gamma is checked first.
+        with pytest.raises(DomainError, match="finite"):
+            ridge_solve(np.full((2, 2), np.nan), np.eye(2), gamma)
+
+    def count_solves(self, monkeypatch, spoil_first=False):
+        """Record cho_solve calls; optionally spoil the first solution by 1e-6."""
+        solves = []
+        original = scipy.linalg.cho_solve
+
+        def counting(factor, b, **kwargs):
+            x = original(factor, b, **kwargs)
+            solves.append(b)
+            return x * (1.0 + 1e-6) if spoil_first and len(solves) == 1 else x
+
+        monkeypatch.setattr(scipy.linalg, "cho_solve", counting)
+        return solves
+
+    def test_well_conditioned_system_is_solved_once(self, monkeypatch):
+        solves = self.count_solves(monkeypatch)
+        x = np.random.default_rng(6).normal(size=(40, 12))
+        ridge_solve(x.T @ x, np.ones((12, 3)), 1.0)
+        assert len(solves) == 1
+
+    def test_first_residual_that_misses_is_refined_once(self, monkeypatch):
+        # At gamma = 0 the spoiled first solution leaves a relative residual
+        # of about 1e-6; one refinement step brings it back under the bound.
+        solves = self.count_solves(monkeypatch, spoil_first=True)
+        g = np.array([[4.0, 1.0], [1.0, 3.0]])
+        c = np.array([[1.0, 0.0], [2.0, 1.0]])
+        w = ridge_solve(g, c, 0.0)
+        assert len(solves) == 2
+        first_residual = np.linalg.norm(solves[1], "fro") / np.linalg.norm(c, "fro")
+        assert first_residual > 1e-8
+        residual = np.linalg.norm(g @ w.weights - c, "fro")
+        assert residual <= 1e-8 * np.linalg.norm(c, "fro")
+
+    def test_memory_layout_of_the_gram_does_not_change_the_weights(self):
+        # 300 rows span two symmetry tiles.
+        x = np.random.default_rng(8).normal(size=(400, 300))
+        g = x.T @ x
+        mirror_upper(g)
+        c = np.random.default_rng(9).normal(size=(300, 4))
+        padded = np.zeros((600, 600))
+        padded[::2, ::2] = g
+        layouts = [g, np.asfortranarray(g), padded[::2, ::2]]
+        weights = [ridge_solve(a, c, 1.0).weights for a in layouts]
+        assert all(np.array_equal(weights[0], w) for w in weights[1:])
 
     def test_nan_gram_is_a_numerical_error(self):
         g = np.array([[1.0, np.nan], [np.nan, 1.0]])

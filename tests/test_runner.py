@@ -9,7 +9,7 @@ import pytest
 
 import stsa.runner
 from stsa.config import ExperimentConfig, load_config
-from stsa.core import apply_map, local_statistics, make_random_map, predict
+from stsa.core import apply_map, local_statistics, make_random_map, mirror_upper, predict
 from stsa.data import SynthSpec, random_synth_spec
 from stsa.errors import ConfigurationError, EstimationError, NumericalError
 from stsa.metrics import (
@@ -76,6 +76,7 @@ class TestRunExperiment:
         rmap = experiment_map(cfg, cfg.synth_dim)
         class_ids = schedule.classes_through(schedule.stages)
         pooled = local_statistics(apply_map(rmap, train.features), train.labels, class_ids)
+        mirror_upper(pooled.gram)
         w_star = centralized_oracle(pooled, class_ids, cfg.gamma)
         mapped_test = apply_map(rmap, test.features)
         for tau, task in enumerate(schedule.tasks, start=1):
@@ -256,9 +257,14 @@ class TestRunExperiment:
 
 
 def pool(feat, labels, class_ids):
-    """Pooled statistics of the rows of ``class_ids``, in that column order."""
+    """Pooled statistics of the rows of ``class_ids``, in that column order.
+
+    The gram is mirrored whole, as the runner pools it for the oracle.
+    """
     rows = np.isin(labels, class_ids)
-    return local_statistics(feat[rows], labels[rows], class_ids)
+    stats = local_statistics(feat[rows], labels[rows], class_ids)
+    mirror_upper(stats.gram)
+    return stats
 
 
 class TestCentralizedOracle:

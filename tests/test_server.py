@@ -8,7 +8,13 @@ import numpy as np
 import pytest
 
 from stsa.client import ClientShard, UploadPayload, extract_payload
-from stsa.core import SpatialStatistics, apply_map, local_statistics, make_random_map
+from stsa.core import (
+    SpatialStatistics,
+    apply_map,
+    local_statistics,
+    make_random_map,
+    mirror_upper,
+)
 from stsa.errors import EstimationError, ProtocolError
 from stsa.prng import ChaChaStream
 from stsa.server import (
@@ -46,7 +52,9 @@ class TestSpatialAggregate:
     def test_single_payload_passthrough(self):
         payloads = full_payloads_from_partition([self.raw], [self.labels], self.rmap, self.classes)
         agg = spatial_aggregate(payloads, self.classes, 1)
-        assert np.allclose(agg.gram, payloads[0].records[0].gram, rtol=1e-15)
+        # The upload's triangle passes through exactly and is mirrored.
+        assert np.array_equal(np.triu(agg.gram), np.triu(payloads[0].records[0].gram))
+        assert np.array_equal(agg.gram, agg.gram.T)
         assert np.array_equal(agg.corr, payloads[0].records[0].corr)
 
     def test_partition_matches_pooled_statistics(self):
@@ -61,6 +69,7 @@ class TestSpatialAggregate:
         )
         agg = spatial_aggregate(payloads, self.classes, 3)
         pooled = local_statistics(apply_map(self.rmap, self.raw), self.labels, self.classes)
+        mirror_upper(pooled.gram)
         assert np.allclose(agg.gram, pooled.gram, rtol=1e-12)
         assert np.allclose(agg.corr, pooled.corr, rtol=1e-12)
 
@@ -95,6 +104,26 @@ class TestSpatialAggregate:
                     assert len(shuffled.records) == 6
                     assert all(a is b for a, b in zip(shuffled.records, canonical))
                 assert np.array_equal(forward.corr, shuffled.corr)
+
+    def test_values_below_the_diagonal_of_an_upload_are_not_read(self):
+        # A gram upload is its upper triangle; whatever lies below it must
+        # not change the stage sums.
+        clean = spatial_aggregate(self.payloads("full"), self.classes, 3)
+        rng = np.random.default_rng(3)
+        dirty = [
+            replace(
+                p,
+                records=tuple(
+                    replace(rec, gram=rec.gram + np.tril(rng.normal(size=rec.gram.shape), -1))
+                    for rec in p.records
+                ),
+            )
+            for p in self.payloads("full")
+        ]
+        agg = spatial_aggregate(dirty, self.classes, 3)
+        assert np.array_equal(agg.gram, clean.gram)
+        assert np.array_equal(agg.gram, agg.gram.T)
+        assert np.array_equal(agg.corr, clean.corr)
 
     def test_full_mode_keeps_no_client_grams(self):
         agg = spatial_aggregate(self.payloads("full"), self.classes, 3)
@@ -448,12 +477,14 @@ class TestUpdateClassifier:
 
         state = TemporalState.initial(7)
         s1 = local_statistics(feat[:20], labels[:20], [0, 1])
-        state = temporal_aggregate(state, s1.gram, s1.corr, [0, 1])
         s2 = local_statistics(feat[20:], labels[20:], [2, 3])
+        pooled = local_statistics(feat, labels, [0, 1, 2, 3])
+        for stats in (s1, s2, pooled):
+            mirror_upper(stats.gram)
+        state = temporal_aggregate(state, s1.gram, s1.corr, [0, 1])
         state = temporal_aggregate(state, s2.gram, s2.corr, [2, 3])
         w = update_classifier(state, gamma=0.1)
 
-        pooled = local_statistics(feat, labels, [0, 1, 2, 3])
         oracle = np.linalg.solve(pooled.gram + 0.1 * np.eye(7), pooled.corr)
         delta = np.linalg.norm(w.weights - oracle, "fro")
         assert delta <= 1e-8 * np.linalg.norm(oracle, "fro")
