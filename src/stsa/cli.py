@@ -29,6 +29,7 @@ from .runner import (
     run_experiment,
     synth_spec_from_config,
     task_accuracy,
+    task_test_rows,
 )
 
 EXIT_CONFIG = 2
@@ -58,6 +59,7 @@ def _cmd_oracle(args) -> int:
     config = load_config(args.config)
     train, test = load_experiment_data(config)
     schedule = make_schedule(config, train.class_count)
+    test_rows = task_test_rows(schedule, test.labels)
     rmap = experiment_map(config, train.features.shape[1])
     pooled = None
     for task in schedule.tasks:
@@ -67,12 +69,7 @@ def _cmd_oracle(args) -> int:
     class_ids = schedule.classes_through(schedule.stages)
     weights = centralized_oracle(pooled, class_ids, config.gamma)
     mapped_test = apply_map(rmap, test.features)
-    per_task = [
-        task_accuracy(
-            weights, mapped_test, test.labels, np.flatnonzero(np.isin(test.labels, task))
-        )
-        for task in schedule.tasks
-    ]
+    per_task = [task_accuracy(weights, mapped_test, test.labels, rows) for rows in test_rows]
     lines = ["schema = stsa-oracle/1"]
     lines += [f"task {tau} accuracy = {acc!r}" for tau, acc in enumerate(per_task, start=1)]
     lines.append(f"final average accuracy = {sum(per_task) / len(per_task)!r}")

@@ -87,11 +87,14 @@ def extract_payload(
     k_d: int = 1,
     seed: int = 0,
     stratified: bool = False,
+    workspace: np.ndarray | None = None,
 ) -> UploadPayload:
     """Map the shard and compute its upload records.
 
-    Full mode computes one record {G, C, n} over the whole shard. Efficient
-    mode splits it into at most min(k_d, shard size) dummy clients (an empty
+    Full mode computes one record {G, C, n} over the whole shard, G packed
+    as its upper triangle; ``workspace`` is handed to ``local_statistics``
+    for the gram product, and no record refers to it. Efficient mode splits
+    the shard into at most min(k_d, shard size) dummy clients (an empty
     shard yields a single all-zero record), computes first-order statistics
     per sub-shard, and never materializes a gram matrix.
     """
@@ -108,7 +111,9 @@ def extract_payload(
         effective = max(1, min(k_d, shard.size))
         cells = _partition_indices(effective, ChaChaStream(seed), shard.labels, stratified)
     records = tuple(
-        local_statistics(feat[cell], shard.labels[cell], task_classes, include_gram=full)
+        local_statistics(
+            feat[cell], shard.labels[cell], task_classes, include_gram=full, workspace=workspace
+        )
         for cell in cells
     )
     return UploadPayload(client_id=shard.client_id, task_id=shard.task_id, records=records)
@@ -118,12 +123,13 @@ def add_noise(payload: UploadPayload, q: float, s: float, seed: int) -> UploadPa
     """Perturb every transmitted entry by q * N(0, s^2).
 
     A record with a gram (full mode) has G and C noised, in that order; its
-    label counts are not transmitted and stay exact. G is noised on its
-    upper triangle only, M(M+1)/2 draws in row-major order, which the server
-    mirrors: the Analyze-Gauss construction, with variance q^2 s^2 on every
-    entry of the symmetric gram. A record without one (efficient mode) has C
-    and a real-valued copy of the label frequencies noised. q = 0 or s = 0
-    returns the payload unchanged.
+    label counts are not transmitted and stay exact. G is the packed upper
+    triangle, so it takes M(M+1)/2 draws in row-major order, and the
+    server's unpack copies each to both sides of the diagonal: the
+    Analyze-Gauss construction, with variance q^2 s^2 on every entry of the
+    symmetric gram. A record without one (efficient mode) has C and a
+    real-valued copy of the label frequencies noised. q = 0 or s = 0 returns
+    the payload unchanged.
     """
     if not (0.0 <= q < np.inf and 0.0 <= s < np.inf):
         raise DomainError(f"noise parameters must be finite and non-negative, got q={q}, s={s}")
@@ -132,25 +138,15 @@ def add_noise(payload: UploadPayload, q: float, s: float, seed: int) -> UploadPa
     stream = ChaChaStream(seed)
 
     def perturb(arr: np.ndarray) -> np.ndarray:
-        flat = q * s * stream.standard_normal(arr.size)
-        return arr.astype(np.float64) + flat.reshape(arr.shape)
-
-    def perturb_upper(gram: np.ndarray) -> np.ndarray:
-        # Row by row, so no index array the size of G is made.
-        m = gram.shape[0]
-        flat = q * s * stream.standard_normal(m * (m + 1) // 2)
-        noised = gram.astype(np.float64)
-        start = 0
-        for i in range(m):
-            noised[i, i:] += flat[start : start + m - i]
-            start += m - i
-        return noised
+        noised = q * s * stream.standard_normal(arr.size)
+        noised += arr.ravel()  # counts widen to float64 here
+        return noised.reshape(arr.shape)
 
     # Keywords are evaluated in order, so each record draws G, C or C, n.
     records = tuple(
         replace(
             rec,
-            gram=None if rec.gram is None else perturb_upper(rec.gram),
+            gram=None if rec.gram is None else perturb(rec.gram),
             corr=perturb(rec.corr),
             label_freq=perturb(rec.label_freq) if rec.gram is None else rec.label_freq,
         )

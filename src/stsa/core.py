@@ -15,6 +15,7 @@ from typing import Sequence
 import numpy as np
 import scipy.linalg
 from scipy.linalg.blas import dsyrk
+from scipy.linalg.lapack import dtpttr, dtrttp
 
 from .errors import DimensionError, DomainError, NumericalError
 from .prng import ChaChaStream
@@ -60,10 +61,10 @@ class RandomMap:
 class SpatialStatistics:
     """One shard's statistics {G, C, n} for one task; the upload names its sender.
 
-    ``gram`` (M, M) holds the upper triangle of X^T X, diagonal included, and
-    is absent in communication-efficient mode; no value of its strict lower
-    triangle is used (the server only rejects a non-finite one), and
-    ``mirror_upper`` makes a sum of such grams whole;
+    ``gram`` holds the upper triangle of X^T X, diagonal included, packed
+    row by row into M(M+1)/2 entries (``np.triu_indices`` order), and is
+    absent in communication-efficient mode; ``unpack_upper`` makes a packed
+    gram, or a sum of them, whole;
     ``corr`` is X^T Y (M, c_t) with Y one-hot over the task's class list;
     ``label_freq`` holds per-class sample counts (exact int64 normally,
     float64 once privacy noise has been applied).
@@ -83,9 +84,10 @@ class SpatialStatistics:
             )
         if self.gram is not None:
             m = self.corr.shape[0]
-            if self.gram.shape != (m, m):
+            if self.gram.shape != (m * (m + 1) // 2,):
                 raise DimensionError(
-                    f"gram shape {self.gram.shape} does not match feature dim {m}"
+                    f"gram shape {self.gram.shape} is not the packed triangle "
+                    f"({m * (m + 1) // 2},) of feature dim {m}"
                 )
 
     @property
@@ -141,7 +143,9 @@ def apply_map(rmap: RandomMap, raw: np.ndarray) -> np.ndarray:
     # 0.0, so non-finite input is rejected before it is lifted.
     if not np.isfinite(raw).all():
         raise NumericalError("raw features have non-finite entries")
-    return np.maximum(raw @ rmap.matrix, 0.0)
+    mapped = raw @ rmap.matrix
+    np.maximum(mapped, 0.0, out=mapped)
+    return mapped
 
 
 def _label_columns(labels: np.ndarray, class_list: list[int]) -> np.ndarray:
@@ -168,15 +172,20 @@ def local_statistics(
     task_classes: Sequence[int],
     *,
     include_gram: bool = True,
+    workspace: np.ndarray | None = None,
 ) -> SpatialStatistics:
     """Compute one shard's statistics from mapped features; they name no sender.
 
     G = X^T X, C = X^T Y with Y one-hot over ``task_classes`` in the given
-    order, label_freq = per-class counts. G is the upper triangle of X^T X
-    from one ``dsyrk``, bit-equal to that of numpy's ``X.T @ X``, with a zero
-    strict lower triangle. A zero-row ``feat`` yields zero matrices.
-    ``include_gram=False`` skips G entirely (it is never formed), which is
-    the communication-efficient transmit path.
+    order, label_freq = per-class counts. G is the packed upper triangle of
+    X^T X from one ``dsyrk``, bit-equal to that of numpy's ``X.T @ X``. A
+    zero-row ``feat`` yields zero statistics. ``include_gram=False`` skips G
+    entirely (it is never formed), which is the communication-efficient
+    transmit path.
+
+    ``workspace``, an F-ordered (M, M) float64 array, is where ``dsyrk``
+    writes before G is packed, so a caller can reuse one buffer across
+    shards; its contents are overwritten. G is a fresh array either way.
     """
     feat = np.asarray(feat, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
@@ -192,21 +201,48 @@ def local_statistics(
         raise DomainError(f"task class list has duplicates: {class_list}")
 
     m = feat.shape[1]
+    if workspace is not None and workspace.shape != (m, m):
+        raise DimensionError(
+            f"gram workspace shape {workspace.shape} does not match feature dim {m}"
+        )
     c = len(class_list)
     cols = _label_columns(labels, class_list)
     onehot = np.zeros((feat.shape[0], c))
     onehot[np.arange(feat.shape[0]), cols] = 1.0
 
-    # dsyrk fills the lower triangle of the F-ordered X^T X; its transpose is
-    # the C-ordered upper triangle. The upper-triangle variant rounds
-    # differently from numpy's X.T @ X at some shapes, this one does not.
-    gram = dsyrk(1.0, feat.T, lower=1).T if include_gram else None
+    gram = None
+    if include_gram:
+        # dsyrk fills the lower triangle of the F-ordered X^T X. Packed column
+        # by column, that is the upper triangle row by row. The upper-triangle
+        # variant rounds differently from numpy's X.T @ X at some shapes, this
+        # one does not. beta = 0 never reads the workspace's old contents.
+        lower = dsyrk(1.0, feat.T, lower=1, beta=0.0, c=workspace, overwrite_c=1)
+        gram, _ = dtrttp(lower, uplo="L")
     corr = feat.T @ onehot
     freq = onehot.sum(axis=0).astype(np.int64)
     return SpatialStatistics(gram=gram, corr=corr, label_freq=freq)
 
 
-def mirror_upper(a: np.ndarray) -> None:
+def unpack_upper(packed: np.ndarray, m: int) -> np.ndarray:
+    """The symmetric (M, M) matrix whose upper triangle ``packed`` holds row by row.
+
+    The result is a fresh C-ordered array; each packed entry lands on both
+    sides of the diagonal.
+    """
+    if packed.shape != (m * (m + 1) // 2,):
+        raise DimensionError(
+            f"packed gram shape {packed.shape} is not the triangle of dim {m}"
+        )
+    # The row-major upper order is the column-major lower order, so LAPACK
+    # unpacks into the lower triangle of an F-ordered array, whose transpose
+    # is the C-ordered upper triangle.
+    lower, _ = dtpttr(m, packed, uplo="L")
+    whole = lower.T
+    _mirror_upper(whole)
+    return whole
+
+
+def _mirror_upper(a: np.ndarray) -> None:
     """Copy the upper triangle of square ``a`` onto its strict lower triangle, in place.
 
     Works one column strip of ``_SYMMETRY_BLOCK`` at a time, so no M x M
@@ -216,8 +252,10 @@ def mirror_upper(a: np.ndarray) -> None:
     for j in range(0, m, _SYMMETRY_BLOCK):
         end = min(j + _SYMMETRY_BLOCK, m)
         block = a[j:end, j:end]
-        below = np.tril_indices(end - j, -1)
-        block[below] = block.T[below]
+        # Row by row inside the diagonal tile, which is cheaper than indexing
+        # its triangle.
+        for r in range(1, end - j):
+            block[r, :r] = block[:r, r]
         a[end:, j:end] = a[j:end, end:].T
 
 

@@ -77,18 +77,34 @@ def average_forgetting(acc: AccuracyMatrix) -> float:
 
 
 def comm_bytes(m: int, c_t: int, k_d: int, mode: str, elem_bytes: int) -> int:
-    """Upload size in bytes for one client at one stage.
+    """Upload size in bytes for one client at one stage, as it is sent.
 
-    Full mode ships {G, C}: (M + c_t) x M elements. Efficient mode ships
-    {C, n} per dummy client: (M + 1) x c_t x K_D elements.
+    Full mode ships {G, C}, G as its packed upper triangle:
+    (M(M+1)/2 + c_t M) elements. Efficient mode ships {C, n} per dummy
+    client: (M + 1) x c_t x K_D elements.
     """
+    return _upload_bytes(m, c_t, k_d, mode, elem_bytes, m * (m + 1) // 2)
+
+
+def paper_comm_bytes(m: int, c_t: int, k_d: int, mode: str, elem_bytes: int) -> int:
+    """``comm_bytes`` as the paper counts it, a full-mode G as all M x M elements.
+
+    Full mode is (M + c_t) x M elements; efficient mode is as ``comm_bytes``.
+    This is the figure to hold against the paper's published totals.
+    """
+    return _upload_bytes(m, c_t, k_d, mode, elem_bytes, m * m)
+
+
+def _upload_bytes(
+    m: int, c_t: int, k_d: int, mode: str, elem_bytes: int, gram_elements: int
+) -> int:
     if m < 1 or k_d < 1 or elem_bytes < 1 or c_t < 0:
         raise DomainError(
             f"invalid accounting arguments M={m}, c_t={c_t}, K_D={k_d}, "
             f"elem_bytes={elem_bytes}"
         )
     if mode == "full":
-        return (m + c_t) * m * elem_bytes
+        return (gram_elements + c_t * m) * elem_bytes
     if mode == "efficient":
         return (m + 1) * c_t * k_d * elem_bytes
     raise DomainError(f"unknown mode {mode!r}")

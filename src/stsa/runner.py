@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .client import ClientShard, add_noise, extract_payload
+from .client import MODE_FULL, ClientShard, add_noise, extract_payload
 from .config import ExperimentConfig
 from .core import (
     ClassifierWeights,
@@ -23,8 +23,8 @@ from .core import (
     apply_map,
     local_statistics,
     make_random_map,
-    mirror_upper,
     predict,
+    unpack_upper,
 )
 from .data import (
     FeatureDataset,
@@ -181,15 +181,28 @@ def experiment_map(config: ExperimentConfig, input_dim: int) -> RandomMap:
     )
 
 
+def task_test_rows(schedule: TaskSchedule, test_labels: np.ndarray) -> list[np.ndarray]:
+    """Each task's test rows, in schedule order.
+
+    A task with no test rows would score an accuracy of nothing, so it is a
+    ConfigurationError that names the task.
+    """
+    rows = [np.flatnonzero(np.isin(test_labels, task)) for task in schedule.tasks]
+    for tau, (task, task_rows) in enumerate(zip(schedule.tasks, rows), start=1):
+        if task_rows.size == 0:
+            raise ConfigurationError(
+                f"task {tau} (classes {list(task)}) has no test rows to evaluate"
+            )
+    return rows
+
+
 def task_accuracy(
     weights: ClassifierWeights,
     mapped_test: np.ndarray,
     test_labels: np.ndarray,
     rows: np.ndarray,
 ) -> float:
-    """Top-1 accuracy on the given test rows; 0.0 when there are none."""
-    if rows.size == 0:
-        return 0.0
+    """Top-1 accuracy on the given test rows, of which there is at least one."""
     return float(np.mean(predict(weights, mapped_test[rows]) == test_labels[rows]))
 
 
@@ -199,8 +212,8 @@ def centralized_oracle(
     """Ridge solution of statistics pooled with access to all data.
 
     This is the equivalence reference for the federated-incremental path.
-    ``pooled`` holds the gram and the corr columns of every training sample
-    of ``class_ids``, in that column order. The regularized normal
+    ``pooled`` holds the packed gram and the corr columns of every training
+    sample of ``class_ids``, in that column order. The regularized normal
     equations are solved with a plain LU solve, a route independent of the
     SPD factorization used by the aggregation path; a singular system is a
     NumericalError.
@@ -210,7 +223,7 @@ def centralized_oracle(
         raise ConfigurationError("the oracle needs at least one class")
     if not pooled.label_freq.any():
         raise ConfigurationError("no training samples match the oracle's classes")
-    system = pooled.gram.copy()
+    system = unpack_upper(pooled.gram, pooled.feature_dim)
     system[np.diag_indices(system.shape[0])] += gamma
     try:
         weights = np.linalg.solve(system, pooled.corr)
@@ -229,9 +242,8 @@ def _pool_task(
     """The oracle's statistics of one more task: grams summed, columns appended.
 
     The task's training rows ``task_idx`` are mapped and pooled once and added
-    to ``pooled``, the statistics of the earlier tasks. The sum is taken in
-    the new task's gram, an upper triangle, so no third M x M array is made;
-    it is then mirrored, so the returned gram is whole.
+    to ``pooled``, the statistics of the earlier tasks. The grams stay packed,
+    and the sum is taken in the new task's gram, so no third one is made.
     """
     task = local_statistics(
         apply_map(rmap, train.features[task_idx]), train.labels[task_idx], task_classes
@@ -241,7 +253,6 @@ def _pool_task(
         gram += pooled.gram
         corr = np.hstack([pooled.corr, corr])
         freq = np.concatenate([pooled.label_freq, freq])
-    mirror_upper(gram)
     return SpatialStatistics(gram=gram, corr=corr, label_freq=freq)
 
 
@@ -251,10 +262,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     train, test = load_experiment_data(config)
     schedule = make_schedule(config, train.class_count)
     rmap = experiment_map(config, train.features.shape[1])
+    test_rows = task_test_rows(schedule, test.labels)
     mapped_test = apply_map(rmap, test.features)
-    test_rows = [
-        np.flatnonzero(np.isin(test.labels, task)) for task in schedule.tasks
-    ]
 
     state = TemporalState.initial(rmap.output_dim)
     ledger = CommLedger()
@@ -288,8 +297,17 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
         client = None  # the client computing its upload, for error context
 
         def uploads():
-            """Each client's upload in client order, made when the server asks."""
+            """Each client's upload in client order, made when the server asks.
+
+            Full-mode clients share one gram workspace. Each upload packs its
+            gram into a fresh array, so the workspace is free for the next
+            client, and it goes with this generator once the server has read
+            the last upload.
+            """
             nonlocal client
+            workspace = None
+            if config.mode == MODE_FULL:
+                workspace = np.empty((rmap.output_dim, rmap.output_dim), order="F")
             for k in range(config.K):
                 client = k
                 shard = ClientShard(
@@ -306,6 +324,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
                     config.K_D,
                     derive_seed(config.seed, f"dummy/stage={t}/client={k}"),
                     config.stratified_dummy,
+                    workspace,
                 )
                 payload = add_noise(
                     payload,
@@ -339,13 +358,16 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
             if config.oracle_check:
                 pooled = _pool_task(pooled, rmap, train, task_idx, task_classes)
                 w_star = centralized_oracle(pooled, schedule.classes_through(t), config.gamma)
+                pooled_gram = unpack_upper(pooled.gram, rmap.output_dim)
+                gram_delta = _rel_frobenius(state.gram_acc - pooled_gram, pooled_gram)
+                del pooled_gram  # not held through the next stage
                 oracle_deltas.append(
                     StageOracleDelta(
                         stage=t,
                         w_delta=_rel_frobenius(
                             weights.weights - w_star.weights, w_star.weights
                         ),
-                        gram_delta=_rel_frobenius(state.gram_acc - pooled.gram, pooled.gram),
+                        gram_delta=gram_delta,
                         corr_delta=_rel_frobenius(state.corr_acc - pooled.corr, pooled.corr),
                     )
                 )

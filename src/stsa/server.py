@@ -15,7 +15,13 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import ClassifierWeights, SpatialStatistics, mirror_upper, ridge_solve
+from .core import (
+    _SYMMETRY_BLOCK,
+    ClassifierWeights,
+    SpatialStatistics,
+    ridge_solve,
+    unpack_upper,
+)
 from .errors import EstimationError, ProtocolError
 
 #: Contributing noised label frequencies are floored here before division.
@@ -90,7 +96,7 @@ def spatial_aggregate(
             task_id = payload.task_id
             m = payload.records[0].feature_dim
             corr = np.zeros((m, c_t))
-            gram = None if payload.records[0].gram is None else np.zeros((m, m))
+            gram = None if payload.records[0].gram is None else np.zeros(m * (m + 1) // 2)
         client_id = payload.client_id
         if payload.task_id != task_id:
             raise ProtocolError(f"mixed task ids {task_id} and {payload.task_id}")
@@ -126,24 +132,23 @@ def spatial_aggregate(
         )
     # A NaN or infinite entry in any upload survives the sum, so checking
     # the sums once covers every upload. max/min propagate NaN and keep inf,
-    # so the gram check needs no M x M temporary.
+    # so the gram check makes no temporary.
     if not np.isfinite(corr).all():
         raise ProtocolError("summed uploads have non-finite corr entries")
     if gram is not None:
         if not (np.isfinite(gram.max()) and np.isfinite(gram.min())):
             raise ProtocolError("summed uploads have non-finite gram entries")
-        # Every upload's gram is its upper triangle, noised or not, so the
-        # stage gram is the summed triangle made whole once.
-        mirror_upper(gram)
+        # Every upload's gram is its packed upper triangle, noised or not, so
+        # the stage gram is the summed triangle unpacked once.
+        gram = unpack_upper(gram, m)
     return StageAggregate(gram=gram, corr=corr, records=tuple(records))
 
 
 def _fold(payload, corr: np.ndarray, gram: np.ndarray | None, records: list) -> None:
     """Add one client's records to the running sums in upload order.
 
-    Full mode adds each gram into ``gram``; only the upper triangle of the
-    sum is read. Efficient mode keeps the first-order records for the gram
-    estimator instead.
+    Full mode adds each packed gram into the packed sum ``gram``. Efficient
+    mode keeps the first-order records for the gram estimator instead.
     """
     for rec in payload.records:
         corr += rec.corr
@@ -186,8 +191,6 @@ def estimate_gram(
                 f"({m}, {len(task_classes)})"
             )
     counts = np.array([rec.label_freq for rec in records], dtype=np.float64)
-    # by_class[i] holds class i's column of every record, one row each.
-    by_class = np.stack([rec.corr.T for rec in records], axis=1)
     left: list[np.ndarray] = []
     right: list[np.ndarray] = []
     for i, cls in enumerate(task_classes):
@@ -200,7 +203,8 @@ def estimate_gram(
                 f"class {cls} is held by a single record; gram estimation "
                 f"needs at least 2 (use dummy clients)"
             )
-        cols = by_class[i, contributing]
+        # Class i's column of each contributing record, one row each.
+        cols = np.array([rec.corr[:, i] for rec, keep in zip(records, contributing) if keep])
         n_k = np.maximum(counts[contributing, i], MIN_COUNT)
         n_i = float(n_k.sum())
         total = cols.sum(axis=0)
@@ -211,9 +215,24 @@ def estimate_gram(
     if not left:
         return np.zeros((m, m))
     g_hat = np.concatenate(left).T @ np.concatenate(right)
-    g_hat += g_hat.T
-    g_hat /= 2.0
+    _average_with_transpose(g_hat)
     return g_hat
+
+
+def _average_with_transpose(a: np.ndarray) -> None:
+    """a = (a + a^T) / 2 in place, one pair of square tiles at a time.
+
+    ``a += a.T`` would copy all of ``a`` first, because the operands overlap.
+    """
+    m = a.shape[0]
+    for i in range(0, m, _SYMMETRY_BLOCK):
+        rows = slice(i, i + _SYMMETRY_BLOCK)
+        for j in range(i, m, _SYMMETRY_BLOCK):
+            cols = slice(j, j + _SYMMETRY_BLOCK)
+            tile = a[rows, cols] + a[cols, rows].T
+            tile /= 2.0
+            a[rows, cols] = tile
+            a[cols, rows] = tile.T
 
 
 def temporal_aggregate(

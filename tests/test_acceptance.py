@@ -16,8 +16,8 @@ from stsa.metrics import (
     AccuracyMatrix,
     avg_incremental_accuracy,
     average_forgetting,
-    comm_bytes,
     final_average_accuracy,
+    paper_comm_bytes,
 )
 from stsa.prng import ChaChaStream, derive_seed
 from stsa.runner import run_estimator_study, run_experiment
@@ -161,15 +161,16 @@ def test_criterion_4_efficient_mode_tracks_full_mode():
 
 def test_criterion_5_communication_accounting():
     stages, m, c_t, k_d = 10, 5000, 10, 50
-    full_total = stages * comm_bytes(m, c_t, 1, "full", 4)
-    eff_total = stages * comm_bytes(m, c_t, k_d, "efficient", 4)
+    # The published totals count a full-mode G as all M x M elements.
+    full_total = stages * paper_comm_bytes(m, c_t, 1, "full", 4)
+    eff_total = stages * paper_comm_bytes(m, c_t, k_d, "efficient", 4)
     full_mb = full_total / 1024**2
     eff_mb = eff_total / 1024**2
     full_err = abs(full_mb - 955.6) / 955.6
     eff_err = abs(eff_mb - 95.4) / 95.4
     grid = (512, 1250, 2500, 5000, 10000)
-    full_curve = [comm_bytes(mm, c_t, 1, "full", 4) for mm in grid]
-    eff_curve = [comm_bytes(mm, c_t, k_d, "efficient", 4) for mm in grid]
+    full_curve = [paper_comm_bytes(mm, c_t, 1, "full", 4) for mm in grid]
+    eff_curve = [paper_comm_bytes(mm, c_t, k_d, "efficient", 4) for mm in grid]
     monotone = all(a <= b for a, b in zip(full_curve, full_curve[1:])) and all(
         a <= b for a, b in zip(eff_curve, eff_curve[1:])
     )

@@ -155,6 +155,19 @@ def test_feature_file_in_the_wrong_role_exits_2(tmp_path, capsys, swap):
         assert "train_path holds a test split, not a train split" in err
 
 
+@pytest.mark.parametrize("command", ["run", "oracle"])
+def test_task_with_no_test_rows_exits_2(tmp_path, capsys, command):
+    # With no test rows a task's accuracy is undefined; scoring it 0.0 would
+    # report A_T = 0.0 for a run that never evaluated anything.
+    text = (ROOT / "configs" / "benchmark.cfg").read_text()
+    text = text.replace("synth_test_per_class = 50", "synth_test_per_class = 0")
+    cfg = write_config(tmp_path, text, name="no-test.cfg")
+    assert main([command, "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == (
+        "configuration error: task 1 (classes [0, 1, 2, 3]) has no test rows to evaluate\n"
+    )
+
+
 SINGULAR_ORACLE_CONFIG = """
 synth_classes = 2
 synth_dim = 4
@@ -268,7 +281,7 @@ def test_non_finite_upload_exits_2(tmp_path, monkeypatch, capsys):
     def poisoned(shard, *args, **kwargs):
         payload = extract(shard, *args, **kwargs)
         if (shard.task_id, shard.client_id) == (2, 1):
-            payload.records[0].gram[0, 0] = np.nan
+            payload.records[0].gram[0] = np.nan  # G[0, 0], the first packed entry
         return payload
 
     monkeypatch.setattr(stsa.runner, "extract_payload", poisoned)

@@ -8,6 +8,7 @@ import pytest
 from stsa.client import ClientShard, UploadPayload, add_noise, extract_payload
 from stsa.core import apply_map, local_statistics, make_random_map
 from stsa.errors import ConfigurationError, DomainError
+from stsa.metrics import comm_bytes
 from stsa.prng import ChaChaStream
 
 
@@ -183,7 +184,8 @@ class TestAddNoise:
     def test_privacy_setting_noise_scale(self):
         # q=0.2, s=0.05 should perturb entries with std 0.01; the gram
         # triangle of a 1024-dim map has >5e5 entries to estimate it from.
-        # The strict lower triangle is not transmitted and is not noised.
+        # The strict lower triangle is not transmitted, so it is not there
+        # to noise: the upload is exactly the packed triangle.
         rmap = make_random_map(5, 2, 1024)
         shard = ClientShard(
             client_id=0, task_id=1,
@@ -193,10 +195,9 @@ class TestAddNoise:
         payload = extract_payload(shard, rmap, self.classes, mode="full")
         noised = add_noise(payload, 0.2, 0.05, seed=11)
         delta = noised.records[0].gram - payload.records[0].gram
-        upper = delta[np.triu_indices(1024)]
-        assert upper.size >= 500_000
-        assert abs(upper.std() - 0.01) <= 0.05 * 0.01
-        assert not np.tril(delta, -1).any()
+        assert delta.shape == (1024 * 1025 // 2,)
+        assert delta.size >= 500_000
+        assert abs(delta.std() - 0.01) <= 0.05 * 0.01
 
     def test_zero_matrix_noise_is_centered(self):
         rmap = make_random_map(5, 2, 1024)
@@ -206,8 +207,8 @@ class TestAddNoise:
         )
         payload = extract_payload(shard, rmap, self.classes, mode="full")
         noised = add_noise(payload, 1.0, 1.0, seed=4)
-        # The original gram is exactly zero; only its triangle is noised.
-        delta = noised.records[0].gram[np.triu_indices(1024)]
+        # The original gram is exactly zero; its packed triangle is noised.
+        delta = noised.records[0].gram
         assert abs(delta.mean()) <= 3.0 / np.sqrt(delta.size)
 
     def test_full_mode_keeps_integer_frequencies(self):
@@ -227,9 +228,9 @@ class TestAddNoise:
 
     @pytest.mark.parametrize("mode", ["full", "efficient"])
     def test_draw_order(self, mode):
-        # One stream per upload: full mode draws G's upper triangle in
-        # row-major order, then C; efficient mode draws C then n for each
-        # record in turn.
+        # One stream per upload: full mode draws G's packed upper triangle,
+        # which is row-major order, then C; efficient mode draws C then n
+        # for each record in turn.
         payload = extract_payload(make_shard(n=6), self.rmap, self.classes, mode=mode, k_d=2)
         noised = add_noise(payload, 0.5, 2.0, seed=9)
         stream = ChaChaStream(9)
@@ -238,12 +239,9 @@ class TestAddNoise:
             for name in names:
                 clean = getattr(rec, name)
                 if name == "gram":
-                    upper = np.triu_indices(clean.shape[0])
-                    expected = clean.copy()
-                    expected[upper] += 0.5 * 2.0 * stream.standard_normal(upper[0].size)
-                else:
-                    draw = 0.5 * 2.0 * stream.standard_normal(clean.size)
-                    expected = clean + draw.reshape(clean.shape)
+                    assert clean.shape == (21,)  # M = 6, packed
+                draw = 0.5 * 2.0 * stream.standard_normal(clean.size)
+                expected = clean + draw.reshape(clean.shape)
                 assert np.array_equal(getattr(out, name), expected)
         if mode == "full":
             assert noised.records[0].label_freq is payload.records[0].label_freq
@@ -281,3 +279,21 @@ class TestAddNoise:
         payload = extract_payload(make_shard(), self.rmap, self.classes, mode="full")
         with pytest.raises(DomainError, match="finite and non-negative"):
             add_noise(payload, q, s, seed=0)
+
+
+@pytest.mark.parametrize("elem_bytes", [4, 8])
+@pytest.mark.parametrize("noised", [False, True], ids=["clean", "noised"])
+@pytest.mark.parametrize("mode", ["full", "efficient"])
+def test_ledger_counts_the_arrays_an_upload_transmits(mode, noised, elem_bytes):
+    # Full mode transmits G and C, efficient mode C and n per record; the
+    # ledger's comm_bytes must be exactly those element counts.
+    rmap = make_random_map(13, 3, 9)
+    shard = make_shard(n=10, classes=(0, 1, 2), seed=6)
+    payload = extract_payload(shard, rmap, (0, 1, 2), mode=mode, k_d=4, seed=1)
+    if noised:
+        payload = add_noise(payload, 0.2, 0.05, seed=3)
+    names = ("gram", "corr") if mode == "full" else ("corr", "label_freq")
+    sent = sum(getattr(rec, name).size for rec in payload.records for name in names)
+    records = len(payload.records)
+    assert records == (1 if mode == "full" else 4)
+    assert comm_bytes(9, 3, records, mode, elem_bytes) == elem_bytes * sent

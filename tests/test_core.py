@@ -9,12 +9,14 @@ import scipy.linalg
 from stsa.core import (
     _SYMMETRY_BLOCK,
     ClassifierWeights,
+    SpatialStatistics,
+    _mirror_upper,
     apply_map,
     local_statistics,
     make_random_map,
-    mirror_upper,
     predict,
     ridge_solve,
+    unpack_upper,
 )
 from stsa.errors import DimensionError, DomainError, NumericalError
 
@@ -82,6 +84,16 @@ class TestApplyMap:
         raw = np.linspace(-4, 4, 30).reshape(5, 6)
         assert apply_map(m, raw).min() >= 0.0
 
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_relu_in_place_is_bit_equal_and_owns_its_output(self, enabled):
+        m = make_random_map(21, 6, 16 if enabled else 6, enabled=enabled)
+        raw = np.random.default_rng(2).normal(size=(40, 6))
+        raw_before, matrix_before = raw.copy(), m.matrix.copy()
+        out = apply_map(m, raw)
+        assert np.array_equal(out, np.maximum(raw @ m.matrix, 0.0))
+        assert not np.shares_memory(out, raw) and not np.shares_memory(out, m.matrix)
+        assert np.array_equal(raw, raw_before) and np.array_equal(m.matrix, matrix_before)
+
     def test_empty_matrix_is_valid(self):
         m = make_random_map(3, 5, 9)
         assert apply_map(m, np.zeros((0, 5))).shape == (0, 9)
@@ -103,14 +115,14 @@ class TestApplyMap:
 class TestLocalStatistics:
     def test_identity_features(self):
         stats = local_statistics(np.eye(2), np.array([0, 1]), [0, 1])
-        assert np.array_equal(stats.gram, np.eye(2))
+        assert np.array_equal(stats.gram, [1.0, 0.0, 1.0])
         assert np.array_equal(stats.corr, np.eye(2))
         assert stats.label_freq.tolist() == [1, 1]
         assert stats.label_freq.dtype == np.int64
 
     def test_empty_input_gives_zero_statistics(self):
         stats = local_statistics(np.zeros((0, 3)), np.zeros(0, dtype=int), [4, 9])
-        assert np.all(stats.gram == 0.0) and stats.gram.shape == (3, 3)
+        assert np.all(stats.gram == 0.0) and stats.gram.shape == (6,)
         assert np.all(stats.corr == 0.0) and stats.corr.shape == (3, 2)
         assert stats.label_freq.tolist() == [0, 0]
 
@@ -155,13 +167,69 @@ class TestLocalStatistics:
          (400, 800), (2000, 800), (100, 2500)],
     )
     def test_gram_is_the_upper_triangle_of_numpy_gram(self, n, m):
-        # Bit-equal to numpy's X.T @ X on and above the diagonal, at every
-        # shape the benchmark and the scale records use; zero below it.
+        # Bit-equal to numpy's X.T @ X on and above the diagonal, packed row
+        # by row, at every shape the benchmark and the scale records use.
         feat = np.maximum(np.random.default_rng(n + m).normal(size=(n, m)), 0.0)
         gram = local_statistics(feat, np.zeros(n, dtype=int), [0]).gram
-        assert gram.shape == (m, m) and gram.flags.c_contiguous
-        assert np.array_equal(np.triu(gram), np.triu(feat.T @ feat))
-        assert not np.tril(gram, -1).any()
+        assert gram.shape == (m * (m + 1) // 2,)
+        assert np.array_equal(gram, (feat.T @ feat)[np.triu_indices(m)])
+
+    def test_workspace_is_reused_and_not_aliased(self):
+        # A workspace full of NaN from an earlier shard must not leak into
+        # the next gram, and the packed gram must not live in the workspace.
+        rng = np.random.default_rng(12)
+        workspace = np.full((300, 300), np.nan, order="F")
+        for n in (40, 7, 0):
+            feat = np.maximum(rng.normal(size=(n, 300)), 0.0)
+            labels = np.zeros(n, dtype=int)
+            fresh = local_statistics(feat, labels, [0]).gram
+            reused = local_statistics(feat, labels, [0], workspace=workspace).gram
+            assert np.array_equal(reused, fresh)
+            assert not np.shares_memory(reused, workspace)
+        # dsyrk wrote into the workspace itself: the last shard had no rows.
+        assert not np.tril(workspace).any()
+
+    def test_workspace_of_the_wrong_size_is_rejected(self):
+        with pytest.raises(DimensionError, match="workspace shape"):
+            local_statistics(np.eye(3), np.array([0, 1, 2]), [0, 1, 2],
+                             workspace=np.empty((2, 2), order="F"))
+
+
+class TestSpatialStatistics:
+    @pytest.mark.parametrize("shape", [(4, 4), (9,), (11,), (1, 10)])
+    def test_gram_must_be_the_packed_triangle(self, shape):
+        # A whole (M, M) gram, the layout before packing, is rejected as
+        # firmly as a packed vector of the wrong length.
+        with pytest.raises(DimensionError, match="packed triangle"):
+            SpatialStatistics(gram=np.zeros(shape), corr=np.zeros((4, 2)),
+                              label_freq=np.zeros(2, dtype=np.int64))
+
+    def test_packed_triangle_is_accepted(self):
+        stats = SpatialStatistics(gram=np.zeros(10), corr=np.zeros((4, 2)),
+                                  label_freq=np.zeros(2, dtype=np.int64))
+        assert stats.feature_dim == 4
+
+
+class TestUnpackUpper:
+    @pytest.mark.parametrize(
+        "m",
+        [1, 2, _SYMMETRY_BLOCK - 1, _SYMMETRY_BLOCK, _SYMMETRY_BLOCK + 1, 2 * _SYMMETRY_BLOCK + 3],
+    )
+    def test_packed_entries_land_on_both_sides(self, m):
+        a = np.random.default_rng(m).normal(size=(m, m))
+        whole = unpack_upper(a[np.triu_indices(m)], m)
+        assert np.array_equal(whole, np.triu(a) + np.triu(a, 1).T)
+        assert whole.flags.c_contiguous
+
+    def test_local_statistics_round_trip_is_numpy_gram(self):
+        feat = np.maximum(np.random.default_rng(3).normal(size=(50, 70)), 0.0)
+        gram = local_statistics(feat, np.zeros(50, dtype=int), [0]).gram
+        assert np.array_equal(unpack_upper(gram, 70), feat.T @ feat)
+
+    @pytest.mark.parametrize("shape", [(9,), (11,), (4, 4)])
+    def test_wrong_length_is_rejected(self, shape):
+        with pytest.raises(DimensionError, match="not the triangle of dim 4"):
+            unpack_upper(np.zeros(shape), 4)
 
 
 class TestMirrorUpper:
@@ -172,7 +240,7 @@ class TestMirrorUpper:
     def test_copies_the_upper_triangle_down(self, m):
         a = np.random.default_rng(m).normal(size=(m, m))
         expected = np.triu(a) + np.triu(a, 1).T
-        mirror_upper(a)
+        _mirror_upper(a)
         assert np.array_equal(a, expected)
 
 
@@ -320,7 +388,7 @@ class TestRidgeSolve:
         # 300 rows span two symmetry tiles.
         x = np.random.default_rng(8).normal(size=(400, 300))
         g = x.T @ x
-        mirror_upper(g)
+        _mirror_upper(g)
         c = np.random.default_rng(9).normal(size=(300, 4))
         padded = np.zeros((600, 600))
         padded[::2, ::2] = g

@@ -4,6 +4,7 @@ The reports are pinned at one BLAS thread (see conftest.py). Only the
 ``[oracle]`` lines depend on the BLAS thread count.
 """
 
+import difflib
 import os
 import subprocess
 import sys
@@ -18,6 +19,25 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 BENCHMARK_CFG = ROOT / "configs" / "benchmark.cfg"
 
 
+def assert_matches_golden(out: Path, golden: str):
+    """Byte equality of ``out`` and the golden; a mismatch shows a unified diff."""
+    actual, expected = out.read_bytes(), (GOLDEN / golden).read_bytes()
+    if actual != expected:
+        pytest.fail(golden_diff(expected, actual, golden), pytrace=False)
+
+
+def golden_diff(expected: bytes, actual: bytes, golden: str) -> str:
+    """The differing lines of two reports; bytes that are not UTF-8 show escaped."""
+    diff = difflib.unified_diff(
+        expected.decode(errors="backslashreplace").splitlines(keepends=True),
+        actual.decode(errors="backslashreplace").splitlines(keepends=True),
+        fromfile=f"golden/{golden}",
+        tofile="this run",
+        n=0,
+    )
+    return f"report differs from golden/{golden}:\n" + "".join(diff)
+
+
 @pytest.mark.parametrize(
     "mode, golden",
     [("full", "benchmark-full.txt"), ("efficient", "benchmark-efficient.txt")],
@@ -25,7 +45,7 @@ BENCHMARK_CFG = ROOT / "configs" / "benchmark.cfg"
 def test_benchmark_report_matches_golden(tmp_path, mode, golden):
     out = tmp_path / "report.txt"
     assert main(["run", "--config", str(BENCHMARK_CFG), "--mode", mode, "--out", str(out)]) == 0
-    assert out.read_bytes() == (GOLDEN / golden).read_bytes()
+    assert_matches_golden(out, golden)
 
 
 @pytest.mark.parametrize(
@@ -38,13 +58,13 @@ def test_noised_benchmark_report_matches_golden(tmp_path, mode, golden):
     config.write_text(BENCHMARK_CFG.read_text() + "noise_q = 0.2\nnoise_s = 0.05\n")
     out = tmp_path / "report.txt"
     assert main(["run", "--config", str(config), "--mode", mode, "--out", str(out)]) == 0
-    assert out.read_bytes() == (GOLDEN / golden).read_bytes()
+    assert_matches_golden(out, golden)
 
 
 def test_oracle_report_matches_golden(tmp_path):
     out = tmp_path / "oracle.txt"
     assert main(["oracle", "--config", str(BENCHMARK_CFG), "--out", str(out)]) == 0
-    assert out.read_bytes() == (GOLDEN / "benchmark-oracle.txt").read_bytes()
+    assert_matches_golden(out, "benchmark-oracle.txt")
 
 
 def _outside_oracle(report: str) -> list[str]:
@@ -79,3 +99,19 @@ def test_report_outside_oracle_does_not_depend_on_blas_threads(tmp_path, mode, g
     expected = _outside_oracle((GOLDEN / golden).read_text())
     assert "[oracle]" in expected
     assert _outside_oracle(out.read_text()) == expected
+
+
+def test_golden_mismatch_shows_only_the_differing_lines():
+    expected = b"[comm]\nstage 1 client 0: 67584\ntotal = 67584\n"
+    actual = b"[comm]\nstage 1 client 0: 35072\ntotal = 35072\n"
+    diff = golden_diff(expected, actual, "x.txt")
+    assert diff.splitlines() == [
+        "report differs from golden/x.txt:",
+        "--- golden/x.txt",
+        "+++ this run",
+        "@@ -2,2 +2,2 @@",
+        "-stage 1 client 0: 67584",
+        "-total = 67584",
+        "+stage 1 client 0: 35072",
+        "+total = 35072",
+    ]

@@ -12,6 +12,7 @@ from stsa.metrics import (
     average_forgetting,
     comm_bytes,
     final_average_accuracy,
+    paper_comm_bytes,
 )
 
 # The three fixed matrices used throughout: a single stage, the two-stage
@@ -98,23 +99,27 @@ class TestAccuracyMatrixValidation:
 
 class TestCommBytes:
     def test_full_mode_formula(self):
-        assert comm_bytes(5000, 10, 50, "full", 4) == (5000 + 10) * 5000 * 4
+        # G travels as its packed triangle, 5000 * 5001 / 2 elements; the
+        # paper counts all of it.
+        assert comm_bytes(5000, 10, 50, "full", 4) == (12_502_500 + 10 * 5000) * 4
+        assert paper_comm_bytes(5000, 10, 50, "full", 4) == (5000 + 10) * 5000 * 4
 
     def test_efficient_mode_formula(self):
         assert comm_bytes(5000, 10, 50, "efficient", 4) == (5000 + 1) * 10 * 50 * 4
+        assert paper_comm_bytes(5000, 10, 50, "efficient", 4) == (5000 + 1) * 10 * 50 * 4
 
     def test_reference_totals_over_ten_stages(self):
         # 10 stages of (M + c_t) x M 32-bit values is ~955.6 MiB for the
         # full path and ~95.4 MiB for the efficient one.
-        full_mb = 10 * comm_bytes(5000, 10, 50, "full", 4) / 1024**2
-        eff_mb = 10 * comm_bytes(5000, 10, 50, "efficient", 4) / 1024**2
+        full_mb = 10 * paper_comm_bytes(5000, 10, 50, "full", 4) / 1024**2
+        eff_mb = 10 * paper_comm_bytes(5000, 10, 50, "efficient", 4) / 1024**2
         assert abs(full_mb - 955.6) / 955.6 <= 0.15
         assert abs(eff_mb - 95.4) / 95.4 <= 0.15
 
     def test_reference_totals_low_dimension_regime(self):
         # M=1250 with K_D=10 lands at ~60.1 MiB full / ~4.77 MiB efficient.
-        full_mb = 10 * comm_bytes(1250, 10, 10, "full", 4) / 1024**2
-        eff_mb = 10 * comm_bytes(1250, 10, 10, "efficient", 4) / 1024**2
+        full_mb = 10 * paper_comm_bytes(1250, 10, 10, "full", 4) / 1024**2
+        eff_mb = 10 * paper_comm_bytes(1250, 10, 10, "efficient", 4) / 1024**2
         assert abs(full_mb - 60.1) / 60.1 <= 0.15
         assert abs(eff_mb - 4.77) / 4.77 <= 0.15
 
@@ -123,18 +128,20 @@ class TestCommBytes:
 
     def test_monotone_in_every_argument(self):
         base = dict(m=100, c_t=10, k_d=5, elem_bytes=4)
-        for mode in ("full", "efficient"):
-            ref = comm_bytes(mode=mode, **base)
-            for key in base:
-                bumped = dict(base)
-                bumped[key] += 1
-                assert comm_bytes(mode=mode, **bumped) >= ref
+        for count in (comm_bytes, paper_comm_bytes):
+            for mode in ("full", "efficient"):
+                ref = count(mode=mode, **base)
+                for key in base:
+                    bumped = dict(base)
+                    bumped[key] += 1
+                    assert count(mode=mode, **bumped) >= ref
 
     def test_invalid_arguments(self):
-        with pytest.raises(DomainError):
-            comm_bytes(0, 10, 5, "full", 4)
-        with pytest.raises(DomainError):
-            comm_bytes(10, 10, 5, "sparse", 4)
+        for count in (comm_bytes, paper_comm_bytes):
+            with pytest.raises(DomainError):
+                count(0, 10, 5, "full", 4)
+            with pytest.raises(DomainError):
+                count(10, 10, 5, "sparse", 4)
 
 
 class TestCommLedger:

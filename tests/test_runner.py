@@ -1,6 +1,8 @@
 """End-to-end runs, the centralized oracle, and the estimator study."""
 
+import re
 import tracemalloc
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -9,7 +11,7 @@ import pytest
 
 import stsa.runner
 from stsa.config import ExperimentConfig, load_config
-from stsa.core import apply_map, local_statistics, make_random_map, mirror_upper, predict
+from stsa.core import apply_map, local_statistics, make_random_map, predict, unpack_upper
 from stsa.data import SynthSpec, random_synth_spec
 from stsa.errors import ConfigurationError, EstimationError, NumericalError
 from stsa.metrics import (
@@ -76,7 +78,6 @@ class TestRunExperiment:
         rmap = experiment_map(cfg, cfg.synth_dim)
         class_ids = schedule.classes_through(schedule.stages)
         pooled = local_statistics(apply_map(rmap, train.features), train.labels, class_ids)
-        mirror_upper(pooled.gram)
         w_star = centralized_oracle(pooled, class_ids, cfg.gamma)
         mapped_test = apply_map(rmap, test.features)
         for tau, task in enumerate(schedule.tasks, start=1):
@@ -203,6 +204,37 @@ class TestRunExperiment:
                 tracemalloc.stop()
         assert peaks[32] <= peaks[2] + 4 * config.M**2 * 8
 
+    def test_one_gram_workspace_per_stage_is_gone_before_the_solve(self, monkeypatch):
+        # Every client of a stage writes its gram product into one F-ordered
+        # buffer, which no upload refers to and which is freed before the
+        # stage's solve allocates its factorization.
+        workspaces = {}  # stage -> weak reference to its workspace
+        shared = []
+        extract = stsa.runner.extract_payload
+
+        def recording(shard, *args):
+            workspace = args[-1]
+            assert workspace.shape == (SMALL["M"], SMALL["M"])
+            assert workspace.flags.f_contiguous
+            first = workspaces.setdefault(shard.task_id, weakref.ref(workspace))
+            shared.append(first() is workspace)
+            return extract(shard, *args)
+
+        freed = []
+        update = stsa.runner.update_classifier
+
+        def solving(state, gamma):
+            freed.append(workspaces[max(workspaces)]() is None)
+            return update(state, gamma)
+
+        monkeypatch.setattr(stsa.runner, "extract_payload", recording)
+        monkeypatch.setattr(stsa.runner, "update_classifier", solving)
+        cfg = ExperimentConfig(**SMALL)
+        run_experiment(cfg)
+        assert sorted(workspaces) == list(range(1, cfg.T + 1))
+        assert shared == [True] * (cfg.T * cfg.K)
+        assert freed == [True] * cfg.T
+
     def test_tiny_shards_and_empty_clients_survive(self):
         cfg = ExperimentConfig(
             synth_classes=4, synth_dim=3, synth_train_per_class=3,
@@ -256,15 +288,34 @@ class TestRunExperiment:
         assert report.accuracy.stages == SMALL["T"]
 
 
+def test_a_later_task_with_no_test_rows_is_named(tmp_path):
+    from stsa.data import generate_synthetic, save_features
+    from stsa.runner import synth_spec_from_config
+
+    cfg = ExperimentConfig(**SMALL)
+    train, test = generate_synthetic(synth_spec_from_config(cfg))
+    task = make_schedule(cfg, train.class_count).tasks[1]
+    kept = ~np.isin(test.labels, task)
+    test = replace(test, features=test.features[kept], labels=test.labels[kept])
+    save_features(train, tmp_path / "train.stsafeat")
+    save_features(test, tmp_path / "test.stsafeat")
+    file_cfg = ExperimentConfig(
+        **{**SMALL, "data": "files"},
+        train_path=str(tmp_path / "train.stsafeat"),
+        test_path=str(tmp_path / "test.stsafeat"),
+    )
+    message = f"task 2 (classes {list(task)}) has no test rows"
+    with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}"):
+        run_experiment(file_cfg)
+
+
 def pool(feat, labels, class_ids):
     """Pooled statistics of the rows of ``class_ids``, in that column order.
 
-    The gram is mirrored whole, as the runner pools it for the oracle.
+    The gram stays packed, as the runner pools it for the oracle.
     """
     rows = np.isin(labels, class_ids)
-    stats = local_statistics(feat[rows], labels[rows], class_ids)
-    mirror_upper(stats.gram)
-    return stats
+    return local_statistics(feat[rows], labels[rows], class_ids)
 
 
 class TestCentralizedOracle:
@@ -273,7 +324,7 @@ class TestCentralizedOracle:
         labels = np.array([0, 1], dtype=np.int64)
         stats = pool(feat, labels, (0, 1))
         w = centralized_oracle(stats, (0, 1), gamma=0.0)
-        assert np.array_equal(stats.gram, feat.T @ feat)
+        assert np.array_equal(unpack_upper(stats.gram, 2), feat.T @ feat)
         assert np.array_equal(stats.corr, feat.T @ np.eye(2)[labels])
         assert np.allclose(w.weights, np.array([[1.0, 0.0], [-1.0, 1.0]]), atol=1e-12)
         assert predict(w, np.array([[1.0, 0.0], [1.0, 1.0]])).tolist() == [0, 1]
@@ -284,7 +335,7 @@ class TestCentralizedOracle:
         stats = pool(feat, labels, (0,))
         w = centralized_oracle(stats, (0,), gamma=1.0)
         # Rows of classes outside the list are not pooled: (5 + 1) w = 3.
-        assert stats.gram.tolist() == [[5.0]]
+        assert stats.gram.tolist() == [5.0]
         assert stats.label_freq.tolist() == [2]
         assert w.weights.tolist() == [[0.5]]
         assert w.class_ids == (0,)

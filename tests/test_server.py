@@ -13,12 +13,13 @@ from stsa.core import (
     apply_map,
     local_statistics,
     make_random_map,
-    mirror_upper,
+    unpack_upper,
 )
-from stsa.errors import EstimationError, ProtocolError
+from stsa.errors import DimensionError, EstimationError, ProtocolError
 from stsa.prng import ChaChaStream
 from stsa.server import (
     MIN_COUNT,
+    _average_with_transpose,
     TemporalState,
     estimate_gram,
     spatial_aggregate,
@@ -52,8 +53,8 @@ class TestSpatialAggregate:
     def test_single_payload_passthrough(self):
         payloads = full_payloads_from_partition([self.raw], [self.labels], self.rmap, self.classes)
         agg = spatial_aggregate(payloads, self.classes, 1)
-        # The upload's triangle passes through exactly and is mirrored.
-        assert np.array_equal(np.triu(agg.gram), np.triu(payloads[0].records[0].gram))
+        # The upload's packed triangle passes through exactly and is unpacked.
+        assert np.array_equal(agg.gram[np.triu_indices(8)], payloads[0].records[0].gram)
         assert np.array_equal(agg.gram, agg.gram.T)
         assert np.array_equal(agg.corr, payloads[0].records[0].corr)
 
@@ -69,8 +70,7 @@ class TestSpatialAggregate:
         )
         agg = spatial_aggregate(payloads, self.classes, 3)
         pooled = local_statistics(apply_map(self.rmap, self.raw), self.labels, self.classes)
-        mirror_upper(pooled.gram)
-        assert np.allclose(agg.gram, pooled.gram, rtol=1e-12)
+        assert np.allclose(agg.gram, unpack_upper(pooled.gram, 8), rtol=1e-12)
         assert np.allclose(agg.corr, pooled.corr, rtol=1e-12)
 
     def payloads(self, mode):
@@ -106,24 +106,52 @@ class TestSpatialAggregate:
                 assert np.array_equal(forward.corr, shuffled.corr)
 
     def test_values_below_the_diagonal_of_an_upload_are_not_read(self):
-        # A gram upload is its upper triangle; whatever lies below it must
-        # not change the stage sums.
+        # A gram upload is its upper triangle, packed row by row; a client
+        # whose whole matrix holds anything below the diagonal sends the
+        # same upload and leaves the stage sums bit-identical.
         clean = spatial_aggregate(self.payloads("full"), self.classes, 3)
         rng = np.random.default_rng(3)
-        dirty = [
-            replace(
-                p,
-                records=tuple(
-                    replace(rec, gram=rec.gram + np.tril(rng.normal(size=rec.gram.shape), -1))
-                    for rec in p.records
-                ),
-            )
-            for p in self.payloads("full")
-        ]
+        upper = np.triu_indices(8)
+        dirty = []
+        for p in self.payloads("full"):
+            records = []
+            for rec in p.records:
+                whole = unpack_upper(rec.gram, 8) + np.tril(rng.normal(size=(8, 8)), -1)
+                records.append(replace(rec, gram=whole[upper]))
+            dirty.append(replace(p, records=tuple(records)))
         agg = spatial_aggregate(dirty, self.classes, 3)
         assert np.array_equal(agg.gram, clean.gram)
         assert np.array_equal(agg.gram, agg.gram.T)
         assert np.array_equal(agg.corr, clean.corr)
+
+    def test_stage_gram_is_the_unpacked_sum_of_the_packed_uploads(self):
+        payloads = self.payloads("full")
+        agg = spatial_aggregate(payloads, self.classes, 3)
+        packed = np.zeros(36)
+        for p in payloads:
+            packed += p.records[0].gram
+        assert np.array_equal(agg.gram, unpack_upper(packed, 8))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_at_any_packed_position_is_rejected(self, value):
+        # Diagonal and off-diagonal entries alike, first and last included.
+        for pos in range(36):
+            payloads = self.payloads("full")
+            first = payloads[2].records[0]
+            bad = first.gram.copy()
+            bad[pos] = value
+            payloads[2] = replace(payloads[2], records=(replace(first, gram=bad),))
+            with pytest.raises(ProtocolError, match="non-finite gram entries"):
+                spatial_aggregate(payloads, self.classes, 3)
+
+    def test_an_unpacked_gram_cannot_be_uploaded(self):
+        # The whole (M, M) layout fails when the record is built, before
+        # any upload reaches the server.
+        rec = self.payloads("full")[0].records[0]
+        with pytest.raises(DimensionError, match="packed triangle"):
+            replace(rec, gram=unpack_upper(rec.gram, 8))
+        with pytest.raises(DimensionError, match="packed triangle"):
+            replace(rec, gram=rec.gram[:-1])
 
     def test_full_mode_keeps_no_client_grams(self):
         agg = spatial_aggregate(self.payloads("full"), self.classes, 3)
@@ -303,6 +331,15 @@ class TestEstimateGram:
         g = estimate_gram(records, [0, 1])
         assert np.array_equal(g, g.T)
 
+    @pytest.mark.parametrize("m", [5, 256, 600])
+    def test_tiled_symmetrization_is_the_plain_average(self, m):
+        # Bit-equal to (a + a^T) / 2 across tile boundaries, with the last
+        # tile partial at m = 600.
+        a = np.random.default_rng(m).normal(size=(m, m))
+        expected = (a + a.T) / 2.0
+        _average_with_transpose(a)
+        assert np.array_equal(a, expected)
+
     def test_noised_nonpositive_counts_are_excluded(self):
         # A record whose noised count went negative must not contribute.
         good1 = record(np.array([[1.0], [2.0]]), [2.0])
@@ -448,14 +485,15 @@ class TestJointEquivalence:
             start += width
             mask = np.isin(labels, task)
             stats = local_statistics(feat[mask], labels[mask], task)
-            state = temporal_aggregate(state, stats.gram, stats.corr, task)
+            state = temporal_aggregate(state, unpack_upper(stats.gram, 12), stats.corr, task)
 
             seen = classes[:start]
             pooled_mask = np.isin(labels, seen)
             pooled = local_statistics(feat[pooled_mask], labels[pooled_mask], seen)
-            g_ref = np.linalg.norm(pooled.gram, "fro")
+            pooled_gram = unpack_upper(pooled.gram, 12)
+            g_ref = np.linalg.norm(pooled_gram, "fro")
             c_ref = np.linalg.norm(pooled.corr, "fro")
-            assert np.linalg.norm(state.gram_acc - pooled.gram, "fro") <= 1e-12 * g_ref
+            assert np.linalg.norm(state.gram_acc - pooled_gram, "fro") <= 1e-12 * g_ref
             assert np.linalg.norm(state.corr_acc - pooled.corr, "fro") <= 1e-12 * c_ref
 
 
@@ -463,7 +501,8 @@ class TestUpdateClassifier:
     def test_single_sample_scalar_ridge(self):
         # One sample with feature e1 and gamma=1 gives weight 1/2 on e1.
         stats = local_statistics(np.array([[1.0, 0.0]]), np.array([7]), [7])
-        state = temporal_aggregate(TemporalState.initial(2), stats.gram, stats.corr, [7])
+        gram = unpack_upper(stats.gram, 2)
+        state = temporal_aggregate(TemporalState.initial(2), gram, stats.corr, [7])
         w = update_classifier(state, gamma=1.0)
         assert w.class_ids == (7,)
         assert np.allclose(w.weights, np.array([[0.5], [0.0]]), rtol=1e-12)
@@ -479,13 +518,12 @@ class TestUpdateClassifier:
         s1 = local_statistics(feat[:20], labels[:20], [0, 1])
         s2 = local_statistics(feat[20:], labels[20:], [2, 3])
         pooled = local_statistics(feat, labels, [0, 1, 2, 3])
-        for stats in (s1, s2, pooled):
-            mirror_upper(stats.gram)
-        state = temporal_aggregate(state, s1.gram, s1.corr, [0, 1])
-        state = temporal_aggregate(state, s2.gram, s2.corr, [2, 3])
+        g1, g2, g_pooled = (unpack_upper(stats.gram, 7) for stats in (s1, s2, pooled))
+        state = temporal_aggregate(state, g1, s1.corr, [0, 1])
+        state = temporal_aggregate(state, g2, s2.corr, [2, 3])
         w = update_classifier(state, gamma=0.1)
 
-        oracle = np.linalg.solve(pooled.gram + 0.1 * np.eye(7), pooled.corr)
+        oracle = np.linalg.solve(g_pooled + 0.1 * np.eye(7), pooled.corr)
         delta = np.linalg.norm(w.weights - oracle, "fro")
         assert delta <= 1e-8 * np.linalg.norm(oracle, "fro")
 
