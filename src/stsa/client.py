@@ -125,7 +125,7 @@ def add_noise(payload: UploadPayload, q: float, s: float, seed: int) -> UploadPa
     A record with a gram (full mode) has G and C noised, in that order; its
     label counts are not transmitted and stay exact. G is the packed upper
     triangle, so it takes M(M+1)/2 draws in row-major order, and the
-    server's unpack copies each to both sides of the diagonal: the
+    unpack before the solve copies each to both sides of the diagonal: the
     Analyze-Gauss construction, with variance q^2 s^2 on every entry of the
     symmetric gram. A record without one (efficient mode) has C and a
     real-valued copy of the label frequencies noised. q = 0 or s = 0 returns

@@ -25,7 +25,8 @@ SOLVE_RESIDUAL_BOUND = 1e-8
 # Jitter escalation ladder for the SPD factorization, mildest first.
 _JITTER_EXPONENTS = (6, 4, 2)
 
-# Rows and columns per tile of the symmetry check and the mirror.
+# Rows and columns per tile of the symmetry check and the mirror, and rows per
+# strip of the gram estimate.
 _SYMMETRY_BLOCK = 256
 
 
@@ -63,8 +64,8 @@ class SpatialStatistics:
 
     ``gram`` holds the upper triangle of X^T X, diagonal included, packed
     row by row into M(M+1)/2 entries (``np.triu_indices`` order), and is
-    absent in communication-efficient mode; ``unpack_upper`` makes a packed
-    gram, or a sum of them, whole;
+    absent in communication-efficient mode; the server keeps grams in this
+    format and ``unpack_upper`` makes one whole only for a solve;
     ``corr`` is X^T Y (M, c_t) with Y one-hot over the task's class list;
     ``label_freq`` holds per-class sample counts (exact int64 normally,
     float64 once privacy noise has been applied).

@@ -9,6 +9,7 @@ centralized solution, which the aggregation is exactly equivalent to.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -162,9 +163,24 @@ def make_schedule(config: ExperimentConfig, class_count: int) -> TaskSchedule:
     return split_tasks(class_count, config.T, config.first_task_classes, shuffle_seed)
 
 
+def _frobenius(a: np.ndarray) -> float:
+    """Frobenius norm of a matrix, or of the symmetric one a 1-D ``a`` packs.
+
+    A 1-D ``a`` is an upper triangle packed row by row. Each off-diagonal
+    entry appears twice in the whole matrix, so ||A||_F^2 = 2 ||a||^2 -
+    ||diag(A)||^2, and diagonal entry i sits at slot i*M - i(i-1)/2.
+    """
+    if a.ndim == 2:
+        return float(np.linalg.norm(a, "fro"))
+    m = (math.isqrt(8 * a.size + 1) - 1) // 2
+    i = np.arange(m)
+    diagonal = a[i * m - i * (i - 1) // 2]
+    return float(np.sqrt(2.0 * (a @ a) - diagonal @ diagonal))
+
+
 def _rel_frobenius(delta: np.ndarray, reference: np.ndarray) -> float:
-    ref_norm = float(np.linalg.norm(reference, "fro"))
-    delta_norm = float(np.linalg.norm(delta, "fro"))
+    ref_norm = _frobenius(reference)
+    delta_norm = _frobenius(delta)
     if ref_norm == 0.0:
         return 0.0 if delta_norm == 0.0 else float("inf")
     return delta_norm / ref_norm
@@ -344,10 +360,10 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
 
         try:
             agg = spatial_aggregate(uploads(), task_classes, config.K)
-            stage_gram = agg.gram
-            if stage_gram is None:  # efficient mode: the records carry no gram
-                stage_gram = estimate_gram(agg.records, task_classes)
-            state = temporal_aggregate(state, stage_gram, agg.corr, task_classes)
+            # Both modes fold a packed stage gram; efficient-mode records carry none.
+            gram = agg.gram if agg.gram is not None else estimate_gram(agg.records, task_classes)
+            state = temporal_aggregate(state, gram, agg.corr, task_classes)
+            del agg, gram  # the state holds the stage's sums; free them before the solve
             weights = update_classifier(state, config.gamma)
             acc_rows.append(
                 tuple(
@@ -358,16 +374,13 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
             if config.oracle_check:
                 pooled = _pool_task(pooled, rmap, train, task_idx, task_classes)
                 w_star = centralized_oracle(pooled, schedule.classes_through(t), config.gamma)
-                pooled_gram = unpack_upper(pooled.gram, rmap.output_dim)
-                gram_delta = _rel_frobenius(state.gram_acc - pooled_gram, pooled_gram)
-                del pooled_gram  # not held through the next stage
                 oracle_deltas.append(
                     StageOracleDelta(
                         stage=t,
                         w_delta=_rel_frobenius(
                             weights.weights - w_star.weights, w_star.weights
                         ),
-                        gram_delta=gram_delta,
+                        gram_delta=_rel_frobenius(state.gram_acc - pooled.gram, pooled.gram),
                         corr_delta=_rel_frobenius(state.corr_acc - pooled.corr, pooled.corr),
                     )
                 )
@@ -446,5 +459,5 @@ def _estimation_trial(spec: SynthSpec, k: int, stream: ChaChaStream) -> float:
     records = [
         SpatialStatistics(gram=None, corr=corrs[j], label_freq=counts[j]) for j in range(k)
     ]
-    g_hat = estimate_gram(records, range(c))
+    g_hat = unpack_upper(estimate_gram(records, range(c)), m)
     return float(np.linalg.norm(g_hat - gram_true, "fro") ** 2)

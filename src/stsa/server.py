@@ -6,6 +6,11 @@ across tasks and concatenates correlation columns. When clients upload
 first-order records only, the server reconstructs an unbiased estimate of
 the task gram from the per-record correlation columns and label
 frequencies before accumulating it.
+
+Every gram on the server is its packed upper triangle: M(M+1)/2 entries in
+row-major (``np.triu_indices``) order, the format clients upload. The
+stage sum, the estimate and the temporal state all stay packed, and
+``update_classifier`` unpacks the state once, for the solve.
 """
 
 from __future__ import annotations
@@ -32,8 +37,8 @@ MIN_COUNT = 1e-6
 class StageAggregate:
     """Spatially aggregated statistics for one task.
 
-    ``gram`` is the exact summed G in full mode, symmetric, and None in
-    efficient mode.
+    ``gram`` is the exact summed G in full mode, as its packed upper
+    triangle, and None in efficient mode.
     ``records`` holds the efficient-mode first-order records in canonical
     (client id, record position) order, for the gram estimator; it is empty
     in full mode, where every client gram is dropped once it has been summed.
@@ -48,8 +53,9 @@ class StageAggregate:
 class TemporalState:
     """Accumulated statistics over the stages folded in so far.
 
-    ``gram_acc`` is the summed (exact or estimated) gram, ``corr_acc`` the
-    column-concatenated correlations, ``class_ids`` the concatenated task
+    ``gram_acc`` is the summed (exact or estimated) gram as its packed upper
+    triangle, ``corr_acc`` the column-concatenated correlations, whose row
+    count is the mapped dimension M, ``class_ids`` the concatenated task
     class lists in arrival order; the initial state has no class ids.
     """
 
@@ -59,7 +65,9 @@ class TemporalState:
 
     @classmethod
     def initial(cls, m: int) -> "TemporalState":
-        return cls(gram_acc=np.zeros((m, m)), corr_acc=np.zeros((m, 0)), class_ids=())
+        return cls(
+            gram_acc=np.zeros(m * (m + 1) // 2), corr_acc=np.zeros((m, 0)), class_ids=()
+        )
 
 
 def spatial_aggregate(
@@ -138,9 +146,6 @@ def spatial_aggregate(
     if gram is not None:
         if not (np.isfinite(gram.max()) and np.isfinite(gram.min())):
             raise ProtocolError("summed uploads have non-finite gram entries")
-        # Every upload's gram is its packed upper triangle, noised or not, so
-        # the stage gram is the summed triangle unpacked once.
-        gram = unpack_upper(gram, m)
     return StageAggregate(gram=gram, corr=corr, records=tuple(records))
 
 
@@ -178,7 +183,11 @@ def estimate_gram(
     -(n_i - K_i)/(n_i (K_i - 1)) * t_i. Dividing by n_k before applying the
     class scalar keeps integer-exact data exact: c_k / n_k is then the
     exact class mean, where a premultiplied (n_i - 1)/((K_i - 1) n_k) or a
-    square-root weighting rounds. The result is exactly symmetrized.
+    square-root weighting rounds.
+
+    The result is G's packed upper triangle, symmetric by construction. It
+    is written one strip of ``_SYMMETRY_BLOCK`` rows at a time: rows i..i+b
+    of L U^T against columns i..M, so no M x M array is made.
     """
     records = list(records)
     if not records:
@@ -212,27 +221,18 @@ def estimate_gram(
         left.append(-((n_i - k_i) / (n_i * (k_i - 1.0))) * total[None, :])
         right.append(cols)
         right.append(total[None, :])
+    packed = np.zeros(m * (m + 1) // 2)
     if not left:
-        return np.zeros((m, m))
-    g_hat = np.concatenate(left).T @ np.concatenate(right)
-    _average_with_transpose(g_hat)
-    return g_hat
-
-
-def _average_with_transpose(a: np.ndarray) -> None:
-    """a = (a + a^T) / 2 in place, one pair of square tiles at a time.
-
-    ``a += a.T`` would copy all of ``a`` first, because the operands overlap.
-    """
-    m = a.shape[0]
+        return packed
+    lt, u = np.concatenate(left).T, np.concatenate(right)
+    start = 0  # packed offset of the strip's first row
     for i in range(0, m, _SYMMETRY_BLOCK):
-        rows = slice(i, i + _SYMMETRY_BLOCK)
-        for j in range(i, m, _SYMMETRY_BLOCK):
-            cols = slice(j, j + _SYMMETRY_BLOCK)
-            tile = a[rows, cols] + a[cols, rows].T
-            tile /= 2.0
-            a[rows, cols] = tile
-            a[cols, rows] = tile.T
+        strip = lt[i : i + _SYMMETRY_BLOCK] @ u[:, i:]
+        # Row i + r of the triangle is the strip row from its diagonal on.
+        for r, row in enumerate(strip):
+            packed[start : start + m - i - r] = row[r:]
+            start += m - i - r
+    return packed
 
 
 def temporal_aggregate(
@@ -243,14 +243,19 @@ def temporal_aggregate(
 ) -> TemporalState:
     """Fold one task's aggregated statistics into the running state.
 
-    The gram is summed, correlation columns are appended, class ids extend
+    ``gram_new`` is the stage gram's packed upper triangle; the packed
+    grams are summed, correlation columns are appended, class ids extend
     in task order. Classes must be disjoint across stages.
     """
     gram_new = np.asarray(gram_new, dtype=np.float64)
     corr_new = np.asarray(corr_new, dtype=np.float64)
-    m = state.gram_acc.shape[0]
-    if gram_new.shape != (m, m):
-        raise ProtocolError(f"stage gram shape {gram_new.shape} does not match ({m}, {m})")
+    m = state.corr_acc.shape[0]
+    packed = m * (m + 1) // 2
+    if gram_new.shape != (packed,):
+        raise ProtocolError(
+            f"stage gram shape {gram_new.shape} is not the packed triangle "
+            f"({packed},) of dim {m}"
+        )
     if corr_new.shape != (m, len(task_classes)):
         raise ProtocolError(
             f"stage corr shape {corr_new.shape} does not match "
@@ -269,7 +274,11 @@ def temporal_aggregate(
 
 
 def update_classifier(state: TemporalState, gamma: float) -> ClassifierWeights:
-    """Closed-form classifier update W = (G_acc + gamma I)^-1 C_acc."""
+    """Closed-form classifier update W = (G_acc + gamma I)^-1 C_acc.
+
+    The packed state is unpacked here, once per update, for the solve.
+    """
     if not state.class_ids:
         raise ProtocolError("cannot update the classifier from an empty state")
-    return ridge_solve(state.gram_acc, state.corr_acc, gamma, class_ids=state.class_ids)
+    gram = unpack_upper(state.gram_acc, state.corr_acc.shape[0])
+    return ridge_solve(gram, state.corr_acc, gamma, class_ids=state.class_ids)

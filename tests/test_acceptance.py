@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from stsa.config import ExperimentConfig
-from stsa.core import SpatialStatistics
+from stsa.core import SpatialStatistics, unpack_upper
 from stsa.metrics import (
     AccuracyMatrix,
     avg_incremental_accuracy,
@@ -92,7 +92,7 @@ def test_criterion_2_unbiasedness():
             SpatialStatistics(gram=None, corr=corrs[j], label_freq=counts[j])
             for j in range(k)
         ]
-        g = estimate_gram(records, range(classes))
+        g = unpack_upper(estimate_gram(records, range(classes)), m)
         acc += g
         acc_sq += g * g
     elapsed = time.monotonic() - start

@@ -235,6 +235,24 @@ class TestRunExperiment:
         assert shared == [True] * (cfg.T * cfg.K)
         assert freed == [True] * cfg.T
 
+    @pytest.mark.parametrize("mode", ["full", "efficient"])
+    def test_no_whole_gram_reaches_the_temporal_fold(self, monkeypatch, mode):
+        # Both modes fold the stage gram as its packed triangle, and the
+        # state stays packed; only the solve unpacks it.
+        folded = []
+        fold = stsa.runner.temporal_aggregate
+
+        def recording(state, gram_new, corr_new, task_classes):
+            out = fold(state, gram_new, corr_new, task_classes)
+            folded.append((gram_new.shape, out.gram_acc.shape))
+            return out
+
+        monkeypatch.setattr(stsa.runner, "temporal_aggregate", recording)
+        cfg = ExperimentConfig(**SMALL, mode=mode, K_D=2)
+        run_experiment(cfg)
+        packed = (cfg.M * (cfg.M + 1) // 2,)
+        assert folded == [(packed, packed)] * cfg.T
+
     def test_tiny_shards_and_empty_clients_survive(self):
         cfg = ExperimentConfig(
             synth_classes=4, synth_dim=3, synth_train_per_class=3,

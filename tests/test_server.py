@@ -19,7 +19,6 @@ from stsa.errors import DimensionError, EstimationError, ProtocolError
 from stsa.prng import ChaChaStream
 from stsa.server import (
     MIN_COUNT,
-    _average_with_transpose,
     TemporalState,
     estimate_gram,
     spatial_aggregate,
@@ -32,6 +31,11 @@ def record(corr, freq, gram=None):
     return SpatialStatistics(
         gram=gram, corr=np.asarray(corr, dtype=np.float64), label_freq=np.asarray(freq)
     )
+
+
+def packed(a):
+    """The upper triangle of square ``a``, packed row by row."""
+    return a[np.triu_indices(a.shape[0])]
 
 
 def full_payloads_from_partition(rows_per_client, labels_per_client, rmap, classes):
@@ -53,9 +57,8 @@ class TestSpatialAggregate:
     def test_single_payload_passthrough(self):
         payloads = full_payloads_from_partition([self.raw], [self.labels], self.rmap, self.classes)
         agg = spatial_aggregate(payloads, self.classes, 1)
-        # The upload's packed triangle passes through exactly and is unpacked.
-        assert np.array_equal(agg.gram[np.triu_indices(8)], payloads[0].records[0].gram)
-        assert np.array_equal(agg.gram, agg.gram.T)
+        # The upload's packed triangle passes through exactly and stays packed.
+        assert np.array_equal(agg.gram, payloads[0].records[0].gram)
         assert np.array_equal(agg.corr, payloads[0].records[0].corr)
 
     def test_partition_matches_pooled_statistics(self):
@@ -70,7 +73,7 @@ class TestSpatialAggregate:
         )
         agg = spatial_aggregate(payloads, self.classes, 3)
         pooled = local_statistics(apply_map(self.rmap, self.raw), self.labels, self.classes)
-        assert np.allclose(agg.gram, unpack_upper(pooled.gram, 8), rtol=1e-12)
+        assert np.allclose(unpack_upper(agg.gram, 8), unpack_upper(pooled.gram, 8), rtol=1e-12)
         assert np.allclose(agg.corr, pooled.corr, rtol=1e-12)
 
     def payloads(self, mode):
@@ -120,17 +123,18 @@ class TestSpatialAggregate:
                 records.append(replace(rec, gram=whole[upper]))
             dirty.append(replace(p, records=tuple(records)))
         agg = spatial_aggregate(dirty, self.classes, 3)
+        assert agg.gram.shape == (36,)
         assert np.array_equal(agg.gram, clean.gram)
-        assert np.array_equal(agg.gram, agg.gram.T)
         assert np.array_equal(agg.corr, clean.corr)
 
     def test_stage_gram_is_the_unpacked_sum_of_the_packed_uploads(self):
         payloads = self.payloads("full")
         agg = spatial_aggregate(payloads, self.classes, 3)
-        packed = np.zeros(36)
+        total = np.zeros(36)
         for p in payloads:
-            packed += p.records[0].gram
-        assert np.array_equal(agg.gram, unpack_upper(packed, 8))
+            total += p.records[0].gram
+        # The stage gram is the packed sum itself; the solve unpacks it later.
+        assert np.array_equal(agg.gram, total)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_value_at_any_packed_position_is_rejected(self, value):
@@ -273,7 +277,7 @@ class TestEstimateGram:
         # the second term vanishes (n = K) and the estimate is K * v v^T.
         v = np.array([2.0, 1.0])
         records = [record(np.array([v]).T, [1]) for _ in range(3)]
-        g = estimate_gram(records, [0])
+        g = unpack_upper(estimate_gram(records, [0]), 2)
         assert np.array_equal(g, 3.0 * np.outer(v, v))
 
     def test_hand_evaluated_two_record_case(self):
@@ -281,7 +285,7 @@ class TestEstimateGram:
         # Scalar evaluation of the estimator gives [[13, 5], [5, 4]].
         r1 = record(np.array([[1.0], [2.0]]), [2])
         r2 = record(np.array([[4.0], [2.0]]), [2])
-        g = estimate_gram([r1, r2], [0])
+        g = unpack_upper(estimate_gram([r1, r2], [0]), 2)
         oracle = scalar_estimator_oracle(
             cols=[[1.0, 2.0], [4.0, 2.0]], counts=[2.0, 2.0]
         )
@@ -301,7 +305,7 @@ class TestEstimateGram:
             recs = []
             for j, rows in enumerate(np.array_split(np.arange(n), k)):
                 recs.append(record(np.array([x[rows].sum(axis=0)]).T, [rows.size]))
-            g = estimate_gram(recs, [0])
+            g = unpack_upper(estimate_gram(recs, [0]), m)
             acc += g
             acc2 += g * g
         mean = acc / trials
@@ -313,7 +317,7 @@ class TestEstimateGram:
     def test_absent_class_contributes_nothing(self):
         r1 = record(np.array([[1.0, 0.0], [2.0, 0.0]]), [2, 0])
         r2 = record(np.array([[4.0, 0.0], [2.0, 0.0]]), [2, 0])
-        g = estimate_gram([r1, r2], [0, 1])
+        g = unpack_upper(estimate_gram([r1, r2], [0, 1]), 2)
         assert np.allclose(g, np.array([[13.0, 5.0], [5.0, 4.0]]), rtol=1e-14)
 
     def test_single_holder_class_raises(self):
@@ -323,22 +327,17 @@ class TestEstimateGram:
             estimate_gram([r1, r2], [0, 9])
 
     def test_output_is_exactly_symmetric(self):
+        # The estimate is a packed triangle, which unpacks to an exactly
+        # symmetric matrix.
         stream = ChaChaStream(99)
         records = [
             record(stream.standard_normal(6).reshape(3, 2), [3, 2])
             for _ in range(4)
         ]
         g = estimate_gram(records, [0, 1])
-        assert np.array_equal(g, g.T)
-
-    @pytest.mark.parametrize("m", [5, 256, 600])
-    def test_tiled_symmetrization_is_the_plain_average(self, m):
-        # Bit-equal to (a + a^T) / 2 across tile boundaries, with the last
-        # tile partial at m = 600.
-        a = np.random.default_rng(m).normal(size=(m, m))
-        expected = (a + a.T) / 2.0
-        _average_with_transpose(a)
-        assert np.array_equal(a, expected)
+        assert g.shape == (6,)
+        whole = unpack_upper(g, 3)
+        assert np.array_equal(whole, whole.T)
 
     def test_noised_nonpositive_counts_are_excluded(self):
         # A record whose noised count went negative must not contribute.
@@ -349,13 +348,23 @@ class TestEstimateGram:
         without = estimate_gram([good1, good2], [0])
         assert np.array_equal(with_ghost, without)
 
-    @pytest.mark.parametrize("seed", range(6))
-    def test_matches_the_per_class_formula(self, seed):
+    # The estimate is written in strips of _SYMMETRY_BLOCK = 256 rows. M = 40
+    # is one partial strip; the last strip ends before, on and after the
+    # block at M = 255, 256, 257, and partway through a third at M = 600.
+    @pytest.mark.parametrize(
+        "m, seed",
+        [pytest.param(40, seed, id=str(seed)) for seed in range(6)]
+        + [
+            pytest.param(m, seed, id=f"M{m}-{seed}")
+            for m in (255, 256, 257, 600)
+            for seed in range(6)
+        ],
+    )
+    def test_matches_the_per_class_formula(self, m, seed):
         # Noised float counts: positive ones contribute, non-positive ones do
         # not, tiny positive ones are floored at MIN_COUNT, and the last
         # class is absent from every record.
         rng = np.random.default_rng(seed)
-        m = 40
         c_t = int(rng.integers(2, 11))
         k = int(rng.integers(3, 13))
         counts = rng.uniform(1.0, 30.0, size=(k, c_t))
@@ -369,9 +378,10 @@ class TestEstimateGram:
             records.append(record(corr, counts[j]))
 
         g = estimate_gram(records, list(range(c_t)))
+        assert g.shape == (m * (m + 1) // 2,)
+        g = unpack_upper(g, m)
         expected = per_class_estimator(records, c_t, m)
         assert np.linalg.norm(g - expected) <= 1e-12 * np.linalg.norm(expected)
-        assert np.array_equal(g, g.T)
 
     def test_no_contributing_class_gives_zeros(self):
         records = [
@@ -379,7 +389,7 @@ class TestEstimateGram:
             record(np.ones((5, 2)), [-1.0, 0.0]),
         ]
         g = estimate_gram(records, [0, 1])
-        assert np.array_equal(g, np.zeros((5, 5)))
+        assert np.array_equal(g, np.zeros(15))
 
 
 def per_class_estimator(records, c_t, m):
@@ -425,7 +435,7 @@ def scalar_estimator_oracle(cols, counts):
 class TestTemporalAggregate:
     def test_base_case_equals_stage_statistics(self):
         state = TemporalState.initial(2)
-        g = np.array([[2.0, 0.5], [0.5, 1.0]])
+        g = np.array([2.0, 0.5, 1.0])  # [[2, 0.5], [0.5, 1]], packed
         c = np.array([[1.0], [0.0]])
         out = temporal_aggregate(state, g, c, [4])
         assert np.array_equal(out.gram_acc, g)
@@ -434,8 +444,8 @@ class TestTemporalAggregate:
 
     def test_columns_concatenate_in_task_order(self):
         state = TemporalState.initial(3)
-        state = temporal_aggregate(state, np.eye(3), np.ones((3, 3)), [0, 1, 2])
-        state = temporal_aggregate(state, np.eye(3), 2 * np.ones((3, 2)), [3, 4])
+        state = temporal_aggregate(state, packed(np.eye(3)), np.ones((3, 3)), [0, 1, 2])
+        state = temporal_aggregate(state, packed(np.eye(3)), 2 * np.ones((3, 2)), [3, 4])
         assert state.corr_acc.shape == (3, 5)
         assert state.class_ids == (0, 1, 2, 3, 4)
         assert np.all(state.corr_acc[:, :3] == 1.0)
@@ -448,22 +458,27 @@ class TestTemporalAggregate:
         g2 = rng.normal(size=(4, 4))
         g2 = g2 + g2.T
         state = TemporalState.initial(4)
-        state = temporal_aggregate(state, g1, rng.normal(size=(4, 2)), [0, 1])
-        state = temporal_aggregate(state, g2, rng.normal(size=(4, 2)), [2, 3])
-        assert np.allclose(state.gram_acc, g1 + g2, rtol=1e-12)
+        state = temporal_aggregate(state, packed(g1), rng.normal(size=(4, 2)), [0, 1])
+        state = temporal_aggregate(state, packed(g2), rng.normal(size=(4, 2)), [2, 3])
+        assert np.allclose(unpack_upper(state.gram_acc, 4), g1 + g2, rtol=1e-12)
         assert state.class_ids == (0, 1, 2, 3)
 
     def test_class_overlap_rejected(self):
-        state = temporal_aggregate(TemporalState.initial(2), np.eye(2), np.ones((2, 2)), [0, 1])
+        eye = packed(np.eye(2))
+        state = temporal_aggregate(TemporalState.initial(2), eye, np.ones((2, 2)), [0, 1])
         with pytest.raises(ProtocolError, match="already seen"):
-            temporal_aggregate(state, np.eye(2), np.ones((2, 1)), [1])
+            temporal_aggregate(state, eye, np.ones((2, 1)), [1])
 
     def test_shape_mismatch_rejected(self):
         state = TemporalState.initial(3)
-        with pytest.raises(ProtocolError):
-            temporal_aggregate(state, np.eye(2), np.ones((3, 1)), [0])
-        with pytest.raises(ProtocolError):
-            temporal_aggregate(state, np.eye(3), np.ones((3, 2)), [0])
+        # A whole (M, M) stage gram is rejected: the state adds packed triangles.
+        with pytest.raises(ProtocolError, match=r"\(3, 3\) is not the packed triangle \(6,\)"):
+            temporal_aggregate(state, np.eye(3), np.ones((3, 1)), [0])
+        # So is a packed triangle of another dimension.
+        with pytest.raises(ProtocolError, match=r"\(3,\) is not the packed triangle \(6,\)"):
+            temporal_aggregate(state, packed(np.eye(2)), np.ones((3, 1)), [0])
+        with pytest.raises(ProtocolError, match="stage corr shape"):
+            temporal_aggregate(state, packed(np.eye(3)), np.ones((3, 2)), [0])
 
 
 class TestJointEquivalence:
@@ -485,7 +500,7 @@ class TestJointEquivalence:
             start += width
             mask = np.isin(labels, task)
             stats = local_statistics(feat[mask], labels[mask], task)
-            state = temporal_aggregate(state, unpack_upper(stats.gram, 12), stats.corr, task)
+            state = temporal_aggregate(state, stats.gram, stats.corr, task)
 
             seen = classes[:start]
             pooled_mask = np.isin(labels, seen)
@@ -493,7 +508,8 @@ class TestJointEquivalence:
             pooled_gram = unpack_upper(pooled.gram, 12)
             g_ref = np.linalg.norm(pooled_gram, "fro")
             c_ref = np.linalg.norm(pooled.corr, "fro")
-            assert np.linalg.norm(state.gram_acc - pooled_gram, "fro") <= 1e-12 * g_ref
+            state_gram = unpack_upper(state.gram_acc, 12)
+            assert np.linalg.norm(state_gram - pooled_gram, "fro") <= 1e-12 * g_ref
             assert np.linalg.norm(state.corr_acc - pooled.corr, "fro") <= 1e-12 * c_ref
 
 
@@ -501,8 +517,7 @@ class TestUpdateClassifier:
     def test_single_sample_scalar_ridge(self):
         # One sample with feature e1 and gamma=1 gives weight 1/2 on e1.
         stats = local_statistics(np.array([[1.0, 0.0]]), np.array([7]), [7])
-        gram = unpack_upper(stats.gram, 2)
-        state = temporal_aggregate(TemporalState.initial(2), gram, stats.corr, [7])
+        state = temporal_aggregate(TemporalState.initial(2), stats.gram, stats.corr, [7])
         w = update_classifier(state, gamma=1.0)
         assert w.class_ids == (7,)
         assert np.allclose(w.weights, np.array([[0.5], [0.0]]), rtol=1e-12)
@@ -518,11 +533,11 @@ class TestUpdateClassifier:
         s1 = local_statistics(feat[:20], labels[:20], [0, 1])
         s2 = local_statistics(feat[20:], labels[20:], [2, 3])
         pooled = local_statistics(feat, labels, [0, 1, 2, 3])
-        g1, g2, g_pooled = (unpack_upper(stats.gram, 7) for stats in (s1, s2, pooled))
-        state = temporal_aggregate(state, g1, s1.corr, [0, 1])
-        state = temporal_aggregate(state, g2, s2.corr, [2, 3])
+        state = temporal_aggregate(state, s1.gram, s1.corr, [0, 1])
+        state = temporal_aggregate(state, s2.gram, s2.corr, [2, 3])
         w = update_classifier(state, gamma=0.1)
 
+        g_pooled = unpack_upper(pooled.gram, 7)
         oracle = np.linalg.solve(g_pooled + 0.1 * np.eye(7), pooled.corr)
         delta = np.linalg.norm(w.weights - oracle, "fro")
         assert delta <= 1e-8 * np.linalg.norm(oracle, "fro")
