@@ -124,10 +124,10 @@ def add_noise(payload: UploadPayload, q: float, s: float, seed: int) -> UploadPa
 
     A record with a gram (full mode) has G and C noised, in that order; its
     label counts are not transmitted and stay exact. G is the packed upper
-    triangle, so it takes M(M+1)/2 draws in row-major order, and the
-    unpack before the solve copies each to both sides of the diagonal: the
-    Analyze-Gauss construction, with variance q^2 s^2 on every entry of the
-    symmetric gram. A record without one (efficient mode) has C and a
+    triangle, so it takes M(M+1)/2 draws in row-major order, and each
+    packed entry stands for both (i, j) and (j, i) of the symmetric gram
+    the solve uses: the Analyze-Gauss construction, with variance q^2 s^2
+    on every entry of that gram. A record without one (efficient mode) has C and a
     real-valued copy of the label frequencies noised. q = 0 or s = 0 returns
     the payload unchanged.
     """

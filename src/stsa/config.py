@@ -83,6 +83,8 @@ class ExperimentConfig:
             raise ConfigurationError(f"beta must be > 0, got {self.beta}")
         if self.gamma < 0.0:
             raise ConfigurationError(f"gamma must be >= 0, got {self.gamma}")
+        if self.synth_noise_std < 0.0:
+            raise ConfigurationError(f"synth_noise_std must be >= 0, got {self.synth_noise_std}")
         if self.noise_q < 0.0 or self.noise_s < 0.0:
             raise ConfigurationError("noise_q and noise_s must be >= 0")
         if self.elem_bytes < 1:

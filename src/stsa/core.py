@@ -8,13 +8,14 @@ server regenerate the shared random map from a seed instead of shipping it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 import scipy.linalg
-from scipy.linalg.blas import dsyrk
+from scipy.linalg.blas import dsymm, dsyrk
 from scipy.linalg.lapack import dtpttr, dtrttp
 
 from .errors import DimensionError, DomainError, NumericalError
@@ -25,8 +26,8 @@ SOLVE_RESIDUAL_BOUND = 1e-8
 # Jitter escalation ladder for the SPD factorization, mildest first.
 _JITTER_EXPONENTS = (6, 4, 2)
 
-# Rows and columns per tile of the symmetry check and the mirror, and rows per
-# strip of the gram estimate.
+# Rows and columns per tile of the mirror, and rows per strip of the gram
+# estimate.
 _SYMMETRY_BLOCK = 256
 
 
@@ -65,7 +66,8 @@ class SpatialStatistics:
     ``gram`` holds the upper triangle of X^T X, diagonal included, packed
     row by row into M(M+1)/2 entries (``np.triu_indices`` order), and is
     absent in communication-efficient mode; the server keeps grams in this
-    format and ``unpack_upper`` makes one whole only for a solve;
+    format through the solve, and ``unpack_upper`` makes one whole only for
+    the oracle's reference and the estimator study;
     ``corr`` is X^T Y (M, c_t) with Y one-hot over the task's class list;
     ``label_freq`` holds per-class sample counts (exact int64 normally,
     float64 once privacy noise has been applied).
@@ -260,17 +262,17 @@ def _mirror_upper(a: np.ndarray) -> None:
         a[end:, j:end] = a[j:end, end:].T
 
 
-def _max_asymmetry(G: np.ndarray) -> float:
-    """max |G - G^T| over pairs of square tiles, each pair once, with no M x M temporary."""
-    worst = 0.0
-    m = G.shape[0]
-    for i in range(0, m, _SYMMETRY_BLOCK):
-        rows = slice(i, i + _SYMMETRY_BLOCK)
-        for j in range(i, m, _SYMMETRY_BLOCK):
-            cols = slice(j, j + _SYMMETRY_BLOCK)
-            diff = G[rows, cols] - G[cols, rows].T
-            worst = max(worst, float(np.abs(diff, out=diff).max()))
-    return worst
+def packed_frobenius(packed: np.ndarray) -> float:
+    """Frobenius norm of the symmetric matrix whose upper triangle ``packed`` holds.
+
+    Each off-diagonal entry appears twice in the whole matrix, so
+    ||A||_F^2 = 2 ||packed||^2 - ||diag(A)||^2, and diagonal entry i sits at
+    slot i*M - i(i-1)/2. No M x M array is made.
+    """
+    m = (math.isqrt(8 * packed.size + 1) - 1) // 2
+    i = np.arange(m)
+    diagonal = packed[i * m - i * (i - 1) // 2]
+    return float(np.sqrt(2.0 * (packed @ packed) - diagonal @ diagonal))
 
 
 def ridge_solve(
@@ -281,9 +283,12 @@ def ridge_solve(
 ) -> ClassifierWeights:
     """Solve (G + gamma I) W = C by SPD factorization, never explicit inverse.
 
-    A non-finite or negative gamma is a DomainError. A non-finite G or C, or
-    a G that is not symmetric within tolerance, is rejected with a
-    NumericalError before any factorization.
+    G is the packed upper triangle of the symmetric gram, M(M+1)/2 entries
+    row by row (the format of ``SpatialStatistics.gram``), with M the row
+    count of C; any other shape, a whole (M, M) matrix included, is a
+    DimensionError. Packed, G is symmetric by construction. A non-finite or
+    negative gamma is a DomainError, and a non-finite G or C a
+    NumericalError, before any factorization.
 
     The relative residual must end under SOLVE_RESIDUAL_BOUND; one step of
     iterative refinement is taken only when the first solve misses it. If
@@ -294,31 +299,28 @@ def ridge_solve(
     """
     G = np.asarray(G, dtype=np.float64)
     C = np.asarray(C, dtype=np.float64)
-    if G.ndim != 2 or G.shape[0] != G.shape[1]:
-        raise DimensionError(f"gram must be square, got shape {G.shape}")
-    if C.ndim != 2 or C.shape[0] != G.shape[0]:
+    if C.ndim != 2:
+        raise DimensionError(f"corr must be 2-D, got shape {C.shape}")
+    m = C.shape[0]
+    if G.shape != (m * (m + 1) // 2,):
         raise DimensionError(
-            f"corr shape {C.shape} does not match gram shape {G.shape}"
+            f"gram shape {G.shape} is not the packed triangle "
+            f"({m * (m + 1) // 2},) of corr's {m} rows"
         )
     # Written so that NaN fails too.
     if not 0.0 <= gamma < np.inf:
         raise DomainError(f"ridge coefficient must be finite and >= 0, got {gamma}")
     # max/min propagate NaN and keep inf, so they check finiteness with no
     # temporary the size of G.
-    g_max, g_min = G.max(), G.min()
-    if not (np.isfinite(g_max) and np.isfinite(g_min)):
+    if not (np.isfinite(G.max()) and np.isfinite(G.min())):
         raise NumericalError("gram matrix has non-finite entries")
     if not np.isfinite(C).all():
         raise NumericalError("corr matrix has non-finite entries")
-    m = G.shape[0]
-    scale = max(g_max, -g_min)
-    if scale > 0.0 and _max_asymmetry(G) > 1e-9 * scale:
-        raise NumericalError("gram matrix is not symmetric within tolerance")
     if class_ids is None:
         class_ids = range(C.shape[1])
     class_ids = tuple(int(c) for c in class_ids)
 
-    frob = float(np.linalg.norm(G, "fro"))
+    frob = packed_frobenius(G)
     # Rung k is gamma + 10^-k ||G||_F / M * max(gamma, 1). For gamma >= 1,
     # gamma / unit is exactly 1, so it rounds as gamma * (1 + 10^-k ||G||_F / M).
     unit = max(float(gamma), 1.0)
@@ -330,14 +332,15 @@ def ridge_solve(
     used_gamma = None
     diagonal = np.diag_indices(m)
     for g in attempts:
-        # The transpose of a C-ordered copy is F-ordered, so LAPACK factorizes
-        # it in place; for a symmetric G it is the same matrix. A failed
+        # The row-major upper triangle is the column-major lower one, so
+        # dtpttr writes it as the lower triangle of an F-ordered array: what
+        # cho_factor(lower=True) reads, and factorizes in place. A failed
         # attempt leaves it overwritten.
-        system = G.copy()
+        system, _ = dtpttr(m, G, uplo="L")
         system[diagonal] += g
         try:
             factor = scipy.linalg.cho_factor(
-                system.T, lower=True, overwrite_a=True, check_finite=False
+                system, lower=True, overwrite_a=True, check_finite=False
             )
         except scipy.linalg.LinAlgError:
             continue
@@ -349,8 +352,11 @@ def ridge_solve(
             attempted_gammas=attempts,
         )
 
+    # The factorization overwrote its triangle, so the residual gate's G W
+    # unpacks one more for dsymm.
+    lower, _ = dtpttr(m, G, uplo="L")
     weights = scipy.linalg.cho_solve(factor, C, check_finite=False)
-    residual = C - (G @ weights + used_gamma * weights)
+    residual = C - (dsymm(1.0, lower, weights, lower=1) + used_gamma * weights)
     c_norm = np.linalg.norm(C, "fro")
     r_norm = np.linalg.norm(residual, "fro")
     # Written so that a NaN residual or NaN C refines and fails the gate too.
@@ -358,7 +364,7 @@ def ridge_solve(
         # One refinement pass, reusing the factorization; it only pays when
         # the backward error is large.
         weights = weights + scipy.linalg.cho_solve(factor, residual, check_finite=False)
-        residual = C - (G @ weights + used_gamma * weights)
+        residual = C - (dsymm(1.0, lower, weights, lower=1) + used_gamma * weights)
         r_norm = np.linalg.norm(residual, "fro")
     if not r_norm <= SOLVE_RESIDUAL_BOUND * c_norm:
         raise NumericalError(

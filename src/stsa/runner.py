@@ -9,7 +9,6 @@ centralized solution, which the aggregation is exactly equivalent to.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -24,6 +23,7 @@ from .core import (
     apply_map,
     local_statistics,
     make_random_map,
+    packed_frobenius,
     predict,
     unpack_upper,
 )
@@ -164,18 +164,8 @@ def make_schedule(config: ExperimentConfig, class_count: int) -> TaskSchedule:
 
 
 def _frobenius(a: np.ndarray) -> float:
-    """Frobenius norm of a matrix, or of the symmetric one a 1-D ``a`` packs.
-
-    A 1-D ``a`` is an upper triangle packed row by row. Each off-diagonal
-    entry appears twice in the whole matrix, so ||A||_F^2 = 2 ||a||^2 -
-    ||diag(A)||^2, and diagonal entry i sits at slot i*M - i(i-1)/2.
-    """
-    if a.ndim == 2:
-        return float(np.linalg.norm(a, "fro"))
-    m = (math.isqrt(8 * a.size + 1) - 1) // 2
-    i = np.arange(m)
-    diagonal = a[i * m - i * (i - 1) // 2]
-    return float(np.sqrt(2.0 * (a @ a) - diagonal @ diagonal))
+    """Frobenius norm of a matrix, or of the symmetric one a 1-D ``a`` packs."""
+    return packed_frobenius(a) if a.ndim == 1 else float(np.linalg.norm(a, "fro"))
 
 
 def _rel_frobenius(delta: np.ndarray, reference: np.ndarray) -> float:

@@ -10,7 +10,7 @@ frequencies before accumulating it.
 Every gram on the server is its packed upper triangle: M(M+1)/2 entries in
 row-major (``np.triu_indices``) order, the format clients upload. The
 stage sum, the estimate and the temporal state all stay packed, and
-``update_classifier`` unpacks the state once, for the solve.
+``update_classifier`` hands the packed state to the solve as it is.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from .core import (
     ClassifierWeights,
     SpatialStatistics,
     ridge_solve,
-    unpack_upper,
 )
 from .errors import EstimationError, ProtocolError
 
@@ -276,9 +275,8 @@ def temporal_aggregate(
 def update_classifier(state: TemporalState, gamma: float) -> ClassifierWeights:
     """Closed-form classifier update W = (G_acc + gamma I)^-1 C_acc.
 
-    The packed state is unpacked here, once per update, for the solve.
+    The packed state goes to the solve as it is; nothing here unpacks it.
     """
     if not state.class_ids:
         raise ProtocolError("cannot update the classifier from an empty state")
-    gram = unpack_upper(state.gram_acc, state.corr_acc.shape[0])
-    return ridge_solve(gram, state.corr_acc, gamma, class_ids=state.class_ids)
+    return ridge_solve(state.gram_acc, state.corr_acc, gamma, class_ids=state.class_ids)

@@ -217,6 +217,15 @@ def test_non_finite_config_float_exits_2(tmp_path, capsys, key, value):
     assert f"{key} must be finite, got {value}" in capsys.readouterr().err
 
 
+def test_negative_synth_noise_std_exits_2(tmp_path, capsys):
+    cfg = write_config(tmp_path, SMALL_CONFIG + "synth_noise_std = -2\n", name="neg.cfg")
+    assert main(["run", "--config", str(cfg)]) == 2
+    assert "synth_noise_std must be >= 0, got -2.0" in capsys.readouterr().err
+    # Zero spread stays legal: every sample is its class mean.
+    cfg = write_config(tmp_path, SMALL_CONFIG + "synth_noise_std = 0\n", name="zero.cfg")
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "report.txt")]) == 0
+
+
 def test_missing_config_exits_2(tmp_path, capsys):
     assert main(["run", "--config", str(tmp_path / "nope.cfg")]) == 2
 

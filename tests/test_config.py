@@ -77,6 +77,13 @@ def test_validation_catches_bad_values():
         ExperimentConfig(M=0, map_enabled=False).validate()
 
 
+def test_negative_synth_noise_std_is_rejected():
+    # The synthetic spec squares the std, so -2 used to run as 2.
+    with pytest.raises(ConfigurationError, match="synth_noise_std must be >= 0, got -2.0"):
+        parse_config("synth_noise_std = -2\n")
+    assert parse_config("synth_noise_std = 0\n").synth_noise_std == 0.0
+
+
 def test_study_k_values():
     assert ExperimentConfig(study_K="2, 5,10").study_k_values() == (2, 5, 10)
     with pytest.raises(ConfigurationError):

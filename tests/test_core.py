@@ -14,6 +14,7 @@ from stsa.core import (
     apply_map,
     local_statistics,
     make_random_map,
+    packed_frobenius,
     predict,
     ridge_solve,
     unpack_upper,
@@ -244,15 +245,28 @@ class TestMirrorUpper:
         assert np.array_equal(a, expected)
 
 
+def packed(a: np.ndarray) -> np.ndarray:
+    """The upper triangle of square ``a``, row by row: the packed gram format."""
+    return a[np.triu_indices(a.shape[0])]
+
+
+class TestPackedFrobenius:
+    @pytest.mark.parametrize("m", [1, 2, 255, 256, 257, 600])
+    def test_matches_the_norm_of_the_unpacked_matrix(self, m):
+        p = np.random.default_rng(m).normal(size=m * (m + 1) // 2)
+        expected = np.linalg.norm(unpack_upper(p, m), "fro")
+        assert np.isclose(packed_frobenius(p), expected, rtol=1e-14, atol=0.0)
+
+
 class TestRidgeSolve:
     def test_diagonal_case(self):
-        w = ridge_solve(np.eye(2), np.eye(2), 1.0)
+        w = ridge_solve(packed(np.eye(2)), np.eye(2), 1.0)
         assert np.allclose(w.weights, 0.5 * np.eye(2), rtol=1e-12)
 
     def test_normal_equations_oracle(self):
         # Hand inverse of [[2,1],[1,1]] is [[1,-1],[-1,2]].
         w = ridge_solve(
-            np.array([[2.0, 1.0], [1.0, 1.0]]),
+            np.array([2.0, 1.0, 1.0]),
             np.array([[1.0, 1.0], [0.0, 1.0]]),
             0.0,
         )
@@ -264,7 +278,7 @@ class TestRidgeSolve:
         g = x.T @ x / np.linalg.norm(x.T @ x, 2)
         c = rng.normal(size=(6, 3))
         c /= np.linalg.norm(c, "fro")
-        w = ridge_solve(g, c, 1e12)
+        w = ridge_solve(packed(g), c, 1e12)
         assert np.linalg.norm(w.weights, "fro") <= 2.0 * np.linalg.norm(c, "fro") / 1e12
 
     def test_residual_bound_holds(self):
@@ -272,14 +286,24 @@ class TestRidgeSolve:
         x = rng.normal(size=(50, 12))
         g = x.T @ x
         c = rng.normal(size=(12, 5))
-        w = ridge_solve(g, c, 1e-3)
+        w = ridge_solve(packed(g), c, 1e-3)
         residual = np.linalg.norm((g + 1e-3 * np.eye(12)) @ w.weights - c, "fro")
         assert residual <= 1e-8 * np.linalg.norm(c, "fro")
 
+    @pytest.mark.parametrize("m", [1, 5, 300])
+    def test_weights_equal_a_dense_cholesky_of_the_unpacked_gram(self, m):
+        # The packed solve factors the very entries a whole symmetric system
+        # holds in its lower triangle, so the weights agree bit for bit.
+        rng = np.random.default_rng(m)
+        x = rng.normal(size=(2 * m, m))
+        p, c = packed(x.T @ x), rng.normal(size=(m, 3))
+        system = unpack_upper(p, m) + 0.5 * np.eye(m)
+        expected = scipy.linalg.cho_solve(scipy.linalg.cho_factor(system, lower=True), c)
+        assert np.array_equal(ridge_solve(p, c, 0.5).weights, expected)
+
     def test_indefinite_gram_fails_with_jitter_trail(self):
-        g = np.diag([-10.0, 1.0])
         with pytest.raises(NumericalError) as err:
-            ridge_solve(g, np.ones((2, 1)), 1.0)
+            ridge_solve(packed(np.diag([-10.0, 1.0])), np.ones((2, 1)), 1.0)
         assert len(err.value.attempted_gammas) == 4
         assert err.value.attempted_gammas[0] == 1.0
 
@@ -288,7 +312,7 @@ class TestRidgeSolve:
         # makes it positive definite.
         v = np.arange(1.0, 5.0)
         g, c = np.outer(v, v), np.ones((4, 1))
-        w = ridge_solve(g, c, 0.0)
+        w = ridge_solve(packed(g), c, 0.0)
         jitter = 1e-6 * np.linalg.norm(g, "fro") / 4
         residual = np.linalg.norm((g + jitter * np.eye(4)) @ w.weights - c, "fro")
         assert residual <= 1e-8 * np.linalg.norm(c, "fro")
@@ -296,7 +320,7 @@ class TestRidgeSolve:
     def test_zero_gamma_zero_gram_is_factorized_once(self):
         # With ||G||_F = 0 every jitter level is 0.0, so one attempt is the trail.
         with pytest.raises(NumericalError, match=r"jitter level \[0\.0\]") as err:
-            ridge_solve(np.zeros((3, 3)), np.ones((3, 1)), 0.0)
+            ridge_solve(np.zeros(6), np.ones((3, 1)), 0.0)
         assert err.value.attempted_gammas == (0.0,)
 
     @pytest.mark.parametrize("gamma", [0.0, 0.5, 1.0, 3.7, 1e4, 1e6])
@@ -307,8 +331,8 @@ class TestRidgeSolve:
 
         monkeypatch.setattr(scipy.linalg, "cho_factor", failing)
         x = np.random.default_rng(3).normal(size=(7, 5))
-        g = x.T @ x
-        frob = np.linalg.norm(g, "fro")
+        g = packed(x.T @ x)
+        frob = packed_frobenius(g)
         with pytest.raises(NumericalError) as err:
             ridge_solve(g, np.ones((5, 1)), gamma)
         if gamma >= 1.0:
@@ -320,27 +344,24 @@ class TestRidgeSolve:
     def test_jitter_escalation_recovers_mild_indefiniteness(self):
         # Smallest eigenvalue -1.001 defeats gamma=1 but not the k=4 rung,
         # gamma * (1 + 1e-4 * ||G||_F / M) with ||G||_F ~ 50.
-        g = np.diag([-1.001, 50.0])
-        w = ridge_solve(g, np.ones((2, 1)), 1.0)
+        w = ridge_solve(packed(np.diag([-1.001, 50.0])), np.ones((2, 1)), 1.0)
         assert np.all(np.isfinite(w.weights))
 
-    def test_asymmetric_gram_is_rejected(self):
-        g = np.array([[1.0, 0.5], [0.0, 1.0]])
-        with pytest.raises(NumericalError, match="symmetric"):
+    @pytest.mark.parametrize("g", [np.eye(2), np.array([[1.0, 0.5], [0.0, 1.0]])])
+    def test_whole_gram_is_rejected(self, g):
+        # A whole (M, M) gram, symmetric or not, is not the packed triangle.
+        with pytest.raises(DimensionError, match=r"not the packed triangle \(3,\)"):
             ridge_solve(g, np.eye(2), 1.0)
 
-    @pytest.mark.parametrize("row, col", [(299, 3), (3, 299), (260, 270)])
-    def test_asymmetry_in_any_row_block_is_rejected(self, row, col):
-        # The check walks the gram in pairs of square tiles; a flaw in a
-        # later tile, or on either side of the diagonal, must be found too.
-        g = np.eye(300)
-        g[row, col] = 0.5
-        with pytest.raises(NumericalError, match="symmetric"):
-            ridge_solve(g, np.ones((300, 1)), 1.0)
+    @pytest.mark.parametrize("length", [45149, 45151, 45451])
+    def test_packed_gram_of_the_wrong_length_is_rejected(self, length):
+        # One entry short, one too many, and the triangle of M + 1, for M = 300.
+        with pytest.raises(DimensionError, match=r"not the packed triangle \(45150,\)"):
+            ridge_solve(np.ones(length), np.ones((300, 1)), 1.0)
 
     def test_negative_gamma_is_rejected(self):
         with pytest.raises(DomainError):
-            ridge_solve(np.eye(2), np.eye(2), -1.0)
+            ridge_solve(packed(np.eye(2)), np.eye(2), -1.0)
 
     @pytest.mark.parametrize("gamma", [np.nan, np.inf])
     def test_non_finite_gamma_is_rejected_before_any_work(self, monkeypatch, gamma):
@@ -350,7 +371,7 @@ class TestRidgeSolve:
         monkeypatch.setattr(scipy.linalg, "cho_factor", unreachable)
         # A NaN gram would be a NumericalError; gamma is checked first.
         with pytest.raises(DomainError, match="finite"):
-            ridge_solve(np.full((2, 2), np.nan), np.eye(2), gamma)
+            ridge_solve(np.full(3, np.nan), np.eye(2), gamma)
 
     def count_solves(self, monkeypatch, spoil_first=False):
         """Record cho_solve calls; optionally spoil the first solution by 1e-6."""
@@ -368,7 +389,7 @@ class TestRidgeSolve:
     def test_well_conditioned_system_is_solved_once(self, monkeypatch):
         solves = self.count_solves(monkeypatch)
         x = np.random.default_rng(6).normal(size=(40, 12))
-        ridge_solve(x.T @ x, np.ones((12, 3)), 1.0)
+        ridge_solve(packed(x.T @ x), np.ones((12, 3)), 1.0)
         assert len(solves) == 1
 
     def test_first_residual_that_misses_is_refined_once(self, monkeypatch):
@@ -377,7 +398,7 @@ class TestRidgeSolve:
         solves = self.count_solves(monkeypatch, spoil_first=True)
         g = np.array([[4.0, 1.0], [1.0, 3.0]])
         c = np.array([[1.0, 0.0], [2.0, 1.0]])
-        w = ridge_solve(g, c, 0.0)
+        w = ridge_solve(packed(g), c, 0.0)
         assert len(solves) == 2
         first_residual = np.linalg.norm(solves[1], "fro") / np.linalg.norm(c, "fro")
         assert first_residual > 1e-8
@@ -385,33 +406,31 @@ class TestRidgeSolve:
         assert residual <= 1e-8 * np.linalg.norm(c, "fro")
 
     def test_memory_layout_of_the_gram_does_not_change_the_weights(self):
-        # 300 rows span two symmetry tiles.
+        # A strided view of the packed triangle solves like a contiguous one.
         x = np.random.default_rng(8).normal(size=(400, 300))
-        g = x.T @ x
-        _mirror_upper(g)
+        g = packed(x.T @ x)
         c = np.random.default_rng(9).normal(size=(300, 4))
-        padded = np.zeros((600, 600))
-        padded[::2, ::2] = g
-        layouts = [g, np.asfortranarray(g), padded[::2, ::2]]
-        weights = [ridge_solve(a, c, 1.0).weights for a in layouts]
-        assert all(np.array_equal(weights[0], w) for w in weights[1:])
+        padded = np.zeros(2 * g.size)
+        padded[::2] = g
+        assert not padded[::2].flags.c_contiguous
+        weights = [ridge_solve(a, c, 1.0).weights for a in (g, padded[::2])]
+        assert np.array_equal(weights[0], weights[1])
 
     def test_nan_gram_is_a_numerical_error(self):
-        g = np.array([[1.0, np.nan], [np.nan, 1.0]])
         with pytest.raises(NumericalError):
-            ridge_solve(g, np.eye(2), 1.0)
+            ridge_solve(np.array([1.0, np.nan, 1.0]), np.eye(2), 1.0)
 
     def test_nan_corr_is_a_numerical_error(self):
         c = np.array([[1.0], [np.nan]])
         with pytest.raises(NumericalError):
-            ridge_solve(np.eye(2), c, 1.0)
+            ridge_solve(packed(np.eye(2)), c, 1.0)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("target", ["gram", "corr"])
     def test_non_finite_input_is_named_without_warning(self, target, bad):
-        g, c = np.eye(3), np.ones((3, 2))
+        g, c = packed(np.eye(3)), np.ones((3, 2))
         if target == "gram":
-            g[0, 2] = g[2, 0] = bad
+            g[2] = bad  # entry (0, 2)
         else:
             c[1, 0] = bad
         with warnings.catch_warnings():
@@ -419,13 +438,21 @@ class TestRidgeSolve:
             with pytest.raises(NumericalError, match=f"{target} matrix has non-finite"):
                 ridge_solve(g, c, 1.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("slot", range(6))
+    def test_non_finite_entry_in_any_packed_slot_names_the_gram(self, slot, bad):
+        g = packed(np.eye(3))
+        g[slot] = bad
+        with pytest.raises(NumericalError, match="gram matrix has non-finite"):
+            ridge_solve(g, np.ones((3, 1)), 1.0)
+
     def test_zero_corr_gives_zero_weights(self):
-        w = ridge_solve(np.eye(2), np.zeros((2, 3)), 1.0)
+        w = ridge_solve(packed(np.eye(2)), np.zeros((2, 3)), 1.0)
         assert np.array_equal(w.weights, np.zeros((2, 3)))
 
     def test_shape_mismatch(self):
         with pytest.raises(DimensionError):
-            ridge_solve(np.eye(3), np.eye(2), 1.0)
+            ridge_solve(packed(np.eye(3)), np.eye(2), 1.0)
 
 
 class TestPredict:
@@ -440,7 +467,7 @@ class TestPredict:
 
     def test_composes_with_ridge_oracle(self):
         w = ridge_solve(
-            np.array([[2.0, 1.0], [1.0, 1.0]]),
+            np.array([2.0, 1.0, 1.0]),
             np.array([[1.0, 1.0], [0.0, 1.0]]),
             0.0,
             class_ids=(0, 1),

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import stsa.core
 import stsa.runner
 from stsa.config import ExperimentConfig, load_config
 from stsa.core import apply_map, local_statistics, make_random_map, predict, unpack_upper
@@ -252,6 +253,22 @@ class TestRunExperiment:
         run_experiment(cfg)
         packed = (cfg.M * (cfg.M + 1) // 2,)
         assert folded == [(packed, packed)] * cfg.T
+
+    @pytest.mark.parametrize("mode", ["full", "efficient"])
+    def test_the_solve_path_builds_no_whole_gram(self, monkeypatch, mode):
+        # With the oracle off, every gram stays packed through the solve, so
+        # a run that cannot mirror a triangle reports exactly as before.
+        cfg = ExperimentConfig(**SMALL, mode=mode, K_D=2)
+        expected = run_experiment(cfg)
+
+        def unreachable(a):
+            raise AssertionError("a whole gram was built")
+
+        monkeypatch.setattr(stsa.core, "_mirror_upper", unreachable)
+        assert run_experiment(cfg) == expected
+        # The oracle's LU reference does unpack, so the patch is live.
+        with pytest.raises(AssertionError, match="a whole gram was built"):
+            run_experiment(replace(cfg, oracle_check=True))
 
     def test_tiny_shards_and_empty_clients_survive(self):
         cfg = ExperimentConfig(
