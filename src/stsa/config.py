@@ -39,7 +39,6 @@ class ExperimentConfig:
     beta: float = 0.5
     seed: int = 0
     shuffle_classes: bool = False
-    repartition_each_task: bool = True
     # random mapping and solve
     M: int = 5000
     map_enabled: bool = True

@@ -113,7 +113,13 @@ class ChaChaStream:
         while True:
             base, u = self._gamma_parts(alpha, k)
             g = base if u is None else base * u ** (1.0 / alpha)
-            total = g.sum()
+            with np.errstate(over="ignore"):
+                total = g.sum()
+            if total == math.inf:
+                # At a huge alpha every draw is near alpha and the sum of k
+                # of them overflows, so scale by the largest before summing.
+                g = g / g.max()
+                total = g.sum()
             if total > 0.0:
                 return g / total
             # Every boosted draw underflowed, so normalize in log space by the

@@ -273,11 +273,6 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
 
     state = TemporalState.initial(rmap.output_dim)
     ledger = CommLedger()
-    global_parts = None
-    if not config.repartition_each_task:
-        global_parts = dirichlet_partition(
-            train.labels, config.K, config.beta, derive_seed(config.seed, "partition")
-        )
 
     acc_rows: list[tuple[float, ...]] = []
     oracle_deltas: list[StageOracleDelta] | None = [] if config.oracle_check else None
@@ -287,18 +282,13 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
         task_classes = schedule.tasks[t - 1]
         c_t = len(task_classes)
         task_idx = np.flatnonzero(np.isin(train.labels, task_classes))
-        if config.repartition_each_task:
-            parts = dirichlet_partition(
-                train.labels[task_idx],
-                config.K,
-                config.beta,
-                derive_seed(config.seed, f"partition/stage={t}"),
-            )
-            client_rows = [task_idx[p] for p in parts]
-        else:
-            client_rows = [
-                part[np.isin(train.labels[part], task_classes)] for part in global_parts
-            ]
+        parts = dirichlet_partition(
+            train.labels[task_idx],
+            config.K,
+            config.beta,
+            derive_seed(config.seed, f"partition/stage={t}"),
+        )
+        client_rows = [task_idx[p] for p in parts]
 
         client = None  # the client computing its upload, for error context
 

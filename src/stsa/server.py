@@ -1,11 +1,12 @@
 """Server-side aggregation: spatial, temporal, gram estimation, classifier.
 
 Spatial aggregation folds client statistics into a running sum within a
-task, one upload at a time; temporal aggregation accumulates the gram
-across tasks and concatenates correlation columns. When clients upload
-first-order records only, the server reconstructs an unbiased estimate of
-the task gram from the per-record correlation columns and label
-frequencies before accumulating it.
+task, one upload at a time in client order, and rejects an upload that
+comes out of order; temporal aggregation accumulates the gram across tasks
+and concatenates correlation columns. When clients upload first-order
+records only, the server reconstructs an unbiased estimate of the task gram
+from the per-record correlation columns and label frequencies before
+accumulating it.
 
 Every gram on the server is its packed upper triangle: M(M+1)/2 entries in
 row-major (``np.triu_indices``) order, the format clients upload. The
@@ -38,9 +39,10 @@ class StageAggregate:
 
     ``gram`` is the exact summed G in full mode, as its packed upper
     triangle, and None in efficient mode.
-    ``records`` holds the efficient-mode first-order records in canonical
-    (client id, record position) order, for the gram estimator; it is empty
-    in full mode, where every client gram is dropped once it has been summed.
+    ``records`` holds the efficient-mode first-order records in upload
+    order, which is (client id, record position) order, for the gram
+    estimator; it is empty in full mode, where every client gram is dropped
+    once it has been summed.
     """
 
     gram: np.ndarray | None
@@ -55,7 +57,7 @@ class TemporalState:
     ``gram_acc`` is the summed (exact or estimated) gram as its packed upper
     triangle, ``corr_acc`` the column-concatenated correlations, whose row
     count is the mapped dimension M, ``class_ids`` the concatenated task
-    class lists in arrival order; the initial state has no class ids.
+    class lists in task order; the initial state has no class ids.
     """
 
     gram_acc: np.ndarray
@@ -74,16 +76,15 @@ def spatial_aggregate(
 ) -> StageAggregate:
     """Sum one task's uploads across clients, folding each in as it arrives.
 
-    ``payloads`` is consumed lazily, one upload per client, from clients
-    0..client_count-1. Sums are folded in canonical (client id, record
-    position) order: an upload whose client id is the next one due is added
-    at once, one that arrives early is parked until every lower id has been
-    added. Any arrival order therefore gives bit-identical sums, and in-order
-    arrival holds no client gram beyond the one being added. A duplicate or
-    out-of-range client id, or a missing one, is a ProtocolError, and so is
-    a NaN or infinite label frequency or sum. All uploads must share one
-    task and all records one mapped dimension; either every record carries a
-    gram (full mode) or none does (efficient mode), and the first sets which.
+    ``payloads`` is consumed lazily and must yield one upload per client in
+    client order, 0..client_count-1. Each upload is folded in once it passes
+    its checks, its records in upload order, and let go of before the next
+    is pulled, so no client gram outlives its fold. A duplicate, missing,
+    out-of-order or out-of-range client id is a ProtocolError (an upload
+    ahead of the id due names that id as missing), and so is a NaN or
+    infinite label frequency or sum. All uploads must share one task and all
+    records one mapped dimension; either every record carries a gram (full
+    mode) or none does (efficient mode), and the first sets which.
     """
     if client_count < 1:
         raise ProtocolError(
@@ -93,7 +94,6 @@ def spatial_aggregate(
     task_id = m = None
     corr = gram = None
     records: list[SpatialStatistics] = []
-    parked: dict[int, object] = {}
     due = 0  # the client id to fold next
     for payload in payloads:
         if not payload.records:
@@ -124,14 +124,23 @@ def spatial_aggregate(
             raise ProtocolError(
                 f"client id {client_id} is out of range for {client_count} clients"
             )
-        if client_id < due or client_id in parked:
+        if client_id < due:
             raise ProtocolError(f"duplicate upload from client {client_id}")
-        parked[client_id] = payload
-        # Only ``parked`` refers to the upload now, so folding frees it.
+        if client_id > due:
+            raise ProtocolError(
+                f"missing upload from client {due}; expected clients 0..{client_count - 1}"
+            )
+        # Full mode adds each packed gram into the packed sum; efficient mode
+        # keeps the first-order records for the gram estimator instead.
+        for rec in payload.records:
+            corr += rec.corr
+            if gram is None:
+                records.append(rec)
+            else:
+                gram += rec.gram
+        due += 1
+        # Let go of the upload before pulling the next one.
         del payload, rec
-        while due in parked:
-            _fold(parked.pop(due), corr, gram, records)
-            due += 1
 
     if due < client_count:
         raise ProtocolError(
@@ -146,20 +155,6 @@ def spatial_aggregate(
         if not (np.isfinite(gram.max()) and np.isfinite(gram.min())):
             raise ProtocolError("summed uploads have non-finite gram entries")
     return StageAggregate(gram=gram, corr=corr, records=tuple(records))
-
-
-def _fold(payload, corr: np.ndarray, gram: np.ndarray | None, records: list) -> None:
-    """Add one client's records to the running sums in upload order.
-
-    Full mode adds each packed gram into the packed sum ``gram``. Efficient
-    mode keeps the first-order records for the gram estimator instead.
-    """
-    for rec in payload.records:
-        corr += rec.corr
-        if gram is None:
-            records.append(rec)
-        else:
-            gram += rec.gram
 
 
 def estimate_gram(

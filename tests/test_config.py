@@ -1,9 +1,21 @@
 """Flat key = value config parsing, presets, validation."""
 
+import runpy
+from pathlib import Path
+
 import pytest
 
-from stsa.config import ExperimentConfig, parse_config
+from stsa.config import ExperimentConfig, load_config, parse_config
 from stsa.errors import ConfigurationError
+
+ROOT = Path(__file__).resolve().parent.parent
+# The benchmark's workload table is pure data; run_path reads it without
+# importing perfbench or writing bytecode next to it.
+_WORKLOADS = runpy.run_path(str(ROOT / "perfbench" / "workloads.py"))
+SHIPPED = [
+    pytest.param(path, id=f"configs/{path.name}")
+    for path in sorted((ROOT / "configs").glob("*.cfg"))
+] + [pytest.param(name, id=f"workload/{name}") for name in _WORKLOADS["WORKLOADS"]]
 
 
 def test_defaults_follow_reference_setup():
@@ -35,6 +47,21 @@ def test_preset_applies_before_overrides():
 def test_unknown_key_rejected():
     with pytest.raises(ConfigurationError, match="unknown key"):
         parse_config("bogus = 1\n")
+
+
+@pytest.mark.parametrize("source", SHIPPED)
+def test_every_shipped_config_parses(source):
+    # Both readers validate what they parse.
+    if isinstance(source, Path):
+        load_config(source)
+    else:
+        assert parse_config(_WORKLOADS["config_text"](source, seed=1)).seed == 1
+
+
+def test_removed_partition_key_is_unknown():
+    # Every stage draws its own split; the one-global-split switch is gone.
+    with pytest.raises(ConfigurationError, match="unknown key 'repartition_each_task'"):
+        parse_config("repartition_each_task = true\n")
 
 
 def test_duplicate_key_rejected():

@@ -109,6 +109,13 @@ class TestDirichletPartition:
             holders = [k for k, part in enumerate(parts) if (labels[part] == cls).any()]
             assert len(holders) == 1
 
+    def test_huge_finite_beta_leaves_no_client_empty(self):
+        # beta -> inf is near-uniform; an overflowing Dirichlet sum once put
+        # every row on the last client.
+        parts = dirichlet_partition(np.zeros(30, dtype=np.int64), 3, beta=1e308, seed=1)
+        assert np.array_equal(np.sort(np.concatenate(parts)), np.arange(30))
+        assert all(part.size > 0 for part in parts)
+
     def test_invalid_arguments(self):
         with pytest.raises(ConfigurationError):
             dirichlet_partition([0, 1], 0, beta=1.0, seed=0)

@@ -1,5 +1,7 @@
 """Deterministic stream and seed-derivation behavior."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -85,3 +87,15 @@ def test_dirichlet_with_underflowing_gamma_draws_is_a_vertex(alpha):
         p = ChaChaStream(seed).dirichlet(alpha, 3)
         assert np.all(np.isfinite(p))
         assert sorted(p.tolist()) == [0.0, 0.0, 1.0]
+
+
+@pytest.mark.parametrize("alpha", [1e308, 1.7e308])
+def test_dirichlet_at_a_huge_finite_alpha_is_near_uniform(alpha):
+    # The Gamma draws are each near alpha, so their sum overflows; the draw
+    # is scaled by its largest entry instead of becoming 0 / inf.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        p = ChaChaStream(1).dirichlet(alpha, 3)
+    assert np.all(np.isfinite(p))
+    assert abs(p.sum() - 1.0) < 1e-12
+    assert np.allclose(p, 1.0 / 3.0)

@@ -54,17 +54,12 @@ class TestRunExperiment:
             assert entry.gram_delta <= 1e-12
             assert entry.corr_delta <= 1e-12
 
-    @pytest.mark.parametrize("repartition", [True, False])
     @pytest.mark.parametrize("beta", [0.1, 100.0])
     @pytest.mark.parametrize("k", [1, 3, 7])
-    def test_full_mode_weights_do_not_depend_on_the_split(self, k, beta, repartition):
+    def test_full_mode_weights_do_not_depend_on_the_split(self, k, beta):
         # Data and map depend on the seed only, so these runs differ in the
         # client split alone; every split must reach the pooled solution.
-        cfg = ExperimentConfig(
-            **{**SMALL, "K": k, "beta": beta},
-            repartition_each_task=repartition,
-            oracle_check=True,
-        )
+        cfg = ExperimentConfig(**{**SMALL, "K": k, "beta": beta}, oracle_check=True)
         report = run_experiment(cfg)
         assert len(report.comm.entries) == cfg.T * k
         assert [entry.w_delta <= 1e-8 for entry in report.oracle] == [True] * cfg.T
@@ -281,11 +276,6 @@ class TestRunExperiment:
     def test_accuracy_improves_over_chance(self):
         report = run_experiment(ExperimentConfig(**SMALL))
         assert report.a_t > 2.0 / SMALL["synth_classes"]
-
-    def test_single_global_partition_flag(self):
-        cfg = ExperimentConfig(**SMALL, repartition_each_task=False)
-        report = run_experiment(cfg)
-        assert report.accuracy.stages == SMALL["T"]
 
     def test_disabled_map_runs_at_raw_dimension(self):
         cfg = ExperimentConfig(**{**SMALL, "map_enabled": False})

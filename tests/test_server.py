@@ -92,21 +92,27 @@ class TestSpatialAggregate:
             for k, (a, b) in enumerate(cuts)
         ]
 
-    def test_payload_order_is_canonicalized(self):
-        for mode in ("full", "efficient"):
-            payloads = self.payloads(mode)
-            forward = spatial_aggregate(payloads, self.classes, 3)
-            # Client id order, then each upload's own record (dummy) order.
-            canonical = [rec for p in payloads for rec in p.records]
-            for order in itertools.permutations(payloads):
-                shuffled = spatial_aggregate(order, self.classes, 3)
-                if mode == "full":
-                    assert np.array_equal(forward.gram, shuffled.gram)
-                else:
-                    assert shuffled.gram is None
-                    assert len(shuffled.records) == 6
-                    assert all(a is b for a, b in zip(shuffled.records, canonical))
-                assert np.array_equal(forward.corr, shuffled.corr)
+    @pytest.mark.parametrize("mode", ["full", "efficient"])
+    def test_out_of_order_upload_is_rejected(self, mode):
+        # Uploads come in client order; the first one ahead of the client
+        # due names that client as missing, whatever follows it.
+        payloads = self.payloads(mode)
+        # In order, the uploads are accepted, and efficient-mode records are
+        # kept in (client id, record position) order.
+        agg = spatial_aggregate(payloads, self.classes, 3)
+        if mode == "efficient":
+            in_order = [rec for p in payloads for rec in p.records]
+            assert len(agg.records) == 6
+            assert all(a is b for a, b in zip(agg.records, in_order))
+        p0, _, p2 = payloads
+        with pytest.raises(ProtocolError, match="missing upload from client 0"):
+            spatial_aggregate([p2, p0, p2], self.classes, 3)
+        for order in itertools.permutations(range(3)):
+            if order == (0, 1, 2):
+                continue
+            due = next(k for k, client in enumerate(order) if client != k)
+            with pytest.raises(ProtocolError, match=f"missing upload from client {due};"):
+                spatial_aggregate([payloads[k] for k in order], self.classes, 3)
 
     def test_values_below_the_diagonal_of_an_upload_are_not_read(self):
         # A gram upload is its upper triangle, packed row by row; a client
@@ -186,8 +192,6 @@ class TestSpatialAggregate:
         payloads = self.payloads("full")
         with pytest.raises(ProtocolError, match="duplicate upload from client 1"):
             spatial_aggregate(payloads + [payloads[1]], self.classes, 3)
-        with pytest.raises(ProtocolError, match="duplicate upload from client 2"):
-            spatial_aggregate([payloads[2], payloads[0], payloads[2]], self.classes, 3)
 
     @pytest.mark.parametrize("kept", [(0, 2), (1, 2)])
     def test_missing_upload_rejected(self, kept):
