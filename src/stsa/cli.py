@@ -16,7 +16,6 @@ from pathlib import Path
 import numpy as np
 
 from .config import load_config
-from .core import apply_map
 from .data import save_features, generate_synthetic
 from .errors import FormatError, NumericalError, StsaError
 from .runner import (
@@ -68,8 +67,7 @@ def _cmd_oracle(args) -> int:
         )
     class_ids = schedule.classes_through(schedule.stages)
     weights = centralized_oracle(pooled, class_ids, config.gamma)
-    mapped_test = apply_map(rmap, test.features)
-    per_task = [task_accuracy(weights, mapped_test, test.labels, rows) for rows in test_rows]
+    per_task = [task_accuracy(weights, rmap, test, rows) for rows in test_rows]
     lines = ["schema = stsa-oracle/1"]
     lines += [f"task {tau} accuracy = {acc!r}" for tau, acc in enumerate(per_task, start=1)]
     lines.append(f"final average accuracy = {sum(per_task) / len(per_task)!r}")

@@ -146,6 +146,11 @@ def apply_map(rmap: RandomMap, raw: np.ndarray) -> np.ndarray:
     # 0.0, so non-finite input is rejected before it is lifted.
     if not np.isfinite(raw).all():
         raise NumericalError("raw features have non-finite entries")
+    if raw.shape[0] == 1:
+        # numpy multiplies a lone row with gemv, whose sums round differently
+        # from gemm's. Mapped as a row of a two-row product, every row maps to
+        # the same bits whichever rows it is mapped with.
+        return apply_map(rmap, np.repeat(raw, 2, axis=0))[:1].copy()
     mapped = raw @ rmap.matrix
     np.maximum(mapped, 0.0, out=mapped)
     return mapped

@@ -101,10 +101,14 @@ class SynthSpec:
             )
         if np.any(self.variances < 0.0):
             raise ConfigurationError("variances must be non-negative")
-        if self.class_count < 1 or self.dim < 1 or self.train_per_class < 1:
-            raise ConfigurationError("class_count, dim and train_per_class must be >= 1")
-        if self.test_per_class < 0:
-            raise ConfigurationError("test_per_class must be >= 0")
+        _check_synth_sizes(self.class_count, self.dim, self.train_per_class, self.test_per_class)
+
+
+def _check_synth_sizes(class_count: int, dim: int, train_per_class: int, test_per_class: int):
+    if class_count < 1 or dim < 1 or train_per_class < 1:
+        raise ConfigurationError("class_count, dim and train_per_class must be >= 1")
+    if test_per_class < 0:
+        raise ConfigurationError("test_per_class must be >= 0")
 
 
 def random_synth_spec(
@@ -117,6 +121,9 @@ def random_synth_spec(
     noise_std: float = 0.5,
 ) -> SynthSpec:
     """Spec with seeded class means ~ mean_scale * N(0, I) and shared noise."""
+    # Checked before the class_count * dim draw, whose count a negative size
+    # makes negative, or positive when both sizes are negative.
+    _check_synth_sizes(class_count, dim, train_per_class, test_per_class)
     stream = ChaChaStream(derive_seed(seed, "synth-means"))
     means = mean_scale * stream.standard_normal(class_count * dim).reshape(class_count, dim)
     variances = np.full((class_count, dim), float(noise_std) ** 2)

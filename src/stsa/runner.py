@@ -2,7 +2,9 @@
 
 One run walks the incremental stages: partition the stage's data across
 clients, extract payloads, aggregate spatially and temporally, update the
-classifier in closed form, then evaluate on every task seen so far. With
+classifier in closed form, then evaluate on every task seen so far. Test
+data stays raw: each stage maps one seen task's test rows at a time, scores
+them and lets them go, so no mapped copy of the test set is ever held. With
 ``oracle_check`` enabled each stage is also compared against the pooled
 centralized solution, which the aggregation is exactly equivalent to.
 """
@@ -153,6 +155,11 @@ def load_experiment_data(config: ExperimentConfig) -> tuple[FeatureDataset, Feat
         raise ConfigurationError(
             f"train declares {train.class_count} classes, test {test.class_count}"
         )
+    if train.features.shape[1] != test.features.shape[1]:
+        raise ConfigurationError(
+            f"train features have {train.features.shape[1]} columns, "
+            f"test features {test.features.shape[1]}"
+        )
     return train, test
 
 
@@ -204,12 +211,17 @@ def task_test_rows(schedule: TaskSchedule, test_labels: np.ndarray) -> list[np.n
 
 def task_accuracy(
     weights: ClassifierWeights,
-    mapped_test: np.ndarray,
-    test_labels: np.ndarray,
+    rmap: RandomMap,
+    test: FeatureDataset,
     rows: np.ndarray,
 ) -> float:
-    """Top-1 accuracy on the given test rows, of which there is at least one."""
-    return float(np.mean(predict(weights, mapped_test[rows]) == test_labels[rows]))
+    """Top-1 accuracy on the given raw test rows, of which there is at least one.
+
+    Only these rows are mapped, and their mapped block goes on return, so a
+    caller that scores one task at a time holds one task's mapped rows at most.
+    """
+    mapped = apply_map(rmap, test.features[rows])
+    return float(np.mean(predict(weights, mapped) == test.labels[rows]))
 
 
 def centralized_oracle(
@@ -269,7 +281,6 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     schedule = make_schedule(config, train.class_count)
     rmap = experiment_map(config, train.features.shape[1])
     test_rows = task_test_rows(schedule, test.labels)
-    mapped_test = apply_map(rmap, test.features)
 
     state = TemporalState.initial(rmap.output_dim)
     ledger = CommLedger()
@@ -346,10 +357,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
             del agg, gram  # the state holds the stage's sums; free them before the solve
             weights = update_classifier(state, config.gamma)
             acc_rows.append(
-                tuple(
-                    task_accuracy(weights, mapped_test, test.labels, rows)
-                    for rows in test_rows[:t]
-                )
+                tuple(task_accuracy(weights, rmap, test, rows) for rows in test_rows[:t])
             )
             if config.oracle_check:
                 pooled = _pool_task(pooled, rmap, train, task_idx, task_classes)

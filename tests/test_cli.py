@@ -168,6 +168,44 @@ def test_task_with_no_test_rows_exits_2(tmp_path, capsys, command):
     )
 
 
+@pytest.mark.parametrize("command", ["run", "oracle"])
+def test_test_file_of_another_width_exits_2_before_any_stage(tmp_path, capsys, command):
+    # The test split is mapped only when a stage scores it, so a width
+    # mismatch must be caught when the splits are loaded.
+    for name, dim in (("wide", 8), ("narrow", 6)):
+        spec = write_config(tmp_path, SMALL_CONFIG.replace("synth_dim = 4", f"synth_dim = {dim}"))
+        assert main(["gen-features", "--spec", str(spec), "--out", str(tmp_path / name)]) == 0
+    cfg = write_config(
+        tmp_path,
+        SMALL_CONFIG
+        + f"data = files\ntrain_path = {tmp_path / 'wide'}.train.stsafeat\n"
+        + f"test_path = {tmp_path / 'narrow'}.test.stsafeat\n",
+        name="widths.cfg",
+    )
+    capsys.readouterr()
+    assert main([command, "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == (
+        "configuration error: train features have 8 columns, test features 6\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "sizes",
+    ["synth_classes = -3", "synth_dim = -2", "synth_classes = -3\nsynth_dim = -2"],
+    ids=["classes", "dim", "both"],
+)
+def test_negative_synthetic_size_exits_2(tmp_path, capsys, sizes):
+    # The class means are drawn as synth_classes * synth_dim normals, a
+    # count that is negative, or positive when both sizes are.
+    sized = ("synth_classes", "synth_dim")
+    kept = [line for line in SMALL_CONFIG.splitlines() if not line.startswith(sized)]
+    cfg = write_config(tmp_path, "\n".join(kept) + f"\n{sizes}\n", name="negative.cfg")
+    assert main(["run", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == (
+        "configuration error: class_count, dim and train_per_class must be >= 1\n"
+    )
+
+
 SINGULAR_ORACLE_CONFIG = """
 synth_classes = 2
 synth_dim = 4

@@ -67,6 +67,17 @@ def test_oracle_report_matches_golden(tmp_path):
     assert_matches_golden(out, "benchmark-oracle.txt")
 
 
+def test_shuffled_oracle_report_matches_golden(tmp_path):
+    """Shuffled classes and a larger first task leave each task's test rows
+    scattered over the test set, and the tasks unequal in size."""
+    config = tmp_path / "shuffled.cfg"
+    shuffled = "shuffle_classes = true\nfirst_task_classes = 8\n"
+    config.write_text(BENCHMARK_CFG.read_text() + shuffled)
+    out = tmp_path / "oracle.txt"
+    assert main(["oracle", "--config", str(config), "--out", str(out)]) == 0
+    assert_matches_golden(out, "benchmark-oracle-shuffled.txt")
+
+
 def _outside_oracle(report: str) -> list[str]:
     """The report's lines, without the body of its ``[oracle]`` section."""
     kept, in_oracle = [], False

@@ -12,8 +12,15 @@ import pytest
 import stsa.core
 import stsa.runner
 from stsa.config import ExperimentConfig, load_config
-from stsa.core import apply_map, local_statistics, make_random_map, predict, unpack_upper
-from stsa.data import SynthSpec, random_synth_spec
+from stsa.core import (
+    ClassifierWeights,
+    apply_map,
+    local_statistics,
+    make_random_map,
+    predict,
+    unpack_upper,
+)
+from stsa.data import SynthSpec, generate_synthetic, random_synth_spec, split_tasks
 from stsa.errors import ConfigurationError, EstimationError, NumericalError
 from stsa.metrics import (
     avg_incremental_accuracy,
@@ -29,6 +36,8 @@ from stsa.runner import (
     make_schedule,
     run_estimator_study,
     run_experiment,
+    task_accuracy,
+    task_test_rows,
 )
 
 SMALL = dict(
@@ -199,6 +208,27 @@ class TestRunExperiment:
             finally:
                 tracemalloc.stop()
         assert peaks[32] <= peaks[2] + 4 * config.M**2 * 8
+
+    def test_peak_memory_is_flat_in_the_test_set_size(self):
+        # Each stage maps one task's raw test rows at a time and lets them go,
+        # so a larger test set costs its raw rows plus one task's rows held
+        # raw, mapped and scored; a resident mapped test set (n_test x M)
+        # would cost five tasks' worth of mapped rows here.
+        config = load_config(Path(__file__).resolve().parent.parent / "configs" / "benchmark.cfg")
+        config = replace(config, mode="full", oracle_check=False)
+        peaks = {}
+        for n in (config.synth_test_per_class, 10 * config.synth_test_per_class):
+            tracemalloc.start()
+            try:
+                run_experiment(replace(config, synth_test_per_class=n))
+                peaks[n] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        small, large = sorted(peaks)
+        raw_test = config.synth_classes * large * config.synth_dim * 8
+        task_rows = config.synth_classes // config.T * large
+        one_task = task_rows * (config.synth_dim + config.M + config.synth_classes) * 8
+        assert peaks[large] <= peaks[small] + raw_test + one_task
 
     def test_one_gram_workspace_per_stage_is_gone_before_the_solve(self, monkeypatch):
         # Every client of a stage writes its gram product into one F-ordered
@@ -390,6 +420,51 @@ class TestCentralizedOracle:
         before = stats.gram.copy()
         centralized_oracle(stats, (0, 1), gamma=4.0)
         assert np.array_equal(stats.gram, before)
+
+
+class TestTaskAccuracy:
+    D, N_CLASSES, PER_CLASS = 64, 100, 50
+
+    @pytest.fixture(scope="class")
+    def test_split(self):
+        spec = random_synth_spec(self.N_CLASSES, self.D, train_per_class=1,
+                                 test_per_class=self.PER_CLASS, seed=3)
+        return generate_synthetic(spec)[1]
+
+    @pytest.mark.parametrize("m", [600, 800])
+    def test_mapping_a_row_subset_is_bit_identical(self, test_split, m):
+        # Evaluation maps each task's raw rows on their own; the reports stay
+        # byte-identical only if that equals slicing the whole mapped set.
+        rmap = make_random_map(5, self.D, m)
+        whole = apply_map(rmap, test_split.features)
+        rng = np.random.default_rng(m)
+        subsets = [np.sort(rng.choice(test_split.size, n, replace=False)) for n in (1, 7, 500)]
+        assert all(np.any(np.diff(rows) > 1) for rows in subsets[1:])
+        schedule = split_tasks(self.N_CLASSES, 10, shuffle_seed=9)
+        task_rows = task_test_rows(schedule, test_split.labels)
+        assert len(task_rows) == 10
+        for rows in subsets + task_rows:
+            assert np.array_equal(apply_map(rmap, test_split.features[rows]), whole[rows])
+
+    def test_scores_only_the_given_rows(self, test_split, monkeypatch):
+        rmap = make_random_map(5, self.D, 600)
+        rows = task_test_rows(split_tasks(self.N_CLASSES, 10), test_split.labels)[3]
+        weights = ClassifierWeights(
+            weights=np.random.default_rng(1).normal(size=(600, 10)),
+            class_ids=tuple(range(30, 40)),
+        )
+        mapped_rows = []
+        original = stsa.runner.apply_map
+
+        def counting(rmap, raw):
+            mapped_rows.append(raw.shape[0])
+            return original(rmap, raw)
+
+        monkeypatch.setattr(stsa.runner, "apply_map", counting)
+        acc = task_accuracy(weights, rmap, test_split, rows)
+        mapped = original(rmap, test_split.features)[rows]
+        assert mapped_rows == [rows.size] == [10 * self.PER_CLASS]
+        assert acc == float(np.mean(predict(weights, mapped) == test_split.labels[rows]))
 
 
 class TestEstimatorStudy:
