@@ -14,9 +14,8 @@ from functools import cached_property
 from typing import Sequence
 
 import numpy as np
-import scipy.linalg
-from scipy.linalg.blas import dsymm, dsyrk
-from scipy.linalg.lapack import dtpttr, dtrttp
+from scipy.linalg.blas import dsyrk
+from scipy.linalg.lapack import dpftrf, dpftrs, dtpttf, dtpttr, dtrttp
 
 from .errors import DimensionError, DomainError, NumericalError
 from .prng import ChaChaStream
@@ -27,7 +26,7 @@ SOLVE_RESIDUAL_BOUND = 1e-8
 _JITTER_EXPONENTS = (6, 4, 2)
 
 # Rows and columns per tile of the mirror, and rows per strip of the gram
-# estimate.
+# estimate and of the solve's residual product.
 _SYMMETRY_BLOCK = 256
 
 
@@ -272,12 +271,60 @@ def packed_frobenius(packed: np.ndarray) -> float:
 
     Each off-diagonal entry appears twice in the whole matrix, so
     ||A||_F^2 = 2 ||packed||^2 - ||diag(A)||^2, and diagonal entry i sits at
-    slot i*M - i(i-1)/2. No M x M array is made.
+    slot i*M - i(i-1)/2. No M x M array is made. An input that is not 1-D,
+    or whose length is no triangle M(M+1)/2, is a DimensionError.
     """
+    if packed.ndim != 1:
+        raise DimensionError(f"packed triangle must be 1-D, got shape {packed.shape}")
     m = (math.isqrt(8 * packed.size + 1) - 1) // 2
+    if m * (m + 1) // 2 != packed.size:
+        raise DimensionError(f"packed length {packed.size} is not a triangle M(M+1)/2")
     i = np.arange(m)
     diagonal = packed[i * m - i * (i - 1) // 2]
     return float(np.sqrt(2.0 * (packed @ packed) - diagonal @ diagonal))
+
+
+def _rfp_diagonal(m: int) -> np.ndarray:
+    """Slot of each diagonal entry, in order, in RFP with transr="N", uplo="L".
+
+    RFP (rectangular full packed, LAPACK's ``dtpttf``) stores the lower
+    triangle as two triangles T1, T2 and the rectangle between them. For
+    odd M, T1 (the first (M+1)/2 columns) starts at slot 0 and T2 at slot
+    M, both with leading dimension M. For even M, T1 (the first M/2)
+    starts at slot 1 and T2 at slot 0, both with leading dimension M+1.
+    """
+    j = np.arange(m // 2 + m % 2)
+    if m % 2:
+        return np.concatenate([j * (m + 1), m + j[: m // 2] * (m + 1)])
+    return np.concatenate([1 + j * (m + 2), j * (m + 2)])
+
+
+def _packed_symmetric_product(packed: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """G @ w for the symmetric G whose upper triangle ``packed`` holds row by row.
+
+    Works one strip of ``_SYMMETRY_BLOCK`` rows at a time. A strip's rows sit
+    in consecutive packed slots, each from its diagonal on; they are copied
+    into a b x (M - i) buffer, whose diagonal tile is then completed from
+    its upper triangle. The strip gives rows i..i+b of G @ w from columns
+    i..M, and its rectangle right of the tile, transposed, gives the rows
+    below it their terms from columns i..i+b. No M x M array is made.
+    """
+    m = w.shape[0]
+    out = np.zeros(w.shape)
+    buffer = np.empty((min(_SYMMETRY_BLOCK, m), m))
+    below = np.tri(buffer.shape[0], k=-1, dtype=bool)
+    start = 0  # packed offset of the strip's first row
+    for i in range(0, m, _SYMMETRY_BLOCK):
+        b = min(_SYMMETRY_BLOCK, m - i)
+        strip = buffer[:b, : m - i]
+        for r in range(b):
+            strip[r, r:] = packed[start : start + m - i - r]
+            start += m - i - r
+        tile = strip[:, :b]
+        np.copyto(tile, tile.T, where=below[:b, :b])
+        out[i : i + b] += strip @ w[i:]
+        out[i + b :] += strip[:, b:].T @ w[i : i + b]
+    return out
 
 
 def ridge_solve(
@@ -294,6 +341,13 @@ def ridge_solve(
     DimensionError. Packed, G is symmetric by construction. A non-finite or
     negative gamma is a DomainError, and a non-finite G or C a
     NumericalError, before any factorization.
+
+    Each attempt converts G to rectangular full packed (RFP) format with
+    ``dtpttf``, an exact permutation of its entries, adds gamma on RFP's
+    diagonal slots, and factorizes in place with ``dpftrf``; ``dpftrs``
+    solves. The residual gate computes G W from the packed slots, one row
+    strip at a time, so no step holds more than G, its RFP factor and one
+    strip.
 
     The relative residual must end under SOLVE_RESIDUAL_BOUND; one step of
     iterative refinement is taken only when the first solve misses it. If
@@ -333,43 +387,34 @@ def ridge_solve(
     attempts += [unit * (gamma / unit + 10.0**-k * frob / m) for k in _JITTER_EXPONENTS]
     # A zero G makes every level gamma; a repeat would refactorize one matrix.
     attempts = list(dict.fromkeys(attempts))
-    factor = None
-    used_gamma = None
-    diagonal = np.diag_indices(m)
-    for g in attempts:
-        # The row-major upper triangle is the column-major lower one, so
-        # dtpttr writes it as the lower triangle of an F-ordered array: what
-        # cho_factor(lower=True) reads, and factorizes in place. A failed
-        # attempt leaves it overwritten.
-        system, _ = dtpttr(m, G, uplo="L")
-        system[diagonal] += g
-        try:
-            factor = scipy.linalg.cho_factor(
-                system, lower=True, overwrite_a=True, check_finite=False
-            )
-        except scipy.linalg.LinAlgError:
-            continue
-        used_gamma = g
-        break
-    if factor is None:
+    diagonal = _rfp_diagonal(m)
+    for used_gamma in attempts:
+        # The row-major upper triangle is the column-major lower one, which
+        # is what dtpttf reads with uplo="L". A failed attempt leaves its
+        # RFP array overwritten, so each attempt converts G afresh.
+        factor, _ = dtpttf(m, G, transr="N", uplo="L")
+        factor[diagonal] += used_gamma
+        factor, info = dpftrf(m, factor, transr="N", uplo="L", overwrite_a=1)
+        if info == 0:
+            break
+        factor = None  # let the failed attempt go before the next one is made
+    else:
         raise NumericalError(
             f"SPD factorization failed at every jitter level {attempts}",
             attempted_gammas=attempts,
         )
 
-    # The factorization overwrote its triangle, so the residual gate's G W
-    # unpacks one more for dsymm.
-    lower, _ = dtpttr(m, G, uplo="L")
-    weights = scipy.linalg.cho_solve(factor, C, check_finite=False)
-    residual = C - (dsymm(1.0, lower, weights, lower=1) + used_gamma * weights)
+    weights, _ = dpftrs(m, factor, C, transr="N", uplo="L")
+    residual = C - (_packed_symmetric_product(G, weights) + used_gamma * weights)
     c_norm = np.linalg.norm(C, "fro")
     r_norm = np.linalg.norm(residual, "fro")
     # Written so that a NaN residual or NaN C refines and fails the gate too.
     if not r_norm <= SOLVE_RESIDUAL_BOUND * c_norm:
         # One refinement pass, reusing the factorization; it only pays when
         # the backward error is large.
-        weights = weights + scipy.linalg.cho_solve(factor, residual, check_finite=False)
-        residual = C - (dsymm(1.0, lower, weights, lower=1) + used_gamma * weights)
+        correction, _ = dpftrs(m, factor, residual, transr="N", uplo="L")
+        weights = weights + correction
+        residual = C - (_packed_symmetric_product(G, weights) + used_gamma * weights)
         r_norm = np.linalg.norm(residual, "fro")
     if not r_norm <= SOLVE_RESIDUAL_BOUND * c_norm:
         raise NumericalError(

@@ -2,21 +2,23 @@
 
 Spatial aggregation folds client statistics into a running sum within a
 task, one upload at a time in client order, and rejects an upload that
-comes out of order; temporal aggregation accumulates the gram across tasks
-and concatenates correlation columns. When clients upload first-order
-records only, the server reconstructs an unbiased estimate of the task gram
-from the per-record correlation columns and label frequencies before
-accumulating it.
+comes out of order; temporal aggregation adds each task's gram into the
+running sum in place and concatenates correlation columns. When clients
+upload first-order records only, the server reconstructs an unbiased
+estimate of the task gram from the per-record correlation columns and label
+frequencies before accumulating it.
 
 Every gram on the server is its packed upper triangle: M(M+1)/2 entries in
 row-major (``np.triu_indices``) order, the format clients upload. The
 stage sum, the estimate and the temporal state all stay packed, and
-``update_classifier`` hands the packed state to the solve as it is.
+``update_classifier`` hands the packed state to the solve as it is, which
+factorizes it in LAPACK's rectangular full packed format.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -57,7 +59,9 @@ class TemporalState:
     ``gram_acc`` is the summed (exact or estimated) gram as its packed upper
     triangle, ``corr_acc`` the column-concatenated correlations, whose row
     count is the mapped dimension M, ``class_ids`` the concatenated task
-    class lists in task order; the initial state has no class ids.
+    class lists in task order; the initial state has no class ids. One
+    ``gram_acc`` array serves the whole run: ``temporal_aggregate`` adds
+    each stage into it in place, so folding a state consumes it.
     """
 
     gram_acc: np.ndarray
@@ -85,6 +89,12 @@ def spatial_aggregate(
     infinite label frequency or sum. All uploads must share one task and all
     records one mapped dimension; either every record carries a gram (full
     mode) or none does (efficient mode), and the first sets which.
+
+    Each upload is also checked against the upload contract, at O(c) cost
+    per record, and a breach is a ProtocolError: the client id is an
+    integer and not a bool; grams and corr are float64; a full-mode upload
+    has exactly one record; label counts are non-negative integers, except
+    that efficient-mode counts may be noised into any finite floats.
     """
     if client_count < 1:
         raise ProtocolError(
@@ -105,6 +115,8 @@ def spatial_aggregate(
             corr = np.zeros((m, c_t))
             gram = None if payload.records[0].gram is None else np.zeros(m * (m + 1) // 2)
         client_id = payload.client_id
+        if not isinstance(client_id, (int, np.integer)) or isinstance(client_id, bool):
+            raise ProtocolError(f"client id {client_id!r} is not an integer")
         if payload.task_id != task_id:
             raise ProtocolError(f"mixed task ids {task_id} and {payload.task_id}")
         for rec in payload.records:
@@ -116,10 +128,30 @@ def spatial_aggregate(
                 )
             if (rec.gram is None) != (gram is None):
                 raise ProtocolError("uploads mix full-mode and efficient-mode records")
+            for name, arr in (("gram", rec.gram), ("corr", rec.corr)):
+                if arr is not None and arr.dtype != np.float64:
+                    raise ProtocolError(
+                        f"client {client_id} uploaded a {name} of dtype {arr.dtype}; "
+                        f"it must be float64"
+                    )
+            kind = rec.label_freq.dtype.kind
+            if kind in "iu":
+                if (rec.label_freq < 0).any():
+                    raise ProtocolError(f"client {client_id} uploaded a negative label count")
+            elif kind != "f" or gram is not None:
+                raise ProtocolError(
+                    f"client {client_id} uploaded {rec.label_freq.dtype} label counts; "
+                    f"counts are integers, or floats once noised in efficient mode"
+                )
             if not np.isfinite(rec.label_freq).all():
                 raise ProtocolError(
                     f"client {client_id} uploaded non-finite label frequencies"
                 )
+        if gram is not None and len(payload.records) != 1:
+            raise ProtocolError(
+                f"full-mode upload from client {client_id} has "
+                f"{len(payload.records)} records; full mode sends exactly one"
+            )
         if not 0 <= client_id < client_count:
             raise ProtocolError(
                 f"client id {client_id} is out of range for {client_count} clients"
@@ -171,17 +203,19 @@ def estimate_gram(
     floored at MIN_COUNT. Classes absent everywhere contribute nothing; a
     class held by a single record cannot be estimated and raises.
 
-    Every class's terms are summed by one product G = L U^T. U stacks, per
-    class, its contributing columns c_k and their total t_i = sum_k c_k; L
-    stacks the matching (c_k / n_k) * (n_i - 1)/(K_i - 1) and
-    -(n_i - K_i)/(n_i (K_i - 1)) * t_i. Dividing by n_k before applying the
-    class scalar keeps integer-exact data exact: c_k / n_k is then the
-    exact class mean, where a premultiplied (n_i - 1)/((K_i - 1) n_k) or a
-    square-root weighting rounds.
+    Every class's terms are summed by one product G = L^T U. U has one row
+    per contributing column c_k and one per class total t_i = sum_k c_k;
+    row j of L is row j of U divided by its divisor (n_k for a column, 1
+    for a total) and multiplied by its class scalar ((n_i - 1)/(K_i - 1)
+    for a column, -(n_i - K_i)/(n_i (K_i - 1)) for a total). Dividing by
+    n_k before applying the class scalar keeps integer-exact data exact:
+    c_k / n_k is then the exact class mean, where a premultiplied
+    (n_i - 1)/((K_i - 1) n_k) or a square-root weighting rounds.
 
-    The result is G's packed upper triangle, symmetric by construction. It
-    is written one strip of ``_SYMMETRY_BLOCK`` rows at a time: rows i..i+b
-    of L U^T against columns i..M, so no M x M array is made.
+    The result is G's packed upper triangle, symmetric by construction. U
+    is the one R x M array made, with R the number of its rows; L is formed
+    one strip of ``_SYMMETRY_BLOCK`` columns at a time, and its rows i..i+b
+    of L^T U are taken against columns i..M only, so no M x M array is made.
     """
     records = list(records)
     if not records:
@@ -194,34 +228,40 @@ def estimate_gram(
                 f"({m}, {len(task_classes)})"
             )
     counts = np.array([rec.label_freq for rec in records], dtype=np.float64)
-    left: list[np.ndarray] = []
-    right: list[np.ndarray] = []
-    for i, cls in enumerate(task_classes):
-        contributing = counts[:, i] > 0.0
-        k_i = int(contributing.sum())
-        if k_i == 0:
-            continue
-        if k_i < 2:
+    contributing = counts > 0.0
+    held = contributing.sum(axis=0)
+    for cls, k_i in zip(task_classes, held):
+        if k_i == 1:
             raise EstimationError(
                 f"class {cls} is held by a single record; gram estimation "
                 f"needs at least 2 (use dummy clients)"
             )
-        # Class i's column of each contributing record, one row each.
-        cols = np.array([rec.corr[:, i] for rec, keep in zip(records, contributing) if keep])
-        n_k = np.maximum(counts[contributing, i], MIN_COUNT)
+    rows = int(held.sum() + np.count_nonzero(held))
+    u = np.empty((rows, m))
+    divisor = np.empty(rows)
+    scale = np.empty(rows)
+    top = 0  # U's first row for the class; its total goes in row ``end``
+    for i, k_i in enumerate(held):
+        if k_i == 0:
+            continue
+        end = top + k_i
+        cols = u[top:end]
+        for dst, rec in zip(cols, compress(records, contributing[:, i])):
+            dst[:] = rec.corr[:, i]
+        n_k = np.maximum(counts[contributing[:, i], i], MIN_COUNT)
         n_i = float(n_k.sum())
-        total = cols.sum(axis=0)
-        left.append((cols / n_k[:, None]) * ((n_i - 1.0) / (k_i - 1.0)))
-        left.append(-((n_i - k_i) / (n_i * (k_i - 1.0))) * total[None, :])
-        right.append(cols)
-        right.append(total[None, :])
+        u[end] = cols.sum(axis=0)
+        divisor[top:end] = n_k
+        divisor[end] = 1.0
+        scale[top:end] = (n_i - 1.0) / (k_i - 1.0)
+        scale[end] = -((n_i - k_i) / (n_i * (k_i - 1.0)))
+        top = end + 1
     packed = np.zeros(m * (m + 1) // 2)
-    if not left:
-        return packed
-    lt, u = np.concatenate(left).T, np.concatenate(right)
     start = 0  # packed offset of the strip's first row
     for i in range(0, m, _SYMMETRY_BLOCK):
-        strip = lt[i : i + _SYMMETRY_BLOCK] @ u[:, i:]
+        left = u[:, i : i + _SYMMETRY_BLOCK] / divisor[:, None]
+        left *= scale[:, None]
+        strip = left.T @ u[:, i:]
         # Row i + r of the triangle is the strip row from its diagonal on.
         for r, row in enumerate(strip):
             packed[start : start + m - i - r] = row[r:]
@@ -237,9 +277,12 @@ def temporal_aggregate(
 ) -> TemporalState:
     """Fold one task's aggregated statistics into the running state.
 
-    ``gram_new`` is the stage gram's packed upper triangle; the packed
-    grams are summed, correlation columns are appended, class ids extend
-    in task order. Classes must be disjoint across stages.
+    ``gram_new`` is the stage gram's packed upper triangle, which is added
+    into ``state.gram_acc`` in place, so the fold makes no second
+    accumulated gram. The caller's state is consumed: its ``gram_acc`` is
+    the returned state's, and holds the new sum. Correlation columns are
+    appended and class ids extend in task order. Classes must be disjoint
+    across stages; every check runs before the state is touched.
     """
     gram_new = np.asarray(gram_new, dtype=np.float64)
     corr_new = np.asarray(corr_new, dtype=np.float64)
@@ -260,8 +303,10 @@ def temporal_aggregate(
         raise ProtocolError(f"classes {sorted(overlap)} already seen in earlier stages")
     if len(set(task_classes)) != len(task_classes):
         raise ProtocolError(f"task class list has duplicates: {list(task_classes)}")
+    gram_acc = state.gram_acc
+    gram_acc += gram_new
     return TemporalState(
-        gram_acc=state.gram_acc + gram_new,
+        gram_acc=gram_acc,
         corr_acc=np.hstack([state.corr_acc, corr_new]),
         class_ids=state.class_ids + tuple(int(c) for c in task_classes),
     )

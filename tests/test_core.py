@@ -1,16 +1,20 @@
 """Kernel operations against hand-computed and analytic oracles."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
-import scipy.linalg
+from scipy.linalg.lapack import dpftrf, dpftrs, dtpttf
 
+import stsa.core
 from stsa.core import (
     _SYMMETRY_BLOCK,
     ClassifierWeights,
     SpatialStatistics,
     _mirror_upper,
+    _packed_symmetric_product,
+    _rfp_diagonal,
     apply_map,
     local_statistics,
     make_random_map,
@@ -258,6 +262,39 @@ class TestPackedFrobenius:
         assert np.isclose(packed_frobenius(p), expected, rtol=1e-14, atol=0.0)
 
 
+    @pytest.mark.parametrize("shape", [(7,), (2,), (5,), (3, 2), (6, 1)])
+    def test_input_that_is_no_packed_triangle_is_rejected(self, shape):
+        # Lengths 7, 2 and 5 lie between triangles; a 2-D array is not packed.
+        with pytest.raises(DimensionError):
+            packed_frobenius(np.ones(shape))
+
+
+class TestRfpDiagonal:
+    @pytest.mark.parametrize("m", range(1, 65))
+    def test_slots_match_a_dtpttf_marker_vector(self, m):
+        # Diagonal entry i carries the marker i + 1; dtpttf shows where it lands.
+        i = np.arange(m)
+        marker = np.zeros(m * (m + 1) // 2)
+        marker[i * m - i * (i - 1) // 2] = i + 1.0
+        rfp, _ = dtpttf(m, marker, transr="N", uplo="L")
+        slots = _rfp_diagonal(m)
+        assert np.array_equal(rfp[slots], i + 1.0)
+        assert np.count_nonzero(rfp) == m
+
+
+class TestPackedSymmetricProduct:
+    @pytest.mark.parametrize("m", [1, 255, 256, 257, 600])
+    def test_matches_the_dense_product(self, m):
+        # Strips reorder each row's sum, so the two agree to the rounding
+        # bound of an M-term dot product, M * eps * (|G| @ |W|), entry by entry.
+        rng = np.random.default_rng(m)
+        p, w = rng.normal(size=m * (m + 1) // 2), rng.normal(size=(m, 7))
+        g = unpack_upper(p, m)
+        got = _packed_symmetric_product(p, np.asfortranarray(w))
+        bound = m * np.finfo(np.float64).eps * (np.abs(g) @ np.abs(w))
+        assert np.all(np.abs(got - g @ w) <= bound)
+
+
 class TestRidgeSolve:
     def test_diagonal_case(self):
         w = ridge_solve(packed(np.eye(2)), np.eye(2), 1.0)
@@ -291,14 +328,17 @@ class TestRidgeSolve:
         assert residual <= 1e-8 * np.linalg.norm(c, "fro")
 
     @pytest.mark.parametrize("m", [1, 5, 300])
-    def test_weights_equal_a_dense_cholesky_of_the_unpacked_gram(self, m):
-        # The packed solve factors the very entries a whole symmetric system
-        # holds in its lower triangle, so the weights agree bit for bit.
+    def test_weights_equal_an_rfp_cholesky_of_the_same_system(self, m):
+        # The packed solve factors, in RFP, the entries of G + gamma I, with
+        # gamma added to each diagonal entry once, so the weights agree bit
+        # for bit with dpftrf and dpftrs run on that system.
         rng = np.random.default_rng(m)
         x = rng.normal(size=(2 * m, m))
         p, c = packed(x.T @ x), rng.normal(size=(m, 3))
-        system = unpack_upper(p, m) + 0.5 * np.eye(m)
-        expected = scipy.linalg.cho_solve(scipy.linalg.cho_factor(system, lower=True), c)
+        system, _ = dtpttf(m, packed(unpack_upper(p, m) + 0.5 * np.eye(m)), transr="N", uplo="L")
+        factor, info = dpftrf(m, system, transr="N", uplo="L")
+        assert info == 0
+        expected, _ = dpftrs(m, factor, c, transr="N", uplo="L")
         assert np.array_equal(ridge_solve(p, c, 0.5).weights, expected)
 
     def test_indefinite_gram_fails_with_jitter_trail(self):
@@ -326,10 +366,14 @@ class TestRidgeSolve:
     @pytest.mark.parametrize("gamma", [0.0, 0.5, 1.0, 3.7, 1e4, 1e6])
     def test_jitter_ladder_levels(self, monkeypatch, gamma):
         # For gamma >= 1 the levels round exactly as gamma * (1 + 10^-k ||G||_F / M).
-        def failing(*args, **kwargs):
-            raise scipy.linalg.LinAlgError("forced")
+        factored = []
 
-        monkeypatch.setattr(scipy.linalg, "cho_factor", failing)
+        def failing(n, a, **kwargs):
+            # The leading minor of order 1 is "not positive definite".
+            factored.append(a[_rfp_diagonal(n)].copy())
+            return a, 1
+
+        monkeypatch.setattr(stsa.core, "dpftrf", failing)
         x = np.random.default_rng(3).normal(size=(7, 5))
         g = packed(x.T @ x)
         frob = packed_frobenius(g)
@@ -340,6 +384,11 @@ class TestRidgeSolve:
         else:
             rungs = tuple(gamma + 10.0**-k * frob / 5 for k in (6, 4, 2))
         assert err.value.attempted_gammas == (gamma,) + rungs
+        # Each attempt factors G's diagonal plus its own level, converted afresh.
+        diagonal = unpack_upper(g, 5).diagonal()
+        assert len(factored) == 4
+        for level, seen in zip(err.value.attempted_gammas, factored):
+            assert np.array_equal(seen, diagonal + level)
 
     def test_jitter_escalation_recovers_mild_indefiniteness(self):
         # Smallest eigenvalue -1.001 defeats gamma=1 but not the k=4 rung,
@@ -368,22 +417,22 @@ class TestRidgeSolve:
         def unreachable(*args, **kwargs):
             raise AssertionError("factorized with a non-finite gamma")
 
-        monkeypatch.setattr(scipy.linalg, "cho_factor", unreachable)
+        monkeypatch.setattr(stsa.core, "dtpttf", unreachable)
+        monkeypatch.setattr(stsa.core, "dpftrf", unreachable)
         # A NaN gram would be a NumericalError; gamma is checked first.
         with pytest.raises(DomainError, match="finite"):
             ridge_solve(np.full(3, np.nan), np.eye(2), gamma)
 
     def count_solves(self, monkeypatch, spoil_first=False):
-        """Record cho_solve calls; optionally spoil the first solution by 1e-6."""
+        """Record dpftrs calls; optionally spoil the first solution by 1e-6."""
         solves = []
-        original = scipy.linalg.cho_solve
 
-        def counting(factor, b, **kwargs):
-            x = original(factor, b, **kwargs)
+        def counting(n, a, b, **kwargs):
+            x, info = dpftrs(n, a, b, **kwargs)
             solves.append(b)
-            return x * (1.0 + 1e-6) if spoil_first and len(solves) == 1 else x
+            return (x * (1.0 + 1e-6) if spoil_first and len(solves) == 1 else x), info
 
-        monkeypatch.setattr(scipy.linalg, "cho_solve", counting)
+        monkeypatch.setattr(stsa.core, "dpftrs", counting)
         return solves
 
     def test_well_conditioned_system_is_solved_once(self, monkeypatch):
@@ -453,6 +502,22 @@ class TestRidgeSolve:
     def test_shape_mismatch(self):
         with pytest.raises(DimensionError):
             ridge_solve(packed(np.eye(3)), np.eye(2), 1.0)
+
+    def test_peak_memory_is_the_rfp_factor_and_one_strip(self):
+        # The packed G is the caller's. The solve adds its RFP factor (half
+        # an M x M array) and the residual product's strip, never a whole
+        # M x M array: a dense system alone would be one unit.
+        m, c = 1000, 40
+        x = np.random.default_rng(10).normal(size=(m + 50, m))
+        g, corr = packed(x.T @ x), np.ones((m, c))
+        del x
+        tracemalloc.start()
+        try:
+            ridge_solve(g, corr, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * m * m * 8
 
 
 class TestPredict:

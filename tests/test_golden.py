@@ -78,6 +78,15 @@ def test_shuffled_oracle_report_matches_golden(tmp_path):
     assert_matches_golden(out, "benchmark-oracle-shuffled.txt")
 
 
+def test_estimator_study_report_matches_golden(tmp_path):
+    """The study runs the gram estimator with no solve, so it pins the
+    estimator's bits on their own."""
+    out = tmp_path / "study.txt"
+    config = ROOT / "configs" / "estimator-study.cfg"
+    assert main(["estimator-study", "--config", str(config), "--out", str(out)]) == 0
+    assert_matches_golden(out, "estimator-study.txt")
+
+
 def _outside_oracle(report: str) -> list[str]:
     """The report's lines, without the body of its ``[oracle]`` section."""
     kept, in_oracle = [], False

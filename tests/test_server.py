@@ -1,6 +1,7 @@
 """Server aggregation, gram estimation and the closed-form update."""
 
 import itertools
+import tracemalloc
 import weakref
 from dataclasses import replace
 
@@ -234,6 +235,60 @@ class TestSpatialAggregate:
         with pytest.raises(ProtocolError, match=f"non-finite {what}"):
             spatial_aggregate(payloads, self.classes, 3)
 
+    @pytest.mark.parametrize(
+        "mode, breach, message",
+        [
+            ("full", "two records", "has 2 records; full mode sends exactly one"),
+            ("full", "negative count", "client 1 uploaded a negative label count"),
+            ("efficient", "negative count", "client 1 uploaded a negative label count"),
+            ("full", "float counts", "client 1 uploaded float64 label counts"),
+            ("full", "int64 gram", "client 1 uploaded a gram of dtype int64; it must be float64"),
+            ("efficient", "float32 corr", "client 1 uploaded a corr of dtype float32"),
+            ("full", "bool client id", "client id False is not an integer"),
+            ("efficient", "float client id", "client id 1.0 is not an integer"),
+        ],
+    )
+    def test_upload_that_breaks_the_contract_is_rejected(self, mode, breach, message):
+        # Each breach is a well-formed record otherwise, so only the
+        # upload contract can catch it.
+        payloads = self.payloads(mode)
+        upload = payloads[1]
+        first, *rest = upload.records
+        counts = first.label_freq
+        changed = {
+            "two records": lambda: {"records": (first, first)},
+            "negative count": lambda: {
+                "records": (replace(first, label_freq=counts - 10), *rest)
+            },
+            "float counts": lambda: {
+                "records": (replace(first, label_freq=counts.astype(float)),)
+            },
+            "int64 gram": lambda: {
+                "records": (replace(first, gram=first.gram.astype(np.int64)),)
+            },
+            "float32 corr": lambda: {
+                "records": (replace(first, corr=first.corr.astype(np.float32)), *rest)
+            },
+            "bool client id": lambda: {"client_id": False},
+            "float client id": lambda: {"client_id": 1.0},
+        }[breach]()
+        payloads[1] = replace(upload, **changed)
+        if breach == "bool client id":
+            payloads = payloads[1:2]  # False would pass as client 0
+        with pytest.raises(ProtocolError, match=message):
+            spatial_aggregate(payloads, self.classes, len(payloads))
+
+    def test_noised_efficient_counts_may_be_any_finite_float(self):
+        # Noise can push an efficient-mode count below zero or off the
+        # integers; the estimator skips non-positive counts.
+        payloads = self.payloads("efficient")
+        first, *rest = payloads[1].records
+        noised = first.label_freq.astype(float) - np.array([0.3, 5.5, 0.0])
+        payloads[1] = replace(payloads[1], records=(replace(first, label_freq=noised), *rest))
+        payloads[2] = replace(payloads[2], client_id=np.int64(2))
+        agg = spatial_aggregate(payloads, self.classes, 3)
+        assert agg.records[2].label_freq is noised
+
     def test_mixed_modes_rejected(self):
         # The first record sets the stage's mode; a record of the other
         # mode, in a later payload or in the same one, is rejected.
@@ -387,6 +442,22 @@ class TestEstimateGram:
         expected = per_class_estimator(records, c_t, m)
         assert np.linalg.norm(g - expected) <= 1e-12 * np.linalg.norm(expected)
 
+    def test_peak_memory_is_the_triangle_and_three_factor_arrays(self):
+        # U holds one row per contributing column and one per class total:
+        # R = 50 * 10 + 10 rows. The packed estimate, U and one strip's
+        # scaled columns and product stay under the triangle plus 3 R x M.
+        m, k, c = 600, 50, 10
+        rng = np.random.default_rng(0)
+        records = [record(rng.normal(size=(m, c)), rng.integers(1, 20, size=c)) for _ in range(k)]
+        rows = k * c + c
+        tracemalloc.start()
+        try:
+            estimate_gram(records, range(c))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= (m * (m + 1) // 2 + 3 * rows * m) * 8
+
     def test_no_contributing_class_gives_zeros(self):
         records = [
             record(np.ones((5, 2)), [0.0, -0.3]),
@@ -472,6 +543,18 @@ class TestTemporalAggregate:
         state = temporal_aggregate(TemporalState.initial(2), eye, np.ones((2, 2)), [0, 1])
         with pytest.raises(ProtocolError, match="already seen"):
             temporal_aggregate(state, eye, np.ones((2, 1)), [1])
+
+    def test_fold_adds_into_the_state_in_place(self):
+        # One accumulated gram serves every stage; a rejected fold leaves it as it was.
+        state = TemporalState.initial(3)
+        acc = state.gram_acc
+        state = temporal_aggregate(state, packed(np.eye(3)), np.ones((3, 1)), [0])
+        state = temporal_aggregate(state, packed(2 * np.eye(3)), np.ones((3, 1)), [1])
+        assert state.gram_acc is acc
+        assert np.array_equal(acc, packed(3 * np.eye(3)))
+        with pytest.raises(ProtocolError, match="already seen"):
+            temporal_aggregate(state, packed(np.eye(3)), np.ones((3, 1)), [1])
+        assert np.array_equal(acc, packed(3 * np.eye(3)))
 
     def test_shape_mismatch_rejected(self):
         state = TemporalState.initial(3)
