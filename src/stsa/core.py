@@ -11,11 +11,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 from scipy.linalg.blas import dsyrk
-from scipy.linalg.lapack import dpftrf, dpftrs, dtpttf, dtpttr, dtrttp
+from scipy.linalg.lapack import dpftrf, dpftrs, dtpttf, dtrttp
 
 from .errors import DimensionError, DomainError, NumericalError
 from .prng import ChaChaStream
@@ -25,8 +25,8 @@ SOLVE_RESIDUAL_BOUND = 1e-8
 # Jitter escalation ladder for the SPD factorization, mildest first.
 _JITTER_EXPONENTS = (6, 4, 2)
 
-# Rows and columns per tile of the mirror, and rows per strip of the gram
-# estimate and of the solve's residual product.
+# Rows per strip of the packed triangle; every walk over its rows (unpack,
+# residual product, gram estimate) holds at most this many rows of M x M.
 _SYMMETRY_BLOCK = 256
 
 
@@ -230,48 +230,58 @@ def local_statistics(
     return SpatialStatistics(gram=gram, corr=corr, label_freq=freq)
 
 
+def _packed_row_start(i, m: int):
+    """Packed slot of row ``i``'s diagonal entry in dim ``m``; ``i`` may be an array."""
+    return i * m - i * (i - 1) // 2
+
+
+def _packed_strips(m: int) -> Iterator[tuple[int, int, slice, np.ndarray]]:
+    """Walk the packed triangle of dim ``m`` one strip of ``_SYMMETRY_BLOCK`` rows at a time.
+
+    Yields ``(i, b, slots, upper)``: the strip's first row and row count,
+    the packed slice holding rows i..i+b from their diagonals on, and the
+    b x (M - i) mask that is True on and above the diagonal. A strip's
+    entries under ``upper``, in row-major order, are ``packed[slots]``.
+    """
+    upper = np.arange(m) >= np.arange(min(_SYMMETRY_BLOCK, m))[:, None]
+    for i in range(0, m, _SYMMETRY_BLOCK):
+        b = min(_SYMMETRY_BLOCK, m - i)
+        slots = slice(_packed_row_start(i, m), _packed_row_start(i + b, m))
+        yield i, b, slots, upper[:b, : m - i]
+
+
+def _read_strip(packed: np.ndarray, slots: slice, upper: np.ndarray, strip: np.ndarray) -> None:
+    """Fill a b x (M - i) ``strip`` from its packed slots, then mirror its diagonal tile."""
+    strip[upper] = packed[slots]
+    b = strip.shape[0]
+    tile = strip[:, :b]
+    np.copyto(tile, tile.T, where=~upper[:, :b])
+
+
 def unpack_upper(packed: np.ndarray, m: int) -> np.ndarray:
     """The symmetric (M, M) matrix whose upper triangle ``packed`` holds row by row.
 
-    The result is a fresh C-ordered array; each packed entry lands on both
-    sides of the diagonal.
+    The result is a fresh C-ordered array: each strip fills its rows from the
+    diagonal on, and its transpose fills the columns below it.
     """
     if packed.shape != (m * (m + 1) // 2,):
         raise DimensionError(
             f"packed gram shape {packed.shape} is not the triangle of dim {m}"
         )
-    # The row-major upper order is the column-major lower order, so LAPACK
-    # unpacks into the lower triangle of an F-ordered array, whose transpose
-    # is the C-ordered upper triangle.
-    lower, _ = dtpttr(m, packed, uplo="L")
-    whole = lower.T
-    _mirror_upper(whole)
+    whole = np.empty((m, m))
+    for i, b, slots, upper in _packed_strips(m):
+        strip = whole[i : i + b, i:]
+        _read_strip(packed, slots, upper, strip)
+        whole[i + b :, i : i + b] = strip[:, b:].T
     return whole
-
-
-def _mirror_upper(a: np.ndarray) -> None:
-    """Copy the upper triangle of square ``a`` onto its strict lower triangle, in place.
-
-    Works one column strip of ``_SYMMETRY_BLOCK`` at a time, so no M x M
-    temporary is made.
-    """
-    m = a.shape[0]
-    for j in range(0, m, _SYMMETRY_BLOCK):
-        end = min(j + _SYMMETRY_BLOCK, m)
-        block = a[j:end, j:end]
-        # Row by row inside the diagonal tile, which is cheaper than indexing
-        # its triangle.
-        for r in range(1, end - j):
-            block[r, :r] = block[:r, r]
-        a[end:, j:end] = a[j:end, end:].T
 
 
 def packed_frobenius(packed: np.ndarray) -> float:
     """Frobenius norm of the symmetric matrix whose upper triangle ``packed`` holds.
 
     Each off-diagonal entry appears twice in the whole matrix, so
-    ||A||_F^2 = 2 ||packed||^2 - ||diag(A)||^2, and diagonal entry i sits at
-    slot i*M - i(i-1)/2. No M x M array is made. An input that is not 1-D,
+    ||A||_F^2 = 2 ||packed||^2 - ||diag(A)||^2, and diagonal entry i sits
+    where row i starts. No M x M array is made. An input that is not 1-D,
     or whose length is no triangle M(M+1)/2, is a DimensionError.
     """
     if packed.ndim != 1:
@@ -279,8 +289,7 @@ def packed_frobenius(packed: np.ndarray) -> float:
     m = (math.isqrt(8 * packed.size + 1) - 1) // 2
     if m * (m + 1) // 2 != packed.size:
         raise DimensionError(f"packed length {packed.size} is not a triangle M(M+1)/2")
-    i = np.arange(m)
-    diagonal = packed[i * m - i * (i - 1) // 2]
+    diagonal = packed[_packed_row_start(np.arange(m), m)]
     return float(np.sqrt(2.0 * (packed @ packed) - diagonal @ diagonal))
 
 
@@ -302,26 +311,17 @@ def _rfp_diagonal(m: int) -> np.ndarray:
 def _packed_symmetric_product(packed: np.ndarray, w: np.ndarray) -> np.ndarray:
     """G @ w for the symmetric G whose upper triangle ``packed`` holds row by row.
 
-    Works one strip of ``_SYMMETRY_BLOCK`` rows at a time. A strip's rows sit
-    in consecutive packed slots, each from its diagonal on; they are copied
-    into a b x (M - i) buffer, whose diagonal tile is then completed from
-    its upper triangle. The strip gives rows i..i+b of G @ w from columns
-    i..M, and its rectangle right of the tile, transposed, gives the rows
-    below it their terms from columns i..i+b. No M x M array is made.
+    Reads one strip of ``_SYMMETRY_BLOCK`` rows at a time into a b x (M - i)
+    buffer. The strip gives rows i..i+b of G @ w from columns i..M, and its
+    rectangle right of the diagonal tile, transposed, gives the rows below
+    it their terms from columns i..i+b. No M x M array is made.
     """
     m = w.shape[0]
     out = np.zeros(w.shape)
     buffer = np.empty((min(_SYMMETRY_BLOCK, m), m))
-    below = np.tri(buffer.shape[0], k=-1, dtype=bool)
-    start = 0  # packed offset of the strip's first row
-    for i in range(0, m, _SYMMETRY_BLOCK):
-        b = min(_SYMMETRY_BLOCK, m - i)
+    for i, b, slots, upper in _packed_strips(m):
         strip = buffer[:b, : m - i]
-        for r in range(b):
-            strip[r, r:] = packed[start : start + m - i - r]
-            start += m - i - r
-        tile = strip[:, :b]
-        np.copyto(tile, tile.T, where=below[:b, :b])
+        _read_strip(packed, slots, upper, strip)
         out[i : i + b] += strip @ w[i:]
         out[i + b :] += strip[:, b:].T @ w[i : i + b]
     return out
@@ -336,9 +336,9 @@ def ridge_solve(
     """Solve (G + gamma I) W = C by SPD factorization, never explicit inverse.
 
     G is the packed upper triangle of the symmetric gram, M(M+1)/2 entries
-    row by row (the format of ``SpatialStatistics.gram``), with M the row
-    count of C; any other shape, a whole (M, M) matrix included, is a
-    DimensionError. Packed, G is symmetric by construction. A non-finite or
+    row by row (the format of ``SpatialStatistics.gram``), with M >= 1 the
+    row count of C; any other M or shape, a whole (M, M) matrix included, is
+    a DimensionError. Packed, G is symmetric by construction. A non-finite or
     negative gamma is a DomainError, and a non-finite G or C a
     NumericalError, before any factorization.
 
@@ -361,6 +361,8 @@ def ridge_solve(
     if C.ndim != 2:
         raise DimensionError(f"corr must be 2-D, got shape {C.shape}")
     m = C.shape[0]
+    if m < 1:
+        raise DimensionError("ridge solve needs a feature dimension of at least 1, got 0")
     if G.shape != (m * (m + 1) // 2,):
         raise DimensionError(
             f"gram shape {G.shape} is not the packed triangle "

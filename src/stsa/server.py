@@ -23,12 +23,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import (
-    _SYMMETRY_BLOCK,
-    ClassifierWeights,
-    SpatialStatistics,
-    ridge_solve,
-)
+from .core import ClassifierWeights, SpatialStatistics, _packed_strips, ridge_solve
 from .errors import EstimationError, ProtocolError
 
 #: Contributing noised label frequencies are floored here before division.
@@ -87,8 +82,8 @@ def spatial_aggregate(
     out-of-order or out-of-range client id is a ProtocolError (an upload
     ahead of the id due names that id as missing), and so is a NaN or
     infinite label frequency or sum. All uploads must share one task and all
-    records one mapped dimension; either every record carries a gram (full
-    mode) or none does (efficient mode), and the first sets which.
+    records one mapped dimension, at least 1; either every record carries a
+    gram (full mode) or none does (efficient mode), and the first sets which.
 
     Each upload is also checked against the upload contract, at O(c) cost
     per record, and a breach is a ProtocolError: the client id is an
@@ -112,6 +107,8 @@ def spatial_aggregate(
             # The first upload sets the stage's task, dimension and mode.
             task_id = payload.task_id
             m = payload.records[0].feature_dim
+            if m < 1:
+                raise ProtocolError(f"client {payload.client_id!r} uploaded feature dimension 0")
             corr = np.zeros((m, c_t))
             gram = None if payload.records[0].gram is None else np.zeros(m * (m + 1) // 2)
         client_id = payload.client_id
@@ -213,9 +210,9 @@ def estimate_gram(
     (n_i - 1)/((K_i - 1) n_k) or a square-root weighting rounds.
 
     The result is G's packed upper triangle, symmetric by construction. U
-    is the one R x M array made, with R the number of its rows; L is formed
-    one strip of ``_SYMMETRY_BLOCK`` columns at a time, and its rows i..i+b
-    of L^T U are taken against columns i..M only, so no M x M array is made.
+    is the one R x M array made, with R the number of its rows; per strip of
+    the packed triangle, L's columns i..i+b times U's columns i..M fill the
+    strip's slots, so no M x M array is made.
     """
     records = list(records)
     if not records:
@@ -256,16 +253,11 @@ def estimate_gram(
         scale[top:end] = (n_i - 1.0) / (k_i - 1.0)
         scale[end] = -((n_i - k_i) / (n_i * (k_i - 1.0)))
         top = end + 1
-    packed = np.zeros(m * (m + 1) // 2)
-    start = 0  # packed offset of the strip's first row
-    for i in range(0, m, _SYMMETRY_BLOCK):
-        left = u[:, i : i + _SYMMETRY_BLOCK] / divisor[:, None]
+    packed = np.empty(m * (m + 1) // 2)
+    for i, b, slots, upper in _packed_strips(m):
+        left = u[:, i : i + b] / divisor[:, None]
         left *= scale[:, None]
-        strip = left.T @ u[:, i:]
-        # Row i + r of the triangle is the strip row from its diagonal on.
-        for r, row in enumerate(strip):
-            packed[start : start + m - i - r] = row[r:]
-            start += m - i - r
+        packed[slots] = (left.T @ u[:, i:])[upper]
     return packed
 
 

@@ -12,7 +12,7 @@ from stsa.core import (
     _SYMMETRY_BLOCK,
     ClassifierWeights,
     SpatialStatistics,
-    _mirror_upper,
+    _packed_strips,
     _packed_symmetric_product,
     _rfp_diagonal,
     apply_map,
@@ -237,16 +237,21 @@ class TestUnpackUpper:
             unpack_upper(np.zeros(shape), 4)
 
 
-class TestMirrorUpper:
-    @pytest.mark.parametrize(
-        "m",
-        [1, _SYMMETRY_BLOCK - 1, _SYMMETRY_BLOCK, _SYMMETRY_BLOCK + 1, 2 * _SYMMETRY_BLOCK + 3],
-    )
-    def test_copies_the_upper_triangle_down(self, m):
-        a = np.random.default_rng(m).normal(size=(m, m))
-        expected = np.triu(a) + np.triu(a, 1).T
-        _mirror_upper(a)
-        assert np.array_equal(a, expected)
+class TestPackedStrips:
+    @pytest.mark.parametrize("m", [1, 2, 255, 256, 257, 600])
+    def test_slices_cover_the_triangle_once_in_order(self, m):
+        strips = list(_packed_strips(m))
+        slots = np.arange(m * (m + 1) // 2)
+        assert np.array_equal(np.concatenate([slots[s] for _, _, s, _ in strips]), slots)
+        assert [(i, b) for i, b, _, _ in strips] == [
+            (i, min(_SYMMETRY_BLOCK, m - i)) for i in range(0, m, _SYMMETRY_BLOCK)
+        ]
+
+    @pytest.mark.parametrize("m", [1, 2, 255, 256, 257, 600])
+    def test_each_mask_is_the_strip_upper_triangle_of_its_slice_length(self, m):
+        for i, b, slots, upper in _packed_strips(m):
+            assert np.array_equal(upper, np.triu(np.ones((b, m - i), dtype=bool)))
+            assert upper.sum() == slots.stop - slots.start
 
 
 def packed(a: np.ndarray) -> np.ndarray:
@@ -407,6 +412,11 @@ class TestRidgeSolve:
         # One entry short, one too many, and the triangle of M + 1, for M = 300.
         with pytest.raises(DimensionError, match=r"not the packed triangle \(45150,\)"):
             ridge_solve(np.ones(length), np.ones((300, 1)), 1.0)
+
+    def test_empty_system_is_a_dimension_error(self):
+        # M = 0 matches its empty packed triangle but leaves nothing to solve.
+        with pytest.raises(DimensionError, match="feature dimension of at least 1"):
+            ridge_solve(np.zeros(0), np.zeros((0, 2)), 1.0)
 
     def test_negative_gamma_is_rejected(self):
         with pytest.raises(DomainError):

@@ -282,14 +282,15 @@ class TestRunExperiment:
     @pytest.mark.parametrize("mode", ["full", "efficient"])
     def test_the_solve_path_builds_no_whole_gram(self, monkeypatch, mode):
         # With the oracle off, every gram stays packed through the solve, so
-        # a run that cannot mirror a triangle reports exactly as before.
+        # a run that cannot unpack a triangle reports exactly as before.
         cfg = ExperimentConfig(**SMALL, mode=mode, K_D=2)
         expected = run_experiment(cfg)
 
-        def unreachable(a):
+        def unreachable(packed, m):
             raise AssertionError("a whole gram was built")
 
-        monkeypatch.setattr(stsa.core, "_mirror_upper", unreachable)
+        monkeypatch.setattr(stsa.core, "unpack_upper", unreachable)
+        monkeypatch.setattr(stsa.runner, "unpack_upper", unreachable)
         assert run_experiment(cfg) == expected
         # The oracle's LU reference does unpack, so the patch is live.
         with pytest.raises(AssertionError, match="a whole gram was built"):

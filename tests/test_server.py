@@ -278,6 +278,14 @@ class TestSpatialAggregate:
         with pytest.raises(ProtocolError, match=message):
             spatial_aggregate(payloads, self.classes, len(payloads))
 
+    def test_upload_of_feature_dimension_zero_is_rejected(self):
+        # An empty packed gram and corr make a valid record, but no stage
+        # can be summed or solved at M = 0.
+        rec = record(np.zeros((0, 1)), np.array([3]), gram=np.zeros(0))
+        upload = UploadPayload(client_id=0, task_id=1, records=(rec,))
+        with pytest.raises(ProtocolError, match="feature dimension 0"):
+            spatial_aggregate([upload], [0], 1)
+
     def test_noised_efficient_counts_may_be_any_finite_float(self):
         # Noise can push an efficient-mode count below zero or off the
         # integers; the estimator skips non-positive counts.
