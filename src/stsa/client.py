@@ -59,26 +59,6 @@ class UploadPayload:
     records: tuple[SpatialStatistics, ...]
 
 
-def _partition_indices(
-    k_d: int, stream: ChaChaStream, labels: np.ndarray, stratified: bool
-) -> list[np.ndarray]:
-    """Seeded shuffle of range(labels.size) dealt round-robin into k_d sorted cells.
-
-    Cell sizes differ by at most one and the cells disjointly cover the rows.
-    Stratified splits shuffle within each class and deal the classes one
-    after another, so every class is also balanced across the cells.
-    """
-    if stratified:
-        shuffled = [
-            idx[stream.permutation(idx.size)]
-            for idx in (np.flatnonzero(labels == cls) for cls in np.unique(labels))
-        ]
-        order = np.concatenate(shuffled) if shuffled else np.empty(0, dtype=np.int64)
-    else:
-        order = stream.permutation(labels.size)
-    return [np.sort(order[j::k_d]) for j in range(k_d)]
-
-
 def extract_payload(
     shard: ClientShard,
     rmap: RandomMap,
@@ -86,7 +66,6 @@ def extract_payload(
     mode: str = MODE_FULL,
     k_d: int = 1,
     seed: int = 0,
-    stratified: bool = False,
     workspace: np.ndarray | None = None,
 ) -> UploadPayload:
     """Map the shard and compute its upload records.
@@ -96,7 +75,8 @@ def extract_payload(
     for the gram product, and no record refers to it. Efficient mode splits
     the shard into at most min(k_d, shard size) dummy clients (an empty
     shard yields a single all-zero record), computes first-order statistics
-    per sub-shard, and never materializes a gram matrix.
+    per sub-shard, and never materializes a gram matrix. The split deals a
+    seeded shuffle of the rows round-robin into sorted, disjoint cells.
     """
     if mode not in (MODE_FULL, MODE_EFFICIENT):
         raise ConfigurationError(f"unknown payload mode {mode!r}")
@@ -109,7 +89,8 @@ def extract_payload(
     else:
         # A shard smaller than k_d caps the split at one sample per dummy client.
         effective = max(1, min(k_d, shard.size))
-        cells = _partition_indices(effective, ChaChaStream(seed), shard.labels, stratified)
+        order = ChaChaStream(seed).permutation(shard.size)
+        cells = [np.sort(order[j::effective]) for j in range(effective)]
     records = tuple(
         local_statistics(
             feat[cell], shard.labels[cell], task_classes, include_gram=full, workspace=workspace

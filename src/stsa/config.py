@@ -42,12 +42,10 @@ class ExperimentConfig:
     # random mapping and solve
     M: int = 5000
     map_enabled: bool = True
-    map_scale: str = "unit"
     gamma: float = 1e4
     # upload mode
     mode: str = "full"
     K_D: int = 50
-    stratified_dummy: bool = False
     noise_q: float = 0.0
     noise_s: float = 0.0
     # verification and accounting
@@ -68,8 +66,6 @@ class ExperimentConfig:
             raise ConfigurationError("files data source needs train_path and test_path")
         if self.mode not in ("full", "efficient"):
             raise ConfigurationError(f"mode must be full or efficient, got {self.mode!r}")
-        if self.map_scale not in ("unit", "inv_dim"):
-            raise ConfigurationError(f"map_scale must be unit or inv_dim, got {self.map_scale!r}")
         if self.T < 1:
             raise ConfigurationError(f"T must be >= 1, got {self.T}")
         if self.K < 1:

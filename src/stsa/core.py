@@ -1,7 +1,8 @@
 """Numerical kernel: seeded random feature map, local statistics, ridge solve.
 
-Feature matrices are plain float64 ndarrays of shape (n, M). All operations
-here are pure functions of their arguments; repeated calls with equal
+Feature matrices are plain float64 ndarrays of shape (n, M). Every operation
+here is a pure function of its arguments, except that ``local_statistics``
+overwrites the workspace its caller hands it; repeated calls with equal
 arguments return bit-identical results, which is what lets clients and the
 server regenerate the shared random map from a seed instead of shipping it.
 """
@@ -35,7 +36,7 @@ class RandomMap:
     """Shared feature-lifting map: x -> relu(x @ matrix), dim d -> M.
 
     The matrix is materialized lazily from the seed, so the descriptor
-    (seed, input_dim, output_dim, enabled, scale) is all that ever needs to
+    (seed, input_dim, output_dim, enabled) is all that ever needs to
     travel between parties. With ``enabled=False`` the map is the identity
     (output_dim == input_dim) and only the ReLU clamp applies.
     """
@@ -44,7 +45,6 @@ class RandomMap:
     input_dim: int
     output_dim: int
     enabled: bool = True
-    scale: str = "unit"  # "unit": N(0,1) entries; "inv_dim": N(0, 1/d)
 
     @cached_property
     def matrix(self) -> np.ndarray:
@@ -52,10 +52,7 @@ class RandomMap:
             return np.eye(self.input_dim)
         stream = ChaChaStream(self.seed)
         entries = stream.standard_normal(self.input_dim * self.output_dim)
-        matrix = entries.reshape(self.input_dim, self.output_dim)
-        if self.scale == "inv_dim":
-            matrix = matrix / np.sqrt(self.input_dim)
-        return matrix
+        return entries.reshape(self.input_dim, self.output_dim)
 
 
 @dataclass(frozen=True)
@@ -112,24 +109,20 @@ class ClassifierWeights:
             )
 
 
-def make_random_map(
-    seed: int, d: int, m: int, enabled: bool = True, scale: str = "unit"
-) -> RandomMap:
+def make_random_map(seed: int, d: int, m: int, enabled: bool = True) -> RandomMap:
     """Build the shared random map descriptor.
 
     Entries are i.i.d. standard normal from the ChaCha stream keyed by
-    ``seed`` (variance 1/d with ``scale="inv_dim"``). Disabled maps are the
-    identity and force ``m`` to ``d``.
+    ``seed``; any constant scale on them would only rescale gamma. Disabled
+    maps are the identity and force ``m`` to ``d``.
     """
     if d < 1 or m < 1:
         raise DimensionError(f"map dimensions must be positive, got d={d}, M={m}")
-    if scale not in ("unit", "inv_dim"):
-        raise DomainError(f"unknown map scale {scale!r}")
     if not enabled:
-        return RandomMap(seed=seed, input_dim=d, output_dim=d, enabled=False, scale=scale)
+        return RandomMap(seed=seed, input_dim=d, output_dim=d, enabled=False)
     if m < d:
         raise DimensionError(f"random mapping requires M >= d, got M={m} < d={d}")
-    return RandomMap(seed=seed, input_dim=d, output_dim=m, enabled=True, scale=scale)
+    return RandomMap(seed=seed, input_dim=d, output_dim=m, enabled=True)
 
 
 def apply_map(rmap: RandomMap, raw: np.ndarray) -> np.ndarray:

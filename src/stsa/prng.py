@@ -108,7 +108,9 @@ class ChaChaStream:
 
     def dirichlet(self, alpha: float, k: int) -> np.ndarray:
         """One draw from Dir(alpha * 1_k); finite and summing to 1 for any alpha > 0."""
-        if k == 1:
+        if k < 1:
+            raise ValueError(f"dirichlet needs k >= 1 categories, got {k}")
+        if k == 1 and 0.0 < alpha < math.inf:  # else _gamma_parts rejects alpha
             return np.ones(1)
         while True:
             base, u = self._gamma_parts(alpha, k)

@@ -186,11 +186,7 @@ def _rel_frobenius(delta: np.ndarray, reference: np.ndarray) -> float:
 def experiment_map(config: ExperimentConfig, input_dim: int) -> RandomMap:
     """The run's shared random map, seeded from the config, for raw dim ``input_dim``."""
     return make_random_map(
-        derive_seed(config.seed, "map"),
-        input_dim,
-        config.M,
-        config.map_enabled,
-        config.map_scale,
+        derive_seed(config.seed, "map"), input_dim, config.M, config.map_enabled
     )
 
 
@@ -330,7 +326,6 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
                     config.mode,
                     config.K_D,
                     derive_seed(config.seed, f"dummy/stage={t}/client={k}"),
-                    config.stratified_dummy,
                     workspace,
                 )
                 payload = add_noise(

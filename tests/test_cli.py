@@ -273,6 +273,16 @@ def test_unknown_key_exits_2(tmp_path):
     assert main(["run", "--config", str(cfg)]) == 2
 
 
+@pytest.mark.parametrize("line", ["map_scale = unit", "stratified_dummy = false"])
+def test_removed_key_exits_2(tmp_path, capsys, line):
+    # Neither key exists: a constant scale on the map is absorbed by gamma,
+    # and the dummy split is one seeded shuffle of the shard.
+    cfg = write_config(tmp_path, SMALL_CONFIG + line + "\n", name="removed.cfg")
+    assert main(["run", "--config", str(cfg)]) == 2
+    key = line.split(" = ")[0]
+    assert f"unknown key {key!r}" in capsys.readouterr().err
+
+
 def test_truncated_feature_file_exits_4(tmp_path, capsys):
     spec = write_config(tmp_path)
     prefix = tmp_path / "bench"

@@ -22,7 +22,7 @@ def make_shard(n=10, d=3, classes=(0, 1), seed=0, client_id=2, task_id=1):
     )
 
 
-def dummy_cells(shard, k_d, seed, stratified=False):
+def dummy_cells(shard, k_d, seed):
     """Row indices each efficient-mode record covers.
 
     One-hot features under the identity map make row i of a record's corr
@@ -36,9 +36,7 @@ def dummy_cells(shard, k_d, seed, stratified=False):
     )
     rmap = make_random_map(0, shard.size, shard.size, enabled=False)
     classes = tuple(int(c) for c in np.unique(shard.labels))
-    payload = extract_payload(
-        one_hot, rmap, classes, mode="efficient", k_d=k_d, seed=seed, stratified=stratified
-    )
+    payload = extract_payload(one_hot, rmap, classes, mode="efficient", k_d=k_d, seed=seed)
     return [np.flatnonzero(rec.corr.sum(axis=1)) for rec in payload.records]
 
 
@@ -56,10 +54,9 @@ class TestSplitDummy:
         assert sorted(cell.size for cell in cells) == [3, 3, 4]
 
     def test_partition_is_disjoint_and_exhaustive(self):
-        for stratified in (False, True):
-            cells = dummy_cells(make_shard(n=17), 4, seed=8, stratified=stratified)
-            # Every original row appears exactly once across the cells.
-            assert sorted(np.concatenate(cells).tolist()) == list(range(17))
+        cells = dummy_cells(make_shard(n=17), 4, seed=8)
+        # Every original row appears exactly once across the cells.
+        assert sorted(np.concatenate(cells).tolist()) == list(range(17))
 
     def test_determinism(self):
         shard = make_shard(n=12)
@@ -69,16 +66,6 @@ class TestSplitDummy:
         assert any(
             not np.array_equal(a, b) for a, b in zip(first, dummy_cells(shard, 3, seed=98))
         )
-
-    def test_stratified_split_balances_classes(self):
-        feat = np.arange(24, dtype=float).reshape(12, 2)
-        labels = np.array([0] * 6 + [1] * 6)
-        shard = ClientShard(client_id=0, task_id=1, features=feat, labels=labels)
-        rmap = make_random_map(13, 2, 6)
-        payload = extract_payload(
-            shard, rmap, (0, 1), mode="efficient", k_d=3, seed=1, stratified=True
-        )
-        assert [rec.label_freq.tolist() for rec in payload.records] == [[2, 2]] * 3
 
     def test_zero_cells_is_a_configuration_error(self):
         rmap = make_random_map(13, 3, 6)

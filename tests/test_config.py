@@ -1,6 +1,8 @@
 """Flat key = value config parsing, presets, validation."""
 
+import re
 import runpy
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -117,3 +119,12 @@ def test_study_k_values():
         ExperimentConfig(study_K="2;5").study_k_values()
     with pytest.raises(ConfigurationError):
         ExperimentConfig(study_K="").study_k_values()
+
+
+def test_readme_key_groups_name_every_config_key():
+    # The README's "Key groups" list is the user's index of config keys; a
+    # key added to or removed from ExperimentConfig must be listed there.
+    readme = (ROOT / "README.md").read_text()
+    groups = readme.split("Key groups:", 1)[1].lstrip().split("\n\n", 1)[0]
+    named = [re.match(r"\w+", span).group() for span in re.findall(r"`([^`]+)`", groups)]
+    assert sorted(named) == sorted(f.name for f in fields(ExperimentConfig))

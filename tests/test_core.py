@@ -44,10 +44,6 @@ class TestMakeRandomMap:
         assert abs(entries.mean()) <= 3.0 / np.sqrt(entries.size)
         assert abs(entries.var() - 1.0) <= 0.02
 
-    def test_inv_dim_scaling(self):
-        m = make_random_map(7, 256, 1024, scale="inv_dim")
-        assert abs(m.matrix.var() - 1.0 / 256) <= 0.02 / 256
-
     def test_seed_changes_matrix(self):
         assert not np.array_equal(make_random_map(1, 4, 8).matrix, make_random_map(2, 4, 8).matrix)
 
@@ -58,8 +54,6 @@ class TestMakeRandomMap:
             make_random_map(7, 4, 0)
         with pytest.raises(DimensionError):
             make_random_map(7, 8, 4)  # M < d with mapping enabled
-        with pytest.raises(DomainError):
-            make_random_map(7, 4, 8, scale="bogus")
 
 
 class TestApplyMap:

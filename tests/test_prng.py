@@ -79,6 +79,24 @@ def test_dirichlet_sums_to_one():
     assert ChaChaStream(12).dirichlet(0.5, 1).tolist() == [1.0]
 
 
+@pytest.mark.parametrize(
+    "alpha, k, message",
+    [
+        (float("nan"), 1, "positive and finite"),
+        (0.0, 1, "positive and finite"),
+        (-1.0, 1, "positive and finite"),
+        (float("nan"), 3, "positive and finite"),
+        (0.5, 0, "k >= 1 categories, got 0"),
+        (2.0, 0, "k >= 1 categories, got 0"),
+        (2.0, -1, "k >= 1 categories, got -1"),
+    ],
+)
+def test_dirichlet_rejects_a_bad_alpha_or_k_at_any_k(alpha, k, message):
+    # The k = 1 shortcut must not skip the alpha check.
+    with pytest.raises(ValueError, match=message):
+        ChaChaStream(0).dirichlet(alpha, k)
+
+
 @pytest.mark.parametrize("alpha", [1e-300, 5e-324])
 def test_dirichlet_with_underflowing_gamma_draws_is_a_vertex(alpha):
     # Every boosted Gamma draw underflows to 0 at these shapes; the log-space
