@@ -5,21 +5,61 @@ here is a pure function of its arguments, except that ``local_statistics``
 overwrites the workspace its caller hands it; repeated calls with equal
 arguments return bit-identical results, which is what lets clients and the
 server regenerate the shared random map from a seed instead of shipping it.
+
+The five BLAS/LAPACK routines used here (``dsyrk``, ``dtrttp``, ``dtpttf``,
+``dpftrf``, ``dpftrs``) come from scipy's compiled wrapper modules
+``scipy.linalg._fblas`` and ``scipy.linalg._flapack``, which
+``_scipy_linalg_extension`` loads without running ``scipy.linalg``'s package
+init. That init pulls in numpy's f2py, testing and masked-array packages and
+doubled the start-up of every process; the routines loaded this way are the
+very objects ``scipy.linalg.blas`` and ``scipy.linalg.lapack`` export.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import sys
 from dataclasses import dataclass
 from functools import cached_property
+from importlib.machinery import PathFinder
+from importlib.util import module_from_spec
+from types import ModuleType
 from typing import Iterator, Sequence
 
 import numpy as np
-from scipy.linalg.blas import dsyrk
-from scipy.linalg.lapack import dpftrf, dpftrs, dtpttf, dtrttp
+import scipy
 
 from .errors import DimensionError, DomainError, NumericalError
 from .prng import ChaChaStream
+
+
+def _scipy_linalg_extension(name: str) -> ModuleType:
+    """The compiled module ``scipy.linalg.<name>``, loaded without ``scipy.linalg``.
+
+    Importing ``scipy`` itself is cheap and sets up the load paths of the
+    libraries it bundles. The module is registered in ``sys.modules`` under
+    its full name, so a later ``import scipy.linalg`` reuses it, and a module
+    already there is returned as it is: either import order gives one module.
+    """
+    fullname = f"scipy.linalg.{name}"
+    module = sys.modules.get(fullname)
+    if module is not None:
+        return module
+    search = [os.path.join(root, "linalg") for root in scipy.__path__]
+    spec = PathFinder.find_spec(fullname, search)
+    if spec is None:
+        raise ImportError(f"no module {fullname} in {os.pathsep.join(search)}", name=fullname)
+    module = module_from_spec(spec)
+    spec.loader.exec_module(module)
+    sys.modules[fullname] = module
+    return module
+
+
+_fblas = _scipy_linalg_extension("_fblas")
+_flapack = _scipy_linalg_extension("_flapack")
+dsyrk = _fblas.dsyrk
+dpftrf, dpftrs, dtpttf, dtrttp = _flapack.dpftrf, _flapack.dpftrs, _flapack.dtpttf, _flapack.dtrttp
 
 SOLVE_RESIDUAL_BOUND = 1e-8
 

@@ -191,6 +191,16 @@ def split_tasks(
     return TaskSchedule(tasks=tuple(tasks))
 
 
+def _distinct(labels: np.ndarray) -> np.ndarray:
+    """The distinct values of ``labels`` in ascending order, as ``np.unique`` gives.
+
+    ``np.unique`` asks ``np.ma.is_masked`` about its input, which imports
+    numpy's masked-array package the first time, inside a timed run.
+    """
+    ordered = np.sort(labels)
+    return np.concatenate((ordered[:1], ordered[1:][ordered[1:] != ordered[:-1]]))
+
+
 def dirichlet_partition(
     labels: Sequence[int], k: int, beta: float, seed: int
 ) -> list[np.ndarray]:
@@ -206,7 +216,7 @@ def dirichlet_partition(
     labels = np.asarray(labels, dtype=np.int64)
     stream = ChaChaStream(seed)
     cells: list[list[np.ndarray]] = [[] for _ in range(k)]
-    for cls in np.unique(labels):
+    for cls in _distinct(labels):
         idx = np.flatnonzero(labels == cls)
         p = stream.dirichlet(beta, k)
         cuts = np.cumsum(p)

@@ -6,6 +6,7 @@ import pytest
 from stsa.data import (
     FeatureDataset,
     SynthSpec,
+    _distinct,
     dirichlet_partition,
     generate_synthetic,
     load_features,
@@ -115,6 +116,24 @@ class TestDirichletPartition:
         parts = dirichlet_partition(np.zeros(30, dtype=np.int64), 3, beta=1e308, seed=1)
         assert np.array_equal(np.sort(np.concatenate(parts)), np.arange(30))
         assert all(part.size > 0 for part in parts)
+
+    @pytest.mark.parametrize(
+        "labels",
+        [
+            np.random.default_rng(3).integers(-20, 20, size=500),
+            np.random.default_rng(4).integers(0, 3, size=7),
+            np.full(9, -4),
+            np.array([5]),
+            np.empty(0, dtype=np.int64),
+        ],
+        ids=["signed", "few", "one-label", "one-row", "empty"],
+    )
+    def test_class_walk_is_np_unique(self, labels):
+        # The partition walks the classes in this order, so each class's
+        # draws from the stream stay where np.unique put them.
+        walked = _distinct(labels)
+        assert walked.dtype == labels.dtype
+        assert np.array_equal(walked, np.unique(labels))
 
     def test_invalid_arguments(self):
         with pytest.raises(ConfigurationError):
