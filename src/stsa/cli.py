@@ -30,6 +30,7 @@ from .runner import (
     task_accuracy,
     task_test_rows,
 )
+from .server import TemporalState
 
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
@@ -60,13 +61,12 @@ def _cmd_oracle(args) -> int:
     schedule = make_schedule(config, train.class_count)
     test_rows = task_test_rows(schedule, test.labels)
     rmap = experiment_map(config, train.features.shape[1])
-    pooled = None
+    pooled = TemporalState.initial(rmap.output_dim)
     for task in schedule.tasks:
         pooled = _pool_task(
             pooled, rmap, train, np.flatnonzero(np.isin(train.labels, task)), task
         )
-    class_ids = schedule.classes_through(schedule.stages)
-    weights = centralized_oracle(pooled, class_ids, config.gamma)
+    weights = centralized_oracle(pooled, config.gamma)
     per_task = [task_accuracy(weights, rmap, test, rows) for rows in test_rows]
     lines = ["schema = stsa-oracle/1"]
     lines += [f"task {tau} accuracy = {acc!r}" for tau, acc in enumerate(per_task, start=1)]

@@ -217,7 +217,8 @@ def local_statistics(
     """Compute one shard's statistics from mapped features; they name no sender.
 
     G = X^T X, C = X^T Y with Y one-hot over ``task_classes`` in the given
-    order, label_freq = per-class counts. G is the packed upper triangle of
+    order, label_freq = per-class counts. Labels of a non-integer dtype are a
+    DomainError, not truncated. G is the packed upper triangle of
     X^T X from one ``dsyrk``, bit-equal to that of numpy's ``X.T @ X``. A
     zero-row ``feat`` yields zero statistics. ``include_gram=False`` skips G
     entirely (it is never formed), which is the communication-efficient
@@ -228,7 +229,10 @@ def local_statistics(
     shards; its contents are overwritten. G is a fresh array either way.
     """
     feat = np.asarray(feat, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.int64)
+    labels = np.asarray(labels)
+    if labels.size and labels.dtype.kind not in "iu":
+        raise DomainError(f"labels must be integers, got dtype {labels.dtype}")
+    labels = labels.astype(np.int64, copy=False)
     if feat.ndim != 2:
         raise DimensionError(f"features must be 2-D, got shape {feat.shape}")
     if labels.shape != (feat.shape[0],):

@@ -42,13 +42,6 @@ class TaskSchedule:
     def stages(self) -> int:
         return len(self.tasks)
 
-    def classes_through(self, stage: int) -> tuple[int, ...]:
-        """All class ids of tasks 1..stage, in task order."""
-        out: tuple[int, ...] = ()
-        for task in self.tasks[:stage]:
-            out += task
-        return out
-
 
 @dataclass(frozen=True)
 class FeatureDataset:
@@ -208,12 +201,16 @@ def dirichlet_partition(
 
     Returns K disjoint, exhaustive index arrays. Empty cells are legal and
     handled downstream. Smaller beta gives more heterogeneous clients.
+    Labels of a non-integer dtype are a DomainError, not truncated.
     """
     if k < 1:
         raise ConfigurationError(f"client count must be >= 1, got {k}")
     if not 0.0 < beta < np.inf:
         raise ConfigurationError(f"dirichlet beta must be finite and > 0, got {beta}")
-    labels = np.asarray(labels, dtype=np.int64)
+    labels = np.asarray(labels)
+    if labels.size and labels.dtype.kind not in "iu":
+        raise DomainError(f"labels must be integers, got dtype {labels.dtype}")
+    labels = labels.astype(np.int64, copy=False)
     stream = ChaChaStream(seed)
     cells: list[list[np.ndarray]] = [[] for _ in range(k)]
     for cls in _distinct(labels):

@@ -6,7 +6,9 @@ classifier in closed form, then evaluate on every task seen so far. Test
 data stays raw: each stage maps one seen task's test rows at a time, scores
 them and lets them go, so no mapped copy of the test set is ever held. With
 ``oracle_check`` enabled each stage is also compared against the pooled
-centralized solution, which the aggregation is exactly equivalent to.
+centralized solution, which the aggregation is exactly equivalent to. The
+oracle folds its pooled statistics into a second ``TemporalState`` with the
+server's ``temporal_aggregate``; only the statistics and the solve differ.
 """
 
 from __future__ import annotations
@@ -175,9 +177,10 @@ def _frobenius(a: np.ndarray) -> float:
     return packed_frobenius(a) if a.ndim == 1 else float(np.linalg.norm(a, "fro"))
 
 
-def _rel_frobenius(delta: np.ndarray, reference: np.ndarray) -> float:
+def _rel_frobenius(value: np.ndarray, reference: np.ndarray) -> float:
+    """Frobenius norm of ``value - reference`` relative to that of ``reference``."""
     ref_norm = _frobenius(reference)
-    delta_norm = _frobenius(delta)
+    delta_norm = _frobenius(value - reference)
     if ref_norm == 0.0:
         return 0.0 if delta_norm == 0.0 else float("inf")
     return delta_norm / ref_norm
@@ -220,54 +223,45 @@ def task_accuracy(
     return float(np.mean(predict(weights, mapped) == test.labels[rows]))
 
 
-def centralized_oracle(
-    pooled: SpatialStatistics, class_ids: Sequence[int], gamma: float
-) -> ClassifierWeights:
+def centralized_oracle(pooled: TemporalState, gamma: float) -> ClassifierWeights:
     """Ridge solution of statistics pooled with access to all data.
 
-    This is the equivalence reference for the federated-incremental path.
-    ``pooled`` holds the packed gram and the corr columns of every training
-    sample of ``class_ids``, in that column order. The regularized normal
+    This is the equivalence reference for the federated-incremental path, and
+    mirrors ``update_classifier``: ``pooled`` is the oracle's own
+    ``TemporalState``, which ``_pool_task`` folds with ``temporal_aggregate``,
+    and the weights' class ids are its class ids. The regularized normal
     equations are solved with a plain LU solve, a route independent of the
     SPD factorization used by the aggregation path; a singular system is a
     NumericalError.
     """
-    class_ids = tuple(int(c) for c in class_ids)
-    if not class_ids:
+    if not pooled.class_ids:
         raise ConfigurationError("the oracle needs at least one class")
-    if not pooled.label_freq.any():
-        raise ConfigurationError("no training samples match the oracle's classes")
-    system = unpack_upper(pooled.gram, pooled.feature_dim)
+    system = unpack_upper(pooled.gram_acc, pooled.corr_acc.shape[0])
     system[np.diag_indices(system.shape[0])] += gamma
     try:
-        weights = np.linalg.solve(system, pooled.corr)
+        weights = np.linalg.solve(system, pooled.corr_acc)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"the oracle's pooled system G + gamma I is singular: {exc}") from exc
-    return ClassifierWeights(weights=weights, class_ids=class_ids)
+    return ClassifierWeights(weights=weights, class_ids=pooled.class_ids)
 
 
 def _pool_task(
-    pooled: SpatialStatistics | None,
+    pooled: TemporalState,
     rmap: RandomMap,
     train: FeatureDataset,
     task_idx: np.ndarray,
     task_classes: Sequence[int],
-) -> SpatialStatistics:
-    """The oracle's statistics of one more task: grams summed, columns appended.
+) -> TemporalState:
+    """The oracle's state with one more task folded in.
 
-    The task's training rows ``task_idx`` are mapped and pooled once and added
-    to ``pooled``, the statistics of the earlier tasks. The grams stay packed,
-    and the sum is taken in the new task's gram, so no third one is made.
+    The task's training rows ``task_idx`` are mapped and pooled by one
+    ``local_statistics`` call, with no client split, and folded into
+    ``pooled`` by the server's own ``temporal_aggregate``, which consumes it.
     """
     task = local_statistics(
         apply_map(rmap, train.features[task_idx]), train.labels[task_idx], task_classes
     )
-    gram, corr, freq = task.gram, task.corr, task.label_freq
-    if pooled is not None:
-        gram += pooled.gram
-        corr = np.hstack([pooled.corr, corr])
-        freq = np.concatenate([pooled.label_freq, freq])
-    return SpatialStatistics(gram=gram, corr=corr, label_freq=freq)
+    return temporal_aggregate(pooled, task.gram, task.corr, task_classes)
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
@@ -283,7 +277,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
 
     acc_rows: list[tuple[float, ...]] = []
     oracle_deltas: list[StageOracleDelta] | None = [] if config.oracle_check else None
-    pooled = None  # the oracle's statistics of tasks 1..t
+    # The oracle's own state, over tasks 1..t.
+    pooled = TemporalState.initial(rmap.output_dim) if config.oracle_check else None
 
     for t in range(1, schedule.stages + 1):
         task_classes = schedule.tasks[t - 1]
@@ -355,16 +350,17 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
                 tuple(task_accuracy(weights, rmap, test, rows) for rows in test_rows[:t])
             )
             if config.oracle_check:
+                # Only task 1 can leave the oracle no rows: a run past it has some.
+                if t == 1 and task_idx.size == 0:
+                    raise ConfigurationError("no training samples match the oracle's classes")
                 pooled = _pool_task(pooled, rmap, train, task_idx, task_classes)
-                w_star = centralized_oracle(pooled, schedule.classes_through(t), config.gamma)
+                w_star = centralized_oracle(pooled, config.gamma)
                 oracle_deltas.append(
                     StageOracleDelta(
                         stage=t,
-                        w_delta=_rel_frobenius(
-                            weights.weights - w_star.weights, w_star.weights
-                        ),
-                        gram_delta=_rel_frobenius(state.gram_acc - pooled.gram, pooled.gram),
-                        corr_delta=_rel_frobenius(state.corr_acc - pooled.corr, pooled.corr),
+                        w_delta=_rel_frobenius(weights.weights, w_star.weights),
+                        gram_delta=_rel_frobenius(state.gram_acc, pooled.gram_acc),
+                        corr_delta=_rel_frobenius(state.corr_acc, pooled.corr_acc),
                     )
                 )
         except StsaError as exc:

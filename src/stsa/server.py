@@ -54,9 +54,11 @@ class TemporalState:
     ``gram_acc`` is the summed (exact or estimated) gram as its packed upper
     triangle, ``corr_acc`` the column-concatenated correlations, whose row
     count is the mapped dimension M, ``class_ids`` the concatenated task
-    class lists in task order; the initial state has no class ids. One
-    ``gram_acc`` array serves the whole run: ``temporal_aggregate`` adds
-    each stage into it in place, so folding a state consumes it.
+    class lists in task order; the initial state has no class ids. Each
+    state's one ``gram_acc`` array serves all its folds:
+    ``temporal_aggregate`` adds each stage into it in place, so folding a
+    state consumes it. A run holds one state, and with ``oracle_check`` a
+    second, the oracle's, which the runner folds from pooled statistics.
     """
 
     gram_acc: np.ndarray

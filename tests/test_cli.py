@@ -206,6 +206,36 @@ def test_negative_synthetic_size_exits_2(tmp_path, capsys, sizes):
     )
 
 
+@pytest.mark.parametrize("oracle_check", [True, False])
+def test_first_task_with_no_training_rows_stops_the_oracle_only(tmp_path, capsys, oracle_check):
+    # Task 1's classes keep their test rows but lose every training row. The
+    # federated stage solves from zero statistics; the oracle has no system.
+    spec = write_config(tmp_path, SMALL_CONFIG, name="spec.cfg")
+    assert main(["gen-features", "--spec", str(spec), "--out", str(tmp_path / "feat")]) == 0
+    train_path = tmp_path / "feat.train.stsafeat"
+    train = load_features(train_path)
+    kept = ~np.isin(train.labels, [0, 1])
+    save_features(replace(train, features=train.features[kept], labels=train.labels[kept]),
+                  train_path)
+    cfg = write_config(
+        tmp_path,
+        SMALL_CONFIG
+        + f"data = files\ntrain_path = {train_path}\n"
+        + f"test_path = {tmp_path / 'feat'}.test.stsafeat\n"
+        + f"oracle_check = {str(oracle_check).lower()}\n",
+        name="no-train.cfg",
+    )
+    capsys.readouterr()
+    if oracle_check:
+        assert main(["run", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == (
+            "configuration error: stage 1: no training samples match the oracle's classes\n"
+        )
+    else:
+        assert main(["run", "--config", str(cfg)]) == 0
+        assert "\nA[3][3] = " in capsys.readouterr().out
+
+
 SINGULAR_ORACLE_CONFIG = """
 synth_classes = 2
 synth_dim = 4

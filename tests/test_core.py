@@ -156,6 +156,11 @@ class TestLocalStatistics:
         with pytest.raises(DomainError, match="label 3"):
             local_statistics(np.eye(2), np.array([0, 3]), [0, 1])
 
+    def test_non_integer_labels_are_a_domain_error(self):
+        # An int64 cast would read 0.5 as class 0.
+        with pytest.raises(DomainError, match="labels must be integers, got dtype float64"):
+            local_statistics(np.ones((2, 2)), np.array([0.5, 1.0]), [0, 1])
+
     def test_gram_can_be_omitted(self):
         stats = local_statistics(np.eye(2), np.array([0, 1]), [0, 1], include_gram=False)
         assert stats.gram is None

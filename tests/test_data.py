@@ -135,6 +135,11 @@ class TestDirichletPartition:
         assert walked.dtype == labels.dtype
         assert np.array_equal(walked, np.unique(labels))
 
+    def test_non_integer_labels_are_a_domain_error(self):
+        # An int64 cast would read 0.5 and 0.7 both as class 0.
+        with pytest.raises(DomainError, match="labels must be integers, got dtype float64"):
+            dirichlet_partition([0.5, 0.7], 2, 1.0, 1)
+
     def test_invalid_arguments(self):
         with pytest.raises(ConfigurationError):
             dirichlet_partition([0, 1], 0, beta=1.0, seed=0)

@@ -28,7 +28,7 @@ from stsa.metrics import (
     comm_bytes,
     final_average_accuracy,
 )
-from stsa.prng import derive_seed
+from stsa.prng import ChaChaStream, derive_seed
 from stsa.runner import (
     centralized_oracle,
     experiment_map,
@@ -39,6 +39,7 @@ from stsa.runner import (
     task_accuracy,
     task_test_rows,
 )
+from stsa.server import TemporalState, temporal_aggregate
 
 SMALL = dict(
     synth_classes=6,
@@ -81,9 +82,11 @@ class TestRunExperiment:
         train, test = load_experiment_data(cfg)
         schedule = make_schedule(cfg, train.class_count)
         rmap = experiment_map(cfg, cfg.synth_dim)
-        class_ids = schedule.classes_through(schedule.stages)
+        # Every training row pooled by one call and folded once: the one-shot
+        # reference against the runner's task-by-task fold.
+        class_ids = [c for task in schedule.tasks for c in task]
         pooled = local_statistics(apply_map(rmap, train.features), train.labels, class_ids)
-        w_star = centralized_oracle(pooled, class_ids, cfg.gamma)
+        w_star = centralized_oracle(fold(pooled, class_ids), cfg.gamma)
         mapped_test = apply_map(rmap, test.features)
         for tau, task in enumerate(schedule.tasks, start=1):
             rows = np.flatnonzero(np.isin(test.labels, task))
@@ -365,6 +368,60 @@ def test_a_later_task_with_no_test_rows_is_named(tmp_path):
         run_experiment(file_cfg)
 
 
+# (T, first_task_classes) pairs that split SMALL's 6 classes, with and
+# without a first task of its own size.
+SPLITS = ((1, None), (2, None), (3, None), (6, None), (2, 1), (3, 2), (3, 4), (4, 3), (6, 1))
+
+
+def sweep_configs(count):
+    """``count`` full-mode configs at SMALL's data scale with the oracle on.
+
+    K, beta (log-uniform on [0.05, 100]), the task split, class shuffling, M,
+    gamma and the seed are drawn from one seeded stream.
+    """
+    stream = ChaChaStream(derive_seed(0, "exactness-sweep"))
+
+    def pick(options):
+        return options[int(stream.random(1)[0] * len(options))]
+
+    configs = []
+    for _ in range(count):
+        t, first = pick(SPLITS)
+        configs.append(ExperimentConfig(**{
+            **SMALL,
+            "K": pick(range(1, 9)),
+            "beta": float(0.05 * 2000.0 ** stream.random(1)[0]),
+            "T": t,
+            "first_task_classes": first,
+            "shuffle_classes": bool(stream.random(1)[0] < 0.5),
+            "M": pick(range(8, 65)),
+            "gamma": pick((1.0, 1e2, 1e4)),
+            "seed": pick(range(1000)),
+        }, oracle_check=True))
+    return configs
+
+
+def test_seeded_sweep_matches_the_oracle_and_reruns_identically(monkeypatch):
+    empty_shard = []  # per stage, whether some client got no rows
+    original = stsa.runner.dirichlet_partition
+
+    def recording(*args, **kwargs):
+        parts = original(*args, **kwargs)
+        empty_shard.append(any(part.size == 0 for part in parts))
+        return parts
+
+    monkeypatch.setattr(stsa.runner, "dirichlet_partition", recording)
+    for cfg in sweep_configs(24):
+        report = run_experiment(cfg)
+        assert len(report.oracle) == cfg.T
+        for entry in report.oracle:
+            assert entry.w_delta <= 1e-8, (cfg, entry)
+            assert entry.gram_delta <= 1e-12, (cfg, entry)
+            assert entry.corr_delta <= 1e-12, (cfg, entry)
+        assert run_experiment(cfg).to_text() == report.to_text(), cfg
+    assert any(empty_shard)
+
+
 def pool(feat, labels, class_ids):
     """Pooled statistics of the rows of ``class_ids``, in that column order.
 
@@ -374,12 +431,18 @@ def pool(feat, labels, class_ids):
     return local_statistics(feat[rows], labels[rows], class_ids)
 
 
+def fold(stats, class_ids):
+    """The oracle's state after folding ``stats`` of ``class_ids`` into an empty one."""
+    initial = TemporalState.initial(stats.corr.shape[0])
+    return temporal_aggregate(initial, stats.gram, stats.corr, class_ids)
+
+
 class TestCentralizedOracle:
     def test_hand_ridge_case(self):
         feat = np.array([[1.0, 0.0], [1.0, 1.0]])
         labels = np.array([0, 1], dtype=np.int64)
         stats = pool(feat, labels, (0, 1))
-        w = centralized_oracle(stats, (0, 1), gamma=0.0)
+        w = centralized_oracle(fold(stats, (0, 1)), gamma=0.0)
         assert np.array_equal(unpack_upper(stats.gram, 2), feat.T @ feat)
         assert np.array_equal(stats.corr, feat.T @ np.eye(2)[labels])
         assert np.allclose(w.weights, np.array([[1.0, 0.0], [-1.0, 1.0]]), atol=1e-12)
@@ -389,7 +452,7 @@ class TestCentralizedOracle:
         feat = np.array([[2.0], [1.0], [3.0]])
         labels = np.array([0, 0, 1], dtype=np.int64)
         stats = pool(feat, labels, (0,))
-        w = centralized_oracle(stats, (0,), gamma=1.0)
+        w = centralized_oracle(fold(stats, (0,)), gamma=1.0)
         # Rows of classes outside the list are not pooled: (5 + 1) w = 3.
         assert stats.gram.tolist() == [5.0]
         assert stats.label_freq.tolist() == [2]
@@ -400,27 +463,25 @@ class TestCentralizedOracle:
         rng = np.random.default_rng(4)
         feat = apply_map(make_random_map(2, 3, 5), rng.normal(size=(12, 3)))
         labels = rng.integers(0, 3, size=12).astype(np.int64)
-        w1 = centralized_oracle(pool(feat, labels, (0, 1, 2)), (0, 1, 2), gamma=2.5)
+        w1 = centralized_oracle(fold(pool(feat, labels, (0, 1, 2)), (0, 1, 2)), gamma=2.5)
         doubled = pool(np.vstack([feat, feat]), np.concatenate([labels, labels]), (0, 1, 2))
-        w2 = centralized_oracle(doubled, (0, 1, 2), gamma=5.0)
+        w2 = centralized_oracle(fold(doubled, (0, 1, 2)), gamma=5.0)
         assert np.allclose(w1.weights, w2.weights, rtol=1e-12)
 
     def test_empty_schedule_rejected(self):
-        feat = np.ones((1, 2))
-        labels = np.zeros(1, dtype=np.int64)
-        with pytest.raises(ConfigurationError):
-            centralized_oracle(pool(feat, labels, ()), (), 1.0)
-        with pytest.raises(ConfigurationError, match="no training samples"):
-            centralized_oracle(pool(feat, labels, (1,)), (1,), 1.0)
+        # A run with no training rows for task 1 is refused by the runner;
+        # see test_cli's test_first_task_with_no_training_rows_stops_the_oracle_only.
+        with pytest.raises(ConfigurationError, match="at least one class"):
+            centralized_oracle(TemporalState.initial(2), 1.0)
 
     def test_gamma_leaves_the_pooled_gram_untouched(self):
-        # The runner adds the next task's gram to the same pooled statistics.
+        # The runner folds the next task's gram into the same pooled state.
         feat = np.array([[1.0, 2.0], [0.5, 1.0], [3.0, 0.0]])
         labels = np.array([0, 1, 1], dtype=np.int64)
-        stats = pool(feat, labels, (0, 1))
-        before = stats.gram.copy()
-        centralized_oracle(stats, (0, 1), gamma=4.0)
-        assert np.array_equal(stats.gram, before)
+        state = fold(pool(feat, labels, (0, 1)), (0, 1))
+        before = state.gram_acc.copy()
+        centralized_oracle(state, gamma=4.0)
+        assert np.array_equal(state.gram_acc, before)
 
 
 class TestTaskAccuracy:
