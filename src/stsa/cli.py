@@ -39,7 +39,7 @@ EXIT_FORMAT = 4
 
 def _emit(text: str, out: str | None):
     if out:
-        Path(out).write_text(text)
+        Path(out).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
 

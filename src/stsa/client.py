@@ -66,17 +66,15 @@ def extract_payload(
     mode: str = MODE_FULL,
     k_d: int = 1,
     seed: int = 0,
-    workspace: np.ndarray | None = None,
 ) -> UploadPayload:
     """Map the shard and compute its upload records.
 
     Full mode computes one record {G, C, n} over the whole shard, G packed
-    as its upper triangle; ``workspace`` is handed to ``local_statistics``
-    for the gram product, and no record refers to it. Efficient mode splits
-    the shard into at most min(k_d, shard size) dummy clients (an empty
-    shard yields a single all-zero record), computes first-order statistics
-    per sub-shard, and never materializes a gram matrix. The split deals a
-    seeded shuffle of the rows round-robin into sorted, disjoint cells.
+    as its upper triangle. Efficient mode splits the shard into at most
+    min(k_d, shard size) dummy clients (an empty shard yields a single
+    all-zero record), computes first-order statistics per sub-shard, and
+    never materializes a gram matrix. The split deals a seeded shuffle of
+    the rows round-robin into sorted, disjoint cells.
     """
     if mode not in (MODE_FULL, MODE_EFFICIENT):
         raise ConfigurationError(f"unknown payload mode {mode!r}")
@@ -92,9 +90,7 @@ def extract_payload(
         order = ChaChaStream(seed).permutation(shard.size)
         cells = [np.sort(order[j::effective]) for j in range(effective)]
     records = tuple(
-        local_statistics(
-            feat[cell], shard.labels[cell], task_classes, include_gram=full, workspace=workspace
-        )
+        local_statistics(feat[cell], shard.labels[cell], task_classes, include_gram=full)
         for cell in cells
     )
     return UploadPayload(client_id=shard.client_id, task_id=shard.task_id, records=records)

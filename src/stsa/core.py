@@ -1,10 +1,9 @@
 """Numerical kernel: seeded random feature map, local statistics, ridge solve.
 
 Feature matrices are plain float64 ndarrays of shape (n, M). Every operation
-here is a pure function of its arguments, except that ``local_statistics``
-overwrites the workspace its caller hands it; repeated calls with equal
-arguments return bit-identical results, which is what lets clients and the
-server regenerate the shared random map from a seed instead of shipping it.
+here is a pure function of its arguments; repeated calls with equal arguments
+return bit-identical results, which is what lets clients and the server
+regenerate the shared random map from a seed instead of shipping it.
 
 The five BLAS/LAPACK routines used here (``dsyrk``, ``dtrttp``, ``dtpttf``,
 ``dpftrf``, ``dpftrs``) come from scipy's compiled wrapper modules
@@ -212,21 +211,16 @@ def local_statistics(
     task_classes: Sequence[int],
     *,
     include_gram: bool = True,
-    workspace: np.ndarray | None = None,
 ) -> SpatialStatistics:
     """Compute one shard's statistics from mapped features; they name no sender.
 
     G = X^T X, C = X^T Y with Y one-hot over ``task_classes`` in the given
     order, label_freq = per-class counts. Labels of a non-integer dtype are a
-    DomainError, not truncated. G is the packed upper triangle of
-    X^T X from one ``dsyrk``, bit-equal to that of numpy's ``X.T @ X``. A
-    zero-row ``feat`` yields zero statistics. ``include_gram=False`` skips G
-    entirely (it is never formed), which is the communication-efficient
-    transmit path.
-
-    ``workspace``, an F-ordered (M, M) float64 array, is where ``dsyrk``
-    writes before G is packed, so a caller can reuse one buffer across
-    shards; its contents are overwritten. G is a fresh array either way.
+    DomainError, not truncated. G is the packed upper triangle of X^T X from
+    one ``dsyrk`` into a buffer of this call's own, bit-equal to that of
+    numpy's ``X.T @ X``. A zero-row ``feat`` yields zero statistics.
+    ``include_gram=False`` skips G entirely (it is never formed), which is
+    the communication-efficient transmit path.
     """
     feat = np.asarray(feat, dtype=np.float64)
     labels = np.asarray(labels)
@@ -244,11 +238,6 @@ def local_statistics(
     if len(set(class_list)) != len(class_list):
         raise DomainError(f"task class list has duplicates: {class_list}")
 
-    m = feat.shape[1]
-    if workspace is not None and workspace.shape != (m, m):
-        raise DimensionError(
-            f"gram workspace shape {workspace.shape} does not match feature dim {m}"
-        )
     c = len(class_list)
     cols = _label_columns(labels, class_list)
     onehot = np.zeros((feat.shape[0], c))
@@ -259,8 +248,12 @@ def local_statistics(
         # dsyrk fills the lower triangle of the F-ordered X^T X. Packed column
         # by column, that is the upper triangle row by row. The upper-triangle
         # variant rounds differently from numpy's X.T @ X at some shapes, this
-        # one does not. beta = 0 never reads the workspace's old contents.
-        lower = dsyrk(1.0, feat.T, lower=1, beta=0.0, c=workspace, overwrite_c=1)
+        # one does not. beta = 0 never reads C's old contents, so an
+        # uninitialized buffer is enough; dsyrk's own default C is zero-filled
+        # first, one more pass over M x M per call.
+        m = feat.shape[1]
+        out = np.empty((m, m), order="F")
+        lower = dsyrk(1.0, feat.T, lower=1, beta=0.0, c=out, overwrite_c=1)
         gram, _ = dtrttp(lower, uplo="L")
     corr = feat.T @ onehot
     freq = onehot.sum(axis=0).astype(np.int64)

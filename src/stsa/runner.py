@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .client import MODE_FULL, ClientShard, add_noise, extract_payload
+from .client import ClientShard, add_noise, extract_payload
 from .config import ExperimentConfig
 from .core import (
     ClassifierWeights,
@@ -295,17 +295,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
         client = None  # the client computing its upload, for error context
 
         def uploads():
-            """Each client's upload in client order, made when the server asks.
-
-            Full-mode clients share one gram workspace. Each upload packs its
-            gram into a fresh array, so the workspace is free for the next
-            client, and it goes with this generator once the server has read
-            the last upload.
-            """
+            """Each client's upload in client order, made when the server asks."""
             nonlocal client
-            workspace = None
-            if config.mode == MODE_FULL:
-                workspace = np.empty((rmap.output_dim, rmap.output_dim), order="F")
             for k in range(config.K):
                 client = k
                 shard = ClientShard(
@@ -321,7 +312,6 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
                     config.mode,
                     config.K_D,
                     derive_seed(config.seed, f"dummy/stage={t}/client={k}"),
-                    workspace,
                 )
                 payload = add_noise(
                     payload,

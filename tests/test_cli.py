@@ -33,7 +33,7 @@ seed = 7
 
 def write_config(tmp_path, text=SMALL_CONFIG, name="run.cfg"):
     path = tmp_path / name
-    path.write_text(text)
+    path.write_text(text, encoding="utf-8")
     return path
 
 
@@ -41,7 +41,7 @@ def test_run_writes_report(tmp_path, capsys):
     cfg = write_config(tmp_path)
     out = tmp_path / "report.txt"
     assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
-    text = out.read_text()
+    text = out.read_text(encoding="utf-8")
     assert text.startswith("schema = stsa-report/1")
     assert "[accuracy]" in text and "[comm]" in text
 
@@ -52,8 +52,8 @@ def test_run_mode_and_seed_overrides(tmp_path):
     out2 = tmp_path / "b.txt"
     assert main(["run", "--config", str(cfg), "--mode", "efficient", "--out", str(out1)]) == 0
     assert main(["run", "--config", str(cfg), "--seed", "12", "--out", str(out2)]) == 0
-    assert "mode = efficient" in out1.read_text()
-    assert "seed = 12" in out2.read_text()
+    assert "mode = efficient" in out1.read_text(encoding="utf-8")
+    assert "seed = 12" in out2.read_text(encoding="utf-8")
 
 
 def test_run_prints_to_stdout_without_out(tmp_path, capsys):
@@ -123,7 +123,7 @@ def test_gen_features_then_run_from_files(tmp_path):
     )
     out = tmp_path / "files-report.txt"
     assert main(["run", "--config", str(run_cfg), "--out", str(out)]) == 0
-    assert "[metrics]" in out.read_text()
+    assert "[metrics]" in out.read_text(encoding="utf-8")
 
 
 @pytest.mark.parametrize("swap", ["both", "train_only", "test_only"])
@@ -159,7 +159,7 @@ def test_feature_file_in_the_wrong_role_exits_2(tmp_path, capsys, swap):
 def test_task_with_no_test_rows_exits_2(tmp_path, capsys, command):
     # With no test rows a task's accuracy is undefined; scoring it 0.0 would
     # report A_T = 0.0 for a run that never evaluated anything.
-    text = (ROOT / "configs" / "benchmark.cfg").read_text()
+    text = (ROOT / "configs" / "benchmark.cfg").read_text(encoding="utf-8")
     text = text.replace("synth_test_per_class = 50", "synth_test_per_class = 0")
     cfg = write_config(tmp_path, text, name="no-test.cfg")
     assert main([command, "--config", str(cfg)]) == 2
@@ -296,6 +296,15 @@ def test_negative_synth_noise_std_exits_2(tmp_path, capsys):
 
 def test_missing_config_exits_2(tmp_path, capsys):
     assert main(["run", "--config", str(tmp_path / "nope.cfg")]) == 2
+
+
+def test_non_utf8_config_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_bytes(b"T = 3\n\xff\n")
+    assert main(["run", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ")
+    assert f"{cfg}: not UTF-8 text (byte 6: invalid start byte)" in err
 
 
 def test_unknown_key_exits_2(tmp_path):

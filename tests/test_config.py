@@ -124,7 +124,7 @@ def test_study_k_values():
 def test_readme_key_groups_name_every_config_key():
     # The README's "Key groups" list is the user's index of config keys; a
     # key added to or removed from ExperimentConfig must be listed there.
-    readme = (ROOT / "README.md").read_text()
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
     groups = readme.split("Key groups:", 1)[1].lstrip().split("\n\n", 1)[0]
     named = [re.match(r"\w+", span).group() for span in re.findall(r"`([^`]+)`", groups)]
     assert sorted(named) == sorted(f.name for f in fields(ExperimentConfig))

@@ -178,25 +178,18 @@ class TestLocalStatistics:
         assert gram.shape == (m * (m + 1) // 2,)
         assert np.array_equal(gram, (feat.T @ feat)[np.triu_indices(m)])
 
-    def test_workspace_is_reused_and_not_aliased(self):
-        # A workspace full of NaN from an earlier shard must not leak into
-        # the next gram, and the packed gram must not live in the workspace.
+    def test_stale_buffer_contents_never_reach_the_gram(self):
+        # dsyrk with beta = 0 never reads its output buffer, so a NaN-filled
+        # (M, M) array freed just before the call, whose memory the call's
+        # own buffer may reuse, cannot leak into the gram.
         rng = np.random.default_rng(12)
-        workspace = np.full((300, 300), np.nan, order="F")
         for n in (40, 7, 0):
             feat = np.maximum(rng.normal(size=(n, 300)), 0.0)
-            labels = np.zeros(n, dtype=int)
-            fresh = local_statistics(feat, labels, [0]).gram
-            reused = local_statistics(feat, labels, [0], workspace=workspace).gram
-            assert np.array_equal(reused, fresh)
-            assert not np.shares_memory(reused, workspace)
-        # dsyrk wrote into the workspace itself: the last shard had no rows.
-        assert not np.tril(workspace).any()
-
-    def test_workspace_of_the_wrong_size_is_rejected(self):
-        with pytest.raises(DimensionError, match="workspace shape"):
-            local_statistics(np.eye(3), np.array([0, 1, 2]), [0, 1, 2],
-                             workspace=np.empty((2, 2), order="F"))
+            stale = np.full((300, 300), np.nan, order="F")
+            del stale
+            gram = local_statistics(feat, np.zeros(n, dtype=int), [0]).gram
+            assert np.array_equal(gram, (feat.T @ feat)[np.triu_indices(300)])
+            assert not np.shares_memory(gram, feat)
 
 
 class TestSpatialStatistics:

@@ -55,7 +55,8 @@ def test_benchmark_report_matches_golden(tmp_path, mode, golden):
 def test_noised_benchmark_report_matches_golden(tmp_path, mode, golden):
     """The benchmark config with privacy noise on pins the noise draw order."""
     config = tmp_path / "noised.cfg"
-    config.write_text(BENCHMARK_CFG.read_text() + "noise_q = 0.2\nnoise_s = 0.05\n")
+    text = BENCHMARK_CFG.read_text(encoding="utf-8") + "noise_q = 0.2\nnoise_s = 0.05\n"
+    config.write_text(text, encoding="utf-8")
     out = tmp_path / "report.txt"
     assert main(["run", "--config", str(config), "--mode", mode, "--out", str(out)]) == 0
     assert_matches_golden(out, golden)
@@ -72,7 +73,7 @@ def test_shuffled_oracle_report_matches_golden(tmp_path):
     scattered over the test set, and the tasks unequal in size."""
     config = tmp_path / "shuffled.cfg"
     shuffled = "shuffle_classes = true\nfirst_task_classes = 8\n"
-    config.write_text(BENCHMARK_CFG.read_text() + shuffled)
+    config.write_text(BENCHMARK_CFG.read_text(encoding="utf-8") + shuffled, encoding="utf-8")
     out = tmp_path / "oracle.txt"
     assert main(["oracle", "--config", str(config), "--out", str(out)]) == 0
     assert_matches_golden(out, "benchmark-oracle-shuffled.txt")
@@ -116,9 +117,9 @@ def test_report_outside_oracle_does_not_depend_on_blas_threads(tmp_path, mode, g
         timeout=120,
     )
     assert done.returncode == 0, done.stderr
-    expected = _outside_oracle((GOLDEN / golden).read_text())
+    expected = _outside_oracle((GOLDEN / golden).read_text(encoding="utf-8"))
     assert "[oracle]" in expected
-    assert _outside_oracle(out.read_text()) == expected
+    assert _outside_oracle(out.read_text(encoding="utf-8")) == expected
 
 
 def test_golden_mismatch_shows_only_the_differing_lines():

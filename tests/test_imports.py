@@ -24,7 +24,8 @@ def fresh_python(code: str):
     paths = [str(ROOT / "src"), os.environ.get("PYTHONPATH")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
     done = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, encoding="utf-8", env=env, timeout=120,
     )
     assert done.returncode == 0, done.stderr
     return json.loads(done.stdout)

@@ -70,8 +70,8 @@ def test_traced_run_shows_every_layer_it_reaches(extra, reached):
         src=str(ROOT / "src"), perfbench=str(ROOT / "perfbench"), config={**TINY, **extra}
     )
     done = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=os.environ,
-        timeout=120,
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, encoding="utf-8", env=os.environ, timeout=120,
     )
     assert done.returncode == 0, done.stderr
     metrics = json.loads(done.stdout)
