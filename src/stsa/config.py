@@ -30,7 +30,6 @@ class ExperimentConfig:
     synth_dim: int = 16
     synth_train_per_class: int = 200
     synth_test_per_class: int = 50
-    synth_mean_scale: float = 1.0
     synth_noise_std: float = 1.0
     # schedule and federation
     T: int = 10
@@ -41,7 +40,6 @@ class ExperimentConfig:
     shuffle_classes: bool = False
     # random mapping and solve
     M: int = 5000
-    map_enabled: bool = True
     gamma: float = 1e4
     # upload mode
     mode: str = "full"

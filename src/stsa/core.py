@@ -75,20 +75,16 @@ class RandomMap:
     """Shared feature-lifting map: x -> relu(x @ matrix), dim d -> M.
 
     The matrix is materialized lazily from the seed, so the descriptor
-    (seed, input_dim, output_dim, enabled) is all that ever needs to
-    travel between parties. With ``enabled=False`` the map is the identity
-    (output_dim == input_dim) and only the ReLU clamp applies.
+    (seed, input_dim, output_dim) is all that ever needs to travel between
+    parties.
     """
 
     seed: int
     input_dim: int
     output_dim: int
-    enabled: bool = True
 
     @cached_property
     def matrix(self) -> np.ndarray:
-        if not self.enabled:
-            return np.eye(self.input_dim)
         stream = ChaChaStream(self.seed)
         entries = stream.standard_normal(self.input_dim * self.output_dim)
         return entries.reshape(self.input_dim, self.output_dim)
@@ -148,20 +144,17 @@ class ClassifierWeights:
             )
 
 
-def make_random_map(seed: int, d: int, m: int, enabled: bool = True) -> RandomMap:
+def make_random_map(seed: int, d: int, m: int) -> RandomMap:
     """Build the shared random map descriptor.
 
     Entries are i.i.d. standard normal from the ChaCha stream keyed by
-    ``seed``; any constant scale on them would only rescale gamma. Disabled
-    maps are the identity and force ``m`` to ``d``.
+    ``seed``; any constant scale on them would only rescale gamma.
     """
     if d < 1 or m < 1:
         raise DimensionError(f"map dimensions must be positive, got d={d}, M={m}")
-    if not enabled:
-        return RandomMap(seed=seed, input_dim=d, output_dim=d, enabled=False)
     if m < d:
         raise DimensionError(f"random mapping requires M >= d, got M={m} < d={d}")
-    return RandomMap(seed=seed, input_dim=d, output_dim=m, enabled=True)
+    return RandomMap(seed=seed, input_dim=d, output_dim=m)
 
 
 def apply_map(rmap: RandomMap, raw: np.ndarray) -> np.ndarray:

@@ -7,6 +7,7 @@ Gaussian class-cluster generator used by the verification oracles.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -75,25 +76,22 @@ class FeatureDataset:
 
 @dataclass(frozen=True)
 class SynthSpec:
-    """Gaussian class-cluster generator parameters (diagonal covariance)."""
+    """Gaussian class-cluster generator parameters (covariance noise_std^2 I)."""
 
     class_count: int
     dim: int
     means: np.ndarray  # (class_count, dim)
-    variances: np.ndarray  # (class_count, dim), entrywise >= 0
+    noise_std: float  # finite, >= 0; shared by every class and coordinate
     train_per_class: int
     test_per_class: int
     seed: int
 
     def __post_init__(self):
         shape = (self.class_count, self.dim)
-        if self.means.shape != shape or self.variances.shape != shape:
-            raise ConfigurationError(
-                f"means {self.means.shape} / variances {self.variances.shape} "
-                f"must both be {shape}"
-            )
-        if np.any(self.variances < 0.0):
-            raise ConfigurationError("variances must be non-negative")
+        if self.means.shape != shape:
+            raise ConfigurationError(f"means {self.means.shape} must be {shape}")
+        if not (math.isfinite(self.noise_std) and self.noise_std >= 0.0):
+            raise ConfigurationError(f"noise_std must be finite and >= 0, got {self.noise_std}")
         _check_synth_sizes(self.class_count, self.dim, self.train_per_class, self.test_per_class)
 
 
@@ -110,21 +108,19 @@ def random_synth_spec(
     train_per_class: int,
     test_per_class: int,
     seed: int,
-    mean_scale: float = 1.0,
     noise_std: float = 0.5,
 ) -> SynthSpec:
-    """Spec with seeded class means ~ mean_scale * N(0, I) and shared noise."""
+    """Spec with seeded class means ~ N(0, I) and noise spread ``noise_std``."""
     # Checked before the class_count * dim draw, whose count a negative size
     # makes negative, or positive when both sizes are negative.
     _check_synth_sizes(class_count, dim, train_per_class, test_per_class)
     stream = ChaChaStream(derive_seed(seed, "synth-means"))
-    means = mean_scale * stream.standard_normal(class_count * dim).reshape(class_count, dim)
-    variances = np.full((class_count, dim), float(noise_std) ** 2)
+    means = stream.standard_normal(class_count * dim).reshape(class_count, dim)
     return SynthSpec(
         class_count=class_count,
         dim=dim,
         means=means,
-        variances=variances,
+        noise_std=float(noise_std),
         train_per_class=train_per_class,
         test_per_class=test_per_class,
         seed=seed,
@@ -236,17 +232,15 @@ def generate_synthetic(spec: SynthSpec) -> tuple[FeatureDataset, FeatureDataset]
 
 def _draw_split(spec: SynthSpec, label: str, per_class: int, role: str) -> FeatureDataset:
     stream = ChaChaStream(derive_seed(spec.seed, label))
-    std = np.sqrt(spec.variances)
     blocks = []
     labels = []
     for cls in range(spec.class_count):
         z = stream.standard_normal(per_class * spec.dim).reshape(per_class, spec.dim)
-        blocks.append(spec.means[cls] + std[cls] * z)
+        blocks.append(spec.means[cls] + spec.noise_std * z)
         labels.append(np.full(per_class, cls, dtype=np.int64))
-    features = np.vstack(blocks) if blocks else np.empty((0, spec.dim))
     return FeatureDataset(
-        features=features,
-        labels=np.concatenate(labels) if labels else np.empty(0, dtype=np.int64),
+        features=np.vstack(blocks),
+        labels=np.concatenate(labels),
         class_count=spec.class_count,
         role=role,
     )

@@ -140,7 +140,6 @@ def synth_spec_from_config(config: ExperimentConfig) -> SynthSpec:
         train_per_class=config.synth_train_per_class,
         test_per_class=config.synth_test_per_class,
         seed=derive_seed(config.seed, "synth"),
-        mean_scale=config.synth_mean_scale,
         noise_std=config.synth_noise_std,
     )
 
@@ -188,9 +187,7 @@ def _rel_frobenius(value: np.ndarray, reference: np.ndarray) -> float:
 
 def experiment_map(config: ExperimentConfig, input_dim: int) -> RandomMap:
     """The run's shared random map, seeded from the config, for raw dim ``input_dim``."""
-    return make_random_map(
-        derive_seed(config.seed, "map"), input_dim, config.M, config.map_enabled
-    )
+    return make_random_map(derive_seed(config.seed, "map"), input_dim, config.M)
 
 
 def task_test_rows(schedule: TaskSchedule, test_labels: np.ndarray) -> list[np.ndarray]:
@@ -412,7 +409,6 @@ def run_estimator_study(
 
 
 def _estimation_trial(spec: SynthSpec, k: int, stream: ChaChaStream) -> float:
-    std = np.sqrt(spec.variances)
     c = spec.class_count
     m = spec.dim
     gram_true = np.zeros((m, m))
@@ -420,7 +416,7 @@ def _estimation_trial(spec: SynthSpec, k: int, stream: ChaChaStream) -> float:
     counts = np.zeros((k, c), dtype=np.int64)
     n = spec.train_per_class
     for cls in range(c):
-        x = spec.means[cls] + std[cls] * stream.standard_normal(n * m).reshape(n, m)
+        x = spec.means[cls] + spec.noise_std * stream.standard_normal(n * m).reshape(n, m)
         gram_true += x.T @ x
         for j, rows in enumerate(np.array_split(np.arange(n), k)):
             corrs[j, :, cls] = x[rows].sum(axis=0)

@@ -116,7 +116,7 @@ def test_criterion_3_estimator_k_trend():
     start = time.monotonic()
     spec = random_synth_spec(
         class_count=2, dim=4, train_per_class=100, test_per_class=0,
-        seed=99, mean_scale=1.0, noise_std=1.0,
+        seed=99, noise_std=1.0,
     )
     study = run_estimator_study(spec, (2, 5, 10, 50), trials=1000, seed=42)
     elapsed = time.monotonic() - start

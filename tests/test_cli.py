@@ -12,7 +12,8 @@ import pytest
 
 import stsa.runner
 from stsa.cli import main
-from stsa.config import ExperimentConfig, load_config
+from stsa.config import ExperimentConfig, load_config, parse_config
+from stsa.core import apply_map
 from stsa.data import load_features, save_features
 from stsa.errors import DomainError, NumericalError
 
@@ -241,14 +242,12 @@ synth_classes = 2
 synth_dim = 4
 synth_train_per_class = 20
 synth_test_per_class = 5
-synth_mean_scale = 50
-synth_noise_std = 0.1
+synth_noise_std = 0
 seed = 2
 T = 1
 K = 1
 gamma = 0
-map_enabled = false
-M = 4
+M = 8
 """
 
 
@@ -256,8 +255,14 @@ M = 4
     "command, extra", [("oracle", ""), ("run", "oracle_check = true\n")], ids=["oracle", "run"]
 )
 def test_singular_oracle_system_exits_3(tmp_path, capsys, command, extra):
-    # Raw feature 1 is zero in every row, so the pooled gram is singular at
-    # gamma = 0; the federated solve gets past it on the jitter ladder.
+    # With no noise every training row is its class mean, and some mapped
+    # column is zero in every row, where both means project negatively. That
+    # column makes the pooled gram exactly singular at gamma = 0; the
+    # federated solve gets past it on the jitter ladder.
+    config = parse_config(SINGULAR_ORACLE_CONFIG)
+    train, _ = stsa.runner.load_experiment_data(config)
+    mapped = apply_map(stsa.runner.experiment_map(config, config.synth_dim), train.features)
+    assert (mapped == 0.0).all(axis=0).any()
     cfg = write_config(tmp_path, SINGULAR_ORACLE_CONFIG + extra, name="singular.cfg")
     assert main([command, "--config", str(cfg)]) == 3
     # A run names the stage whose oracle failed; the oracle command has no stages.
@@ -312,10 +317,19 @@ def test_unknown_key_exits_2(tmp_path):
     assert main(["run", "--config", str(cfg)]) == 2
 
 
-@pytest.mark.parametrize("line", ["map_scale = unit", "stratified_dummy = false"])
+@pytest.mark.parametrize(
+    "line",
+    [
+        "map_scale = unit",
+        "stratified_dummy = false",
+        "map_enabled = false",
+        "synth_mean_scale = 2",
+    ],
+)
 def test_removed_key_exits_2(tmp_path, capsys, line):
-    # Neither key exists: a constant scale on the map is absorbed by gamma,
-    # and the dummy split is one seeded shuffle of the shard.
+    # None of these keys exists: a constant scale on the map or on the class
+    # means is absorbed by gamma and the noise spread, the dummy split is one
+    # seeded shuffle of the shard, and every run lifts through the random map.
     cfg = write_config(tmp_path, SMALL_CONFIG + line + "\n", name="removed.cfg")
     assert main(["run", "--config", str(cfg)]) == 2
     key = line.split(" = ")[0]

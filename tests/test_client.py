@@ -25,7 +25,7 @@ def make_shard(n=10, d=3, classes=(0, 1), seed=0, client_id=2, task_id=1):
 def dummy_cells(shard, k_d, seed):
     """Row indices each efficient-mode record covers.
 
-    One-hot features under the identity map make row i of a record's corr
+    One-hot features under an identity matrix make row i of a record's corr
     nonzero exactly when sample i went to that dummy client.
     """
     one_hot = ClientShard(
@@ -34,7 +34,12 @@ def dummy_cells(shard, k_d, seed):
         features=np.eye(shard.size),
         labels=shard.labels,
     )
-    rmap = make_random_map(0, shard.size, shard.size, enabled=False)
+
+    class IdentityMap:
+        input_dim = output_dim = shard.size
+        matrix = np.eye(shard.size)
+
+    rmap = IdentityMap()
     classes = tuple(int(c) for c in np.unique(shard.labels))
     payload = extract_payload(one_hot, rmap, classes, mode="efficient", k_d=k_d, seed=seed)
     return [np.flatnonzero(rec.corr.sum(axis=1)) for rec in payload.records]

@@ -81,12 +81,13 @@ def test_type_errors_are_configuration_errors():
         parse_config("T = soon\n")
     with pytest.raises(ConfigurationError):
         parse_config("beta = maybe\n")
-    with pytest.raises(ConfigurationError):
-        parse_config("map_enabled = perhaps\n")
+    with pytest.raises(ConfigurationError, match="shuffle_classes expects true/false"):
+        parse_config("shuffle_classes = perhaps\n")
 
 
 def test_bool_spellings():
-    assert parse_config("map_enabled = off\n").map_enabled is False
+    assert parse_config("shuffle_classes = on\n").shuffle_classes is True
+    assert parse_config("oracle_check = off\n").oracle_check is False
     assert parse_config("oracle_check = yes\n").oracle_check is True
 
 
@@ -101,13 +102,12 @@ def test_validation_catches_bad_values():
         ExperimentConfig(data="files").validate()  # missing paths
     with pytest.raises(ConfigurationError):
         ExperimentConfig(noise_q=-1.0).validate()
-    # A disabled map ignores M, but M = 0 is still an invalid config.
     with pytest.raises(ConfigurationError, match="M must be >= 1, got 0"):
-        ExperimentConfig(M=0, map_enabled=False).validate()
+        ExperimentConfig(M=0).validate()
 
 
 def test_negative_synth_noise_std_is_rejected():
-    # The synthetic spec squares the std, so -2 used to run as 2.
+    # A negative spread is refused, not run as its absolute value.
     with pytest.raises(ConfigurationError, match="synth_noise_std must be >= 0, got -2.0"):
         parse_config("synth_noise_std = -2\n")
     assert parse_config("synth_noise_std = 0\n").synth_noise_std == 0.0

@@ -32,11 +32,6 @@ class TestMakeRandomMap:
         b = make_random_map(7, 4, 8)
         assert np.array_equal(a.matrix, b.matrix)
 
-    def test_disabled_map_is_identity(self):
-        m = make_random_map(7, 4, 4, enabled=False)
-        assert m.output_dim == 4
-        assert np.array_equal(m.matrix, np.eye(4))
-
     def test_entry_moments(self):
         # Sample mean of d*M standard normals concentrates at 1/sqrt(d*M).
         m = make_random_map(7, 512, 5000)
@@ -53,7 +48,7 @@ class TestMakeRandomMap:
         with pytest.raises(DimensionError):
             make_random_map(7, 4, 0)
         with pytest.raises(DimensionError):
-            make_random_map(7, 8, 4)  # M < d with mapping enabled
+            make_random_map(7, 8, 4)  # M < d
 
 
 class TestApplyMap:
@@ -62,11 +57,6 @@ class TestApplyMap:
         out = apply_map(m, np.zeros((3, 5)))
         assert out.shape == (3, 9)
         assert np.all(out == 0.0)
-
-    def test_identity_map_clamps_negatives(self):
-        m = make_random_map(0, 2, 2, enabled=False)
-        out = apply_map(m, np.array([[1.0, -2.0]]))
-        assert out.tolist() == [[1.0, 0.0]]
 
     def test_hand_multiply(self):
         # relu([[1,0],[0,1]] @ [[1,-1],[2,0]]) = relu([[1,-1],[2,0]]) = [[1,0],[2,0]]
@@ -83,9 +73,8 @@ class TestApplyMap:
         raw = np.linspace(-4, 4, 30).reshape(5, 6)
         assert apply_map(m, raw).min() >= 0.0
 
-    @pytest.mark.parametrize("enabled", [True, False])
-    def test_relu_in_place_is_bit_equal_and_owns_its_output(self, enabled):
-        m = make_random_map(21, 6, 16 if enabled else 6, enabled=enabled)
+    def test_relu_in_place_is_bit_equal_and_owns_its_output(self):
+        m = make_random_map(21, 6, 16)
         raw = np.random.default_rng(2).normal(size=(40, 6))
         raw_before, matrix_before = raw.copy(), m.matrix.copy()
         out = apply_map(m, raw)

@@ -155,7 +155,7 @@ class TestGenerateSynthetic:
     def test_zero_variance_reproduces_means(self):
         means = np.array([[1.0, 2.0], [3.0, -4.0]])
         spec = SynthSpec(
-            class_count=2, dim=2, means=means, variances=np.zeros((2, 2)),
+            class_count=2, dim=2, means=means, noise_std=0.0,
             train_per_class=5, test_per_class=3, seed=0,
         )
         train, test = generate_synthetic(spec)
@@ -169,14 +169,22 @@ class TestGenerateSynthetic:
         train, _ = generate_synthetic(spec)
         for cls in range(4):
             sample_mean = train.features[train.labels == cls].mean(axis=0)
-            trace = spec.variances[cls].sum()
+            trace = spec.dim * spec.noise_std**2
             bound = 3.0 * np.sqrt(trace / 400)
             assert np.linalg.norm(sample_mean - spec.means[cls]) <= bound
+
+    @pytest.mark.parametrize("noise_std", [-2.0, float("nan")], ids=["negative", "nan"])
+    def test_bad_noise_std_is_rejected(self, noise_std):
+        # A negative spread is not its absolute value, and a NaN one would
+        # only surface as NaN features.
+        message = f"noise_std must be finite and >= 0, got {noise_std}"
+        with pytest.raises(ConfigurationError, match=message):
+            random_synth_spec(2, 3, 4, 4, seed=1, noise_std=noise_std)
 
     def test_seed_changes_samples_not_counts(self):
         a = random_synth_spec(3, 4, 10, 5, seed=1)
         b = random_synth_spec(3, 4, 10, 5, seed=1)
-        c = SynthSpec(class_count=3, dim=4, means=a.means, variances=a.variances,
+        c = SynthSpec(class_count=3, dim=4, means=a.means, noise_std=a.noise_std,
                       train_per_class=10, test_per_class=5, seed=2)
         train_a, _ = generate_synthetic(a)
         train_b, _ = generate_synthetic(b)

@@ -279,14 +279,6 @@ class TestRunExperiment:
         report = run_experiment(ExperimentConfig(**SMALL))
         assert report.a_t > 2.0 / SMALL["synth_classes"]
 
-    def test_disabled_map_runs_at_raw_dimension(self):
-        cfg = ExperimentConfig(**{**SMALL, "map_enabled": False})
-        report = run_experiment(cfg)
-        # Uploads are sized by the raw dimension when mapping is off.
-        c_t = cfg.synth_classes // cfg.T
-        expected = comm_bytes(cfg.synth_dim, c_t, 1, "full", cfg.elem_bytes)
-        assert report.comm.entries[(1, 0)] == expected
-
     def test_data_pipeline_is_mode_independent(self):
         # The generated datasets depend on the seed and synthesis keys only,
         # so full and efficient runs of one seed see identical shards.
@@ -524,7 +516,7 @@ class TestEstimatorStudy:
         spec = SynthSpec(
             class_count=2, dim=3,
             means=np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]),
-            variances=np.zeros((2, 3)),
+            noise_std=0.0,
             train_per_class=100, test_per_class=0, seed=11,
         )
         study = run_estimator_study(spec, (2, 10), trials=100, seed=3)
