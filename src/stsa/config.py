@@ -1,8 +1,9 @@
 """Experiment configuration: a flat key = value text document.
 
-Presets carry the two reference regimes: "scratch" (M=5000, gamma=1e4,
-K_D=50) and "pretrained" (M=1250, gamma=1e6, K_D=10). A preset key in the
-document is applied first; explicit keys override it.
+The document is a run's only input: every key names an ``ExperimentConfig``
+field, and a field it leaves out keeps its default. The defaults are the
+paper's from-scratch regime (M=5000, gamma=1e4, K_D=50); its pretrained
+regime is ``M = 1250``, ``gamma = 1e6`` and ``K_D = 10``.
 """
 
 from __future__ import annotations
@@ -13,12 +14,6 @@ from pathlib import Path
 from typing import get_type_hints
 
 from .errors import ConfigurationError
-
-PRESETS = {
-    "scratch": {"M": 5000, "gamma": 1e4, "K_D": 50},
-    "pretrained": {"M": 1250, "gamma": 1e6, "K_D": 10},
-}
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -82,8 +77,6 @@ class ExperimentConfig:
             raise ConfigurationError("noise_q and noise_s must be >= 0")
         if self.elem_bytes < 1:
             raise ConfigurationError(f"elem_bytes must be >= 1, got {self.elem_bytes}")
-        if self.study_trials < 1:
-            raise ConfigurationError(f"study_trials must be >= 1, got {self.study_trials}")
         return self
 
     def study_k_values(self) -> tuple[int, ...]:
@@ -138,7 +131,7 @@ def _parse_value(key: str, raw: str):
 
 def parse_config(text: str) -> ExperimentConfig:
     """Parse the flat key = value document into a validated config."""
-    raw: dict[str, str] = {}
+    values: dict[str, object] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -147,22 +140,11 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ConfigurationError(f"line {lineno}: expected 'key = value', got {line!r}")
         key, _, value = stripped.partition("=")
         key = key.strip()
-        if key != "preset" and key not in _FIELDS:
+        if key not in _FIELDS:
             raise ConfigurationError(f"line {lineno}: unknown key {key!r}")
-        if key in raw:
+        if key in values:
             raise ConfigurationError(f"line {lineno}: duplicate key {key!r}")
-        raw[key] = value.strip()
-
-    values: dict[str, object] = {}
-    preset = raw.pop("preset", None)
-    if preset is not None:
-        if preset not in PRESETS:
-            raise ConfigurationError(
-                f"unknown preset {preset!r}; available: {sorted(PRESETS)}"
-            )
-        values.update(PRESETS[preset])
-    for key, text_value in raw.items():
-        values[key] = _parse_value(key, text_value)
+        values[key] = _parse_value(key, value.strip())
     return ExperimentConfig(**values).validate()
 
 

@@ -47,14 +47,14 @@ def test_run_writes_report(tmp_path, capsys):
     assert "[accuracy]" in text and "[comm]" in text
 
 
-def test_run_mode_and_seed_overrides(tmp_path):
+@pytest.mark.parametrize("flag", [["--mode", "efficient"], ["--seed", "12"]], ids=["mode", "seed"])
+def test_run_takes_no_config_overrides(tmp_path, capsys, flag):
+    # The config file is a run's only input: mode and seed are config keys.
     cfg = write_config(tmp_path)
-    out1 = tmp_path / "a.txt"
-    out2 = tmp_path / "b.txt"
-    assert main(["run", "--config", str(cfg), "--mode", "efficient", "--out", str(out1)]) == 0
-    assert main(["run", "--config", str(cfg), "--seed", "12", "--out", str(out2)]) == 0
-    assert "mode = efficient" in out1.read_text(encoding="utf-8")
-    assert "seed = 12" in out2.read_text(encoding="utf-8")
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--config", str(cfg), *flag])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
 
 
 def test_run_prints_to_stdout_without_out(tmp_path, capsys):
@@ -208,9 +208,10 @@ def test_negative_synthetic_size_exits_2(tmp_path, capsys, sizes):
 
 
 @pytest.mark.parametrize("oracle_check", [True, False])
-def test_first_task_with_no_training_rows_stops_the_oracle_only(tmp_path, capsys, oracle_check):
+def test_first_task_with_no_training_rows_exits_0(tmp_path, capsys, oracle_check):
     # Task 1's classes keep their test rows but lose every training row. The
-    # federated stage solves from zero statistics; the oracle has no system.
+    # federated stage and the oracle both solve gamma I W = 0 from zero
+    # statistics, so they agree exactly there.
     spec = write_config(tmp_path, SMALL_CONFIG, name="spec.cfg")
     assert main(["gen-features", "--spec", str(spec), "--out", str(tmp_path / "feat")]) == 0
     train_path = tmp_path / "feat.train.stsafeat"
@@ -227,14 +228,13 @@ def test_first_task_with_no_training_rows_stops_the_oracle_only(tmp_path, capsys
         name="no-train.cfg",
     )
     capsys.readouterr()
-    if oracle_check:
-        assert main(["run", "--config", str(cfg)]) == 2
-        assert capsys.readouterr().err == (
-            "configuration error: stage 1: no training samples match the oracle's classes\n"
-        )
-    else:
-        assert main(["run", "--config", str(cfg)]) == 0
-        assert "\nA[3][3] = " in capsys.readouterr().out
+    assert main(["run", "--config", str(cfg)]) == 0
+    out = capsys.readouterr().out
+    assert "\nA[3][3] = " in out
+    stage_1 = "\nstage 1: w_delta = 0.0 gram_delta = 0.0 corr_delta = 0.0\n"
+    assert (stage_1 in out) is oracle_check
+    assert main(["oracle", "--config", str(cfg)]) == 0
+    assert capsys.readouterr().out.startswith("schema = stsa-oracle/1\n")
 
 
 SINGULAR_ORACLE_CONFIG = """
@@ -268,6 +268,16 @@ def test_singular_oracle_system_exits_3(tmp_path, capsys, command, extra):
     # A run names the stage whose oracle failed; the oracle command has no stages.
     where = "stage 1: " if command == "run" else ""
     assert f"numerical error: {where}the oracle's pooled system" in capsys.readouterr().err
+
+
+def test_study_trials_is_bounded_by_the_study_alone(tmp_path, capsys):
+    # Only the estimator study reads study_trials, so only it refuses too few.
+    cfg = write_config(tmp_path, SMALL_CONFIG + "study_trials = 0\n", name="trials.cfg")
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "report.txt")]) == 0
+    assert main(["estimator-study", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == (
+        "configuration error: estimator study needs >= 100 trials, got 0\n"
+    )
 
 
 def test_bad_config_exits_2(tmp_path, capsys):
@@ -324,12 +334,14 @@ def test_unknown_key_exits_2(tmp_path):
         "stratified_dummy = false",
         "map_enabled = false",
         "synth_mean_scale = 2",
+        "preset = scratch",
     ],
 )
 def test_removed_key_exits_2(tmp_path, capsys, line):
     # None of these keys exists: a constant scale on the map or on the class
     # means is absorbed by gamma and the noise spread, the dummy split is one
-    # seeded shuffle of the shard, and every run lifts through the random map.
+    # seeded shuffle of the shard, every run lifts through the random map, and
+    # a regime is written as its keys (the defaults are the scratch regime).
     cfg = write_config(tmp_path, SMALL_CONFIG + line + "\n", name="removed.cfg")
     assert main(["run", "--config", str(cfg)]) == 2
     key = line.split(" = ")[0]

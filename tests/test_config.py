@@ -1,4 +1,4 @@
-"""Flat key = value config parsing, presets, validation."""
+"""Flat key = value config parsing and validation."""
 
 import re
 import runpy
@@ -35,15 +35,6 @@ def test_parse_round_trip():
 def test_comments_and_blank_lines_are_skipped():
     cfg = parse_config("# a comment\n\nT = 5\nsynth_classes = 10\n")
     assert cfg.T == 5 and cfg.synth_classes == 10
-
-
-def test_preset_applies_before_overrides():
-    cfg = parse_config("preset = scratch\n")
-    assert (cfg.M, cfg.gamma, cfg.K_D) == (5000, 1e4, 50)
-    cfg = parse_config("preset = pretrained\n")
-    assert (cfg.M, cfg.gamma, cfg.K_D) == (1250, 1e6, 10)
-    cfg = parse_config("preset = scratch\nM = 64\n")
-    assert cfg.M == 64 and cfg.gamma == 1e4
 
 
 def test_unknown_key_rejected():

@@ -26,6 +26,18 @@ def assert_matches_golden(out: Path, golden: str):
         pytest.fail(golden_diff(expected, actual, golden), pytrace=False)
 
 
+def benchmark_config(tmp_path, mode: str, extra: str = "") -> Path:
+    """``configs/benchmark.cfg`` with its ``mode = full`` line set to ``mode``,
+    and ``extra`` lines appended, written under ``tmp_path``."""
+    lines = BENCHMARK_CFG.read_text(encoding="utf-8").splitlines(keepends=True)
+    swapped = [i for i, line in enumerate(lines) if line == "mode = full\n"]
+    assert len(swapped) == 1, "configs/benchmark.cfg must set mode = full on one line"
+    lines[swapped[0]] = f"mode = {mode}\n"
+    path = tmp_path / f"benchmark-{mode}.cfg"
+    path.write_text("".join(lines) + extra, encoding="utf-8")
+    return path
+
+
 def golden_diff(expected: bytes, actual: bytes, golden: str) -> str:
     """The differing lines of two reports; bytes that are not UTF-8 show escaped."""
     diff = difflib.unified_diff(
@@ -43,8 +55,9 @@ def golden_diff(expected: bytes, actual: bytes, golden: str) -> str:
     [("full", "benchmark-full.txt"), ("efficient", "benchmark-efficient.txt")],
 )
 def test_benchmark_report_matches_golden(tmp_path, mode, golden):
+    config = benchmark_config(tmp_path, mode)
     out = tmp_path / "report.txt"
-    assert main(["run", "--config", str(BENCHMARK_CFG), "--mode", mode, "--out", str(out)]) == 0
+    assert main(["run", "--config", str(config), "--out", str(out)]) == 0
     assert_matches_golden(out, golden)
 
 
@@ -54,11 +67,9 @@ def test_benchmark_report_matches_golden(tmp_path, mode, golden):
 )
 def test_noised_benchmark_report_matches_golden(tmp_path, mode, golden):
     """The benchmark config with privacy noise on pins the noise draw order."""
-    config = tmp_path / "noised.cfg"
-    text = BENCHMARK_CFG.read_text(encoding="utf-8") + "noise_q = 0.2\nnoise_s = 0.05\n"
-    config.write_text(text, encoding="utf-8")
+    config = benchmark_config(tmp_path, mode, "noise_q = 0.2\nnoise_s = 0.05\n")
     out = tmp_path / "report.txt"
-    assert main(["run", "--config", str(config), "--mode", mode, "--out", str(out)]) == 0
+    assert main(["run", "--config", str(config), "--out", str(out)]) == 0
     assert_matches_golden(out, golden)
 
 
@@ -108,10 +119,10 @@ def test_report_outside_oracle_does_not_depend_on_blas_threads(tmp_path, mode, g
     paths = [str(ROOT / "src"), os.environ.get("PYTHONPATH")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
     env.update({var: "3" for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")})
+    config = benchmark_config(tmp_path, mode)
     out = tmp_path / "report.txt"
     done = subprocess.run(
-        [sys.executable, "-m", "stsa", "run", "--config", str(BENCHMARK_CFG),
-         "--mode", mode, "--out", str(out)],
+        [sys.executable, "-m", "stsa", "run", "--config", str(config), "--out", str(out)],
         capture_output=True,
         env=env,
         timeout=120,
