@@ -1,10 +1,11 @@
 """Command-line front end.
 
-Subcommands: ``run`` (full experiment), ``oracle`` (pooled centralized
-reference), ``estimator-study`` (gram-estimator error sweep) and
-``gen-features`` (write synthetic feature files). Each reads its config
-file and nothing else. Exit codes: 0 success, 2 configuration error,
-3 numerical error, 4 format error.
+Three report commands share one path: ``run`` (full experiment), ``oracle``
+(pooled centralized reference) and ``estimator-study`` (gram-estimator
+error sweep) each load ``--config``, call one runner entry point and write
+its report. ``gen-features`` writes synthetic feature files from the same
+``--config``. A config file is a command's only input. Exit codes:
+0 success, 2 configuration error, 3 numerical error, 4 format error.
 """
 
 from __future__ import annotations
@@ -23,36 +24,31 @@ EXIT_NUMERICAL = 3
 EXIT_FORMAT = 4
 
 
-def _emit(text: str, out: str | None):
-    if out:
-        Path(out).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
-
-
-def _cmd_run(args) -> int:
-    report = run_experiment(load_config(args.config))
-    _emit(report.to_text(), args.out)
-    return 0
-
-
-def _cmd_oracle(args) -> int:
-    report = run_oracle(load_config(args.config))
-    _emit(report.to_text(), args.out)
-    return 0
-
-
-def _cmd_estimator_study(args) -> int:
-    config = load_config(args.config)
-    study = run_estimator_study(
+def _estimator_study(config):
+    return run_estimator_study(
         synth_spec_from_config(config), config.study_k_values(), config.study_trials, config.seed
     )
-    _emit(study.to_text(), args.out)
+
+
+# Each report command: the runner entry point it calls, and its help line.
+REPORT_COMMANDS = {
+    "run": (run_experiment, "run one experiment config"),
+    "oracle": (run_oracle, "pooled centralized reference solution"),
+    "estimator-study": (_estimator_study, "gram-estimator error sweep over K"),
+}
+
+
+def _cmd_report(args) -> int:
+    text = args.entry(load_config(args.config)).to_text()
+    if args.out:
+        Path(args.out).write_text(text, encoding="utf-8")
+    else:
+        sys.stdout.write(text)
     return 0
 
 
 def _cmd_gen_features(args) -> int:
-    config = load_config(args.spec)
+    config = load_config(args.config)
     train, test = generate_synthetic(synth_spec_from_config(config))
     prefix = Path(args.out)
     train_path = prefix.with_name(prefix.name + ".train.stsafeat")
@@ -69,24 +65,14 @@ def build_parser() -> argparse.ArgumentParser:
         description="Federated class-incremental learning via statistics aggregation",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    run = sub.add_parser("run", help="run one experiment config")
-    run.add_argument("--config", required=True)
-    run.add_argument("--out")
-    run.set_defaults(func=_cmd_run)
-
-    oracle = sub.add_parser("oracle", help="pooled centralized reference solution")
-    oracle.add_argument("--config", required=True)
-    oracle.add_argument("--out")
-    oracle.set_defaults(func=_cmd_oracle)
-
-    study = sub.add_parser("estimator-study", help="gram-estimator error sweep over K")
-    study.add_argument("--config", required=True)
-    study.add_argument("--out")
-    study.set_defaults(func=_cmd_estimator_study)
+    for name, (entry, help_text) in REPORT_COMMANDS.items():
+        command = sub.add_parser(name, help=help_text)
+        command.add_argument("--config", required=True)
+        command.add_argument("--out")
+        command.set_defaults(func=_cmd_report, entry=entry)
 
     gen = sub.add_parser("gen-features", help="write synthetic feature files")
-    gen.add_argument("--spec", required=True)
+    gen.add_argument("--config", required=True)
     gen.add_argument("--out", required=True, help="output path prefix")
     gen.set_defaults(func=_cmd_gen_features)
     return parser

@@ -3,7 +3,9 @@
 The document is a run's only input: every key names an ``ExperimentConfig``
 field, and a field it leaves out keeps its default. The defaults are the
 paper's from-scratch regime (M=5000, gamma=1e4, K_D=50); its pretrained
-regime is ``M = 1250``, ``gamma = 1e6`` and ``K_D = 10``.
+regime is ``M = 1250``, ``gamma = 1e6`` and ``K_D = 10``. A config is
+checked when it is built, so no invalid one exists: ``ExperimentConfig(...)``
+and ``dataclasses.replace`` raise ``ConfigurationError`` on a bad value.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ class ExperimentConfig:
     study_K: str = "2,5,10,50"
     study_trials: int = 1000
 
-    def validate(self) -> "ExperimentConfig":
+    def __post_init__(self):
         for key, hint in _FIELDS.items():
             value = getattr(self, key)
             if hint is float and not math.isfinite(value):
@@ -77,7 +79,6 @@ class ExperimentConfig:
             raise ConfigurationError("noise_q and noise_s must be >= 0")
         if self.elem_bytes < 1:
             raise ConfigurationError(f"elem_bytes must be >= 1, got {self.elem_bytes}")
-        return self
 
     def study_k_values(self) -> tuple[int, ...]:
         try:
@@ -130,7 +131,7 @@ def _parse_value(key: str, raw: str):
 
 
 def parse_config(text: str) -> ExperimentConfig:
-    """Parse the flat key = value document into a validated config."""
+    """Parse the flat key = value document into a config."""
     values: dict[str, object] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
@@ -145,7 +146,7 @@ def parse_config(text: str) -> ExperimentConfig:
         if key in values:
             raise ConfigurationError(f"line {lineno}: duplicate key {key!r}")
         values[key] = _parse_value(key, value.strip())
-    return ExperimentConfig(**values).validate()
+    return ExperimentConfig(**values)
 
 
 def load_config(path) -> ExperimentConfig:

@@ -208,19 +208,13 @@ def dirichlet_partition(
         raise DomainError(f"labels must be integers, got dtype {labels.dtype}")
     labels = labels.astype(np.int64, copy=False)
     stream = ChaChaStream(seed)
-    cells: list[list[np.ndarray]] = [[] for _ in range(k)]
+    owner = np.empty(labels.size, dtype=np.intp)
     for cls in _distinct(labels):
         idx = np.flatnonzero(labels == cls)
-        p = stream.dirichlet(beta, k)
-        cuts = np.cumsum(p)
-        owner = np.searchsorted(cuts, stream.random(idx.size), side="right")
-        owner = np.minimum(owner, k - 1)  # guard the cumsum rounding edge
-        for j in range(k):
-            cells[j].append(idx[owner == j])
-    return [
-        np.sort(np.concatenate(parts)) if parts else np.empty(0, dtype=np.int64)
-        for parts in cells
-    ]
+        cuts = np.cumsum(stream.dirichlet(beta, k))
+        drawn = np.searchsorted(cuts, stream.random(idx.size), side="right")
+        owner[idx] = np.minimum(drawn, k - 1)  # guard the cumsum rounding edge
+    return [np.flatnonzero(owner == j) for j in range(k)]
 
 
 def generate_synthetic(spec: SynthSpec) -> tuple[FeatureDataset, FeatureDataset]:

@@ -281,8 +281,10 @@ def _pool_task(
 def _setup(
     config: ExperimentConfig,
 ) -> tuple[FeatureDataset, FeatureDataset, TaskSchedule, RandomMap, list[np.ndarray]]:
-    """The validated run's data, task schedule, random map and per-task test rows."""
-    config.validate()
+    """The run's data, task schedule, random map and per-task test rows.
+
+    ``config`` was checked when it was built, so nothing here re-checks it.
+    """
     train, test = load_experiment_data(config)
     schedule = make_schedule(config, train.class_count)
     rmap = experiment_map(config, train.features.shape[1])

@@ -108,10 +108,25 @@ def test_estimator_study_command(tmp_path, capsys):
     assert "K = 2:" in out and "K = 5:" in out
 
 
+def test_gen_features_takes_config_not_spec(tmp_path, capsys):
+    # Every command names its config file --config; gen-features has no second name for it.
+    with pytest.raises(SystemExit) as exc:
+        main(["gen-features", "--spec", str(write_config(tmp_path)), "--out", "feat"])
+    assert exc.value.code == 2
+    assert "the following arguments are required: --config" in capsys.readouterr().err
+
+
+def test_help_lists_every_command(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert "{run,oracle,estimator-study,gen-features}" in capsys.readouterr().out
+
+
 def test_gen_features_then_run_from_files(tmp_path):
-    spec = write_config(tmp_path)
+    gen_cfg = write_config(tmp_path)
     prefix = tmp_path / "bench"
-    assert main(["gen-features", "--spec", str(spec), "--out", str(prefix)]) == 0
+    assert main(["gen-features", "--config", str(gen_cfg), "--out", str(prefix)]) == 0
     train = load_features(tmp_path / "bench.train.stsafeat")
     assert train.class_count == 6 and train.size == 6 * 40
 
@@ -131,11 +146,11 @@ def test_gen_features_then_run_from_files(tmp_path):
 def test_feature_file_in_the_wrong_role_exits_2(tmp_path, capsys, swap):
     # With no test samples the test file is empty, and a classifier fit on
     # it would report chance accuracy without complaint.
-    spec = write_config(
+    gen_cfg = write_config(
         tmp_path, SMALL_CONFIG.replace("synth_test_per_class = 20", "synth_test_per_class = 0")
     )
     prefix = tmp_path / "bench"
-    assert main(["gen-features", "--spec", str(spec), "--out", str(prefix)]) == 0
+    assert main(["gen-features", "--config", str(gen_cfg), "--out", str(prefix)]) == 0
     train_file, test_file = f"{prefix}.train.stsafeat", f"{prefix}.test.stsafeat"
     train_path, test_path = {
         "both": (test_file, train_file),
@@ -174,8 +189,9 @@ def test_test_file_of_another_width_exits_2_before_any_stage(tmp_path, capsys, c
     # The test split is mapped only when a stage scores it, so a width
     # mismatch must be caught when the splits are loaded.
     for name, dim in (("wide", 8), ("narrow", 6)):
-        spec = write_config(tmp_path, SMALL_CONFIG.replace("synth_dim = 4", f"synth_dim = {dim}"))
-        assert main(["gen-features", "--spec", str(spec), "--out", str(tmp_path / name)]) == 0
+        sized = SMALL_CONFIG.replace("synth_dim = 4", f"synth_dim = {dim}")
+        gen_cfg = write_config(tmp_path, sized)
+        assert main(["gen-features", "--config", str(gen_cfg), "--out", str(tmp_path / name)]) == 0
     cfg = write_config(
         tmp_path,
         SMALL_CONFIG
@@ -212,8 +228,8 @@ def test_first_task_with_no_training_rows_exits_0(tmp_path, capsys, oracle_check
     # Task 1's classes keep their test rows but lose every training row. The
     # federated stage and the oracle both solve gamma I W = 0 from zero
     # statistics, so they agree exactly there.
-    spec = write_config(tmp_path, SMALL_CONFIG, name="spec.cfg")
-    assert main(["gen-features", "--spec", str(spec), "--out", str(tmp_path / "feat")]) == 0
+    gen_cfg = write_config(tmp_path, SMALL_CONFIG, name="gen.cfg")
+    assert main(["gen-features", "--config", str(gen_cfg), "--out", str(tmp_path / "feat")]) == 0
     train_path = tmp_path / "feat.train.stsafeat"
     train = load_features(train_path)
     kept = ~np.isin(train.labels, [0, 1])
@@ -349,9 +365,9 @@ def test_removed_key_exits_2(tmp_path, capsys, line):
 
 
 def test_truncated_feature_file_exits_4(tmp_path, capsys):
-    spec = write_config(tmp_path)
+    gen_cfg = write_config(tmp_path)
     prefix = tmp_path / "bench"
-    assert main(["gen-features", "--spec", str(spec), "--out", str(prefix)]) == 0
+    assert main(["gen-features", "--config", str(gen_cfg), "--out", str(prefix)]) == 0
     train_path = tmp_path / "bench.train.stsafeat"
     train_path.write_bytes(train_path.read_bytes()[:-3])
     run_cfg = write_config(
@@ -366,9 +382,9 @@ def test_truncated_feature_file_exits_4(tmp_path, capsys):
 
 
 def test_non_finite_feature_file_exits_4(tmp_path, capsys):
-    spec = write_config(tmp_path)
+    gen_cfg = write_config(tmp_path)
     prefix = tmp_path / "bench"
-    assert main(["gen-features", "--spec", str(spec), "--out", str(prefix)]) == 0
+    assert main(["gen-features", "--config", str(gen_cfg), "--out", str(prefix)]) == 0
     train_path = tmp_path / "bench.train.stsafeat"
     train = load_features(train_path)
     features = train.features.copy()
@@ -385,14 +401,26 @@ def test_non_finite_feature_file_exits_4(tmp_path, capsys):
     assert "non-finite" in capsys.readouterr().err
 
 
-def test_numerical_error_exits_3(tmp_path, monkeypatch, capsys):
-    cfg = write_config(tmp_path)
-    monkeypatch.setattr(
-        "stsa.cli.run_experiment",
-        lambda config: (_ for _ in ()).throw(NumericalError("boom")),
-    )
-    assert main(["run", "--config", str(cfg)]) == 3
-    assert "numerical error" in capsys.readouterr().err
+@pytest.mark.parametrize(
+    "command, called",
+    [
+        ("run", "load_experiment_data"),
+        ("oracle", "load_experiment_data"),
+        ("estimator-study", "estimate_gram"),
+    ],
+    ids=["run", "oracle", "estimator-study"],
+)
+def test_numerical_error_exits_3(tmp_path, monkeypatch, capsys, command, called):
+    # Each report command reaches the exit mapping through the one shared
+    # command body; the error comes from a name its runner entry point calls.
+    cfg = write_config(tmp_path, SMALL_CONFIG + "study_K = 2\nstudy_trials = 100\n")
+
+    def failing(*args, **kwargs):
+        raise NumericalError("boom")
+
+    monkeypatch.setattr(stsa.runner, called, failing)
+    assert main([command, "--config", str(cfg)]) == 3
+    assert capsys.readouterr().err == "numerical error: boom\n"
 
 
 def test_non_finite_upload_exits_2(tmp_path, monkeypatch, capsys):

@@ -2,7 +2,7 @@
 
 import re
 import runpy
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
@@ -84,17 +84,28 @@ def test_bool_spellings():
 
 def test_validation_catches_bad_values():
     with pytest.raises(ConfigurationError):
-        ExperimentConfig(mode="compressed").validate()
+        ExperimentConfig(mode="compressed")
     with pytest.raises(ConfigurationError):
-        ExperimentConfig(T=0).validate()
+        ExperimentConfig(T=0)
     with pytest.raises(ConfigurationError):
-        ExperimentConfig(beta=0.0).validate()
+        ExperimentConfig(beta=0.0)
     with pytest.raises(ConfigurationError):
-        ExperimentConfig(data="files").validate()  # missing paths
+        ExperimentConfig(data="files")  # missing paths
     with pytest.raises(ConfigurationError):
-        ExperimentConfig(noise_q=-1.0).validate()
+        ExperimentConfig(noise_q=-1.0)
     with pytest.raises(ConfigurationError, match="M must be >= 1, got 0"):
-        ExperimentConfig(M=0).validate()
+        ExperimentConfig(M=0)
+
+
+@pytest.mark.parametrize("build", ["constructor", "replace"])
+def test_invalid_config_cannot_be_built(build):
+    # A config is checked when it is built, so no invalid one exists for a
+    # caller to forget to check, not even one derived from a valid config.
+    with pytest.raises(ConfigurationError, match="^K must be >= 1, got 0$"):
+        if build == "constructor":
+            ExperimentConfig(K=0)
+        else:
+            replace(ExperimentConfig(), K=0)
 
 
 def test_negative_synth_noise_std_is_rejected():

@@ -91,3 +91,22 @@ def test_a_missing_compiled_module_is_an_import_error_naming_it():
         stsa.core._scipy_linalg_extension("_no_such_wrapper")
     assert caught.value.name == "scipy.linalg._no_such_wrapper"
     assert "scipy.linalg._no_such_wrapper" not in sys.modules
+
+
+ROOT_EXPORTS = {
+    "ExperimentConfig", "load_config", "parse_config",
+    "run_experiment", "run_oracle", "run_estimator_study",
+    "ExperimentReport", "OracleReport", "EstimatorStudy",
+    "StsaError", "ConfigurationError", "DimensionError", "DomainError",
+    "EstimationError", "FormatError", "NumericalError", "ProtocolError",
+}
+
+
+def test_package_root_exports_only_the_entry_points():
+    # The root holds a config, the runner entry points, their reports and
+    # the errors; every other name is imported from its module.
+    import stsa
+
+    assert sorted(stsa.__all__) == sorted(ROOT_EXPORTS)
+    for name in stsa.__all__:
+        assert getattr(stsa, name) is not None
