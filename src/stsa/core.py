@@ -172,8 +172,10 @@ def apply_map(rmap: RandomMap, raw: np.ndarray) -> np.ndarray:
         raise NumericalError("raw features have non-finite entries")
     if raw.shape[0] == 1:
         # numpy multiplies a lone row with gemv, whose sums round differently
-        # from gemm's. Mapped as a row of a two-row product, every row maps to
-        # the same bits whichever rows it is mapped with.
+        # from gemm's, so a lone row is mapped as a row of a two-row product.
+        # A row's bits may still depend on the rows mapped with it (they do
+        # at M >= 1250); reports stay deterministic because each task's rows
+        # are always mapped as the same block.
         return apply_map(rmap, np.repeat(raw, 2, axis=0))[:1].copy()
     mapped = raw @ rmap.matrix
     np.maximum(mapped, 0.0, out=mapped)

@@ -7,8 +7,9 @@ data stays raw: each stage maps one seen task's test rows at a time, scores
 them and lets them go, so no mapped copy of the test set is ever held. With
 ``oracle_check`` enabled each stage is also compared against the pooled
 centralized solution, which the aggregation is exactly equivalent to. The
-oracle folds its pooled statistics into a second ``TemporalState`` with the
-server's ``temporal_aggregate``; only the statistics and the solve differ.
+oracle folds its pooled statistics into a second ``TemporalState`` as a
+one-client stage, through the server's checks and fold; only the statistics
+and the solve differ.
 ``run_oracle`` pools the whole schedule that way and scores the one pooled
 classifier.
 """
@@ -20,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .client import ClientShard, add_noise, extract_payload
+from .client import ClientShard, UploadPayload, add_noise, extract_payload
 from .config import ExperimentConfig
 from .core import (
     ClassifierWeights,
@@ -242,7 +243,7 @@ def centralized_oracle(pooled: TemporalState, gamma: float) -> ClassifierWeights
 
     This is the equivalence reference for the federated-incremental path, and
     mirrors ``update_classifier``: ``pooled`` is the oracle's own
-    ``TemporalState``, which ``_pool_task`` folds with ``temporal_aggregate``,
+    ``TemporalState``, which ``_pool_task`` folds through ``spatial_aggregate``,
     and the weights' class ids are its class ids. The regularized normal
     equations are solved with a plain LU solve, a route independent of the
     SPD factorization used by the aggregation path; a singular system is a
@@ -270,12 +271,14 @@ def _pool_task(
 
     The task's training rows ``task_idx`` are mapped and pooled by one
     ``local_statistics`` call, with no client split, and folded into
-    ``pooled`` by the server's own ``temporal_aggregate``, which consumes it.
+    ``pooled``, which is consumed, as the one upload of a one-client stage.
     """
     task = local_statistics(
         apply_map(rmap, train.features[task_idx]), train.labels[task_idx], task_classes
     )
-    return temporal_aggregate(pooled, task.gram, task.corr, task_classes)
+    upload = UploadPayload(client_id=0, task_id=0, records=(task,))
+    agg = spatial_aggregate([upload], task_classes, 1, pooled.gram_acc)
+    return temporal_aggregate(pooled, agg.corr, task_classes)
 
 
 def _setup(
@@ -367,11 +370,12 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
                 del shard, payload
 
         try:
-            agg = spatial_aggregate(uploads(), task_classes, config.K)
-            # Both modes fold a packed stage gram; efficient-mode records carry none.
-            gram = agg.gram if agg.gram is not None else estimate_gram(agg.records, task_classes)
-            state = temporal_aggregate(state, gram, agg.corr, task_classes)
-            del agg, gram  # the state holds the stage's sums; free them before the solve
+            # Uploads add their grams into the state; efficient-mode ones carry none.
+            agg = spatial_aggregate(uploads(), task_classes, config.K, state.gram_acc)
+            if agg.records:
+                estimate_gram(agg.records, task_classes, state.gram_acc)
+            state = temporal_aggregate(state, agg.corr, task_classes)
+            del agg  # the state holds the stage's sums; free the records before the solve
             weights = update_classifier(state, config.gamma)
             acc_rows.append(
                 tuple(task_accuracy(weights, rmap, test, rows) for rows in test_rows[:t])
@@ -461,5 +465,6 @@ def _estimation_trial(spec: SynthSpec, k: int, stream: ChaChaStream) -> float:
     records = [
         SpatialStatistics(gram=None, corr=corrs[j], label_freq=counts[j]) for j in range(k)
     ]
-    g_hat = unpack_upper(estimate_gram(records, range(c)), m)
-    return float(np.linalg.norm(g_hat - gram_true, "fro") ** 2)
+    g_hat = np.zeros(m * (m + 1) // 2)
+    estimate_gram(records, range(c), g_hat)
+    return float(np.linalg.norm(unpack_upper(g_hat, m) - gram_true, "fro") ** 2)

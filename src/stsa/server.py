@@ -1,18 +1,17 @@
 """Server-side aggregation: spatial, temporal, gram estimation, classifier.
 
-Spatial aggregation folds client statistics into a running sum within a
-task, one upload at a time in client order, and rejects an upload that
-comes out of order; temporal aggregation adds each task's gram into the
-running sum in place and concatenates correlation columns. When clients
-upload first-order records only, the server reconstructs an unbiased
-estimate of the task gram from the per-record correlation columns and label
-frequencies before accumulating it.
+The server keeps one gram, the state's ``gram_acc``: the sum over clients
+and the sum over stages are one sum into it. Spatial aggregation checks each
+upload in client order, rejects one out of order and adds a full-mode gram
+straight into the state. When clients upload first-order records only, the
+server adds an unbiased estimate of the task gram, made from the records'
+correlation columns and label frequencies, instead. Temporal aggregation
+appends the task's correlation columns and class ids.
 
 Every gram on the server is its packed upper triangle: M(M+1)/2 entries in
 row-major (``np.triu_indices``) order, the format clients upload. The
-stage sum, the estimate and the temporal state all stay packed, and
-``update_classifier`` hands the packed state to the solve as it is, which
-factorizes it in LAPACK's rectangular full packed format.
+state stays packed, and ``update_classifier`` hands it to the solve as it
+is, which factorizes it in LAPACK's rectangular full packed format.
 """
 
 from __future__ import annotations
@@ -32,17 +31,13 @@ MIN_COUNT = 1e-6
 
 @dataclass(frozen=True)
 class StageAggregate:
-    """Spatially aggregated statistics for one task.
+    """One task's summed correlation columns, and in efficient mode its records.
 
-    ``gram`` is the exact summed G in full mode, as its packed upper
-    triangle, and None in efficient mode.
     ``records`` holds the efficient-mode first-order records in upload
     order, which is (client id, record position) order, for the gram
-    estimator; it is empty in full mode, where every client gram is dropped
-    once it has been summed.
+    estimator; it is empty in full mode, whose grams go into the state.
     """
 
-    gram: np.ndarray | None
     corr: np.ndarray
     records: tuple[SpatialStatistics, ...]
 
@@ -55,10 +50,10 @@ class TemporalState:
     triangle, ``corr_acc`` the column-concatenated correlations, whose row
     count is the mapped dimension M, ``class_ids`` the concatenated task
     class lists in task order; the initial state has no class ids. Each
-    state's one ``gram_acc`` array serves all its folds:
-    ``temporal_aggregate`` adds each stage into it in place, so folding a
-    state consumes it. A run holds one state, and with ``oracle_check`` a
-    second, the oracle's, which the runner folds from pooled statistics.
+    state's one ``gram_acc`` array serves all its folds: each stage's grams
+    are added into it in place, so folding a stage consumes the state. A
+    failed fold leaves the state consumed; the run stops on any error. A run
+    holds one state, and with ``oracle_check`` a second, the oracle's.
     """
 
     gram_acc: np.ndarray
@@ -73,19 +68,21 @@ class TemporalState:
 
 
 def spatial_aggregate(
-    payloads: Iterable, task_classes: Sequence[int], client_count: int
+    payloads: Iterable, task_classes: Sequence[int], client_count: int, gram_acc: np.ndarray
 ) -> StageAggregate:
     """Sum one task's uploads across clients, folding each in as it arrives.
 
     ``payloads`` is consumed lazily and must yield one upload per client in
     client order, 0..client_count-1. Each upload is folded in once it passes
     its checks, its records in upload order, and let go of before the next
-    is pulled, so no client gram outlives its fold. A duplicate, missing,
+    is pulled, so no client gram outlives its fold: a full-mode gram is
+    added straight into the state's ``gram_acc``. A duplicate, missing,
     out-of-order or out-of-range client id is a ProtocolError (an upload
     ahead of the id due names that id as missing), and so is a NaN or
     infinite label frequency or sum. All uploads must share one task and all
-    records one mapped dimension, at least 1; either every record carries a
-    gram (full mode) or none does (efficient mode), and the first sets which.
+    records one mapped dimension, at least 1, which ``gram_acc`` packs, or
+    nothing is added; either every record carries a gram (full mode) or
+    none does (efficient mode), and the first sets which.
 
     Each upload is also checked against the upload contract, at O(c) cost
     per record, and a breach is a ProtocolError: the client id is an
@@ -98,8 +95,7 @@ def spatial_aggregate(
             f"spatial aggregation needs at least one client, got {client_count}"
         )
     c_t = len(task_classes)
-    task_id = m = None
-    corr = gram = None
+    task_id = m = full = corr = None
     records: list[SpatialStatistics] = []
     due = 0  # the client id to fold next
     for payload in payloads:
@@ -111,8 +107,13 @@ def spatial_aggregate(
             m = payload.records[0].feature_dim
             if m < 1:
                 raise ProtocolError(f"client {payload.client_id!r} uploaded feature dimension 0")
+            if gram_acc.shape != (m * (m + 1) // 2,):
+                raise ProtocolError(
+                    f"client {payload.client_id!r} uploaded feature dimension {m}, "
+                    f"which the state's gram of shape {gram_acc.shape} does not pack"
+                )
             corr = np.zeros((m, c_t))
-            gram = None if payload.records[0].gram is None else np.zeros(m * (m + 1) // 2)
+            full = payload.records[0].gram is not None
         client_id = payload.client_id
         if not isinstance(client_id, (int, np.integer)) or isinstance(client_id, bool):
             raise ProtocolError(f"client id {client_id!r} is not an integer")
@@ -125,7 +126,7 @@ def spatial_aggregate(
                 raise ProtocolError(
                     f"record has {rec.corr.shape[1]} class columns, task has {c_t}"
                 )
-            if (rec.gram is None) != (gram is None):
+            if (rec.gram is not None) != full:
                 raise ProtocolError("uploads mix full-mode and efficient-mode records")
             for name, arr in (("gram", rec.gram), ("corr", rec.corr)):
                 if arr is not None and arr.dtype != np.float64:
@@ -137,7 +138,7 @@ def spatial_aggregate(
             if kind in "iu":
                 if (rec.label_freq < 0).any():
                     raise ProtocolError(f"client {client_id} uploaded a negative label count")
-            elif kind != "f" or gram is not None:
+            elif kind != "f" or full:
                 raise ProtocolError(
                     f"client {client_id} uploaded {rec.label_freq.dtype} label counts; "
                     f"counts are integers, or floats once noised in efficient mode"
@@ -146,7 +147,7 @@ def spatial_aggregate(
                 raise ProtocolError(
                     f"client {client_id} uploaded non-finite label frequencies"
                 )
-        if gram is not None and len(payload.records) != 1:
+        if full and len(payload.records) != 1:
             raise ProtocolError(
                 f"full-mode upload from client {client_id} has "
                 f"{len(payload.records)} records; full mode sends exactly one"
@@ -161,14 +162,14 @@ def spatial_aggregate(
             raise ProtocolError(
                 f"missing upload from client {due}; expected clients 0..{client_count - 1}"
             )
-        # Full mode adds each packed gram into the packed sum; efficient mode
+        # Full mode adds each packed gram into the state; efficient mode
         # keeps the first-order records for the gram estimator instead.
         for rec in payload.records:
             corr += rec.corr
-            if gram is None:
-                records.append(rec)
+            if full:
+                gram_acc += rec.gram
             else:
-                gram += rec.gram
+                records.append(rec)
         due += 1
         # Let go of the upload before pulling the next one.
         del payload, rec
@@ -177,21 +178,20 @@ def spatial_aggregate(
         raise ProtocolError(
             f"missing upload from client {due}; expected clients 0..{client_count - 1}"
         )
-    # A NaN or infinite entry in any upload survives the sum, so checking
-    # the sums once covers every upload. max/min propagate NaN and keep inf,
-    # so the gram check makes no temporary.
+    # A NaN or infinite entry in any upload survives the sum, and the state
+    # was finite, so checking the sums once covers every upload. max/min
+    # propagate NaN and keep inf, so the gram check makes no temporary.
     if not np.isfinite(corr).all():
         raise ProtocolError("summed uploads have non-finite corr entries")
-    if gram is not None:
-        if not (np.isfinite(gram.max()) and np.isfinite(gram.min())):
-            raise ProtocolError("summed uploads have non-finite gram entries")
-    return StageAggregate(gram=gram, corr=corr, records=tuple(records))
+    if full and not (np.isfinite(gram_acc.max()) and np.isfinite(gram_acc.min())):
+        raise ProtocolError("summed uploads have non-finite gram entries")
+    return StageAggregate(corr=corr, records=tuple(records))
 
 
 def estimate_gram(
-    records: Sequence[SpatialStatistics], task_classes: Sequence[int]
-) -> np.ndarray:
-    """Unbiased plug-in estimate of the task gram from first-order records.
+    records: Sequence[SpatialStatistics], task_classes: Sequence[int], out: np.ndarray
+) -> None:
+    """Add the unbiased plug-in estimate of the task gram into ``out``.
 
     Per class i with contributing records (label_freq[i] > 0) indexed by k:
 
@@ -211,10 +211,11 @@ def estimate_gram(
     c_k / n_k is then the exact class mean, where a premultiplied
     (n_i - 1)/((K_i - 1) n_k) or a square-root weighting rounds.
 
-    The result is G's packed upper triangle, symmetric by construction. U
-    is the one R x M array made, with R the number of its rows; per strip of
-    the packed triangle, L's columns i..i+b times U's columns i..M fill the
-    strip's slots, so no M x M array is made.
+    G's packed upper triangle is added into ``out``, such as the state's,
+    so G is symmetric by construction. U is the one R x M array made, with
+    R its row count; per strip of the triangle, L's columns i..i+b times
+    U's columns i..M are added into the strip's slots, so no M x M array is
+    made.
     """
     records = list(records)
     if not records:
@@ -255,38 +256,24 @@ def estimate_gram(
         scale[top:end] = (n_i - 1.0) / (k_i - 1.0)
         scale[end] = -((n_i - k_i) / (n_i * (k_i - 1.0)))
         top = end + 1
-    packed = np.empty(m * (m + 1) // 2)
     for i, b, slots, upper in _packed_strips(m):
         left = u[:, i : i + b] / divisor[:, None]
         left *= scale[:, None]
-        packed[slots] = (left.T @ u[:, i:])[upper]
-    return packed
+        out[slots] += (left.T @ u[:, i:])[upper]
 
 
 def temporal_aggregate(
-    state: TemporalState,
-    gram_new: np.ndarray,
-    corr_new: np.ndarray,
-    task_classes: Sequence[int],
+    state: TemporalState, corr_new: np.ndarray, task_classes: Sequence[int]
 ) -> TemporalState:
-    """Fold one task's aggregated statistics into the running state.
+    """Fold one task's correlation columns and class ids into the running state.
 
-    ``gram_new`` is the stage gram's packed upper triangle, which is added
-    into ``state.gram_acc`` in place, so the fold makes no second
-    accumulated gram. The caller's state is consumed: its ``gram_acc`` is
-    the returned state's, and holds the new sum. Correlation columns are
-    appended and class ids extend in task order. Classes must be disjoint
-    across stages; every check runs before the state is touched.
+    The task's gram is already in ``state.gram_acc``, which the returned
+    state takes over. Correlation columns are appended and class ids extend
+    in task order. Classes must be disjoint across stages; a failed fold
+    leaves the state consumed, and the run stops on any error.
     """
-    gram_new = np.asarray(gram_new, dtype=np.float64)
     corr_new = np.asarray(corr_new, dtype=np.float64)
     m = state.corr_acc.shape[0]
-    packed = m * (m + 1) // 2
-    if gram_new.shape != (packed,):
-        raise ProtocolError(
-            f"stage gram shape {gram_new.shape} is not the packed triangle "
-            f"({packed},) of dim {m}"
-        )
     if corr_new.shape != (m, len(task_classes)):
         raise ProtocolError(
             f"stage corr shape {corr_new.shape} does not match "
@@ -297,10 +284,8 @@ def temporal_aggregate(
         raise ProtocolError(f"classes {sorted(overlap)} already seen in earlier stages")
     if len(set(task_classes)) != len(task_classes):
         raise ProtocolError(f"task class list has duplicates: {list(task_classes)}")
-    gram_acc = state.gram_acc
-    gram_acc += gram_new
     return TemporalState(
-        gram_acc=gram_acc,
+        gram_acc=state.gram_acc,
         corr_acc=np.hstack([state.corr_acc, corr_new]),
         class_ids=state.class_ids + tuple(int(c) for c in task_classes),
     )

@@ -10,6 +10,7 @@ import pytest
 
 import stsa.core
 import stsa.runner
+from stsa.client import UploadPayload
 from stsa.config import ExperimentConfig, load_config
 from stsa.core import (
     ClassifierWeights,
@@ -38,7 +39,7 @@ from stsa.runner import (
     task_accuracy,
     task_test_rows,
 )
-from stsa.server import TemporalState, temporal_aggregate
+from stsa.server import TemporalState, spatial_aggregate, temporal_aggregate
 
 SMALL = dict(
     synth_classes=6,
@@ -233,24 +234,6 @@ class TestRunExperiment:
         assert peaks[large] <= peaks[small] + raw_test + one_task
 
     @pytest.mark.parametrize("mode", ["full", "efficient"])
-    def test_no_whole_gram_reaches_the_temporal_fold(self, monkeypatch, mode):
-        # Both modes fold the stage gram as its packed triangle, and the
-        # state stays packed; only the solve unpacks it.
-        folded = []
-        fold = stsa.runner.temporal_aggregate
-
-        def recording(state, gram_new, corr_new, task_classes):
-            out = fold(state, gram_new, corr_new, task_classes)
-            folded.append((gram_new.shape, out.gram_acc.shape))
-            return out
-
-        monkeypatch.setattr(stsa.runner, "temporal_aggregate", recording)
-        cfg = ExperimentConfig(**SMALL, mode=mode, K_D=2)
-        run_experiment(cfg)
-        packed = (cfg.M * (cfg.M + 1) // 2,)
-        assert folded == [(packed, packed)] * cfg.T
-
-    @pytest.mark.parametrize("mode", ["full", "efficient"])
     def test_the_solve_path_builds_no_whole_gram(self, monkeypatch, mode):
         # With the oracle off, every gram stays packed through the solve, so
         # a run that cannot unpack a triangle reports exactly as before.
@@ -394,9 +377,14 @@ def pool(feat, labels, class_ids):
 
 
 def fold(stats, class_ids):
-    """The oracle's state after folding ``stats`` of ``class_ids`` into an empty one."""
+    """The oracle's state after folding ``stats`` of ``class_ids`` into an empty one.
+
+    As the runner does, ``stats`` is the one upload of a one-client stage.
+    """
     initial = TemporalState.initial(stats.corr.shape[0])
-    return temporal_aggregate(initial, stats.gram, stats.corr, class_ids)
+    upload = UploadPayload(client_id=0, task_id=0, records=(stats,))
+    agg = spatial_aggregate([upload], class_ids, 1, initial.gram_acc)
+    return temporal_aggregate(initial, agg.corr, class_ids)
 
 
 class TestCentralizedOracle:
@@ -457,8 +445,11 @@ class TestTaskAccuracy:
 
     @pytest.mark.parametrize("m", [600, 800])
     def test_mapping_a_row_subset_is_bit_identical(self, test_split, m):
-        # Evaluation maps each task's raw rows on their own; the reports stay
-        # byte-identical only if that equals slicing the whole mapped set.
+        # Evaluation maps each task's raw rows as one block, always the same
+        # block, which is what keeps reports deterministic. This pins more: at
+        # M = 600 and 800, on the BLAS kernel the goldens were made with, a row
+        # subset maps to the bits of the whole mapped set. At M >= 1250 it
+        # does not, so no larger M is pinned.
         rmap = make_random_map(5, self.D, m)
         whole = apply_map(rmap, test_split.features)
         rng = np.random.default_rng(m)

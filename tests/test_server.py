@@ -10,6 +10,7 @@ import pytest
 
 from stsa.client import ClientShard, UploadPayload, extract_payload
 from stsa.core import (
+    _SYMMETRY_BLOCK,
     SpatialStatistics,
     apply_map,
     local_statistics,
@@ -39,6 +40,25 @@ def packed(a):
     return a[np.triu_indices(a.shape[0])]
 
 
+def estimate(records, classes):
+    """The gram estimate alone, as ``estimate_gram`` adds it into zeros."""
+    m = records[0].feature_dim
+    out = np.zeros(m * (m + 1) // 2)
+    estimate_gram(records, classes, out)
+    return out
+
+
+def fold(state, gram, corr, classes):
+    """``state`` with one stage folded in: ``gram`` and ``corr`` as a one-client upload.
+
+    This is how the runner folds the oracle's pooled statistics.
+    """
+    rec = record(corr, np.zeros(len(classes), dtype=np.int64), gram=gram)
+    upload = UploadPayload(client_id=0, task_id=1, records=(rec,))
+    agg = spatial_aggregate([upload], classes, 1, state.gram_acc)
+    return temporal_aggregate(state, agg.corr, classes)
+
+
 def full_payloads_from_partition(rows_per_client, labels_per_client, rmap, classes):
     payloads = []
     for k, (rows, labels) in enumerate(zip(rows_per_client, labels_per_client)):
@@ -57,9 +77,10 @@ class TestSpatialAggregate:
 
     def test_single_payload_passthrough(self):
         payloads = full_payloads_from_partition([self.raw], [self.labels], self.rmap, self.classes)
-        agg = spatial_aggregate(payloads, self.classes, 1)
-        # The upload's packed triangle passes through exactly and stays packed.
-        assert np.array_equal(agg.gram, payloads[0].records[0].gram)
+        acc = TemporalState.initial(8).gram_acc
+        agg = spatial_aggregate(payloads, self.classes, 1, acc)
+        # The upload's packed triangle passes into the empty state exactly and stays packed.
+        assert np.array_equal(acc, payloads[0].records[0].gram)
         assert np.array_equal(agg.corr, payloads[0].records[0].corr)
 
     def test_partition_matches_pooled_statistics(self):
@@ -72,9 +93,10 @@ class TestSpatialAggregate:
             self.rmap,
             self.classes,
         )
-        agg = spatial_aggregate(payloads, self.classes, 3)
+        acc = TemporalState.initial(8).gram_acc
+        agg = spatial_aggregate(payloads, self.classes, 3, acc)
         pooled = local_statistics(apply_map(self.rmap, self.raw), self.labels, self.classes)
-        assert np.allclose(unpack_upper(agg.gram, 8), unpack_upper(pooled.gram, 8), rtol=1e-12)
+        assert np.allclose(unpack_upper(acc, 8), unpack_upper(pooled.gram, 8), rtol=1e-12)
         assert np.allclose(agg.corr, pooled.corr, rtol=1e-12)
 
     def payloads(self, mode):
@@ -100,26 +122,27 @@ class TestSpatialAggregate:
         payloads = self.payloads(mode)
         # In order, the uploads are accepted, and efficient-mode records are
         # kept in (client id, record position) order.
-        agg = spatial_aggregate(payloads, self.classes, 3)
+        agg = spatial_aggregate(payloads, self.classes, 3, np.zeros(36))
         if mode == "efficient":
             in_order = [rec for p in payloads for rec in p.records]
             assert len(agg.records) == 6
             assert all(a is b for a, b in zip(agg.records, in_order))
         p0, _, p2 = payloads
         with pytest.raises(ProtocolError, match="missing upload from client 0"):
-            spatial_aggregate([p2, p0, p2], self.classes, 3)
+            spatial_aggregate([p2, p0, p2], self.classes, 3, np.zeros(36))
         for order in itertools.permutations(range(3)):
             if order == (0, 1, 2):
                 continue
             due = next(k for k, client in enumerate(order) if client != k)
             with pytest.raises(ProtocolError, match=f"missing upload from client {due};"):
-                spatial_aggregate([payloads[k] for k in order], self.classes, 3)
+                spatial_aggregate([payloads[k] for k in order], self.classes, 3, np.zeros(36))
 
     def test_values_below_the_diagonal_of_an_upload_are_not_read(self):
         # A gram upload is its upper triangle, packed row by row; a client
         # whose whole matrix holds anything below the diagonal sends the
-        # same upload and leaves the stage sums bit-identical.
-        clean = spatial_aggregate(self.payloads("full"), self.classes, 3)
+        # same upload and leaves the sums bit-identical.
+        clean_acc = np.zeros(36)
+        clean = spatial_aggregate(self.payloads("full"), self.classes, 3, clean_acc)
         rng = np.random.default_rng(3)
         upper = np.triu_indices(8)
         dirty = []
@@ -129,19 +152,57 @@ class TestSpatialAggregate:
                 whole = unpack_upper(rec.gram, 8) + np.tril(rng.normal(size=(8, 8)), -1)
                 records.append(replace(rec, gram=whole[upper]))
             dirty.append(replace(p, records=tuple(records)))
-        agg = spatial_aggregate(dirty, self.classes, 3)
-        assert agg.gram.shape == (36,)
-        assert np.array_equal(agg.gram, clean.gram)
+        acc = np.zeros(36)
+        agg = spatial_aggregate(dirty, self.classes, 3, acc)
+        assert np.array_equal(acc, clean_acc)
         assert np.array_equal(agg.corr, clean.corr)
 
     def test_stage_gram_is_the_unpacked_sum_of_the_packed_uploads(self):
+        # Each packed upload is added into the state's packed gram in client
+        # order, ((state + u0) + u1) + u2; the solve unpacks it later.
         payloads = self.payloads("full")
-        agg = spatial_aggregate(payloads, self.classes, 3)
-        total = np.zeros(36)
+        start = np.random.default_rng(5).normal(size=36)
+        acc = start.copy()
+        spatial_aggregate(payloads, self.classes, 3, acc)
+        total = start.copy()
         for p in payloads:
             total += p.records[0].gram
-        # The stage gram is the packed sum itself; the solve unpacks it later.
-        assert np.array_equal(agg.gram, total)
+        assert np.array_equal(acc, total)
+
+    def test_upload_of_another_dimension_is_rejected_before_any_add(self):
+        # The accumulator packs one dimension; an upload of another, or a
+        # whole (M, M) accumulator, fails before anything is added.
+        payloads = self.payloads("full")
+        for acc in (np.ones(28), np.ones(45), np.ones((8, 8))):
+            before = acc.copy()
+            with pytest.raises(ProtocolError, match="uploaded feature dimension 8"):
+                spatial_aggregate(payloads, self.classes, 3, acc)
+            assert np.array_equal(acc, before)
+        with pytest.raises(ProtocolError, match="uploaded feature dimension 8"):
+            spatial_aggregate(self.payloads("efficient"), self.classes, 3, np.ones(28))
+
+    def test_peak_memory_is_below_one_triangle_beyond_the_uploads(self):
+        # Each upload's gram is added straight into the caller's accumulator,
+        # so a stage of K uploads allocates its corr sum and no gram of its
+        # own: a stage sum would be one packed triangle here.
+        m, k = 400, 4
+        rmap = make_random_map(3, 4, m)
+        rng = np.random.default_rng(1)
+        payloads = []
+        for client in range(k):
+            labels = rng.integers(0, 3, size=50).astype(np.int64)
+            shard = ClientShard(
+                client_id=client, task_id=1, features=rng.normal(size=(50, 4)), labels=labels
+            )
+            payloads.append(extract_payload(shard, rmap, self.classes, mode="full"))
+        acc = np.zeros(m * (m + 1) // 2)
+        tracemalloc.start()
+        try:
+            spatial_aggregate(payloads, self.classes, k, acc)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < acc.nbytes
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_value_at_any_packed_position_is_rejected(self, value):
@@ -153,7 +214,7 @@ class TestSpatialAggregate:
             bad[pos] = value
             payloads[2] = replace(payloads[2], records=(replace(first, gram=bad),))
             with pytest.raises(ProtocolError, match="non-finite gram entries"):
-                spatial_aggregate(payloads, self.classes, 3)
+                spatial_aggregate(payloads, self.classes, 3, np.zeros(36))
 
     def test_an_unpacked_gram_cannot_be_uploaded(self):
         # The whole (M, M) layout fails when the record is built, before
@@ -165,7 +226,7 @@ class TestSpatialAggregate:
             replace(rec, gram=rec.gram[:-1])
 
     def test_full_mode_keeps_no_client_grams(self):
-        agg = spatial_aggregate(self.payloads("full"), self.classes, 3)
+        agg = spatial_aggregate(self.payloads("full"), self.classes, 3, np.zeros(36))
         assert agg.records == ()
 
     def test_client_gram_is_freed_once_folded(self):
@@ -186,26 +247,26 @@ class TestSpatialAggregate:
                 refs.append(weakref.ref(payload.records[0].gram))
                 yield payload
 
-        spatial_aggregate(stream(), self.classes, 6)
+        spatial_aggregate(stream(), self.classes, 6, np.zeros(36))
         assert alive == [False] * 4
 
     def test_duplicate_upload_rejected(self):
         payloads = self.payloads("full")
         with pytest.raises(ProtocolError, match="duplicate upload from client 1"):
-            spatial_aggregate(payloads + [payloads[1]], self.classes, 3)
+            spatial_aggregate(payloads + [payloads[1]], self.classes, 3, np.zeros(36))
 
     @pytest.mark.parametrize("kept", [(0, 2), (1, 2)])
     def test_missing_upload_rejected(self, kept):
         payloads = self.payloads("efficient")
         missing = ({0, 1, 2} - set(kept)).pop()
         with pytest.raises(ProtocolError, match=f"missing upload from client {missing}"):
-            spatial_aggregate([payloads[k] for k in kept], self.classes, 3)
+            spatial_aggregate([payloads[k] for k in kept], self.classes, 3, np.zeros(36))
 
     @pytest.mark.parametrize("mode", ["full", "efficient"])
     def test_missing_last_upload_rejected(self, mode):
         payloads = self.payloads(mode)
         with pytest.raises(ProtocolError, match="missing upload from client 2"):
-            spatial_aggregate(payloads[:2], self.classes, 3)
+            spatial_aggregate(payloads[:2], self.classes, 3, np.zeros(36))
 
     def test_payload_must_carry_one_valid_client_id(self):
         def upload(client_id):
@@ -213,9 +274,9 @@ class TestSpatialAggregate:
             return UploadPayload(client_id=client_id, task_id=1, records=records)
 
         with pytest.raises(ProtocolError, match="client id -1 is out of range for 3 clients"):
-            spatial_aggregate([upload(-1)], self.classes, 3)
+            spatial_aggregate([upload(-1)], self.classes, 3, np.zeros(36))
         with pytest.raises(ProtocolError, match="client id 3 is out of range for 3 clients"):
-            spatial_aggregate([upload(3)], self.classes, 3)
+            spatial_aggregate([upload(3)], self.classes, 3, np.zeros(36))
 
     @pytest.mark.parametrize(
         "mode, field, value, what",
@@ -233,7 +294,7 @@ class TestSpatialAggregate:
         bad.flat[0] = value
         payloads[1] = replace(payloads[1], records=(replace(first, **{field: bad}), *rest))
         with pytest.raises(ProtocolError, match=f"non-finite {what}"):
-            spatial_aggregate(payloads, self.classes, 3)
+            spatial_aggregate(payloads, self.classes, 3, np.zeros(36))
 
     @pytest.mark.parametrize(
         "mode, breach, message",
@@ -276,7 +337,7 @@ class TestSpatialAggregate:
         if breach == "bool client id":
             payloads = payloads[1:2]  # False would pass as client 0
         with pytest.raises(ProtocolError, match=message):
-            spatial_aggregate(payloads, self.classes, len(payloads))
+            spatial_aggregate(payloads, self.classes, len(payloads), np.zeros(36))
 
     def test_upload_of_feature_dimension_zero_is_rejected(self):
         # An empty packed gram and corr make a valid record, but no stage
@@ -284,7 +345,7 @@ class TestSpatialAggregate:
         rec = record(np.zeros((0, 1)), np.array([3]), gram=np.zeros(0))
         upload = UploadPayload(client_id=0, task_id=1, records=(rec,))
         with pytest.raises(ProtocolError, match="feature dimension 0"):
-            spatial_aggregate([upload], [0], 1)
+            spatial_aggregate([upload], [0], 1, np.zeros(0))
 
     def test_noised_efficient_counts_may_be_any_finite_float(self):
         # Noise can push an efficient-mode count below zero or off the
@@ -294,7 +355,7 @@ class TestSpatialAggregate:
         noised = first.label_freq.astype(float) - np.array([0.3, 5.5, 0.0])
         payloads[1] = replace(payloads[1], records=(replace(first, label_freq=noised), *rest))
         payloads[2] = replace(payloads[2], client_id=np.int64(2))
-        agg = spatial_aggregate(payloads, self.classes, 3)
+        agg = spatial_aggregate(payloads, self.classes, 3, np.zeros(36))
         assert agg.records[2].label_freq is noised
 
     def test_mixed_modes_rejected(self):
@@ -313,7 +374,7 @@ class TestSpatialAggregate:
             with pytest.raises(
                 ProtocolError, match="uploads mix full-mode and efficient-mode records"
             ):
-                spatial_aggregate(uploads, self.classes, 3)
+                spatial_aggregate(uploads, self.classes, 3, np.zeros(36))
 
     def test_mismatched_dimension_rejected(self):
         small = make_random_map(3, 4, 6)
@@ -321,7 +382,7 @@ class TestSpatialAggregate:
         a = extract_payload(shard, self.rmap, self.classes, mode="full")
         b = extract_payload(shard, small, self.classes, mode="full")
         with pytest.raises(ProtocolError, match="mixed mapped dimensions"):
-            spatial_aggregate([a, b], self.classes, 2)
+            spatial_aggregate([a, b], self.classes, 2, np.zeros(36))
 
     def test_mixed_task_ids_rejected(self):
         shard1 = ClientShard(client_id=0, task_id=1, features=self.raw[:5], labels=self.labels[:5])
@@ -329,13 +390,13 @@ class TestSpatialAggregate:
         a = extract_payload(shard1, self.rmap, self.classes, mode="full")
         b = extract_payload(shard2, self.rmap, self.classes, mode="full")
         with pytest.raises(ProtocolError, match="mixed task ids"):
-            spatial_aggregate([a, b], self.classes, 2)
+            spatial_aggregate([a, b], self.classes, 2, np.zeros(36))
 
     def test_empty_payload_list_rejected(self):
         with pytest.raises(ProtocolError):
-            spatial_aggregate([], self.classes, 3)
+            spatial_aggregate([], self.classes, 3, np.zeros(36))
         with pytest.raises(ProtocolError, match="at least one client"):
-            spatial_aggregate([], self.classes, 0)
+            spatial_aggregate([], self.classes, 0, np.zeros(36))
 
 
 class TestEstimateGram:
@@ -344,7 +405,7 @@ class TestEstimateGram:
         # the second term vanishes (n = K) and the estimate is K * v v^T.
         v = np.array([2.0, 1.0])
         records = [record(np.array([v]).T, [1]) for _ in range(3)]
-        g = unpack_upper(estimate_gram(records, [0]), 2)
+        g = unpack_upper(estimate(records, [0]), 2)
         assert np.array_equal(g, 3.0 * np.outer(v, v))
 
     def test_hand_evaluated_two_record_case(self):
@@ -352,7 +413,7 @@ class TestEstimateGram:
         # Scalar evaluation of the estimator gives [[13, 5], [5, 4]].
         r1 = record(np.array([[1.0], [2.0]]), [2])
         r2 = record(np.array([[4.0], [2.0]]), [2])
-        g = unpack_upper(estimate_gram([r1, r2], [0]), 2)
+        g = unpack_upper(estimate([r1, r2], [0]), 2)
         oracle = scalar_estimator_oracle(
             cols=[[1.0, 2.0], [4.0, 2.0]], counts=[2.0, 2.0]
         )
@@ -372,7 +433,7 @@ class TestEstimateGram:
             recs = []
             for j, rows in enumerate(np.array_split(np.arange(n), k)):
                 recs.append(record(np.array([x[rows].sum(axis=0)]).T, [rows.size]))
-            g = unpack_upper(estimate_gram(recs, [0]), m)
+            g = unpack_upper(estimate(recs, [0]), m)
             acc += g
             acc2 += g * g
         mean = acc / trials
@@ -384,14 +445,14 @@ class TestEstimateGram:
     def test_absent_class_contributes_nothing(self):
         r1 = record(np.array([[1.0, 0.0], [2.0, 0.0]]), [2, 0])
         r2 = record(np.array([[4.0, 0.0], [2.0, 0.0]]), [2, 0])
-        g = unpack_upper(estimate_gram([r1, r2], [0, 1]), 2)
+        g = unpack_upper(estimate([r1, r2], [0, 1]), 2)
         assert np.allclose(g, np.array([[13.0, 5.0], [5.0, 4.0]]), rtol=1e-14)
 
     def test_single_holder_class_raises(self):
         r1 = record(np.array([[1.0, 1.0], [2.0, 1.0]]), [2, 1])
         r2 = record(np.array([[4.0, 0.0], [2.0, 0.0]]), [2, 0])
         with pytest.raises(EstimationError, match="class 9"):
-            estimate_gram([r1, r2], [0, 9])
+            estimate([r1, r2], [0, 9])
 
     def test_output_is_exactly_symmetric(self):
         # The estimate is a packed triangle, which unpacks to an exactly
@@ -401,7 +462,7 @@ class TestEstimateGram:
             record(stream.standard_normal(6).reshape(3, 2), [3, 2])
             for _ in range(4)
         ]
-        g = estimate_gram(records, [0, 1])
+        g = estimate(records, [0, 1])
         assert g.shape == (6,)
         whole = unpack_upper(g, 3)
         assert np.array_equal(whole, whole.T)
@@ -411,8 +472,8 @@ class TestEstimateGram:
         good1 = record(np.array([[1.0], [2.0]]), [2.0])
         good2 = record(np.array([[4.0], [2.0]]), [2.0])
         ghost = record(np.array([[100.0], [100.0]]), [-0.004])
-        with_ghost = estimate_gram([good1, good2, ghost], [0])
-        without = estimate_gram([good1, good2], [0])
+        with_ghost = estimate([good1, good2, ghost], [0])
+        without = estimate([good1, good2], [0])
         assert np.array_equal(with_ghost, without)
 
     # The estimate is written in strips of _SYMMETRY_BLOCK = 256 rows. M = 40
@@ -444,7 +505,7 @@ class TestEstimateGram:
             corr = rng.normal(size=(m, c_t)) * np.sqrt(np.maximum(counts[j], MIN_COUNT))
             records.append(record(corr, counts[j]))
 
-        g = estimate_gram(records, list(range(c_t)))
+        g = estimate(records, list(range(c_t)))
         assert g.shape == (m * (m + 1) // 2,)
         g = unpack_upper(g, m)
         expected = per_class_estimator(records, c_t, m)
@@ -452,26 +513,40 @@ class TestEstimateGram:
 
     def test_peak_memory_is_the_triangle_and_three_factor_arrays(self):
         # U holds one row per contributing column and one per class total:
-        # R = 50 * 10 + 10 rows. The packed estimate, U and one strip's
-        # scaled columns and product stay under the triangle plus 3 R x M.
+        # R = 50 * 10 + 10 rows. The triangle is the caller's, so the peak is
+        # U and one strip's work: its scaled columns L (R x b), its product
+        # (b x M) and the product's upper entries (at most b x M). A triangle
+        # of the estimator's own would not fit.
         m, k, c = 600, 50, 10
         rng = np.random.default_rng(0)
         records = [record(rng.normal(size=(m, c)), rng.integers(1, 20, size=c)) for _ in range(k)]
         rows = k * c + c
+        out = np.zeros(m * (m + 1) // 2)
         tracemalloc.start()
         try:
-            estimate_gram(records, range(c))
+            estimate_gram(records, range(c), out)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= (m * (m + 1) // 2 + 3 * rows * m) * 8
+        b = _SYMMETRY_BLOCK
+        assert peak <= (rows * m + rows * b + 2 * b * m) * 8
+
+    def test_adds_into_the_accumulator_bit_for_bit(self):
+        # Adding the estimate into a state equals adding the estimate made
+        # into zeros to it, elementwise, so efficient-mode runs keep their bits.
+        rng = np.random.default_rng(2)
+        records = [record(rng.normal(size=(300, 4)), rng.integers(1, 9, size=4)) for _ in range(5)]
+        acc = rng.normal(size=300 * 301 // 2)
+        expected = acc + estimate(records, range(4))
+        estimate_gram(records, range(4), acc)
+        assert np.array_equal(acc, expected)
 
     def test_no_contributing_class_gives_zeros(self):
         records = [
             record(np.ones((5, 2)), [0.0, -0.3]),
             record(np.ones((5, 2)), [-1.0, 0.0]),
         ]
-        g = estimate_gram(records, [0, 1])
+        g = estimate(records, [0, 1])
         assert np.array_equal(g, np.zeros(15))
 
 
@@ -520,15 +595,15 @@ class TestTemporalAggregate:
         state = TemporalState.initial(2)
         g = np.array([2.0, 0.5, 1.0])  # [[2, 0.5], [0.5, 1]], packed
         c = np.array([[1.0], [0.0]])
-        out = temporal_aggregate(state, g, c, [4])
+        out = fold(state, g, c, [4])
         assert np.array_equal(out.gram_acc, g)
         assert np.array_equal(out.corr_acc, c)
         assert out.class_ids == (4,)
 
     def test_columns_concatenate_in_task_order(self):
         state = TemporalState.initial(3)
-        state = temporal_aggregate(state, packed(np.eye(3)), np.ones((3, 3)), [0, 1, 2])
-        state = temporal_aggregate(state, packed(np.eye(3)), 2 * np.ones((3, 2)), [3, 4])
+        state = fold(state, packed(np.eye(3)), np.ones((3, 3)), [0, 1, 2])
+        state = fold(state, packed(np.eye(3)), 2 * np.ones((3, 2)), [3, 4])
         assert state.corr_acc.shape == (3, 5)
         assert state.class_ids == (0, 1, 2, 3, 4)
         assert np.all(state.corr_acc[:, :3] == 1.0)
@@ -541,39 +616,39 @@ class TestTemporalAggregate:
         g2 = rng.normal(size=(4, 4))
         g2 = g2 + g2.T
         state = TemporalState.initial(4)
-        state = temporal_aggregate(state, packed(g1), rng.normal(size=(4, 2)), [0, 1])
-        state = temporal_aggregate(state, packed(g2), rng.normal(size=(4, 2)), [2, 3])
+        state = fold(state, packed(g1), rng.normal(size=(4, 2)), [0, 1])
+        state = fold(state, packed(g2), rng.normal(size=(4, 2)), [2, 3])
         assert np.allclose(unpack_upper(state.gram_acc, 4), g1 + g2, rtol=1e-12)
         assert state.class_ids == (0, 1, 2, 3)
 
     def test_class_overlap_rejected(self):
-        eye = packed(np.eye(2))
-        state = temporal_aggregate(TemporalState.initial(2), eye, np.ones((2, 2)), [0, 1])
+        state = fold(TemporalState.initial(2), packed(np.eye(2)), np.ones((2, 2)), [0, 1])
         with pytest.raises(ProtocolError, match="already seen"):
-            temporal_aggregate(state, eye, np.ones((2, 1)), [1])
+            temporal_aggregate(state, np.ones((2, 1)), [1])
 
     def test_fold_adds_into_the_state_in_place(self):
-        # One accumulated gram serves every stage; a rejected fold leaves it as it was.
+        # One accumulated gram serves every stage: the uploads are added into
+        # it, and the temporal fold hands the same array on.
         state = TemporalState.initial(3)
         acc = state.gram_acc
-        state = temporal_aggregate(state, packed(np.eye(3)), np.ones((3, 1)), [0])
-        state = temporal_aggregate(state, packed(2 * np.eye(3)), np.ones((3, 1)), [1])
+        state = fold(state, packed(np.eye(3)), np.ones((3, 1)), [0])
+        state = fold(state, packed(2 * np.eye(3)), np.ones((3, 1)), [1])
         assert state.gram_acc is acc
         assert np.array_equal(acc, packed(3 * np.eye(3)))
+        # A rejected fold leaves the state consumed: its upload was added
+        # before the class list failed, and the run stops on the error.
         with pytest.raises(ProtocolError, match="already seen"):
-            temporal_aggregate(state, packed(np.eye(3)), np.ones((3, 1)), [1])
-        assert np.array_equal(acc, packed(3 * np.eye(3)))
+            fold(state, packed(np.eye(3)), np.ones((3, 1)), [1])
+        assert np.array_equal(acc, packed(4 * np.eye(3)))
 
     def test_shape_mismatch_rejected(self):
+        # A packed gram of another dimension is rejected by spatial_aggregate,
+        # before it is added; see test_upload_of_another_dimension_is_rejected_before_any_add.
         state = TemporalState.initial(3)
-        # A whole (M, M) stage gram is rejected: the state adds packed triangles.
-        with pytest.raises(ProtocolError, match=r"\(3, 3\) is not the packed triangle \(6,\)"):
-            temporal_aggregate(state, np.eye(3), np.ones((3, 1)), [0])
-        # So is a packed triangle of another dimension.
-        with pytest.raises(ProtocolError, match=r"\(3,\) is not the packed triangle \(6,\)"):
-            temporal_aggregate(state, packed(np.eye(2)), np.ones((3, 1)), [0])
         with pytest.raises(ProtocolError, match="stage corr shape"):
-            temporal_aggregate(state, packed(np.eye(3)), np.ones((3, 2)), [0])
+            temporal_aggregate(state, np.ones((3, 2)), [0])
+        with pytest.raises(ProtocolError, match="stage corr shape"):
+            temporal_aggregate(state, np.ones((2, 1)), [0])
 
 
 class TestJointEquivalence:
@@ -595,7 +670,7 @@ class TestJointEquivalence:
             start += width
             mask = np.isin(labels, task)
             stats = local_statistics(feat[mask], labels[mask], task)
-            state = temporal_aggregate(state, stats.gram, stats.corr, task)
+            state = fold(state, stats.gram, stats.corr, task)
 
             seen = classes[:start]
             pooled_mask = np.isin(labels, seen)
@@ -612,7 +687,7 @@ class TestUpdateClassifier:
     def test_single_sample_scalar_ridge(self):
         # One sample with feature e1 and gamma=1 gives weight 1/2 on e1.
         stats = local_statistics(np.array([[1.0, 0.0]]), np.array([7]), [7])
-        state = temporal_aggregate(TemporalState.initial(2), stats.gram, stats.corr, [7])
+        state = fold(TemporalState.initial(2), stats.gram, stats.corr, [7])
         w = update_classifier(state, gamma=1.0)
         assert w.class_ids == (7,)
         assert np.allclose(w.weights, np.array([[0.5], [0.0]]), rtol=1e-12)
@@ -628,8 +703,8 @@ class TestUpdateClassifier:
         s1 = local_statistics(feat[:20], labels[:20], [0, 1])
         s2 = local_statistics(feat[20:], labels[20:], [2, 3])
         pooled = local_statistics(feat, labels, [0, 1, 2, 3])
-        state = temporal_aggregate(state, s1.gram, s1.corr, [0, 1])
-        state = temporal_aggregate(state, s2.gram, s2.corr, [2, 3])
+        state = fold(state, s1.gram, s1.corr, [0, 1])
+        state = fold(state, s2.gram, s2.corr, [2, 3])
         w = update_classifier(state, gamma=0.1)
 
         g_pooled = unpack_upper(pooled.gram, 7)
