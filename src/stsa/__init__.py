@@ -16,6 +16,7 @@ from .errors import (
     EstimationError,
     FormatError,
     NumericalError,
+    OutOfMemoryError,
     ProtocolError,
     StsaError,
 )
@@ -39,6 +40,7 @@ __all__ = [
     "FormatError",
     "NumericalError",
     "OracleReport",
+    "OutOfMemoryError",
     "ProtocolError",
     "StsaError",
     "load_config",

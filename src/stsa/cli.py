@@ -5,7 +5,8 @@ Three report commands share one path: ``run`` (full experiment), ``oracle``
 error sweep) each load ``--config``, call one runner entry point and write
 its report. ``gen-features`` writes synthetic feature files from the same
 ``--config``. A config file is a command's only input. Exit codes:
-0 success, 2 configuration error, 3 numerical error, 4 format error.
+0 success, 2 configuration error, 3 numerical error, 4 format error, 5 out
+of memory.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from .runner import run_estimator_study, run_experiment, run_oracle, synth_spec_
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 EXIT_FORMAT = 4
+EXIT_MEMORY = 5
 
 
 def _estimator_study(config):
@@ -88,6 +90,9 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except MemoryError as exc:
+        print(f"out of memory: {exc}", file=sys.stderr)
+        return EXIT_MEMORY
     except (StsaError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -5,8 +5,8 @@ here is a pure function of its arguments; repeated calls with equal arguments
 return bit-identical results, which is what lets clients and the server
 regenerate the shared random map from a seed instead of shipping it.
 
-The five BLAS/LAPACK routines used here (``dsyrk``, ``dtrttp``, ``dtpttf``,
-``dpftrf``, ``dpftrs``) come from scipy's compiled wrapper modules
+The six BLAS/LAPACK routines used here (``dsyrk``, ``dtrttp``, ``dtpttf``,
+``dpftrf``, ``dpftrs``, ``dgesv``) come from scipy's compiled wrapper modules
 ``scipy.linalg._fblas`` and ``scipy.linalg._flapack``, which
 ``_scipy_linalg_extension`` loads without running ``scipy.linalg``'s package
 init. That init pulls in numpy's f2py, testing and masked-array packages and
@@ -59,6 +59,7 @@ _fblas = _scipy_linalg_extension("_fblas")
 _flapack = _scipy_linalg_extension("_flapack")
 dsyrk = _fblas.dsyrk
 dpftrf, dpftrs, dtpttf, dtrttp = _flapack.dpftrf, _flapack.dpftrs, _flapack.dtpttf, _flapack.dtrttp
+dgesv = _flapack.dgesv
 
 SOLVE_RESIDUAL_BOUND = 1e-8
 

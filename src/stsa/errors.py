@@ -1,7 +1,7 @@
 """Exception hierarchy shared by all stsa modules.
 
 The CLI maps these onto exit codes: configuration-class errors -> 2,
-NumericalError -> 3, FormatError -> 4.
+NumericalError -> 3, FormatError -> 4, any MemoryError -> 5.
 """
 
 
@@ -39,3 +39,11 @@ class NumericalError(StsaError):
 
 class FormatError(StsaError):
     """A feature file is malformed or truncated."""
+
+
+class OutOfMemoryError(StsaError, MemoryError):
+    """An allocation failed in a run's stage loop; the message names the stage.
+
+    It is also a MemoryError, so one handler covers it and an allocation
+    that fails outside the stage loop, which is left a plain MemoryError.
+    """

@@ -7,11 +7,13 @@ data stays raw: each stage maps one seen task's test rows at a time, scores
 them and lets them go, so no mapped copy of the test set is ever held. With
 ``oracle_check`` enabled each stage is also compared against the pooled
 centralized solution, which the aggregation is exactly equivalent to. The
-oracle folds its pooled statistics into a second ``TemporalState`` as a
-one-client stage, through the server's checks and fold; only the statistics
-and the solve differ.
+oracle pools each task's training rows in blocks of at most 2M rows and
+folds them into a second ``TemporalState`` as a stage with one upload per
+block, through the server's checks and fold; only the statistics and the
+solve, an in-place LU of the one unpacked system, differ.
 ``run_oracle`` pools the whole schedule that way and scores the one pooled
-classifier.
+classifier. An allocation that fails in the stage loop is an
+OutOfMemoryError that names the stage, as every other error there does.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from .core import (
     RandomMap,
     SpatialStatistics,
     apply_map,
+    dgesv,
     local_statistics,
     make_random_map,
     packed_frobenius,
@@ -44,7 +47,7 @@ from .data import (
     random_synth_spec,
     split_tasks,
 )
-from .errors import ConfigurationError, NumericalError, StsaError
+from .errors import ConfigurationError, NumericalError, OutOfMemoryError, StsaError
 from .metrics import (
     AccuracyMatrix,
     CommLedger,
@@ -245,18 +248,21 @@ def centralized_oracle(pooled: TemporalState, gamma: float) -> ClassifierWeights
     mirrors ``update_classifier``: ``pooled`` is the oracle's own
     ``TemporalState``, which ``_pool_task`` folds through ``spatial_aggregate``,
     and the weights' class ids are its class ids. The regularized normal
-    equations are solved with a plain LU solve, a route independent of the
-    SPD factorization used by the aggregation path; a singular system is a
-    NumericalError.
+    equations are solved by an LU solve, ``dgesv``, a route independent of
+    the SPD factorization used by the aggregation path; a singular system is
+    a NumericalError. The one unpacked M x M system is factorized in place:
+    it is symmetric, so its transpose is the same matrix in the column-major
+    order LAPACK reads, and no copy of it is made.
     """
     if not pooled.class_ids:
         raise ConfigurationError("the oracle needs at least one class")
     system = unpack_upper(pooled.gram_acc, pooled.corr_acc.shape[0])
     system[np.diag_indices(system.shape[0])] += gamma
-    try:
-        weights = np.linalg.solve(system, pooled.corr_acc)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"the oracle's pooled system G + gamma I is singular: {exc}") from exc
+    _, _, weights, info = dgesv(system.T, pooled.corr_acc, overwrite_a=1)
+    if info > 0:
+        raise NumericalError(
+            "the oracle's pooled system G + gamma I is singular: Singular matrix"
+        )
     return ClassifierWeights(weights=weights, class_ids=pooled.class_ids)
 
 
@@ -269,15 +275,33 @@ def _pool_task(
 ) -> TemporalState:
     """The oracle's state with one more task folded in.
 
-    The task's training rows ``task_idx`` are mapped and pooled by one
-    ``local_statistics`` call, with no client split, and folded into
-    ``pooled``, which is consumed, as the one upload of a one-client stage.
+    The task's training rows ``task_idx`` are mapped and pooled in
+    consecutive blocks of at most 2M rows, M the mapped dimension, by one
+    ``local_statistics`` call each, so at most one block's mapped rows are
+    held. Each block is one upload of a stage with a client per block, and
+    the stage is folded into ``pooled``, which is consumed. A task of at
+    most 2M rows, an empty one included, is a single upload.
     """
-    task = local_statistics(
-        apply_map(rmap, train.features[task_idx]), train.labels[task_idx], task_classes
-    )
-    upload = UploadPayload(client_id=0, task_id=0, records=(task,))
-    agg = spatial_aggregate([upload], task_classes, 1, pooled.gram_acc)
+    # Blocks of M rows would hold less, but measured slower: the allocator
+    # gave each block's memory back and faulted it in again for the next.
+    size = 2 * rmap.output_dim
+    starts = range(0, max(task_idx.size, 1), size)
+
+    def uploads():
+        for k, start in enumerate(starts):
+            rows = task_idx[start : start + size]
+            # Yielded with no name bound, so the server's fold is its last use.
+            yield UploadPayload(
+                client_id=k,
+                task_id=0,
+                records=(
+                    local_statistics(
+                        apply_map(rmap, train.features[rows]), train.labels[rows], task_classes
+                    ),
+                ),
+            )
+
+    agg = spatial_aggregate(uploads(), task_classes, len(starts), pooled.gram_acc)
     return temporal_aggregate(pooled, agg.corr, task_classes)
 
 
@@ -391,8 +415,10 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
                         corr_delta=_rel_frobenius(state.corr_acc, pooled.corr_acc),
                     )
                 )
-        except StsaError as exc:
+        except (StsaError, MemoryError) as exc:
             where = f"stage {t}" if client is None else f"stage {t}, client {client}"
+            if isinstance(exc, MemoryError):
+                raise OutOfMemoryError(f"{where}: {exc}") from exc
             # Prefix the message in place, so the error keeps its type and
             # attributes such as NumericalError.attempted_gammas.
             exc.args = (f"{where}: {exc}",)

@@ -71,28 +71,16 @@ def test_oracle_command(tmp_path, capsys):
     assert "final average accuracy" in out
 
 
-def test_oracle_command_pools_task_by_task(tmp_path, monkeypatch, capsys):
-    # Every training row is pooled exactly once, one task per call, so the
-    # whole training set is never mapped at once. Rows pooled through any
-    # other name go uncounted and fail the first assertion.
-    pooled_rows = []
-    original = stsa.runner.local_statistics
-
-    def counting(feat, labels, *args, **kwargs):
-        pooled_rows.append(sorted(labels.tolist()))
-        return original(feat, labels, *args, **kwargs)
-
-    monkeypatch.setattr(stsa.runner, "local_statistics", counting)
+def test_oracle_command_pools_task_by_task(tmp_path, capsys, pooled_blocks):
+    # Every training row is pooled exactly once, task by task in blocks of at
+    # most 2M rows, so the whole training set is never mapped at once.
     cfg = write_config(tmp_path)
     assert main(["oracle", "--config", str(cfg)]) == 0
     config = load_config(cfg)
     train, _ = stsa.runner.load_experiment_data(config)
     schedule = stsa.runner.make_schedule(config, train.class_count)
-    assert pooled_rows == [
-        sorted(train.labels[np.isin(train.labels, task)].tolist()) for task in schedule.tasks
-    ]
-    assert sum(map(len, pooled_rows)) == train.labels.size
-    assert max(map(len, pooled_rows)) < train.labels.size
+    pooled_blocks.assert_each_training_row_once(train, schedule, config.M)
+    assert len(pooled_blocks) > len(schedule.tasks)
     assert capsys.readouterr().out.startswith("schema = stsa-oracle/1")
 
 
@@ -283,7 +271,10 @@ def test_singular_oracle_system_exits_3(tmp_path, capsys, command, extra):
     assert main([command, "--config", str(cfg)]) == 3
     # A run names the stage whose oracle failed; the oracle command has no stages.
     where = "stage 1: " if command == "run" else ""
-    assert f"numerical error: {where}the oracle's pooled system" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        f"numerical error: {where}the oracle's pooled system G + gamma I is singular: "
+        "Singular matrix\n"
+    )
 
 
 def test_study_trials_is_bounded_by_the_study_alone(tmp_path, capsys):
@@ -467,7 +458,11 @@ def test_estimation_shortfall_exits_2(tmp_path, capsys):
 @pytest.mark.parametrize("drained", [False, True], ids=["lazy", "drained"])
 @pytest.mark.parametrize(
     "error, code, label",
-    [(NumericalError, 3, "numerical error"), (DomainError, 2, "configuration error")],
+    [
+        (NumericalError, 3, "numerical error"),
+        (DomainError, 2, "configuration error"),
+        (MemoryError, 5, "out of memory"),
+    ],
 )
 def test_client_error_is_prefixed_once(tmp_path, monkeypatch, capsys, error, code, label, drained):
     # The server consumes the uploads as clients make them, so a client
@@ -491,3 +486,31 @@ def test_client_error_is_prefixed_once(tmp_path, monkeypatch, capsys, error, cod
         )
     assert main(["run", "--config", str(write_config(tmp_path))]) == code
     assert capsys.readouterr().err == f"{label}: stage 2, client 1: boom\n"
+
+
+@pytest.mark.parametrize(
+    "m, where", [(200000, ""), (20000, "stage 1, client 0: ")], ids=["state", "client"]
+)
+def test_out_of_memory_exits_5(tmp_path, m, where):
+    # The child limits its own address space to 3 GB. At M = 200000 the
+    # state's packed gram (160 GB) does not fit, before any stage; at
+    # M = 20000 it does (1.6 GB, never touched), and client 0's M x M gram
+    # buffer (3.2 GB) does not.
+    cfg = write_config(tmp_path, SMALL_CONFIG.replace("M = 16", f"M = {m}"))
+    code = f"""
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (3 << 30, resource.getrlimit(resource.RLIMIT_AS)[1]))
+from stsa.cli import main
+sys.exit(main(["run", "--config", {str(cfg)!r}]))
+"""
+    paths = [str(ROOT / "src"), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        env=env,
+        encoding="utf-8",
+        timeout=120,
+    )
+    assert done.returncode == 5, done.stderr
+    assert done.stderr.startswith(f"out of memory: {where}Unable to allocate ")

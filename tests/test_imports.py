@@ -98,7 +98,7 @@ ROOT_EXPORTS = {
     "run_experiment", "run_oracle", "run_estimator_study",
     "ExperimentReport", "OracleReport", "EstimatorStudy",
     "StsaError", "ConfigurationError", "DimensionError", "DomainError",
-    "EstimationError", "FormatError", "NumericalError", "ProtocolError",
+    "EstimationError", "FormatError", "NumericalError", "OutOfMemoryError", "ProtocolError",
 }
 
 

@@ -1,6 +1,9 @@
 """End-to-end runs, the centralized oracle, and the estimator study."""
 
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -20,7 +23,7 @@ from stsa.core import (
     predict,
     unpack_upper,
 )
-from stsa.data import SynthSpec, generate_synthetic, random_synth_spec, split_tasks
+from stsa.data import FeatureDataset, SynthSpec, generate_synthetic, random_synth_spec, split_tasks
 from stsa.errors import ConfigurationError, EstimationError, NumericalError
 from stsa.metrics import (
     avg_incremental_accuracy,
@@ -93,23 +96,39 @@ class TestRunExperiment:
             oracle_acc = float(np.mean(predict(w_star, mapped_test[rows]) == test.labels[rows]))
             assert report.accuracy.get(cfg.T, tau) == oracle_acc
 
-    def test_oracle_pools_each_training_row_once(self, monkeypatch):
-        # Clients pool through stsa.client's name, so every row counted here
-        # was pooled by the oracle: each task's rows once, at its own stage.
-        pooled_rows = []
-        original = stsa.runner.local_statistics
+    def test_oracle_pools_each_training_row_once(self, pooled_blocks):
+        # Each task holds 80 training rows: over 2M at M = 16, so the oracle
+        # pools it in blocks; at most 2M at M = 40, so in one call.
+        for m in (16, 40):
+            pooled_blocks.clear()
+            cfg = ExperimentConfig(**{**SMALL, "M": m}, oracle_check=True)
+            run_experiment(cfg)
+            train, _ = load_experiment_data(cfg)
+            schedule = make_schedule(cfg, train.class_count)
+            pooled_blocks.assert_each_training_row_once(train, schedule, m)
 
-        def counting(feat, *args, **kwargs):
-            pooled_rows.append(feat.shape[0])
-            return original(feat, *args, **kwargs)
-
-        monkeypatch.setattr(stsa.runner, "local_statistics", counting)
-        cfg = ExperimentConfig(**SMALL, oracle_check=True)
-        run_experiment(cfg)
-        train, _ = load_experiment_data(cfg)
-        schedule = make_schedule(cfg, train.class_count)
-        assert pooled_rows == [int(np.isin(train.labels, task).sum()) for task in schedule.tasks]
-        assert sum(pooled_rows) == train.labels.size
+    def test_oracle_holds_one_block_of_mapped_rows_at_a_time(self):
+        # A task of 8M rows, mapped whole, would cost 8 M x M units. Pooled in
+        # blocks of 2M rows, the peak is one block's cost: its raw rows and
+        # one-hot labels, its mapped rows, the dsyrk buffer (M x M) and the
+        # packed triangle it uploads.
+        m, d, c = 200, 16, 2
+        rng = np.random.default_rng(5)
+        n = 8 * m
+        train = FeatureDataset(
+            features=rng.normal(size=(n, d)), labels=np.arange(n) % c, class_count=c, role="train"
+        )
+        rmap = make_random_map(1, d, m)
+        rmap.matrix  # made once and cached, before tracing
+        pooled = TemporalState.initial(m)
+        tracemalloc.start()
+        try:
+            stsa.runner._pool_task(pooled, rmap, train, np.arange(n), tuple(range(c)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        block = 2 * m
+        assert peak <= (block * (d + c) + block * m + m * m + m * (m + 1) // 2) * 8
 
     def test_degenerate_federation_is_plain_ridge(self):
         # K = 1, T = 1: the run reduces to ridge classification on the
@@ -379,7 +398,8 @@ def pool(feat, labels, class_ids):
 def fold(stats, class_ids):
     """The oracle's state after folding ``stats`` of ``class_ids`` into an empty one.
 
-    As the runner does, ``stats`` is the one upload of a one-client stage.
+    As the runner does with a task of at most 2M rows, ``stats`` is the one
+    upload of a one-client stage.
     """
     initial = TemporalState.initial(stats.corr.shape[0])
     upload = UploadPayload(client_id=0, task_id=0, records=(stats,))
@@ -432,6 +452,41 @@ class TestCentralizedOracle:
         before = state.gram_acc.copy()
         centralized_oracle(state, gamma=4.0)
         assert np.array_equal(state.gram_acc, before)
+
+    def test_solve_makes_no_copy_of_the_system(self):
+        # The unpacked system is one M x M unit and is factorized in place. A
+        # solve that copies it first rises by about 2 units. The copy is made
+        # outside Python's allocator, so the rise is read from ru_maxrss, in a
+        # child whose earlier peaks cannot hide it, after a small solve has
+        # set up the BLAS's own buffers.
+        code = """
+import resource
+import numpy as np
+from stsa.runner import centralized_oracle
+from stsa.server import TemporalState
+
+def state(m):
+    return TemporalState(np.ones(m * (m + 1) // 2), np.ones((m, 2)), (0, 1))
+
+centralized_oracle(state(64), 1.0)
+m = 2000
+big = state(m)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+centralized_oracle(big, 1.0)
+after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+print((after - before) * 1024 / (m * m * 8))
+"""
+        paths = [str(Path(__file__).resolve().parent.parent / "src"), os.environ.get("PYTHONPATH")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+        done = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            env=env,
+            encoding="utf-8",
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert float(done.stdout) < 1.5
 
 
 class TestTaskAccuracy:
