@@ -2,7 +2,12 @@
 
 Raw features stand in for the output of an external frozen feature
 extractor: they arrive either from a binary feature file or from the
-Gaussian class-cluster generator used by the verification oracles.
+Gaussian class-cluster generator used by the verification oracles. A
+training split hands out its raw rows one task at a time through
+``task_features``: a ``SyntheticSplit`` draws each of the task's classes
+then, from that class's place in the keystream, and a ``FeatureDataset``
+indexes its loaded array. So a run holds one task's raw training rows
+and the resident test split.
 """
 
 from __future__ import annotations
@@ -46,9 +51,14 @@ class TaskSchedule:
 
 @dataclass(frozen=True)
 class FeatureDataset:
-    """Raw features plus labels for one split."""
+    """Raw features plus labels for one split, held whole.
 
-    features: np.ndarray  # (n, d) float64
+    A test split is always one of these, and so is a training split read
+    from a feature file; a synthetic training split is a ``SyntheticSplit``,
+    which draws one task's rows at a time.
+    """
+
+    features: np.ndarray  # (n, d) float64, resident for the whole run
     labels: np.ndarray  # (n,) int64
     class_count: int
     role: str  # "train" | "test"
@@ -72,6 +82,14 @@ class FeatureDataset:
     @property
     def size(self) -> int:
         return self.features.shape[0]
+
+    @property
+    def dim(self) -> int:
+        return self.features.shape[1]
+
+    def task_features(self, task: Sequence[int]) -> np.ndarray:
+        """The raw rows whose label is in ``task``, in ascending row order."""
+        return self.features[np.isin(self.labels, task)]
 
 
 @dataclass(frozen=True)
@@ -217,27 +235,67 @@ def dirichlet_partition(
     return [np.flatnonzero(owner == j) for j in range(k)]
 
 
+class SyntheticSplit:
+    """One split of the class clusters, whose rows are drawn on demand.
+
+    Rows are class-major: class c holds rows c * per_class up to (c + 1) *
+    per_class. The split's stream makes one ``standard_normal`` call per
+    class, of per_class * dim values, and such a call consumes 16 bytes per
+    pair of values, so class c's draw starts at byte c * 16 *
+    ceil(per_class * dim / 2). Each class is drawn from a stream started
+    there, so a task's rows cost only their own draws, and are the same
+    bits as the rows of the whole split drawn in one pass.
+    """
+
+    def __init__(self, spec: SynthSpec, role: str):
+        self.spec = spec
+        self.role = role
+        self.per_class = spec.train_per_class if role == "train" else spec.test_per_class
+        self.labels = np.repeat(np.arange(spec.class_count, dtype=np.int64), self.per_class)
+
+    @property
+    def class_count(self) -> int:
+        return self.spec.class_count
+
+    @property
+    def dim(self) -> int:
+        return self.spec.dim
+
+    def task_features(self, task: Sequence[int]) -> np.ndarray:
+        """The raw rows of the classes in ``task``, in ascending row order."""
+        classes = sorted(task)
+        out = np.empty((len(classes), self.per_class, self.dim))
+        for block, cls in zip(out, classes):
+            self._draw_class(cls, block)
+        return out.reshape(-1, self.dim)
+
+    def dataset(self) -> FeatureDataset:
+        """The whole split, drawn."""
+        return FeatureDataset(
+            features=self.task_features(range(self.class_count)),
+            labels=self.labels,
+            class_count=self.class_count,
+            role=self.role,
+        )
+
+    def _draw_class(self, cls: int, out: np.ndarray) -> None:
+        """Write class ``cls``'s (per_class, dim) rows into ``out``."""
+        spec = self.spec
+        draws = self.per_class * spec.dim
+        stream = ChaChaStream(
+            derive_seed(spec.seed, f"synth-{self.role}"), offset=cls * 16 * ((draws + 1) // 2)
+        )
+        z = stream.standard_normal(draws).reshape(self.per_class, spec.dim)
+        np.add(spec.means[cls], spec.noise_std * z, out=out)
+
+
+# A run's training split: either kind hands out one task's rows at a time.
+TrainingSplit = FeatureDataset | SyntheticSplit
+
+
 def generate_synthetic(spec: SynthSpec) -> tuple[FeatureDataset, FeatureDataset]:
     """Draw disjoint seeded train/test splits from the class clusters."""
-    train = _draw_split(spec, "synth-train", spec.train_per_class, "train")
-    test = _draw_split(spec, "synth-test", spec.test_per_class, "test")
-    return train, test
-
-
-def _draw_split(spec: SynthSpec, label: str, per_class: int, role: str) -> FeatureDataset:
-    stream = ChaChaStream(derive_seed(spec.seed, label))
-    blocks = []
-    labels = []
-    for cls in range(spec.class_count):
-        z = stream.standard_normal(per_class * spec.dim).reshape(per_class, spec.dim)
-        blocks.append(spec.means[cls] + spec.noise_std * z)
-        labels.append(np.full(per_class, cls, dtype=np.int64))
-    return FeatureDataset(
-        features=np.vstack(blocks),
-        labels=np.concatenate(labels),
-        class_count=spec.class_count,
-        role=role,
-    )
+    return SyntheticSplit(spec, "train").dataset(), SyntheticSplit(spec, "test").dataset()
 
 
 def save_features(dataset: FeatureDataset, path) -> None:

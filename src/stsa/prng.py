@@ -34,16 +34,30 @@ def derive_seed(seed: int, label: str) -> int:
 class ChaChaStream:
     """Seeded random stream: ChaCha20 keystream mapped to numbers.
 
-    The 64-bit seed is expanded to the 256-bit cipher key with SHA-256 and
-    the counter block starts at zero. Draws consume the keystream in call
-    order; chunking of calls does not change the stream.
+    The 64-bit seed is expanded to the 256-bit cipher key with SHA-256.
+    Draws consume the keystream in call order. Chunking of calls does not
+    change the bytes or the uniforms drawn, but it does change the normals:
+    ``standard_normal(n)`` draws ``ceil(n / 2)`` Box-Muller pairs, 16 bytes
+    each, so an odd ``n`` drops the second value of its last pair.
+
+    ``offset`` starts the stream that many bytes into the keystream, in RFC
+    8439 counter mode: the counter block is ``offset // 64`` and the first
+    ``offset % 64`` bytes of that block are dropped. So a stream started at
+    the offset a drawn-through one has reached gives the same draws from
+    there on.
     """
 
-    def __init__(self, seed: int):
+    def __init__(self, seed: int, offset: int = 0):
         self.seed = seed & MASK64
+        block, skip = divmod(offset, 64)
+        if not 0 <= block < 1 << 32:
+            raise ValueError(f"keystream offset {offset} lies outside [0, 2^38) bytes")
         key = hashlib.sha256(b"stsa-stream\x00" + self.seed.to_bytes(8, "little")).digest()
-        cipher = Cipher(algorithms.ChaCha20(key, bytes(16)), mode=None)
-        self._keystream = cipher.encryptor()
+        # The 16-byte nonce is the 32-bit little-endian block counter, then a
+        # 96-bit nonce of zeros.
+        nonce = block.to_bytes(4, "little") + bytes(12)
+        self._keystream = Cipher(algorithms.ChaCha20(key, nonce), mode=None).encryptor()
+        self.bytes(skip)
 
     def bytes(self, n: int) -> bytes:
         return self._keystream.update(bytes(n))

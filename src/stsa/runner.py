@@ -1,18 +1,22 @@
 """End-to-end experiment orchestration and verification oracles.
 
-One run walks the incremental stages: partition the stage's data across
-clients, extract payloads, aggregate spatially and temporally, update the
-classifier in closed form, then evaluate on every task seen so far. Test
-data stays raw: each stage maps one seen task's test rows at a time, scores
-them and lets them go, so no mapped copy of the test set is ever held. With
-``oracle_check`` enabled each stage is also compared against the pooled
-centralized solution, which the aggregation is exactly equivalent to. The
-oracle pools each task's training rows in blocks of at most 2M rows and
-folds them into a second ``TemporalState`` as a stage with one upload per
-block, through the server's checks and fold; only the statistics and the
-solve, an in-place LU of the one unpacked system, differ.
-``run_oracle`` pools the whole schedule that way and scores the one pooled
-classifier. An allocation that fails in the stage loop is an
+One run walks the incremental stages: materialize the stage's task,
+partition it across clients, extract payloads, aggregate spatially and
+temporally, update the classifier in closed form, then evaluate on every
+task seen so far. A task's raw training rows exist only during its own
+stage: a synthetic split draws them then, and the stage lets them go before
+the next, so a run holds one task's raw training rows and the resident test
+split. Test data stays raw: each stage maps one seen task's test rows at a
+time, scores them and lets them go, so no mapped copy of the test set is
+ever held. With ``oracle_check`` enabled each stage is also compared
+against the pooled centralized solution, which the aggregation is exactly
+equivalent to. The oracle pools each task's training rows, at that task's
+stage, in blocks of at most 2M rows and folds them into a second
+``TemporalState`` as a stage with one upload per block, through the
+server's checks and fold; only the statistics and the solve, an in-place LU
+of the one unpacked system, differ. ``run_oracle`` pools the whole schedule
+that way, one task's rows at a time, and scores the one pooled classifier.
+An allocation that fails in the stage loop is an
 OutOfMemoryError that names the stage, as every other error there does.
 """
 
@@ -40,9 +44,10 @@ from .core import (
 from .data import (
     FeatureDataset,
     SynthSpec,
+    SyntheticSplit,
     TaskSchedule,
+    TrainingSplit,
     dirichlet_partition,
-    generate_synthetic,
     load_features,
     random_synth_spec,
     split_tasks,
@@ -165,9 +170,16 @@ def synth_spec_from_config(config: ExperimentConfig) -> SynthSpec:
     )
 
 
-def load_experiment_data(config: ExperimentConfig) -> tuple[FeatureDataset, FeatureDataset]:
+def load_experiment_data(config: ExperimentConfig) -> tuple[TrainingSplit, FeatureDataset]:
+    """The run's training split and its resident test split.
+
+    A synthetic training split draws no row here: ``task_features`` draws a
+    task's rows when its stage asks for them. A feature file's training
+    split is held whole.
+    """
     if config.data == "synthetic":
-        return generate_synthetic(synth_spec_from_config(config))
+        spec = synth_spec_from_config(config)
+        return SyntheticSplit(spec, "train"), SyntheticSplit(spec, "test").dataset()
     train = load_features(config.train_path)
     test = load_features(config.test_path)
     for role, dataset in (("train", train), ("test", test)):
@@ -177,10 +189,9 @@ def load_experiment_data(config: ExperimentConfig) -> tuple[FeatureDataset, Feat
         raise ConfigurationError(
             f"train declares {train.class_count} classes, test {test.class_count}"
         )
-    if train.features.shape[1] != test.features.shape[1]:
+    if train.dim != test.dim:
         raise ConfigurationError(
-            f"train features have {train.features.shape[1]} columns, "
-            f"test features {test.features.shape[1]}"
+            f"train features have {train.dim} columns, test features {test.dim}"
         )
     return train, test
 
@@ -269,34 +280,34 @@ def centralized_oracle(pooled: TemporalState, gamma: float) -> ClassifierWeights
 def _pool_task(
     pooled: TemporalState,
     rmap: RandomMap,
-    train: FeatureDataset,
-    task_idx: np.ndarray,
+    features: np.ndarray,
+    labels: np.ndarray,
     task_classes: Sequence[int],
 ) -> TemporalState:
     """The oracle's state with one more task folded in.
 
-    The task's training rows ``task_idx`` are mapped and pooled in
-    consecutive blocks of at most 2M rows, M the mapped dimension, by one
-    ``local_statistics`` call each, so at most one block's mapped rows are
-    held. Each block is one upload of a stage with a client per block, and
-    the stage is folded into ``pooled``, which is consumed. A task of at
-    most 2M rows, an empty one included, is a single upload.
+    The task's raw training rows ``features``, labelled ``labels``, are
+    mapped and pooled in consecutive slices of at most 2M rows, M the mapped
+    dimension, by one ``local_statistics`` call each, so at most one block's
+    mapped rows are held. Each block is one upload of a stage with a client
+    per block, and the stage is folded into ``pooled``, which is consumed. A
+    task of at most 2M rows, an empty one included, is a single upload.
     """
     # Blocks of M rows would hold less, but measured slower: the allocator
     # gave each block's memory back and faulted it in again for the next.
     size = 2 * rmap.output_dim
-    starts = range(0, max(task_idx.size, 1), size)
+    starts = range(0, max(labels.size, 1), size)
 
     def uploads():
         for k, start in enumerate(starts):
-            rows = task_idx[start : start + size]
+            block = slice(start, start + size)
             # Yielded with no name bound, so the server's fold is its last use.
             yield UploadPayload(
                 client_id=k,
                 task_id=0,
                 records=(
                     local_statistics(
-                        apply_map(rmap, train.features[rows]), train.labels[rows], task_classes
+                        apply_map(rmap, features[block]), labels[block], task_classes
                     ),
                 ),
             )
@@ -307,25 +318,27 @@ def _pool_task(
 
 def _setup(
     config: ExperimentConfig,
-) -> tuple[FeatureDataset, FeatureDataset, TaskSchedule, RandomMap, list[np.ndarray]]:
+) -> tuple[TrainingSplit, FeatureDataset, TaskSchedule, RandomMap, list[np.ndarray]]:
     """The run's data, task schedule, random map and per-task test rows.
 
     ``config`` was checked when it was built, so nothing here re-checks it.
     """
     train, test = load_experiment_data(config)
     schedule = make_schedule(config, train.class_count)
-    rmap = experiment_map(config, train.features.shape[1])
+    rmap = experiment_map(config, train.dim)
     return train, test, schedule, rmap, task_test_rows(schedule, test.labels)
 
 
 def run_oracle(config: ExperimentConfig) -> OracleReport:
-    """Pool the whole schedule, one task at a time, and score the pooled classifier."""
+    """Pool the whole schedule, one task at a time, and score the pooled classifier.
+
+    Each task's raw training rows are materialized for its own pooling only.
+    """
     train, test, schedule, rmap, test_rows = _setup(config)
     pooled = TemporalState.initial(rmap.output_dim)
     for task in schedule.tasks:
-        pooled = _pool_task(
-            pooled, rmap, train, np.flatnonzero(np.isin(train.labels, task)), task
-        )
+        labels = train.labels[np.isin(train.labels, task)]
+        pooled = _pool_task(pooled, rmap, train.task_features(task), labels, task)
     weights = centralized_oracle(pooled, config.gamma)
     return OracleReport(
         accuracies=tuple(task_accuracy(weights, rmap, test, rows) for rows in test_rows)
@@ -347,14 +360,13 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     for t in range(1, schedule.stages + 1):
         task_classes = schedule.tasks[t - 1]
         c_t = len(task_classes)
-        task_idx = np.flatnonzero(np.isin(train.labels, task_classes))
+        task_labels = train.labels[np.isin(train.labels, task_classes)]
         parts = dirichlet_partition(
-            train.labels[task_idx],
+            task_labels,
             config.K,
             config.beta,
             derive_seed(config.seed, f"partition/stage={t}"),
         )
-        client_rows = [task_idx[p] for p in parts]
 
         client = None  # the client computing its upload, for error context
 
@@ -366,8 +378,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
                 shard = ClientShard(
                     client_id=k,
                     task_id=t,
-                    features=train.features[client_rows[k]],
-                    labels=train.labels[client_rows[k]],
+                    features=task_features[parts[k]],
+                    labels=task_labels[parts[k]],
                 )
                 payload = extract_payload(
                     shard,
@@ -394,8 +406,12 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
                 del shard, payload
 
         try:
+            # The stage's raw training rows, in ascending row order as its labels.
+            task_features = train.task_features(task_classes)
             # Uploads add their grams into the state; efficient-mode ones carry none.
             agg = spatial_aggregate(uploads(), task_classes, config.K, state.gram_acc)
+            if not config.oracle_check:
+                del task_features  # the uploads were the task's last use
             if agg.records:
                 estimate_gram(agg.records, task_classes, state.gram_acc)
             state = temporal_aggregate(state, agg.corr, task_classes)
@@ -405,7 +421,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
                 tuple(task_accuracy(weights, rmap, test, rows) for rows in test_rows[:t])
             )
             if config.oracle_check:
-                pooled = _pool_task(pooled, rmap, train, task_idx, task_classes)
+                pooled = _pool_task(pooled, rmap, task_features, task_labels, task_classes)
+                del task_features  # the oracle was the task's last use
                 w_star = centralized_oracle(pooled, config.gamma)
                 oracle_deltas.append(
                     StageOracleDelta(

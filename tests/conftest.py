@@ -19,7 +19,10 @@ class PooledBlocks(list):
     def assert_each_training_row_once(self, train, schedule, m):
         """Every training row was pooled exactly once, in task-row order; no
         block holds more than 2M rows, and a task spans the fewest blocks
-        that allows, so a task of at most 2M rows is pooled in one call."""
+        that allows, so a task of at most 2M rows is pooled in one call.
+
+        ``train`` is the whole training split drawn eagerly, as
+        ``generate_synthetic`` draws it: a run draws one task at a time."""
         import numpy as np
 
         task_rows = [np.flatnonzero(np.isin(train.labels, task)) for task in schedule.tasks]

@@ -14,7 +14,7 @@ import stsa.runner
 from stsa.cli import main
 from stsa.config import ExperimentConfig, load_config, parse_config
 from stsa.core import apply_map
-from stsa.data import load_features, save_features
+from stsa.data import generate_synthetic, load_features, save_features
 from stsa.errors import DomainError, NumericalError
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -77,7 +77,7 @@ def test_oracle_command_pools_task_by_task(tmp_path, capsys, pooled_blocks):
     cfg = write_config(tmp_path)
     assert main(["oracle", "--config", str(cfg)]) == 0
     config = load_config(cfg)
-    train, _ = stsa.runner.load_experiment_data(config)
+    train, _ = generate_synthetic(stsa.runner.synth_spec_from_config(config))
     schedule = stsa.runner.make_schedule(config, train.class_count)
     pooled_blocks.assert_each_training_row_once(train, schedule, config.M)
     assert len(pooled_blocks) > len(schedule.tasks)
@@ -264,7 +264,7 @@ def test_singular_oracle_system_exits_3(tmp_path, capsys, command, extra):
     # column makes the pooled gram exactly singular at gamma = 0; the
     # federated solve gets past it on the jitter ladder.
     config = parse_config(SINGULAR_ORACLE_CONFIG)
-    train, _ = stsa.runner.load_experiment_data(config)
+    train, _ = generate_synthetic(stsa.runner.synth_spec_from_config(config))
     mapped = apply_map(stsa.runner.experiment_map(config, config.synth_dim), train.features)
     assert (mapped == 0.0).all(axis=0).any()
     cfg = write_config(tmp_path, SINGULAR_ORACLE_CONFIG + extra, name="singular.cfg")

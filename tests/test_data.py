@@ -6,6 +6,7 @@ import pytest
 from stsa.data import (
     FeatureDataset,
     SynthSpec,
+    SyntheticSplit,
     _distinct,
     dirichlet_partition,
     generate_synthetic,
@@ -204,6 +205,40 @@ class TestGenerateSynthetic:
         train, test = generate_synthetic(spec)
         assert all(np.sum(train.labels == c) == 13 for c in range(5))
         assert all(np.sum(test.labels == c) == 7 for c in range(5))
+
+
+class TestTaskFeatures:
+    # A shuffled schedule with a first task of its own size, so tasks list
+    # their classes out of order and differ in size.
+    SCHEDULE = split_tasks(9, 3, first_task_classes=3, shuffle_seed=4)
+
+    @pytest.mark.parametrize("per_class, dim", [(7, 3), (5, 5), (20, 4)])
+    def test_a_synthetic_task_is_the_eager_splits_rows(self, per_class, dim):
+        # 7 * 3 and 5 * 5 draws per class are odd: each class's normal call
+        # drops the second value of its last pair, which the offsets count.
+        spec = random_synth_spec(9, dim, per_class, 2, seed=21)
+        eager, _ = generate_synthetic(spec)
+        split = SyntheticSplit(spec, "train")
+        assert np.array_equal(split.labels, eager.labels)
+        assert any(list(task) != sorted(task) for task in self.SCHEDULE.tasks)
+        for task in self.SCHEDULE.tasks:
+            rows = np.flatnonzero(np.isin(eager.labels, task))
+            drawn = split.task_features(task)
+            assert drawn.dtype == np.float64
+            assert drawn.tobytes() == eager.features[rows].tobytes()
+
+    def test_a_file_task_is_the_loaded_rows_in_row_order(self, tmp_path):
+        spec = random_synth_spec(9, 4, 6, 2, seed=22)
+        eager, _ = generate_synthetic(spec)
+        order = np.random.default_rng(3).permutation(eager.size)  # classes interleaved
+        save_features(
+            FeatureDataset(eager.features[order], eager.labels[order], 9, "train"),
+            tmp_path / "train.stsafeat",
+        )
+        loaded = load_features(tmp_path / "train.stsafeat")
+        for task in self.SCHEDULE.tasks:
+            rows = np.flatnonzero(np.isin(loaded.labels, task))
+            assert loaded.task_features(task).tobytes() == loaded.features[rows].tobytes()
 
 
 class TestFeatureFiles:

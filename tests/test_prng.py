@@ -21,6 +21,35 @@ def test_call_chunking_does_not_change_the_stream():
     assert a.bytes(32) == b.bytes(16) + b.bytes(16)
 
 
+@pytest.mark.parametrize("k", [1, 2, 7, 8, 33])
+def test_standard_normal_consumes_one_pair_of_uniforms_per_two_values(k):
+    # An odd k draws a whole last pair and drops its second value.
+    a, b = ChaChaStream(12), ChaChaStream(12)
+    a.standard_normal(k)
+    assert a.bytes(32) == b.bytes(16 * -(-k // 2) + 32)[-32:]
+
+
+@pytest.mark.parametrize(
+    "before", [(), (2,), (5,), (7,), (3, 5)], ids=["start", "mid-block", "odd", "block", "odds"]
+)
+def test_a_seeked_stream_equals_a_drawn_through_one(before):
+    # Offsets 0, 16, 48, 64 and 80 bytes: the start, mid-block and on a block
+    # boundary, some reached by odd-size normal calls.
+    drawn = ChaChaStream(13)
+    for n in before:
+        drawn.standard_normal(n)
+    offset = sum(16 * -(-n // 2) for n in before)
+    seeked = ChaChaStream(13, offset=offset)
+    assert np.array_equal(seeked.standard_normal(9), drawn.standard_normal(9))
+    assert seeked.bytes(100) == drawn.bytes(100)
+
+
+@pytest.mark.parametrize("offset", [-1, 64 << 32])
+def test_an_offset_outside_the_32_bit_block_counter_is_refused(offset):
+    with pytest.raises(ValueError, match="keystream offset"):
+        ChaChaStream(14, offset=offset)
+
+
 def test_different_seeds_diverge():
     assert ChaChaStream(1).bytes(32) != ChaChaStream(2).bytes(32)
 

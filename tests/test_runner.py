@@ -23,7 +23,7 @@ from stsa.core import (
     predict,
     unpack_upper,
 )
-from stsa.data import FeatureDataset, SynthSpec, generate_synthetic, random_synth_spec, split_tasks
+from stsa.data import SynthSpec, generate_synthetic, random_synth_spec, split_tasks
 from stsa.errors import ConfigurationError, EstimationError, NumericalError
 from stsa.metrics import (
     avg_incremental_accuracy,
@@ -39,6 +39,7 @@ from stsa.runner import (
     make_schedule,
     run_estimator_study,
     run_experiment,
+    synth_spec_from_config,
     task_accuracy,
     task_test_rows,
 )
@@ -82,7 +83,7 @@ class TestRunExperiment:
         # give the same final accuracy row (weights agree to ~1e-14).
         cfg = ExperimentConfig(**SMALL)
         report = run_experiment(cfg)
-        train, test = load_experiment_data(cfg)
+        train, test = generate_synthetic(synth_spec_from_config(cfg))
         schedule = make_schedule(cfg, train.class_count)
         rmap = experiment_map(cfg, cfg.synth_dim)
         # Every training row pooled by one call and folded once: the one-shot
@@ -103,7 +104,7 @@ class TestRunExperiment:
             pooled_blocks.clear()
             cfg = ExperimentConfig(**{**SMALL, "M": m}, oracle_check=True)
             run_experiment(cfg)
-            train, _ = load_experiment_data(cfg)
+            train, _ = generate_synthetic(synth_spec_from_config(cfg))
             schedule = make_schedule(cfg, train.class_count)
             pooled_blocks.assert_each_training_row_once(train, schedule, m)
 
@@ -115,27 +116,64 @@ class TestRunExperiment:
         m, d, c = 200, 16, 2
         rng = np.random.default_rng(5)
         n = 8 * m
-        train = FeatureDataset(
-            features=rng.normal(size=(n, d)), labels=np.arange(n) % c, class_count=c, role="train"
-        )
+        features, labels = rng.normal(size=(n, d)), np.arange(n) % c
         rmap = make_random_map(1, d, m)
         rmap.matrix  # made once and cached, before tracing
         pooled = TemporalState.initial(m)
         tracemalloc.start()
         try:
-            stsa.runner._pool_task(pooled, rmap, train, np.arange(n), tuple(range(c)))
+            stsa.runner._pool_task(pooled, rmap, features, labels, tuple(range(c)))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         block = 2 * m
         assert peak <= (block * (d + c) + block * m + m * m + m * (m + 1) // 2) * 8
 
+    def test_peak_memory_is_flat_in_the_task_count(self):
+        # (20, 5) and (80, 20) have the same classes per task and rows per
+        # class. A run holds one task's raw training rows, so only the
+        # resident test split and the class columns of the state and weights
+        # grow with the class count; the 60 added classes' raw training rows
+        # (1.5 MB) must not.
+        bench = load_config(Path(__file__).resolve().parent.parent / "configs" / "benchmark.cfg")
+        base = replace(bench, oracle_check=False)
+        run_experiment(replace(base, synth_classes=4, T=2))  # first-call imports, untraced
+        peaks = []
+        for classes, tasks in ((20, 5), (80, 20)):
+            tracemalloc.start()
+            try:
+                run_experiment(replace(base, synth_classes=classes, T=tasks))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        test_split = 80 * base.synth_test_per_class * base.synth_dim * 8
+        class_columns = 2 * base.M * 60 * 8
+        assert peaks[1] - peaks[0] <= test_split + class_columns
+
+    def test_loading_draws_only_the_means_and_the_test_split(self, monkeypatch):
+        draws = []
+        standard_normal = ChaChaStream.standard_normal
+
+        def counting(stream, n):
+            draws.append(n)
+            return standard_normal(stream, n)
+
+        monkeypatch.setattr(ChaChaStream, "standard_normal", counting)
+        cfg = ExperimentConfig(**SMALL)
+        train, test = load_experiment_data(cfg)
+        # One mean per class, then synth_test_per_class test rows per class.
+        row_per_class = cfg.synth_classes * cfg.synth_dim
+        assert sum(draws) == row_per_class * (1 + cfg.synth_test_per_class)
+        assert (train.class_count, train.dim) == (cfg.synth_classes, cfg.synth_dim)
+        assert train.labels.size == cfg.synth_classes * cfg.synth_train_per_class
+        assert test.size == cfg.synth_classes * cfg.synth_test_per_class
+
     def test_degenerate_federation_is_plain_ridge(self):
         # K = 1, T = 1: the run reduces to ridge classification on the
         # pooled dataset.
         cfg = ExperimentConfig(**{**SMALL, "T": 1, "K": 1})
         report = run_experiment(cfg)
-        train, test = load_experiment_data(cfg)
+        train, test = generate_synthetic(synth_spec_from_config(cfg))
         rmap = make_random_map(derive_seed(cfg.seed, "map"), cfg.synth_dim, cfg.M)
         feat = apply_map(rmap, train.features)
         onehot = np.eye(cfg.synth_classes)[train.labels]
@@ -284,9 +322,13 @@ class TestRunExperiment:
     def test_data_pipeline_is_mode_independent(self):
         # The generated datasets depend on the seed and synthesis keys only,
         # so full and efficient runs of one seed see identical shards.
-        a_train, a_test = load_experiment_data(ExperimentConfig(**SMALL, mode="full"))
-        b_train, b_test = load_experiment_data(
-            ExperimentConfig(**SMALL, mode="efficient", K_D=9, noise_q=0.5, noise_s=1.0)
+        a_train, a_test = generate_synthetic(
+            synth_spec_from_config(ExperimentConfig(**SMALL, mode="full"))
+        )
+        b_train, b_test = generate_synthetic(
+            synth_spec_from_config(
+                ExperimentConfig(**SMALL, mode="efficient", K_D=9, noise_q=0.5, noise_s=1.0)
+            )
         )
         assert np.array_equal(a_train.features, b_train.features)
         assert np.array_equal(a_test.features, b_test.features)
