@@ -2,11 +2,11 @@
 
 Raw features stand in for the output of an external frozen feature
 extractor: they arrive either from a binary feature file or from the
-Gaussian class-cluster generator used by the verification oracles. A
-training split hands out its raw rows one task at a time through
-``task_features``: a ``SyntheticSplit`` draws each of the task's classes
+Gaussian class-cluster generator used by the verification oracles. Either
+kind of split hands out one task at a time through ``task``, as its raw rows
+and their labels: a ``SyntheticSplit`` draws each of the task's classes
 then, from that class's place in the keystream, and a ``FeatureDataset``
-indexes its loaded array. So a run holds one task's raw training rows
+indexes its loaded arrays. So a run holds one task's raw training rows
 and the resident test split.
 """
 
@@ -55,7 +55,8 @@ class FeatureDataset:
 
     A test split is always one of these, and so is a training split read
     from a feature file; a synthetic training split is a ``SyntheticSplit``,
-    which draws one task's rows at a time.
+    which draws one task's rows at a time. Either hands out a task through
+    ``task``.
     """
 
     features: np.ndarray  # (n, d) float64, resident for the whole run
@@ -87,9 +88,10 @@ class FeatureDataset:
     def dim(self) -> int:
         return self.features.shape[1]
 
-    def task_features(self, task: Sequence[int]) -> np.ndarray:
-        """The raw rows whose label is in ``task``, in ascending row order."""
-        return self.features[np.isin(self.labels, task)]
+    def task(self, classes: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+        """The raw rows labelled in ``classes`` and their labels, in ascending row order."""
+        rows = np.isin(self.labels, classes)
+        return self.features[rows], self.labels[rows]
 
 
 @dataclass(frozen=True)
@@ -251,6 +253,8 @@ class SyntheticSplit:
         self.spec = spec
         self.role = role
         self.per_class = spec.train_per_class if role == "train" else spec.test_per_class
+        # Every row's label, as a FeatureDataset holds them, for callers that
+        # look at the whole split; the runner takes a task's through ``task``.
         self.labels = np.repeat(np.arange(spec.class_count, dtype=np.int64), self.per_class)
 
     @property
@@ -261,21 +265,20 @@ class SyntheticSplit:
     def dim(self) -> int:
         return self.spec.dim
 
-    def task_features(self, task: Sequence[int]) -> np.ndarray:
-        """The raw rows of the classes in ``task``, in ascending row order."""
-        classes = sorted(task)
+    def task(self, classes: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+        """The raw rows of ``classes`` and their labels, in ascending row order."""
+        classes = sorted(classes)
         out = np.empty((len(classes), self.per_class, self.dim))
         for block, cls in zip(out, classes):
             self._draw_class(cls, block)
-        return out.reshape(-1, self.dim)
+        labels = np.repeat(np.array(classes, dtype=np.int64), self.per_class)
+        return out.reshape(-1, self.dim), labels
 
     def dataset(self) -> FeatureDataset:
         """The whole split, drawn."""
+        features, labels = self.task(range(self.class_count))
         return FeatureDataset(
-            features=self.task_features(range(self.class_count)),
-            labels=self.labels,
-            class_count=self.class_count,
-            role=self.role,
+            features=features, labels=labels, class_count=self.class_count, role=self.role
         )
 
     def _draw_class(self, cls: int, out: np.ndarray) -> None:
@@ -289,7 +292,7 @@ class SyntheticSplit:
         np.add(spec.means[cls], spec.noise_std * z, out=out)
 
 
-# A run's training split: either kind hands out one task's rows at a time.
+# A run's training split: either kind hands out one task at a time.
 TrainingSplit = FeatureDataset | SyntheticSplit
 
 

@@ -35,11 +35,6 @@ class AccuracyMatrix:
     def stages(self) -> int:
         return len(self.rows)
 
-    def get(self, t: int, tau: int) -> float:
-        if not 1 <= tau <= t <= self.stages:
-            raise DomainError(f"A[{t}][{tau}] is outside the lower triangle")
-        return self.rows[t - 1][tau - 1]
-
 
 def avg_incremental_accuracy(acc: AccuracyMatrix) -> float:
     """Sum over stages of the stage's mean seen-task accuracy.

@@ -1,21 +1,23 @@
 """End-to-end experiment orchestration and verification oracles.
 
-One run walks the incremental stages: materialize the stage's task,
-partition it across clients, extract payloads, aggregate spatially and
-temporally, update the classifier in closed form, then evaluate on every
-task seen so far. A task's raw training rows exist only during its own
-stage: a synthetic split draws them then, and the stage lets them go before
-the next, so a run holds one task's raw training rows and the resident test
-split. Test data stays raw: each stage maps one seen task's test rows at a
-time, scores them and lets them go, so no mapped copy of the test set is
-ever held. With ``oracle_check`` enabled each stage is also compared
-against the pooled centralized solution, which the aggregation is exactly
-equivalent to. The oracle pools each task's training rows, at that task's
+One run walks the incremental stages: take the stage's task from the
+training split's ``task``, partition it across clients, extract payloads,
+aggregate spatially and temporally, update the classifier in closed form,
+then score it on every task seen so far with ``score_tasks``. A task's raw
+training rows exist only during its own stage: a synthetic split draws them
+then, and the stage lets them go before the next, so a run holds one task's
+raw training rows and the resident test split. Test data stays raw:
+``score_tasks`` takes one task's test rows at a time from the test split's
+``task``, maps and scores them and lets them go, so no mapped copy of the
+test set is ever held. With ``oracle_check`` enabled each stage is also
+compared against the pooled centralized solution, which the aggregation is
+exactly equivalent to. The oracle pools each task's training rows, at that task's
 stage, in blocks of at most 2M rows and folds them into a second
 ``TemporalState`` as a stage with one upload per block, through the
 server's checks and fold; only the statistics and the solve, an in-place LU
 of the one unpacked system, differ. ``run_oracle`` pools the whole schedule
-that way, one task's rows at a time, and scores the one pooled classifier.
+that way, one task's rows at a time, and scores the one pooled classifier
+on every task with ``score_tasks``.
 An allocation that fails in the stage loop is an
 OutOfMemoryError that names the stage, as every other error there does.
 """
@@ -173,7 +175,7 @@ def synth_spec_from_config(config: ExperimentConfig) -> SynthSpec:
 def load_experiment_data(config: ExperimentConfig) -> tuple[TrainingSplit, FeatureDataset]:
     """The run's training split and its resident test split.
 
-    A synthetic training split draws no row here: ``task_features`` draws a
+    A synthetic training split draws no row here: its ``task`` draws a
     task's rows when its stage asks for them. A feature file's training
     split is held whole.
     """
@@ -222,34 +224,25 @@ def experiment_map(config: ExperimentConfig, input_dim: int) -> RandomMap:
     return make_random_map(derive_seed(config.seed, "map"), input_dim, config.M)
 
 
-def task_test_rows(schedule: TaskSchedule, test_labels: np.ndarray) -> list[np.ndarray]:
-    """Each task's test rows, in schedule order.
-
-    A task with no test rows would score an accuracy of nothing, so it is a
-    ConfigurationError that names the task.
-    """
-    rows = [np.flatnonzero(np.isin(test_labels, task)) for task in schedule.tasks]
-    for tau, (task, task_rows) in enumerate(zip(schedule.tasks, rows), start=1):
-        if task_rows.size == 0:
-            raise ConfigurationError(
-                f"task {tau} (classes {list(task)}) has no test rows to evaluate"
-            )
-    return rows
-
-
-def task_accuracy(
+def score_tasks(
     weights: ClassifierWeights,
     rmap: RandomMap,
     test: FeatureDataset,
-    rows: np.ndarray,
-) -> float:
-    """Top-1 accuracy on the given raw test rows, of which there is at least one.
+    tasks: Sequence[Sequence[int]],
+) -> tuple[float, ...]:
+    """Top-1 accuracy on each task's test rows, in the order of ``tasks``.
 
-    Only these rows are mapped, and their mapped block goes on return, so a
-    caller that scores one task at a time holds one task's mapped rows at most.
+    Each task's raw rows are mapped as one block, and the block goes before
+    the next task's is taken, so at most one task's mapped rows are held.
     """
-    mapped = apply_map(rmap, test.features[rows])
-    return float(np.mean(predict(weights, mapped) == test.labels[rows]))
+
+    def accuracy(task):
+        raw, labels = test.task(task)
+        mapped = apply_map(rmap, raw)
+        del raw  # only the mapped block is held while it is scored
+        return float(np.mean(predict(weights, mapped) == labels))
+
+    return tuple(accuracy(task) for task in tasks)
 
 
 def centralized_oracle(pooled: TemporalState, gamma: float) -> ClassifierWeights:
@@ -318,15 +311,21 @@ def _pool_task(
 
 def _setup(
     config: ExperimentConfig,
-) -> tuple[TrainingSplit, FeatureDataset, TaskSchedule, RandomMap, list[np.ndarray]]:
-    """The run's data, task schedule, random map and per-task test rows.
+) -> tuple[TrainingSplit, FeatureDataset, TaskSchedule, RandomMap]:
+    """The run's data, task schedule and random map.
 
     ``config`` was checked when it was built, so nothing here re-checks it.
+    A task with no test rows would score an accuracy of nothing, so it is a
+    ConfigurationError that names the task, before any stage runs.
     """
     train, test = load_experiment_data(config)
     schedule = make_schedule(config, train.class_count)
-    rmap = experiment_map(config, train.dim)
-    return train, test, schedule, rmap, task_test_rows(schedule, test.labels)
+    for tau, task in enumerate(schedule.tasks, start=1):
+        if not np.isin(test.labels, task).any():
+            raise ConfigurationError(
+                f"task {tau} (classes {list(task)}) has no test rows to evaluate"
+            )
+    return train, test, schedule, experiment_map(config, train.dim)
 
 
 def run_oracle(config: ExperimentConfig) -> OracleReport:
@@ -334,20 +333,17 @@ def run_oracle(config: ExperimentConfig) -> OracleReport:
 
     Each task's raw training rows are materialized for its own pooling only.
     """
-    train, test, schedule, rmap, test_rows = _setup(config)
+    train, test, schedule, rmap = _setup(config)
     pooled = TemporalState.initial(rmap.output_dim)
     for task in schedule.tasks:
-        labels = train.labels[np.isin(train.labels, task)]
-        pooled = _pool_task(pooled, rmap, train.task_features(task), labels, task)
+        pooled = _pool_task(pooled, rmap, *train.task(task), task)
     weights = centralized_oracle(pooled, config.gamma)
-    return OracleReport(
-        accuracies=tuple(task_accuracy(weights, rmap, test, rows) for rows in test_rows)
-    )
+    return OracleReport(accuracies=score_tasks(weights, rmap, test, schedule.tasks))
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     """Execute the full federated class-incremental loop for one config."""
-    train, test, schedule, rmap, test_rows = _setup(config)
+    train, test, schedule, rmap = _setup(config)
 
     state = TemporalState.initial(rmap.output_dim)
     ledger = CommLedger()
@@ -360,14 +356,6 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     for t in range(1, schedule.stages + 1):
         task_classes = schedule.tasks[t - 1]
         c_t = len(task_classes)
-        task_labels = train.labels[np.isin(train.labels, task_classes)]
-        parts = dirichlet_partition(
-            task_labels,
-            config.K,
-            config.beta,
-            derive_seed(config.seed, f"partition/stage={t}"),
-        )
-
         client = None  # the client computing its upload, for error context
 
         def uploads():
@@ -378,7 +366,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
                 shard = ClientShard(
                     client_id=k,
                     task_id=t,
-                    features=task_features[parts[k]],
+                    features=task_rows[parts[k]],
                     labels=task_labels[parts[k]],
                 )
                 payload = extract_payload(
@@ -406,23 +394,26 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
                 del shard, payload
 
         try:
-            # The stage's raw training rows, in ascending row order as its labels.
-            task_features = train.task_features(task_classes)
+            task_rows, task_labels = train.task(task_classes)
+            parts = dirichlet_partition(
+                task_labels,
+                config.K,
+                config.beta,
+                derive_seed(config.seed, f"partition/stage={t}"),
+            )
             # Uploads add their grams into the state; efficient-mode ones carry none.
             agg = spatial_aggregate(uploads(), task_classes, config.K, state.gram_acc)
             if not config.oracle_check:
-                del task_features  # the uploads were the task's last use
+                del task_rows  # the uploads were the task's last use
             if agg.records:
                 estimate_gram(agg.records, task_classes, state.gram_acc)
             state = temporal_aggregate(state, agg.corr, task_classes)
             del agg  # the state holds the stage's sums; free the records before the solve
             weights = update_classifier(state, config.gamma)
-            acc_rows.append(
-                tuple(task_accuracy(weights, rmap, test, rows) for rows in test_rows[:t])
-            )
+            acc_rows.append(score_tasks(weights, rmap, test, schedule.tasks[:t]))
             if config.oracle_check:
-                pooled = _pool_task(pooled, rmap, task_features, task_labels, task_classes)
-                del task_features  # the oracle was the task's last use
+                pooled = _pool_task(pooled, rmap, task_rows, task_labels, task_classes)
+                del task_rows  # the oracle was the task's last use
                 w_star = centralized_oracle(pooled, config.gamma)
                 oracle_deltas.append(
                     StageOracleDelta(

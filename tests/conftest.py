@@ -17,21 +17,26 @@ class PooledBlocks(list):
     """(raw rows, labels) of each block the oracle pooled, in call order."""
 
     def assert_each_training_row_once(self, train, schedule, m):
-        """Every training row was pooled exactly once, in task-row order; no
-        block holds more than 2M rows, and a task spans the fewest blocks
-        that allows, so a task of at most 2M rows is pooled in one call.
+        """Every training row was pooled exactly once, task by task as
+        ``train.task`` hands them out; no block holds more than 2M rows, and
+        a task spans the fewest blocks that allows, so a task of at most 2M
+        rows is pooled in one call.
 
         ``train`` is the whole training split drawn eagerly, as
         ``generate_synthetic`` draws it: a run draws one task at a time."""
         import numpy as np
 
-        task_rows = [np.flatnonzero(np.isin(train.labels, task)) for task in schedule.tasks]
-        order = np.concatenate(task_rows)
-        assert np.array_equal(np.concatenate([raw for raw, _ in self]), train.features[order])
-        assert np.array_equal(np.concatenate([labels for _, labels in self]), train.labels[order])
+        tasks = [train.task(task) for task in schedule.tasks]
+        assert np.array_equal(
+            np.concatenate([raw for raw, _ in self]), np.concatenate([rows for rows, _ in tasks])
+        )
+        assert np.array_equal(
+            np.concatenate([labels for _, labels in self]),
+            np.concatenate([labels for _, labels in tasks]),
+        )
         assert max(labels.size for _, labels in self) <= 2 * m
         calls = [sum(np.isin(labels, task).all() for _, labels in self) for task in schedule.tasks]
-        assert calls == [max(1, -(-rows.size // (2 * m))) for rows in task_rows]
+        assert calls == [max(1, -(-labels.size // (2 * m))) for _, labels in tasks]
 
 
 @pytest.fixture

@@ -14,7 +14,7 @@ import stsa.runner
 from stsa.cli import main
 from stsa.config import ExperimentConfig, load_config, parse_config
 from stsa.core import apply_map
-from stsa.data import generate_synthetic, load_features, save_features
+from stsa.data import SyntheticSplit, generate_synthetic, load_features, save_features
 from stsa.errors import DomainError, NumericalError
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -486,6 +486,26 @@ def test_client_error_is_prefixed_once(tmp_path, monkeypatch, capsys, error, cod
         )
     assert main(["run", "--config", str(write_config(tmp_path))]) == code
     assert capsys.readouterr().err == f"{label}: stage 2, client 1: boom\n"
+
+
+def test_a_stage_that_cannot_take_its_task_names_the_stage(tmp_path, monkeypatch, capsys):
+    # A stage takes its task inside the stage's error context, so a failure
+    # there is prefixed like any other stage failure. The test split is drawn
+    # whole before stage 1, so only the training split's calls are counted.
+    task = SyntheticSplit.task
+    taken = []
+
+    def failing(split, classes):
+        if split.role == "train":
+            taken.append(classes)
+            if len(taken) == 2:
+                raise MemoryError("boom")
+        return task(split, classes)
+
+    monkeypatch.setattr(SyntheticSplit, "task", failing)
+    assert main(["run", "--config", str(write_config(tmp_path))]) == 5
+    assert capsys.readouterr().err == "out of memory: stage 2: boom\n"
+    assert len(taken) == 2
 
 
 @pytest.mark.parametrize(

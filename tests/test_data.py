@@ -223,9 +223,11 @@ class TestTaskFeatures:
         assert any(list(task) != sorted(task) for task in self.SCHEDULE.tasks)
         for task in self.SCHEDULE.tasks:
             rows = np.flatnonzero(np.isin(eager.labels, task))
-            drawn = split.task_features(task)
+            drawn, labels = split.task(task)
             assert drawn.dtype == np.float64
             assert drawn.tobytes() == eager.features[rows].tobytes()
+            assert labels.dtype == np.int64
+            assert labels.tobytes() == eager.labels[rows].tobytes()
 
     def test_a_file_task_is_the_loaded_rows_in_row_order(self, tmp_path):
         spec = random_synth_spec(9, 4, 6, 2, seed=22)
@@ -238,7 +240,9 @@ class TestTaskFeatures:
         loaded = load_features(tmp_path / "train.stsafeat")
         for task in self.SCHEDULE.tasks:
             rows = np.flatnonzero(np.isin(loaded.labels, task))
-            assert loaded.task_features(task).tobytes() == loaded.features[rows].tobytes()
+            features, labels = loaded.task(task)
+            assert features.tobytes() == loaded.features[rows].tobytes()
+            assert labels.tobytes() == loaded.labels[rows].tobytes()
 
 
 class TestFeatureFiles:

@@ -16,7 +16,7 @@ import stsa.core
 
 ROOT = Path(__file__).resolve().parent.parent
 
-ROUTINES = {"blas": ("dsyrk",), "lapack": ("dtrttp", "dtpttf", "dpftrf", "dpftrs")}
+ROUTINES = {"blas": ("dsyrk",), "lapack": ("dtrttp", "dtpttf", "dpftrf", "dpftrs", "dgesv")}
 
 
 def fresh_python(code: str):

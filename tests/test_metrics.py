@@ -91,11 +91,6 @@ class TestAccuracyMatrixValidation:
         with pytest.raises(DomainError):
             AccuracyMatrix(rows=((1.5,),))
 
-    def test_get_respects_triangle(self):
-        assert WORKED.get(2, 1) == 0.8
-        with pytest.raises(DomainError):
-            WORKED.get(1, 2)
-
 
 class TestCommBytes:
     def test_full_mode_formula(self):

@@ -39,9 +39,9 @@ from stsa.runner import (
     make_schedule,
     run_estimator_study,
     run_experiment,
+    run_oracle,
+    score_tasks,
     synth_spec_from_config,
-    task_accuracy,
-    task_test_rows,
 )
 from stsa.server import TemporalState, spatial_aggregate, temporal_aggregate
 
@@ -95,7 +95,7 @@ class TestRunExperiment:
         for tau, task in enumerate(schedule.tasks, start=1):
             rows = np.flatnonzero(np.isin(test.labels, task))
             oracle_acc = float(np.mean(predict(w_star, mapped_test[rows]) == test.labels[rows]))
-            assert report.accuracy.get(cfg.T, tau) == oracle_acc
+            assert report.accuracy.rows[cfg.T - 1][tau - 1] == oracle_acc
 
     def test_oracle_pools_each_training_row_once(self, pooled_blocks):
         # Each task holds 80 training rows: over 2M at M = 16, so the oracle
@@ -182,7 +182,7 @@ class TestRunExperiment:
         )
         scores = apply_map(rmap, test.features) @ w
         direct = float(np.mean(np.argmax(scores, axis=1) == test.labels))
-        assert report.accuracy.get(1, 1) == pytest.approx(direct, abs=1e-12)
+        assert report.accuracy.rows[0][0] == pytest.approx(direct, abs=1e-12)
 
     def test_efficient_mode_with_many_dummies_tracks_full_mode(self):
         # Separable clusters (inter-mean distance >= 10x the noise std) and
@@ -372,6 +372,55 @@ def test_a_later_task_with_no_test_rows_is_named(tmp_path):
         run_experiment(file_cfg)
 
 
+def recording_maps(monkeypatch):
+    """The raw rows of each ``apply_map`` call made through ``stsa.runner``, in order."""
+    raws = []
+    original = stsa.runner.apply_map
+
+    def recording(rmap, raw):
+        raws.append(raw)
+        return original(rmap, raw)
+
+    monkeypatch.setattr(stsa.runner, "apply_map", recording)
+    return raws
+
+
+def test_each_stage_maps_each_seen_tasks_test_rows_once(monkeypatch):
+    # With the oracle off every map made through stsa.runner scores, since
+    # clients map through stsa.client's names: stage t maps tasks 1..t, one
+    # block each, so a run maps T(T+1)/2 blocks. The tasks differ in size and
+    # list their classes out of order, so a block in the wrong place shows.
+    raws = recording_maps(monkeypatch)
+    cfg = ExperimentConfig(**{**SMALL, "first_task_classes": 4, "shuffle_classes": True})
+    run_experiment(cfg)
+    _, test = generate_synthetic(synth_spec_from_config(cfg))
+    tasks = make_schedule(cfg, test.class_count).tasks
+    expected = [
+        test.features[np.isin(test.labels, task)]
+        for t in range(1, cfg.T + 1)
+        for task in tasks[:t]
+    ]
+    assert len(raws) == cfg.T * (cfg.T + 1) // 2 == len(expected)
+    for raw, rows in zip(raws, expected):
+        assert np.array_equal(raw, rows)
+
+
+def test_the_oracle_scores_each_task_once_after_its_pooling(monkeypatch, pooled_blocks):
+    raws = recording_maps(monkeypatch)
+    cfg = ExperimentConfig(**SMALL)
+    report = run_oracle(cfg)
+    train, test = generate_synthetic(synth_spec_from_config(cfg))
+    schedule = make_schedule(cfg, train.class_count)
+    pooled_blocks.assert_each_training_row_once(train, schedule, cfg.M)
+    # Each task of 80 rows is pooled in 3 blocks of at most 2M = 32 rows.
+    assert len(pooled_blocks) == 3 * cfg.T
+    assert len(raws) == len(pooled_blocks) + cfg.T
+    assert all(raw is block for raw, (block, _) in zip(raws, pooled_blocks))
+    for raw, task in zip(raws[len(pooled_blocks) :], schedule.tasks):
+        assert np.array_equal(raw, test.features[np.isin(test.labels, task)])
+    assert len(report.accuracies) == cfg.T
+
+
 # (T, first_task_classes) pairs that split SMALL's 6 classes, with and
 # without a first task of its own size.
 SPLITS = ((1, None), (2, None), (3, None), (6, None), (2, 1), (3, 2), (3, 4), (4, 3), (6, 1))
@@ -552,31 +601,30 @@ class TestTaskAccuracy:
         rng = np.random.default_rng(m)
         subsets = [np.sort(rng.choice(test_split.size, n, replace=False)) for n in (1, 7, 500)]
         assert all(np.any(np.diff(rows) > 1) for rows in subsets[1:])
-        schedule = split_tasks(self.N_CLASSES, 10, shuffle_seed=9)
-        task_rows = task_test_rows(schedule, test_split.labels)
-        assert len(task_rows) == 10
-        for rows in subsets + task_rows:
+        for rows in subsets:
             assert np.array_equal(apply_map(rmap, test_split.features[rows]), whole[rows])
+        for task in split_tasks(self.N_CLASSES, 10, shuffle_seed=9).tasks:
+            rows = np.flatnonzero(np.isin(test_split.labels, task))
+            raw, _ = test_split.task(task)
+            assert np.array_equal(apply_map(rmap, raw), whole[rows])
 
     def test_scores_only_the_given_rows(self, test_split, monkeypatch):
         rmap = make_random_map(5, self.D, 600)
-        rows = task_test_rows(split_tasks(self.N_CLASSES, 10), test_split.labels)[3]
+        tasks = split_tasks(self.N_CLASSES, 10).tasks[3:5]
         weights = ClassifierWeights(
-            weights=np.random.default_rng(1).normal(size=(600, 10)),
-            class_ids=tuple(range(30, 40)),
+            weights=np.random.default_rng(1).normal(size=(600, 20)),
+            class_ids=tuple(range(30, 50)),
         )
-        mapped_rows = []
-        original = stsa.runner.apply_map
-
-        def counting(rmap, raw):
-            mapped_rows.append(raw.shape[0])
-            return original(rmap, raw)
-
-        monkeypatch.setattr(stsa.runner, "apply_map", counting)
-        acc = task_accuracy(weights, rmap, test_split, rows)
-        mapped = original(rmap, test_split.features)[rows]
-        assert mapped_rows == [rows.size] == [10 * self.PER_CLASS]
-        assert acc == float(np.mean(predict(weights, mapped) == test_split.labels[rows]))
+        raws = recording_maps(monkeypatch)
+        accuracies = score_tasks(weights, rmap, test_split, tasks)
+        assert [raw.shape[0] for raw in raws] == [10 * self.PER_CLASS] * 2
+        whole = apply_map(rmap, test_split.features)
+        expected = []
+        for task in tasks:
+            rows = np.isin(test_split.labels, task)
+            hits = predict(weights, whole[rows]) == test_split.labels[rows]
+            expected.append(float(np.mean(hits)))
+        assert accuracies == tuple(expected)
 
 
 class TestEstimatorStudy:
