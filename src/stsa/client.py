@@ -2,9 +2,10 @@
 
 A client holds one raw-feature shard per task. In full mode it uploads one
 second-order record {G, C, n}; in efficient mode it splits the shard into
-dummy clients and uploads first-order records {C, n} only. Gram matrices are
-never formed on the efficient path. An upload carries no size of its own:
-what it costs to send follows from its records.
+dummy clients and uploads first-order records {C, n} only. A full-mode G
+is one triangle in RFP, LAPACK's rectangular full packed format (see
+``stsa.core``); the efficient path never forms one. An upload carries no
+size of its own: what it costs to send follows from its records.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import RandomMap, SpatialStatistics, apply_map, local_statistics
+from .core import RandomMap, SpatialStatistics, apply_map, dtpttf, local_statistics
 from .errors import ConfigurationError, DomainError
 from .prng import ChaChaStream
 
@@ -69,9 +70,8 @@ def extract_payload(
 ) -> UploadPayload:
     """Map the shard and compute its upload records.
 
-    Full mode computes one record {G, C, n} over the whole shard, G packed
-    as its upper triangle. Efficient mode splits the shard into at most
-    min(k_d, shard size) dummy clients (an empty shard yields a single
+    Full mode computes one record {G, C, n} over the whole shard, G in RFP.
+    Efficient mode splits the shard into at most min(k_d, shard size) dummy clients (an empty shard yields a single
     all-zero record), computes first-order statistics per sub-shard, and
     never materializes a gram matrix. The split deals a seeded shuffle of
     the rows round-robin into sorted, disjoint cells.
@@ -100,10 +100,10 @@ def add_noise(payload: UploadPayload, q: float, s: float, seed: int) -> UploadPa
     """Perturb every transmitted entry by q * N(0, s^2).
 
     A record with a gram (full mode) has G and C noised, in that order; its
-    label counts are not transmitted and stay exact. G is the packed upper
-    triangle, so it takes M(M+1)/2 draws in row-major order, and each
-    packed entry stands for both (i, j) and (j, i) of the symmetric gram
-    the solve uses: the Analyze-Gauss construction, with variance q^2 s^2
+    label counts are not transmitted and stay exact. G takes M(M+1)/2 draws
+    for its upper triangle in row-major order, laid into its RFP slots by
+    one ``dtpttf``. Each stored entry stands for both (i, j) and (j, i) of
+    the symmetric gram the solve uses: the Analyze-Gauss construction, with variance q^2 s^2
     on every entry of that gram. A record without one (efficient mode) has C and a
     real-valued copy of the label frequencies noised. q = 0 or s = 0 returns
     the payload unchanged.
@@ -114,8 +114,10 @@ def add_noise(payload: UploadPayload, q: float, s: float, seed: int) -> UploadPa
         return payload
     stream = ChaChaStream(seed)
 
-    def perturb(arr: np.ndarray) -> np.ndarray:
+    def perturb(arr: np.ndarray, gram_dim: int | None = None) -> np.ndarray:
         noised = q * s * stream.standard_normal(arr.size)
+        if gram_dim is not None:
+            noised, _ = dtpttf(gram_dim, noised, transr="N", uplo="L")
         noised += arr.ravel()  # counts widen to float64 here
         return noised.reshape(arr.shape)
 
@@ -123,7 +125,7 @@ def add_noise(payload: UploadPayload, q: float, s: float, seed: int) -> UploadPa
     records = tuple(
         replace(
             rec,
-            gram=None if rec.gram is None else perturb(rec.gram),
+            gram=None if rec.gram is None else perturb(rec.gram, rec.feature_dim),
             corr=perturb(rec.corr),
             label_freq=perturb(rec.label_freq) if rec.gram is None else rec.label_freq,
         )

@@ -5,13 +5,19 @@ here is a pure function of its arguments; repeated calls with equal arguments
 return bit-identical results, which is what lets clients and the server
 regenerate the shared random map from a seed instead of shipping it.
 
-The six BLAS/LAPACK routines used here (``dsyrk``, ``dtrttp``, ``dtpttf``,
-``dpftrf``, ``dpftrs``, ``dgesv``) come from scipy's compiled wrapper modules
-``scipy.linalg._fblas`` and ``scipy.linalg._flapack``, which
-``_scipy_linalg_extension`` loads without running ``scipy.linalg``'s package
-init. That init pulls in numpy's f2py, testing and masked-array packages and
-doubled the start-up of every process; the routines loaded this way are the
-very objects ``scipy.linalg.blas`` and ``scipy.linalg.lapack`` export.
+A gram is stored in one layout from the client's ``dsfrk`` to the
+``dpftrf`` solve: LAPACK's rectangular full packed format (RFP,
+``transr="N"``, ``uplo="L"``), the M(M+1)/2 entries of its lower triangle
+as two triangles and the rectangle between them in one flat array. Only
+``_rfp_strips`` knows where those parts sit.
+
+The six LAPACK routines used here (``dsfrk``, ``dtpttf``, ``dtfttr``,
+``dpftrf``, ``dpftrs``, ``dgesv``) come from scipy's compiled wrapper module
+``scipy.linalg._flapack``, which ``_scipy_linalg_extension`` loads without
+running ``scipy.linalg``'s package init. That init pulls in numpy's f2py,
+testing and masked-array packages and doubled the start-up of every
+process; the routines loaded this way are the very objects
+``scipy.linalg.lapack`` exports.
 """
 
 from __future__ import annotations
@@ -55,19 +61,17 @@ def _scipy_linalg_extension(name: str) -> ModuleType:
     return module
 
 
-_fblas = _scipy_linalg_extension("_fblas")
 _flapack = _scipy_linalg_extension("_flapack")
-dsyrk = _fblas.dsyrk
-dpftrf, dpftrs, dtpttf, dtrttp = _flapack.dpftrf, _flapack.dpftrs, _flapack.dtpttf, _flapack.dtrttp
-dgesv = _flapack.dgesv
+dsfrk, dtpttf, dtfttr = _flapack.dsfrk, _flapack.dtpttf, _flapack.dtfttr
+dpftrf, dpftrs, dgesv = _flapack.dpftrf, _flapack.dpftrs, _flapack.dgesv
 
 SOLVE_RESIDUAL_BOUND = 1e-8
 
 # Jitter escalation ladder for the SPD factorization, mildest first.
 _JITTER_EXPONENTS = (6, 4, 2)
 
-# Rows per strip of the packed triangle; every walk over its rows (unpack,
-# residual product, gram estimate) holds at most this many rows of M x M.
+# Rows per strip of a gram's upper triangle; every walk over its rows
+# (unpack, residual product, gram estimate) holds at most this many rows.
 _SYMMETRY_BLOCK = 256
 
 
@@ -95,11 +99,12 @@ class RandomMap:
 class SpatialStatistics:
     """One shard's statistics {G, C, n} for one task; the upload names its sender.
 
-    ``gram`` holds the upper triangle of X^T X, diagonal included, packed
-    row by row into M(M+1)/2 entries (``np.triu_indices`` order), and is
-    absent in communication-efficient mode; the server keeps grams in this
-    format through the solve, and ``unpack_upper`` makes one whole only for
-    the oracle's reference and the estimator study;
+    ``gram`` holds X^T X in RFP (``transr="N"``, ``uplo="L"``): its
+    M(M+1)/2 lower-triangle entries, diagonal included, in LAPACK's
+    rectangular full packed layout. It is absent in communication-efficient
+    mode. The server keeps grams in this format through the solve, and
+    ``unpack_gram`` makes one whole only for the oracle's reference and the
+    estimator study;
     ``corr`` is X^T Y (M, c_t) with Y one-hot over the task's class list;
     ``label_freq`` holds per-class sample counts (exact int64 normally,
     float64 once privacy noise has been applied).
@@ -212,9 +217,9 @@ def local_statistics(
 
     G = X^T X, C = X^T Y with Y one-hot over ``task_classes`` in the given
     order, label_freq = per-class counts. Labels of a non-integer dtype are a
-    DomainError, not truncated. G is the packed upper triangle of X^T X from
-    one ``dsyrk`` into a buffer of this call's own, bit-equal to that of
-    numpy's ``X.T @ X``. A zero-row ``feat`` yields zero statistics.
+    DomainError, not truncated. G is X^T X in RFP, written by one ``dsfrk``
+    into an array of this call's own; no M x M array is made. A zero-row
+    ``feat`` yields zero statistics.
     ``include_gram=False`` skips G entirely (it is never formed), which is
     the communication-efficient transmit path.
     """
@@ -241,115 +246,100 @@ def local_statistics(
 
     gram = None
     if include_gram:
-        # dsyrk fills the lower triangle of the F-ordered X^T X. Packed column
-        # by column, that is the upper triangle row by row. The upper-triangle
-        # variant rounds differently from numpy's X.T @ X at some shapes, this
-        # one does not. beta = 0 never reads C's old contents, so an
-        # uninitialized buffer is enough; dsyrk's own default C is zero-filled
-        # first, one more pass over M x M per call.
-        m = feat.shape[1]
-        out = np.empty((m, m), order="F")
-        lower = dsyrk(1.0, feat.T, lower=1, beta=0.0, c=out, overwrite_c=1)
-        gram, _ = dtrttp(lower, uplo="L")
+        # beta = 0 never reads C's old contents, so an uninitialized array is
+        # enough, and with no rows it is zero-filled. feat.T is a view of
+        # the F-ordered X^T that dsfrk reads, so feat is not copied.
+        n, m = feat.shape
+        gram = dsfrk(
+            m, n, 1.0, feat.T, 0.0, np.empty(m * (m + 1) // 2),
+            transr="N", uplo="L", trans="N", overwrite_c=1,
+        )
     corr = feat.T @ onehot
     freq = onehot.sum(axis=0).astype(np.int64)
     return SpatialStatistics(gram=gram, corr=corr, label_freq=freq)
 
 
-def _packed_row_start(i, m: int):
-    """Packed slot of row ``i``'s diagonal entry in dim ``m``; ``i`` may be an array."""
-    return i * m - i * (i - 1) // 2
+def _rfp_strips(g: np.ndarray, m: int) -> Iterator[tuple[int, int, np.ndarray, np.ndarray]]:
+    """Walk the RFP gram ``g`` of dim ``m`` one strip of upper-triangle rows at a time.
 
+    RFP is a column-major array of n1 = ceil(M/2) columns with leading
+    dimension M (odd M) or M+1 (even M). From its row 0 (odd) or 1 (even)
+    down, column c holds G[c:, c]: the triangle T1 and the rectangle S
+    below it. The triangle T2, G[n1:, n1:], sits transposed in its top rows.
+    G is symmetric, so G[c:, c] is also row c from column c on.
 
-def _packed_strips(m: int) -> Iterator[tuple[int, int, slice, np.ndarray]]:
-    """Walk the packed triangle of dim ``m`` one strip of ``_SYMMETRY_BLOCK`` rows at a time.
-
-    Yields ``(i, b, slots, upper)``: the strip's first row and row count,
-    the packed slice holding rows i..i+b from their diagonals on, and the
-    b x (M - i) mask that is True on and above the diagonal. A strip's
-    entries under ``upper``, in row-major order, are ``packed[slots]``.
+    Yields ``(i, b, strip, upper)``: a b x (M - i) view of ``g`` that holds
+    G[i:i+b, i:] wherever the mask ``upper`` (on and above the diagonal) is
+    True, and other entries of G below it. Strips of ``_SYMMETRY_BLOCK``
+    rows cover T1's rows, then T2's.
     """
+    n1, n2 = m - m // 2, m // 2
+    odd = m % 2
+    array = g.reshape(n1, m + 1 - odd).T
+    # Row c of each part, from column c on, is a row of G from its diagonal on.
+    t1_and_s = array[1 - odd :].T  # G[c, c:] for c < n1
+    t2 = array[:n2, odd : odd + n2]  # G[n1 + c, n1 + c:]
     upper = np.arange(m) >= np.arange(min(_SYMMETRY_BLOCK, m))[:, None]
-    for i in range(0, m, _SYMMETRY_BLOCK):
-        b = min(_SYMMETRY_BLOCK, m - i)
-        slots = slice(_packed_row_start(i, m), _packed_row_start(i + b, m))
-        yield i, b, slots, upper[:b, : m - i]
+    for start, part in ((0, t1_and_s), (n1, t2)):
+        for j in range(0, part.shape[0], _SYMMETRY_BLOCK):
+            b = min(_SYMMETRY_BLOCK, part.shape[0] - j)
+            yield start + j, b, part[j : j + b, j:], upper[:b, : m - start - j]
 
 
-def _read_strip(packed: np.ndarray, slots: slice, upper: np.ndarray, strip: np.ndarray) -> None:
-    """Fill a b x (M - i) ``strip`` from its packed slots, then mirror its diagonal tile."""
-    strip[upper] = packed[slots]
-    b = strip.shape[0]
-    tile = strip[:, :b]
-    np.copyto(tile, tile.T, where=~upper[:, :b])
+def unpack_gram(g: np.ndarray, m: int) -> np.ndarray:
+    """The symmetric (M, M) matrix whose RFP ``g`` holds the lower triangle.
 
-
-def unpack_upper(packed: np.ndarray, m: int) -> np.ndarray:
-    """The symmetric (M, M) matrix whose upper triangle ``packed`` holds row by row.
-
-    The result is a fresh C-ordered array: each strip fills its rows from the
-    diagonal on, and its transpose fills the columns below it.
+    ``dtfttr`` expands the triangle into a fresh column-major array, which
+    as a C-ordered array holds the upper triangle; each strip's transpose
+    then fills the columns below it.
     """
-    if packed.shape != (m * (m + 1) // 2,):
-        raise DimensionError(
-            f"packed gram shape {packed.shape} is not the triangle of dim {m}"
-        )
-    whole = np.empty((m, m))
-    for i, b, slots, upper in _packed_strips(m):
-        strip = whole[i : i + b, i:]
-        _read_strip(packed, slots, upper, strip)
-        whole[i + b :, i : i + b] = strip[:, b:].T
+    if g.shape != (m * (m + 1) // 2,):
+        raise DimensionError(f"packed gram shape {g.shape} is not the triangle of dim {m}")
+    whole = dtfttr(m, g, transr="N", uplo="L")[0].T
+    for i, b, _, upper in _rfp_strips(g, m):
+        tile = whole[i : i + b, i : i + b]
+        np.copyto(tile, tile.T, where=~upper[:, :b])
+        whole[i + b :, i : i + b] = whole[i : i + b, i + b :].T
     return whole
 
 
-def packed_frobenius(packed: np.ndarray) -> float:
-    """Frobenius norm of the symmetric matrix whose upper triangle ``packed`` holds.
+def gram_frobenius(g: np.ndarray) -> float:
+    """Frobenius norm of the symmetric matrix whose RFP ``g`` holds the lower triangle.
 
     Each off-diagonal entry appears twice in the whole matrix, so
-    ||A||_F^2 = 2 ||packed||^2 - ||diag(A)||^2, and diagonal entry i sits
-    where row i starts. No M x M array is made. An input that is not 1-D,
-    or whose length is no triangle M(M+1)/2, is a DimensionError.
+    ||A||_F^2 = 2 ||g||^2 - ||diag(A)||^2, with the diagonal read from
+    ``_rfp_diagonal``'s slots. No M x M array is made. An input that is not
+    1-D, or whose length is no triangle M(M+1)/2, is a DimensionError.
     """
-    if packed.ndim != 1:
-        raise DimensionError(f"packed triangle must be 1-D, got shape {packed.shape}")
-    m = (math.isqrt(8 * packed.size + 1) - 1) // 2
-    if m * (m + 1) // 2 != packed.size:
-        raise DimensionError(f"packed length {packed.size} is not a triangle M(M+1)/2")
-    diagonal = packed[_packed_row_start(np.arange(m), m)]
-    return float(np.sqrt(2.0 * (packed @ packed) - diagonal @ diagonal))
+    if g.ndim != 1:
+        raise DimensionError(f"packed gram must be 1-D, got shape {g.shape}")
+    m = (math.isqrt(8 * g.size + 1) - 1) // 2
+    if m * (m + 1) // 2 != g.size:
+        raise DimensionError(f"packed length {g.size} is not a triangle M(M+1)/2")
+    diagonal = g[_rfp_diagonal(m)]
+    return float(np.sqrt(2.0 * (g @ g) - diagonal @ diagonal))
 
 
 def _rfp_diagonal(m: int) -> np.ndarray:
-    """Slot of each diagonal entry, in order, in RFP with transr="N", uplo="L".
+    """Slot of each diagonal entry of an RFP gram of dim ``m``, in order."""
+    slots = np.arange(m * (m + 1) // 2)
+    return np.concatenate([strip.diagonal() for _, _, strip, _ in _rfp_strips(slots, m)])
 
-    RFP (rectangular full packed, LAPACK's ``dtpttf``) stores the lower
-    triangle as two triangles T1, T2 and the rectangle between them. For
-    odd M, T1 (the first (M+1)/2 columns) starts at slot 0 and T2 at slot
-    M, both with leading dimension M. For even M, T1 (the first M/2)
-    starts at slot 1 and T2 at slot 0, both with leading dimension M+1.
+
+def _gram_product(g: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """G @ w for the symmetric G whose RFP ``g`` holds the lower triangle.
+
+    Per strip of G's rows i..i+b, only the b x b diagonal tile is copied,
+    to mirror it; the rectangle right of it is read in place. The strip
+    gives rows i..i+b of G @ w from columns i..M, and the rectangle,
+    transposed, gives the rows below it their terms from columns i..i+b.
+    No M x M array is made.
     """
-    j = np.arange(m // 2 + m % 2)
-    if m % 2:
-        return np.concatenate([j * (m + 1), m + j[: m // 2] * (m + 1)])
-    return np.concatenate([1 + j * (m + 2), j * (m + 2)])
-
-
-def _packed_symmetric_product(packed: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """G @ w for the symmetric G whose upper triangle ``packed`` holds row by row.
-
-    Reads one strip of ``_SYMMETRY_BLOCK`` rows at a time into a b x (M - i)
-    buffer. The strip gives rows i..i+b of G @ w from columns i..M, and its
-    rectangle right of the diagonal tile, transposed, gives the rows below
-    it their terms from columns i..i+b. No M x M array is made.
-    """
-    m = w.shape[0]
     out = np.zeros(w.shape)
-    buffer = np.empty((min(_SYMMETRY_BLOCK, m), m))
-    for i, b, slots, upper in _packed_strips(m):
-        strip = buffer[:b, : m - i]
-        _read_strip(packed, slots, upper, strip)
-        out[i : i + b] += strip @ w[i:]
-        out[i + b :] += strip[:, b:].T @ w[i : i + b]
+    for i, b, strip, upper in _rfp_strips(g, w.shape[0]):
+        tile, rect = strip[:, :b], strip[:, b:]
+        out[i : i + b] += np.where(upper[:, :b], tile, tile.T) @ w[i : i + b] + rect @ w[i + b :]
+        out[i + b :] += rect.T @ w[i : i + b]
     return out
 
 
@@ -361,19 +351,17 @@ def ridge_solve(
 ) -> ClassifierWeights:
     """Solve (G + gamma I) W = C by SPD factorization, never explicit inverse.
 
-    G is the packed upper triangle of the symmetric gram, M(M+1)/2 entries
-    row by row (the format of ``SpatialStatistics.gram``), with M >= 1 the
-    row count of C; any other M or shape, a whole (M, M) matrix included, is
-    a DimensionError. Packed, G is symmetric by construction. A non-finite or
+    G is the symmetric gram in RFP, its M(M+1)/2 lower-triangle entries
+    (the format of ``SpatialStatistics.gram``), with M >= 1 the row count of
+    C; any other M or shape, a whole (M, M) matrix included, is a
+    DimensionError. Packed, G is symmetric by construction. A non-finite or
     negative gamma is a DomainError, and a non-finite G or C a
     NumericalError, before any factorization.
 
-    Each attempt converts G to rectangular full packed (RFP) format with
-    ``dtpttf``, an exact permutation of its entries, adds gamma on RFP's
-    diagonal slots, and factorizes in place with ``dpftrf``; ``dpftrs``
-    solves. The residual gate computes G W from the packed slots, one row
-    strip at a time, so no step holds more than G, its RFP factor and one
-    strip.
+    Each attempt copies G, adds gamma on RFP's diagonal slots, and
+    factorizes the copy in place with ``dpftrf``; ``dpftrs`` solves. The
+    residual gate computes G W from G's RFP parts, one row strip at a time,
+    so no step holds more than G, its factor and one diagonal tile.
 
     The relative residual must end under SOLVE_RESIDUAL_BOUND; one step of
     iterative refinement is taken only when the first solve misses it. If
@@ -407,7 +395,7 @@ def ridge_solve(
         class_ids = range(C.shape[1])
     class_ids = tuple(int(c) for c in class_ids)
 
-    frob = packed_frobenius(G)
+    frob = gram_frobenius(G)
     # Rung k is gamma + 10^-k ||G||_F / M * max(gamma, 1). For gamma >= 1,
     # gamma / unit is exactly 1, so it rounds as gamma * (1 + 10^-k ||G||_F / M).
     unit = max(float(gamma), 1.0)
@@ -417,10 +405,9 @@ def ridge_solve(
     attempts = list(dict.fromkeys(attempts))
     diagonal = _rfp_diagonal(m)
     for used_gamma in attempts:
-        # The row-major upper triangle is the column-major lower one, which
-        # is what dtpttf reads with uplo="L". A failed attempt leaves its
-        # RFP array overwritten, so each attempt converts G afresh.
-        factor, _ = dtpttf(m, G, transr="N", uplo="L")
+        # A failed attempt leaves its copy overwritten, so each attempt
+        # copies G afresh.
+        factor = G.copy()
         factor[diagonal] += used_gamma
         factor, info = dpftrf(m, factor, transr="N", uplo="L", overwrite_a=1)
         if info == 0:
@@ -433,7 +420,7 @@ def ridge_solve(
         )
 
     weights, _ = dpftrs(m, factor, C, transr="N", uplo="L")
-    residual = C - (_packed_symmetric_product(G, weights) + used_gamma * weights)
+    residual = C - (_gram_product(G, weights) + used_gamma * weights)
     c_norm = np.linalg.norm(C, "fro")
     r_norm = np.linalg.norm(residual, "fro")
     # Written so that a NaN residual or NaN C refines and fails the gate too.
@@ -442,7 +429,7 @@ def ridge_solve(
         # the backward error is large.
         correction, _ = dpftrs(m, factor, residual, transr="N", uplo="L")
         weights = weights + correction
-        residual = C - (_packed_symmetric_product(G, weights) + used_gamma * weights)
+        residual = C - (_gram_product(G, weights) + used_gamma * weights)
         r_norm = np.linalg.norm(residual, "fro")
     if not r_norm <= SOLVE_RESIDUAL_BOUND * c_norm:
         raise NumericalError(

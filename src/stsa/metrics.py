@@ -74,7 +74,7 @@ def average_forgetting(acc: AccuracyMatrix) -> float:
 def comm_bytes(m: int, c_t: int, k_d: int, mode: str, elem_bytes: int) -> int:
     """Upload size in bytes for one client at one stage, as it is sent.
 
-    Full mode ships {G, C}, G as its packed upper triangle:
+    Full mode ships {G, C}, G as one triangle in RFP:
     (M(M+1)/2 + c_t M) elements. Efficient mode ships {C, n} per dummy
     client: (M + 1) x c_t x K_D elements.
     """

@@ -3,8 +3,11 @@
 Every random draw in this package comes from a ChaChaStream, a 20-round
 ChaCha keystream (via OpenSSL) keyed from a 64-bit seed and mapped to
 uniforms, normals, permutations and gamma variates with fixed algorithms.
-Equal (seed, call sequence) therefore gives bit-identical results on any
-platform, which is what makes whole experiment runs reproducible.
+Equal (seed, call sequence) gives byte-identical results on one host with
+one numpy SIMD target, which makes reruns reproducible. Across CPUs the
+normals and gamma variates may differ in their last bits: numpy's ``log``
+(and ``exp``, ``sin``, ``cos``, ``**``) dispatch on the CPU, and its AVX-512
+``log`` differs from the AVX2 path by an ulp on some inputs.
 """
 
 from __future__ import annotations

@@ -37,11 +37,11 @@ from .core import (
     SpatialStatistics,
     apply_map,
     dgesv,
+    gram_frobenius,
     local_statistics,
     make_random_map,
-    packed_frobenius,
     predict,
-    unpack_upper,
+    unpack_gram,
 )
 from .data import (
     FeatureDataset,
@@ -206,8 +206,8 @@ def make_schedule(config: ExperimentConfig, class_count: int) -> TaskSchedule:
 
 
 def _frobenius(a: np.ndarray) -> float:
-    """Frobenius norm of a matrix, or of the symmetric one a 1-D ``a`` packs."""
-    return packed_frobenius(a) if a.ndim == 1 else float(np.linalg.norm(a, "fro"))
+    """Frobenius norm of a matrix, or of the symmetric one a 1-D RFP ``a`` packs."""
+    return gram_frobenius(a) if a.ndim == 1 else float(np.linalg.norm(a, "fro"))
 
 
 def _rel_frobenius(value: np.ndarray, reference: np.ndarray) -> float:
@@ -260,7 +260,7 @@ def centralized_oracle(pooled: TemporalState, gamma: float) -> ClassifierWeights
     """
     if not pooled.class_ids:
         raise ConfigurationError("the oracle needs at least one class")
-    system = unpack_upper(pooled.gram_acc, pooled.corr_acc.shape[0])
+    system = unpack_gram(pooled.gram_acc, pooled.corr_acc.shape[0])
     system[np.diag_indices(system.shape[0])] += gamma
     _, _, weights, info = dgesv(system.T, pooled.corr_acc, overwrite_a=1)
     if info > 0:
@@ -501,4 +501,4 @@ def _estimation_trial(spec: SynthSpec, k: int, stream: ChaChaStream) -> float:
     ]
     g_hat = np.zeros(m * (m + 1) // 2)
     estimate_gram(records, range(c), g_hat)
-    return float(np.linalg.norm(unpack_upper(g_hat, m) - gram_true, "fro") ** 2)
+    return float(np.linalg.norm(unpack_gram(g_hat, m) - gram_true, "fro") ** 2)

@@ -8,10 +8,10 @@ server adds an unbiased estimate of the task gram, made from the records'
 correlation columns and label frequencies, instead. Temporal aggregation
 appends the task's correlation columns and class ids.
 
-Every gram on the server is its packed upper triangle: M(M+1)/2 entries in
-row-major (``np.triu_indices``) order, the format clients upload. The
-state stays packed, and ``update_classifier`` hands it to the solve as it
-is, which factorizes it in LAPACK's rectangular full packed format.
+Every gram on the server is one triangle in RFP, LAPACK's rectangular full
+packed format (see ``stsa.core``), as clients upload it. Uploads add into
+the state elementwise, the estimate adds into it strip by strip, and the
+solve factorizes a copy of it in the same format.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import ClassifierWeights, SpatialStatistics, _packed_strips, ridge_solve
+from .core import ClassifierWeights, SpatialStatistics, _rfp_strips, ridge_solve
 from .errors import EstimationError, ProtocolError
 
 #: Contributing noised label frequencies are floored here before division.
@@ -46,9 +46,9 @@ class StageAggregate:
 class TemporalState:
     """Accumulated statistics over the stages folded in so far.
 
-    ``gram_acc`` is the summed (exact or estimated) gram as its packed upper
-    triangle, ``corr_acc`` the column-concatenated correlations, whose row
-    count is the mapped dimension M, ``class_ids`` the concatenated task
+    ``gram_acc`` is the summed (exact or estimated) gram in RFP, as uploaded,
+    ``corr_acc`` the column-concatenated correlations, whose row count is
+    the mapped dimension M, ``class_ids`` the concatenated task
     class lists in task order; the initial state has no class ids. Each
     state's one ``gram_acc`` array serves all its folds: each stage's grams
     are added into it in place, so folding a stage consumes the state. A
@@ -162,7 +162,7 @@ def spatial_aggregate(
             raise ProtocolError(
                 f"missing upload from client {due}; expected clients 0..{client_count - 1}"
             )
-        # Full mode adds each packed gram into the state; efficient mode
+        # Full mode adds each RFP gram into the state; efficient mode
         # keeps the first-order records for the gram estimator instead.
         for rec in payload.records:
             corr += rec.corr
@@ -211,11 +211,12 @@ def estimate_gram(
     c_k / n_k is then the exact class mean, where a premultiplied
     (n_i - 1)/((K_i - 1) n_k) or a square-root weighting rounds.
 
-    G's packed upper triangle is added into ``out``, such as the state's,
-    so G is symmetric by construction. U is the one R x M array made, with
-    R its row count; per strip of the triangle, L's columns i..i+b times
-    U's columns i..M are added into the strip's slots, so no M x M array is
-    made.
+    G is added into ``out``, an RFP gram such as the state's, and each
+    entry (i, j) with i <= j is taken as L[:, i] . U[:, j], so G is
+    symmetric by construction. U is the one R x M array made, with R its
+    row count; per strip of G's rows i..i+b, L's columns i..i+b times U's
+    columns i..M are added into the strip's upper triangle, so no M x M
+    array is made.
     """
     records = list(records)
     if not records:
@@ -256,10 +257,10 @@ def estimate_gram(
         scale[top:end] = (n_i - 1.0) / (k_i - 1.0)
         scale[end] = -((n_i - k_i) / (n_i * (k_i - 1.0)))
         top = end + 1
-    for i, b, slots, upper in _packed_strips(m):
+    for i, b, strip, upper in _rfp_strips(out, m):
         left = u[:, i : i + b] / divisor[:, None]
         left *= scale[:, None]
-        out[slots] += (left.T @ u[:, i:])[upper]
+        np.add(strip, left.T @ u[:, i:], out=strip, where=upper)
 
 
 def temporal_aggregate(
@@ -294,7 +295,7 @@ def temporal_aggregate(
 def update_classifier(state: TemporalState, gamma: float) -> ClassifierWeights:
     """Closed-form classifier update W = (G_acc + gamma I)^-1 C_acc.
 
-    The packed state goes to the solve as it is; nothing here unpacks it.
+    The RFP state goes to the solve as it is; nothing here unpacks it.
     """
     if not state.class_ids:
         raise ProtocolError("cannot update the classifier from an empty state")

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from stsa.config import ExperimentConfig
-from stsa.core import SpatialStatistics, unpack_upper
+from stsa.core import SpatialStatistics, unpack_gram
 from stsa.metrics import (
     AccuracyMatrix,
     avg_incremental_accuracy,
@@ -94,7 +94,7 @@ def test_criterion_2_unbiasedness():
         ]
         g = np.zeros(m * (m + 1) // 2)
         estimate_gram(records, range(classes), g)
-        g = unpack_upper(g, m)
+        g = unpack_gram(g, m)
         acc += g
         acc_sq += g * g
     elapsed = time.monotonic() - start

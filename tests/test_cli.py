@@ -422,7 +422,7 @@ def test_non_finite_upload_exits_2(tmp_path, monkeypatch, capsys):
     def poisoned(shard, *args, **kwargs):
         payload = extract(shard, *args, **kwargs)
         if (shard.task_id, shard.client_id) == (2, 1):
-            payload.records[0].gram[0] = np.nan  # G[0, 0], the first packed entry
+            payload.records[0].gram[0] = np.nan  # G[8, 8] at M = 16, the first RFP slot
         return payload
 
     monkeypatch.setattr(stsa.runner, "extract_payload", poisoned)
@@ -513,9 +513,9 @@ def test_a_stage_that_cannot_take_its_task_names_the_stage(tmp_path, monkeypatch
 )
 def test_out_of_memory_exits_5(tmp_path, m, where):
     # The child limits its own address space to 3 GB. At M = 200000 the
-    # state's packed gram (160 GB) does not fit, before any stage; at
-    # M = 20000 it does (1.6 GB, never touched), and client 0's M x M gram
-    # buffer (3.2 GB) does not.
+    # state's RFP gram (160 GB) does not fit, before any stage; at
+    # M = 20000 it does (1.6 GB, never touched), and client 0's RFP gram,
+    # another 1.6 GB, does not fit beside it.
     cfg = write_config(tmp_path, SMALL_CONFIG.replace("M = 16", f"M = {m}"))
     code = f"""
 import resource, sys

@@ -6,10 +6,17 @@ import numpy as np
 import pytest
 
 from stsa.client import ClientShard, UploadPayload, add_noise, extract_payload
-from stsa.core import apply_map, local_statistics, make_random_map
+from stsa.core import apply_map, local_statistics, make_random_map, unpack_gram
 from stsa.errors import ConfigurationError, DomainError
 from stsa.metrics import comm_bytes
 from stsa.prng import ChaChaStream
+
+
+def symmetric_from_upper_rows(values, m):
+    """The symmetric (m, m) matrix whose upper triangle, row by row, is ``values``."""
+    upper = np.zeros((m, m))
+    upper[np.triu_indices(m)] = values
+    return upper + np.triu(upper, 1).T
 
 
 def make_shard(n=10, d=3, classes=(0, 1), seed=0, client_id=2, task_id=1):
@@ -176,8 +183,8 @@ class TestAddNoise:
     def test_privacy_setting_noise_scale(self):
         # q=0.2, s=0.05 should perturb entries with std 0.01; the gram
         # triangle of a 1024-dim map has >5e5 entries to estimate it from.
-        # The strict lower triangle is not transmitted, so it is not there
-        # to noise: the upload is exactly the packed triangle.
+        # Only one triangle is transmitted, so the other is not there to
+        # noise: the upload is exactly the RFP gram's M(M+1)/2 entries.
         rmap = make_random_map(5, 2, 1024)
         shard = ClientShard(
             client_id=0, task_id=1,
@@ -199,7 +206,7 @@ class TestAddNoise:
         )
         payload = extract_payload(shard, rmap, self.classes, mode="full")
         noised = add_noise(payload, 1.0, 1.0, seed=4)
-        # The original gram is exactly zero; its packed triangle is noised.
+        # The original gram is exactly zero; its RFP entries are noised.
         delta = noised.records[0].gram
         assert abs(delta.mean()) <= 3.0 / np.sqrt(delta.size)
 
@@ -220,9 +227,9 @@ class TestAddNoise:
 
     @pytest.mark.parametrize("mode", ["full", "efficient"])
     def test_draw_order(self, mode):
-        # One stream per upload: full mode draws G's packed upper triangle,
-        # which is row-major order, then C; efficient mode draws C then n
-        # for each record in turn.
+        # One stream per upload: full mode draws G's upper triangle, in
+        # row-major order, then C; efficient mode draws C then n for each
+        # record in turn.
         payload = extract_payload(make_shard(n=6), self.rmap, self.classes, mode=mode, k_d=2)
         noised = add_noise(payload, 0.5, 2.0, seed=9)
         stream = ChaChaStream(9)
@@ -230,13 +237,31 @@ class TestAddNoise:
             names = ("gram", "corr") if mode == "full" else ("corr", "label_freq")
             for name in names:
                 clean = getattr(rec, name)
-                if name == "gram":
-                    assert clean.shape == (21,)  # M = 6, packed
                 draw = 0.5 * 2.0 * stream.standard_normal(clean.size)
-                expected = clean + draw.reshape(clean.shape)
-                assert np.array_equal(getattr(out, name), expected)
+                if name == "gram":
+                    assert clean.shape == (21,)  # M = 6, one triangle
+                    expected = unpack_gram(clean, 6) + symmetric_from_upper_rows(draw, 6)
+                    assert np.array_equal(unpack_gram(out.gram, 6), expected)
+                else:
+                    expected = clean + draw.reshape(clean.shape)
+                    assert np.array_equal(getattr(out, name), expected)
         if mode == "full":
             assert noised.records[0].label_freq is payload.records[0].label_freq
+
+    def test_gram_draws_land_on_both_sides_row_by_row(self):
+        # The noised gram minus the clean one, unpacked, is the symmetric
+        # matrix whose upper triangle, row by row, is q s times the stream's
+        # first M(M+1)/2 normals: each draw lands on both (i, j) and (j, i),
+        # whatever slots RFP gives them. M = 7 is odd; test_draw_order
+        # checks the same map at the even M = 6.
+        m = 7
+        rmap = make_random_map(13, 3, m)
+        payload = extract_payload(make_shard(n=6), rmap, self.classes, mode="full")
+        noised = add_noise(payload, 0.5, 2.0, seed=9)
+        draw = 0.5 * 2.0 * ChaChaStream(9).standard_normal(m * (m + 1) // 2)
+        clean = unpack_gram(payload.records[0].gram, m)
+        expected = clean + symmetric_from_upper_rows(draw, m)
+        assert np.array_equal(unpack_gram(noised.records[0].gram, m), expected)
 
     def test_full_mode_draws_the_triangle_and_corr(self, monkeypatch):
         # M(M+1)/2 gram draws and M * c_t corr draws, where noising every

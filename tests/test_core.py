@@ -5,25 +5,39 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy.linalg.lapack import dpftrf, dpftrs, dtpttf
+from scipy.linalg.lapack import dpftrf, dpftrs, dtpttf, dtrttf
 
 import stsa.core
 from stsa.core import (
     _SYMMETRY_BLOCK,
     ClassifierWeights,
     SpatialStatistics,
-    _packed_strips,
-    _packed_symmetric_product,
+    _gram_product,
     _rfp_diagonal,
+    _rfp_strips,
     apply_map,
+    gram_frobenius,
     local_statistics,
     make_random_map,
-    packed_frobenius,
     predict,
     ridge_solve,
-    unpack_upper,
+    unpack_gram,
 )
 from stsa.errors import DimensionError, DomainError, NumericalError
+
+
+def rfp(a: np.ndarray) -> np.ndarray:
+    """The gram format of the symmetric matrix whose upper triangle is square ``a``'s.
+
+    ``a.T`` is the column-major array whose lower triangle, which ``dtrttf``
+    packs into RFP, is ``a``'s upper one.
+    """
+    return dtrttf(a.T, transr="N", uplo="L")[0]
+
+
+def packed_order(m: int) -> np.ndarray:
+    """RFP of dim ``m`` whose slots hold their entries' rank in row-major upper order."""
+    return dtpttf(m, np.arange(m * (m + 1) // 2, dtype=np.float64), transr="N", uplo="L")[0]
 
 
 class TestMakeRandomMap:
@@ -103,7 +117,7 @@ class TestApplyMap:
 class TestLocalStatistics:
     def test_identity_features(self):
         stats = local_statistics(np.eye(2), np.array([0, 1]), [0, 1])
-        assert np.array_equal(stats.gram, [1.0, 0.0, 1.0])
+        assert np.array_equal(stats.gram, rfp(np.eye(2)))
         assert np.array_equal(stats.corr, np.eye(2))
         assert stats.label_freq.tolist() == [1, 1]
         assert stats.label_freq.dtype == np.int64
@@ -160,25 +174,52 @@ class TestLocalStatistics:
          (400, 800), (2000, 800), (100, 2500)],
     )
     def test_gram_is_the_upper_triangle_of_numpy_gram(self, n, m):
-        # Bit-equal to numpy's X.T @ X on and above the diagonal, packed row
-        # by row, at every shape the benchmark and the scale records use.
-        feat = np.maximum(np.random.default_rng(n + m).normal(size=(n, m)), 0.0)
-        gram = local_statistics(feat, np.zeros(n, dtype=int), [0]).gram
+        # The upload holds numpy's X.T @ X, on and above the diagonal, in
+        # RFP, at every shape the benchmark and the scale records use. On
+        # small-integer features every summation order is exact, so the
+        # entries are bit-equal and a misplaced, missing or stale one shows.
+        # On float features dsfrk sums in another order than numpy, so each
+        # entry is held to the rounding bound of an n-term dot product.
+        rng = np.random.default_rng(n + m)
+        exact = rng.integers(0, 4, size=(n, m)).astype(np.float64)
+        gram = local_statistics(exact, np.zeros(n, dtype=int), [0]).gram
         assert gram.shape == (m * (m + 1) // 2,)
-        assert np.array_equal(gram, (feat.T @ feat)[np.triu_indices(m)])
+        assert np.array_equal(gram, rfp(exact.T @ exact))
+        feat = np.maximum(rng.normal(size=(n, m)), 0.0)
+        gram = local_statistics(feat, np.zeros(n, dtype=int), [0]).gram
+        bound = n * np.finfo(np.float64).eps * rfp(np.abs(feat).T @ np.abs(feat))
+        assert np.all(np.abs(gram - rfp(feat.T @ feat)) <= bound)
 
     def test_stale_buffer_contents_never_reach_the_gram(self):
-        # dsyrk with beta = 0 never reads its output buffer, so a NaN-filled
-        # (M, M) array freed just before the call, whose memory the call's
-        # own buffer may reuse, cannot leak into the gram.
+        # dsfrk with beta = 0 never reads its output array, so a NaN-filled
+        # array freed just before the call, whose memory the call's own
+        # array may reuse, cannot leak into the gram. Small-integer features
+        # make every entry exact, odd and even M alike.
         rng = np.random.default_rng(12)
-        for n in (40, 7, 0):
-            feat = np.maximum(rng.normal(size=(n, 300)), 0.0)
-            stale = np.full((300, 300), np.nan, order="F")
-            del stale
-            gram = local_statistics(feat, np.zeros(n, dtype=int), [0]).gram
-            assert np.array_equal(gram, (feat.T @ feat)[np.triu_indices(300)])
-            assert not np.shares_memory(gram, feat)
+        for m in (7, 8, 300, 301):
+            for n in (40, 7, 0):
+                feat = rng.integers(0, 4, size=(n, m)).astype(np.float64)
+                stale = np.full(m * (m + 1) // 2, np.nan)
+                del stale
+                gram = local_statistics(feat, np.zeros(n, dtype=int), [0]).gram
+                assert np.array_equal(gram, rfp(feat.T @ feat))
+                assert not np.shares_memory(gram, feat)
+
+    def test_peak_memory_is_the_gram_and_the_label_arrays(self):
+        # dsfrk writes the RFP gram directly: beyond it the call holds the
+        # one-hot labels, their column indices and the corr it returns, and
+        # no M x M array.
+        n, m, c = 400, 600, 10
+        feat = np.random.default_rng(13).normal(size=(n, m))
+        labels = np.arange(n) % c
+        tracemalloc.start()
+        try:
+            local_statistics(feat, labels, range(c))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        gram, onehot, corr, columns = m * (m + 1) // 2, n * c, m * c, n
+        assert peak <= (gram + onehot + corr + columns) * 8 + 4096
 
 
 class TestSpatialStatistics:
@@ -197,62 +238,69 @@ class TestSpatialStatistics:
 
 
 class TestUnpackUpper:
+    """``unpack_gram`` fills the upper triangle from RFP's, and mirrors it below."""
+
     @pytest.mark.parametrize(
         "m",
         [1, 2, _SYMMETRY_BLOCK - 1, _SYMMETRY_BLOCK, _SYMMETRY_BLOCK + 1, 2 * _SYMMETRY_BLOCK + 3],
     )
     def test_packed_entries_land_on_both_sides(self, m):
         a = np.random.default_rng(m).normal(size=(m, m))
-        whole = unpack_upper(a[np.triu_indices(m)], m)
+        whole = unpack_gram(rfp(a), m)
         assert np.array_equal(whole, np.triu(a) + np.triu(a, 1).T)
         assert whole.flags.c_contiguous
 
     def test_local_statistics_round_trip_is_numpy_gram(self):
-        feat = np.maximum(np.random.default_rng(3).normal(size=(50, 70)), 0.0)
+        feat = np.random.default_rng(3).integers(0, 4, size=(50, 70)).astype(np.float64)
         gram = local_statistics(feat, np.zeros(50, dtype=int), [0]).gram
-        assert np.array_equal(unpack_upper(gram, 70), feat.T @ feat)
+        assert np.array_equal(unpack_gram(gram, 70), feat.T @ feat)
 
     @pytest.mark.parametrize("shape", [(9,), (11,), (4, 4)])
     def test_wrong_length_is_rejected(self, shape):
         with pytest.raises(DimensionError, match="not the triangle of dim 4"):
-            unpack_upper(np.zeros(shape), 4)
+            unpack_gram(np.zeros(shape), 4)
 
 
 class TestPackedStrips:
-    @pytest.mark.parametrize("m", [1, 2, 255, 256, 257, 600])
-    def test_slices_cover_the_triangle_once_in_order(self, m):
-        strips = list(_packed_strips(m))
-        slots = np.arange(m * (m + 1) // 2)
-        assert np.array_equal(np.concatenate([slots[s] for _, _, s, _ in strips]), slots)
-        assert [(i, b) for i, b, _, _ in strips] == [
-            (i, min(_SYMMETRY_BLOCK, m - i)) for i in range(0, m, _SYMMETRY_BLOCK)
+    """``_rfp_strips`` walks the RFP gram's rows: T1's strips, then T2's."""
+
+    @staticmethod
+    def expected_strips(m):
+        n1 = m - m // 2
+        return [(i, min(_SYMMETRY_BLOCK, n1 - i)) for i in range(0, n1, _SYMMETRY_BLOCK)] + [
+            (i, min(_SYMMETRY_BLOCK, m - i)) for i in range(n1, m, _SYMMETRY_BLOCK)
         ]
 
     @pytest.mark.parametrize("m", [1, 2, 255, 256, 257, 600])
+    def test_slices_cover_the_triangle_once_in_order(self, m):
+        # Each slot holds its rank in the row-major upper triangle, so the
+        # strips, read under their masks, give back 0, 1, 2, ... in order.
+        g = packed_order(m)
+        strips = list(_rfp_strips(g, m))
+        ranks = np.concatenate([strip[upper] for _, _, strip, upper in strips])
+        assert np.array_equal(ranks, np.arange(m * (m + 1) // 2))
+        assert [(i, b) for i, b, _, _ in strips] == self.expected_strips(m)
+        assert all(np.shares_memory(strip, g) for _, _, strip, _ in strips)
+
+    @pytest.mark.parametrize("m", [1, 2, 255, 256, 257, 600])
     def test_each_mask_is_the_strip_upper_triangle_of_its_slice_length(self, m):
-        for i, b, slots, upper in _packed_strips(m):
+        for i, b, strip, upper in _rfp_strips(packed_order(m), m):
             assert np.array_equal(upper, np.triu(np.ones((b, m - i), dtype=bool)))
-            assert upper.sum() == slots.stop - slots.start
-
-
-def packed(a: np.ndarray) -> np.ndarray:
-    """The upper triangle of square ``a``, row by row: the packed gram format."""
-    return a[np.triu_indices(a.shape[0])]
+            assert strip.shape == upper.shape
 
 
 class TestPackedFrobenius:
     @pytest.mark.parametrize("m", [1, 2, 255, 256, 257, 600])
     def test_matches_the_norm_of_the_unpacked_matrix(self, m):
         p = np.random.default_rng(m).normal(size=m * (m + 1) // 2)
-        expected = np.linalg.norm(unpack_upper(p, m), "fro")
-        assert np.isclose(packed_frobenius(p), expected, rtol=1e-14, atol=0.0)
-
+        expected = np.linalg.norm(unpack_gram(p, m), "fro")
+        assert np.isclose(gram_frobenius(p), expected, rtol=1e-14, atol=0.0)
 
     @pytest.mark.parametrize("shape", [(7,), (2,), (5,), (3, 2), (6, 1)])
     def test_input_that_is_no_packed_triangle_is_rejected(self, shape):
         # Lengths 7, 2 and 5 lie between triangles; a 2-D array is not packed.
         with pytest.raises(DimensionError):
-            packed_frobenius(np.ones(shape))
+            gram_frobenius(np.ones(shape))
 
 
 class TestRfpDiagonal:
@@ -275,21 +323,21 @@ class TestPackedSymmetricProduct:
         # bound of an M-term dot product, M * eps * (|G| @ |W|), entry by entry.
         rng = np.random.default_rng(m)
         p, w = rng.normal(size=m * (m + 1) // 2), rng.normal(size=(m, 7))
-        g = unpack_upper(p, m)
-        got = _packed_symmetric_product(p, np.asfortranarray(w))
+        g = unpack_gram(p, m)
+        got = _gram_product(p, np.asfortranarray(w))
         bound = m * np.finfo(np.float64).eps * (np.abs(g) @ np.abs(w))
         assert np.all(np.abs(got - g @ w) <= bound)
 
 
 class TestRidgeSolve:
     def test_diagonal_case(self):
-        w = ridge_solve(packed(np.eye(2)), np.eye(2), 1.0)
+        w = ridge_solve(rfp(np.eye(2)), np.eye(2), 1.0)
         assert np.allclose(w.weights, 0.5 * np.eye(2), rtol=1e-12)
 
     def test_normal_equations_oracle(self):
         # Hand inverse of [[2,1],[1,1]] is [[1,-1],[-1,2]].
         w = ridge_solve(
-            np.array([2.0, 1.0, 1.0]),
+            rfp(np.array([[2.0, 1.0], [1.0, 1.0]])),
             np.array([[1.0, 1.0], [0.0, 1.0]]),
             0.0,
         )
@@ -301,7 +349,7 @@ class TestRidgeSolve:
         g = x.T @ x / np.linalg.norm(x.T @ x, 2)
         c = rng.normal(size=(6, 3))
         c /= np.linalg.norm(c, "fro")
-        w = ridge_solve(packed(g), c, 1e12)
+        w = ridge_solve(rfp(g), c, 1e12)
         assert np.linalg.norm(w.weights, "fro") <= 2.0 * np.linalg.norm(c, "fro") / 1e12
 
     def test_residual_bound_holds(self):
@@ -309,19 +357,19 @@ class TestRidgeSolve:
         x = rng.normal(size=(50, 12))
         g = x.T @ x
         c = rng.normal(size=(12, 5))
-        w = ridge_solve(packed(g), c, 1e-3)
+        w = ridge_solve(rfp(g), c, 1e-3)
         residual = np.linalg.norm((g + 1e-3 * np.eye(12)) @ w.weights - c, "fro")
         assert residual <= 1e-8 * np.linalg.norm(c, "fro")
 
     @pytest.mark.parametrize("m", [1, 5, 300])
     def test_weights_equal_an_rfp_cholesky_of_the_same_system(self, m):
-        # The packed solve factors, in RFP, the entries of G + gamma I, with
-        # gamma added to each diagonal entry once, so the weights agree bit
-        # for bit with dpftrf and dpftrs run on that system.
+        # The solve factors, in RFP, the entries of G + gamma I, with gamma
+        # added to each diagonal entry once, so the weights agree bit for
+        # bit with dpftrf and dpftrs run on that system.
         rng = np.random.default_rng(m)
         x = rng.normal(size=(2 * m, m))
-        p, c = packed(x.T @ x), rng.normal(size=(m, 3))
-        system, _ = dtpttf(m, packed(unpack_upper(p, m) + 0.5 * np.eye(m)), transr="N", uplo="L")
+        p, c = rfp(x.T @ x), rng.normal(size=(m, 3))
+        system = rfp(unpack_gram(p, m) + 0.5 * np.eye(m))
         factor, info = dpftrf(m, system, transr="N", uplo="L")
         assert info == 0
         expected, _ = dpftrs(m, factor, c, transr="N", uplo="L")
@@ -329,7 +377,7 @@ class TestRidgeSolve:
 
     def test_indefinite_gram_fails_with_jitter_trail(self):
         with pytest.raises(NumericalError) as err:
-            ridge_solve(packed(np.diag([-10.0, 1.0])), np.ones((2, 1)), 1.0)
+            ridge_solve(rfp(np.diag([-10.0, 1.0])), np.ones((2, 1)), 1.0)
         assert len(err.value.attempted_gammas) == 4
         assert err.value.attempted_gammas[0] == 1.0
 
@@ -338,7 +386,7 @@ class TestRidgeSolve:
         # makes it positive definite.
         v = np.arange(1.0, 5.0)
         g, c = np.outer(v, v), np.ones((4, 1))
-        w = ridge_solve(packed(g), c, 0.0)
+        w = ridge_solve(rfp(g), c, 0.0)
         jitter = 1e-6 * np.linalg.norm(g, "fro") / 4
         residual = np.linalg.norm((g + jitter * np.eye(4)) @ w.weights - c, "fro")
         assert residual <= 1e-8 * np.linalg.norm(c, "fro")
@@ -361,8 +409,8 @@ class TestRidgeSolve:
 
         monkeypatch.setattr(stsa.core, "dpftrf", failing)
         x = np.random.default_rng(3).normal(size=(7, 5))
-        g = packed(x.T @ x)
-        frob = packed_frobenius(g)
+        g = rfp(x.T @ x)
+        frob = gram_frobenius(g)
         with pytest.raises(NumericalError) as err:
             ridge_solve(g, np.ones((5, 1)), gamma)
         if gamma >= 1.0:
@@ -370,8 +418,8 @@ class TestRidgeSolve:
         else:
             rungs = tuple(gamma + 10.0**-k * frob / 5 for k in (6, 4, 2))
         assert err.value.attempted_gammas == (gamma,) + rungs
-        # Each attempt factors G's diagonal plus its own level, converted afresh.
-        diagonal = unpack_upper(g, 5).diagonal()
+        # Each attempt factors G's diagonal plus its own level, copied afresh.
+        diagonal = unpack_gram(g, 5).diagonal()
         assert len(factored) == 4
         for level, seen in zip(err.value.attempted_gammas, factored):
             assert np.array_equal(seen, diagonal + level)
@@ -379,7 +427,7 @@ class TestRidgeSolve:
     def test_jitter_escalation_recovers_mild_indefiniteness(self):
         # Smallest eigenvalue -1.001 defeats gamma=1 but not the k=4 rung,
         # gamma * (1 + 1e-4 * ||G||_F / M) with ||G||_F ~ 50.
-        w = ridge_solve(packed(np.diag([-1.001, 50.0])), np.ones((2, 1)), 1.0)
+        w = ridge_solve(rfp(np.diag([-1.001, 50.0])), np.ones((2, 1)), 1.0)
         assert np.all(np.isfinite(w.weights))
 
     @pytest.mark.parametrize("g", [np.eye(2), np.array([[1.0, 0.5], [0.0, 1.0]])])
@@ -401,14 +449,13 @@ class TestRidgeSolve:
 
     def test_negative_gamma_is_rejected(self):
         with pytest.raises(DomainError):
-            ridge_solve(packed(np.eye(2)), np.eye(2), -1.0)
+            ridge_solve(rfp(np.eye(2)), np.eye(2), -1.0)
 
     @pytest.mark.parametrize("gamma", [np.nan, np.inf])
     def test_non_finite_gamma_is_rejected_before_any_work(self, monkeypatch, gamma):
         def unreachable(*args, **kwargs):
             raise AssertionError("factorized with a non-finite gamma")
 
-        monkeypatch.setattr(stsa.core, "dtpttf", unreachable)
         monkeypatch.setattr(stsa.core, "dpftrf", unreachable)
         # A NaN gram would be a NumericalError; gamma is checked first.
         with pytest.raises(DomainError, match="finite"):
@@ -429,7 +476,7 @@ class TestRidgeSolve:
     def test_well_conditioned_system_is_solved_once(self, monkeypatch):
         solves = self.count_solves(monkeypatch)
         x = np.random.default_rng(6).normal(size=(40, 12))
-        ridge_solve(packed(x.T @ x), np.ones((12, 3)), 1.0)
+        ridge_solve(rfp(x.T @ x), np.ones((12, 3)), 1.0)
         assert len(solves) == 1
 
     def test_first_residual_that_misses_is_refined_once(self, monkeypatch):
@@ -438,7 +485,7 @@ class TestRidgeSolve:
         solves = self.count_solves(monkeypatch, spoil_first=True)
         g = np.array([[4.0, 1.0], [1.0, 3.0]])
         c = np.array([[1.0, 0.0], [2.0, 1.0]])
-        w = ridge_solve(packed(g), c, 0.0)
+        w = ridge_solve(rfp(g), c, 0.0)
         assert len(solves) == 2
         first_residual = np.linalg.norm(solves[1], "fro") / np.linalg.norm(c, "fro")
         assert first_residual > 1e-8
@@ -446,9 +493,9 @@ class TestRidgeSolve:
         assert residual <= 1e-8 * np.linalg.norm(c, "fro")
 
     def test_memory_layout_of_the_gram_does_not_change_the_weights(self):
-        # A strided view of the packed triangle solves like a contiguous one.
+        # A strided view of the RFP gram solves like a contiguous one.
         x = np.random.default_rng(8).normal(size=(400, 300))
-        g = packed(x.T @ x)
+        g = rfp(x.T @ x)
         c = np.random.default_rng(9).normal(size=(300, 4))
         padded = np.zeros(2 * g.size)
         padded[::2] = g
@@ -463,14 +510,14 @@ class TestRidgeSolve:
     def test_nan_corr_is_a_numerical_error(self):
         c = np.array([[1.0], [np.nan]])
         with pytest.raises(NumericalError):
-            ridge_solve(packed(np.eye(2)), c, 1.0)
+            ridge_solve(rfp(np.eye(2)), c, 1.0)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("target", ["gram", "corr"])
     def test_non_finite_input_is_named_without_warning(self, target, bad):
-        g, c = packed(np.eye(3)), np.ones((3, 2))
+        g, c = rfp(np.eye(3)), np.ones((3, 2))
         if target == "gram":
-            g[2] = bad  # entry (0, 2)
+            g[2] = bad  # entry (2, 0)
         else:
             c[1, 0] = bad
         with warnings.catch_warnings():
@@ -481,26 +528,26 @@ class TestRidgeSolve:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("slot", range(6))
     def test_non_finite_entry_in_any_packed_slot_names_the_gram(self, slot, bad):
-        g = packed(np.eye(3))
+        g = rfp(np.eye(3))
         g[slot] = bad
         with pytest.raises(NumericalError, match="gram matrix has non-finite"):
             ridge_solve(g, np.ones((3, 1)), 1.0)
 
     def test_zero_corr_gives_zero_weights(self):
-        w = ridge_solve(packed(np.eye(2)), np.zeros((2, 3)), 1.0)
+        w = ridge_solve(rfp(np.eye(2)), np.zeros((2, 3)), 1.0)
         assert np.array_equal(w.weights, np.zeros((2, 3)))
 
     def test_shape_mismatch(self):
         with pytest.raises(DimensionError):
-            ridge_solve(packed(np.eye(3)), np.eye(2), 1.0)
+            ridge_solve(rfp(np.eye(3)), np.eye(2), 1.0)
 
     def test_peak_memory_is_the_rfp_factor_and_one_strip(self):
-        # The packed G is the caller's. The solve adds its RFP factor (half
-        # an M x M array) and the residual product's strip, never a whole
+        # G is the caller's. The solve adds its RFP factor (half an M x M
+        # array) and the residual product's diagonal tile, never a whole
         # M x M array: a dense system alone would be one unit.
         m, c = 1000, 40
         x = np.random.default_rng(10).normal(size=(m + 50, m))
-        g, corr = packed(x.T @ x), np.ones((m, c))
+        g, corr = rfp(x.T @ x), np.ones((m, c))
         del x
         tracemalloc.start()
         try:
@@ -523,7 +570,7 @@ class TestPredict:
 
     def test_composes_with_ridge_oracle(self):
         w = ridge_solve(
-            np.array([2.0, 1.0, 1.0]),
+            rfp(np.array([[2.0, 1.0], [1.0, 1.0]])),
             np.array([[1.0, 1.0], [0.0, 1.0]]),
             0.0,
             class_ids=(0, 1),

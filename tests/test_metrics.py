@@ -94,7 +94,7 @@ class TestAccuracyMatrixValidation:
 
 class TestCommBytes:
     def test_full_mode_formula(self):
-        # G travels as its packed triangle, 5000 * 5001 / 2 elements; the
+        # G travels as one triangle in RFP, 5000 * 5001 / 2 elements; the
         # paper counts all of it.
         assert comm_bytes(5000, 10, 50, "full", 4) == (12_502_500 + 10 * 5000) * 4
         assert paper_comm_bytes(5000, 10, 50, "full", 4) == (5000 + 10) * 5000 * 4

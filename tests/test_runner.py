@@ -21,7 +21,7 @@ from stsa.core import (
     local_statistics,
     make_random_map,
     predict,
-    unpack_upper,
+    unpack_gram,
 )
 from stsa.data import SynthSpec, generate_synthetic, random_synth_spec, split_tasks
 from stsa.errors import ConfigurationError, EstimationError, NumericalError
@@ -111,8 +111,8 @@ class TestRunExperiment:
     def test_oracle_holds_one_block_of_mapped_rows_at_a_time(self):
         # A task of 8M rows, mapped whole, would cost 8 M x M units. Pooled in
         # blocks of 2M rows, the peak is one block's cost: its raw rows and
-        # one-hot labels, its mapped rows, the dsyrk buffer (M x M) and the
-        # packed triangle it uploads.
+        # one-hot labels, its mapped rows and the RFP gram it uploads, which
+        # dsfrk writes directly.
         m, d, c = 200, 16, 2
         rng = np.random.default_rng(5)
         n = 8 * m
@@ -127,7 +127,7 @@ class TestRunExperiment:
         finally:
             tracemalloc.stop()
         block = 2 * m
-        assert peak <= (block * (d + c) + block * m + m * m + m * (m + 1) // 2) * 8
+        assert peak <= (block * (d + c) + block * m + m * (m + 1) // 2) * 8
 
     def test_peak_memory_is_flat_in_the_task_count(self):
         # (20, 5) and (80, 20) have the same classes per task and rows per
@@ -292,16 +292,16 @@ class TestRunExperiment:
 
     @pytest.mark.parametrize("mode", ["full", "efficient"])
     def test_the_solve_path_builds_no_whole_gram(self, monkeypatch, mode):
-        # With the oracle off, every gram stays packed through the solve, so
-        # a run that cannot unpack a triangle reports exactly as before.
+        # With the oracle off, every gram stays in RFP through the solve, so
+        # a run that cannot unpack one reports exactly as before.
         cfg = ExperimentConfig(**SMALL, mode=mode, K_D=2)
         expected = run_experiment(cfg)
 
-        def unreachable(packed, m):
+        def unreachable(g, m):
             raise AssertionError("a whole gram was built")
 
-        monkeypatch.setattr(stsa.core, "unpack_upper", unreachable)
-        monkeypatch.setattr(stsa.runner, "unpack_upper", unreachable)
+        monkeypatch.setattr(stsa.core, "unpack_gram", unreachable)
+        monkeypatch.setattr(stsa.runner, "unpack_gram", unreachable)
         assert run_experiment(cfg) == expected
         # The oracle's LU reference does unpack, so the patch is live.
         with pytest.raises(AssertionError, match="a whole gram was built"):
@@ -480,7 +480,7 @@ def test_seeded_sweep_matches_the_oracle_and_reruns_identically(monkeypatch):
 def pool(feat, labels, class_ids):
     """Pooled statistics of the rows of ``class_ids``, in that column order.
 
-    The gram stays packed, as the runner pools it for the oracle.
+    The gram stays in RFP, as the runner pools it for the oracle.
     """
     rows = np.isin(labels, class_ids)
     return local_statistics(feat[rows], labels[rows], class_ids)
@@ -504,7 +504,7 @@ class TestCentralizedOracle:
         labels = np.array([0, 1], dtype=np.int64)
         stats = pool(feat, labels, (0, 1))
         w = centralized_oracle(fold(stats, (0, 1)), gamma=0.0)
-        assert np.array_equal(unpack_upper(stats.gram, 2), feat.T @ feat)
+        assert np.array_equal(unpack_gram(stats.gram, 2), feat.T @ feat)
         assert np.array_equal(stats.corr, feat.T @ np.eye(2)[labels])
         assert np.allclose(w.weights, np.array([[1.0, 0.0], [-1.0, 1.0]]), atol=1e-12)
         assert predict(w, np.array([[1.0, 0.0], [1.0, 1.0]])).tolist() == [0, 1]

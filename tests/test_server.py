@@ -9,13 +9,15 @@ import numpy as np
 import pytest
 
 from stsa.client import ClientShard, UploadPayload, extract_payload
+from scipy.linalg.lapack import dtrttf
+
 from stsa.core import (
     _SYMMETRY_BLOCK,
     SpatialStatistics,
     apply_map,
     local_statistics,
     make_random_map,
-    unpack_upper,
+    unpack_gram,
 )
 from stsa.errors import DimensionError, EstimationError, ProtocolError
 from stsa.prng import ChaChaStream
@@ -35,9 +37,9 @@ def record(corr, freq, gram=None):
     )
 
 
-def packed(a):
-    """The upper triangle of square ``a``, packed row by row."""
-    return a[np.triu_indices(a.shape[0])]
+def rfp(a):
+    """The gram format, RFP, of the symmetric matrix whose upper triangle is square ``a``'s."""
+    return dtrttf(a.T, transr="N", uplo="L")[0]
 
 
 def estimate(records, classes):
@@ -79,7 +81,7 @@ class TestSpatialAggregate:
         payloads = full_payloads_from_partition([self.raw], [self.labels], self.rmap, self.classes)
         acc = TemporalState.initial(8).gram_acc
         agg = spatial_aggregate(payloads, self.classes, 1, acc)
-        # The upload's packed triangle passes into the empty state exactly and stays packed.
+        # The upload's RFP gram passes into the empty state exactly, in its layout.
         assert np.array_equal(acc, payloads[0].records[0].gram)
         assert np.array_equal(agg.corr, payloads[0].records[0].corr)
 
@@ -96,7 +98,7 @@ class TestSpatialAggregate:
         acc = TemporalState.initial(8).gram_acc
         agg = spatial_aggregate(payloads, self.classes, 3, acc)
         pooled = local_statistics(apply_map(self.rmap, self.raw), self.labels, self.classes)
-        assert np.allclose(unpack_upper(acc, 8), unpack_upper(pooled.gram, 8), rtol=1e-12)
+        assert np.allclose(unpack_gram(acc, 8), unpack_gram(pooled.gram, 8), rtol=1e-12)
         assert np.allclose(agg.corr, pooled.corr, rtol=1e-12)
 
     def payloads(self, mode):
@@ -138,19 +140,19 @@ class TestSpatialAggregate:
                 spatial_aggregate([payloads[k] for k in order], self.classes, 3, np.zeros(36))
 
     def test_values_below_the_diagonal_of_an_upload_are_not_read(self):
-        # A gram upload is its upper triangle, packed row by row; a client
-        # whose whole matrix holds anything below the diagonal sends the
-        # same upload and leaves the sums bit-identical.
+        # A gram upload holds one triangle of the symmetric gram, in RFP; a
+        # client whose whole matrix holds anything below the diagonal packs
+        # its upper triangle into the same upload and leaves the sums
+        # bit-identical.
         clean_acc = np.zeros(36)
         clean = spatial_aggregate(self.payloads("full"), self.classes, 3, clean_acc)
         rng = np.random.default_rng(3)
-        upper = np.triu_indices(8)
         dirty = []
         for p in self.payloads("full"):
             records = []
             for rec in p.records:
-                whole = unpack_upper(rec.gram, 8) + np.tril(rng.normal(size=(8, 8)), -1)
-                records.append(replace(rec, gram=whole[upper]))
+                whole = unpack_gram(rec.gram, 8) + np.tril(rng.normal(size=(8, 8)), -1)
+                records.append(replace(rec, gram=rfp(whole)))
             dirty.append(replace(p, records=tuple(records)))
         acc = np.zeros(36)
         agg = spatial_aggregate(dirty, self.classes, 3, acc)
@@ -158,8 +160,8 @@ class TestSpatialAggregate:
         assert np.array_equal(agg.corr, clean.corr)
 
     def test_stage_gram_is_the_unpacked_sum_of_the_packed_uploads(self):
-        # Each packed upload is added into the state's packed gram in client
-        # order, ((state + u0) + u1) + u2; the solve unpacks it later.
+        # Each RFP upload is added into the state's RFP gram elementwise in
+        # client order, ((state + u0) + u1) + u2.
         payloads = self.payloads("full")
         start = np.random.default_rng(5).normal(size=36)
         acc = start.copy()
@@ -184,7 +186,7 @@ class TestSpatialAggregate:
     def test_peak_memory_is_below_one_triangle_beyond_the_uploads(self):
         # Each upload's gram is added straight into the caller's accumulator,
         # so a stage of K uploads allocates its corr sum and no gram of its
-        # own: a stage sum would be one packed triangle here.
+        # own: a stage sum would be one RFP gram here.
         m, k = 400, 4
         rmap = make_random_map(3, 4, m)
         rng = np.random.default_rng(1)
@@ -221,7 +223,7 @@ class TestSpatialAggregate:
         # any upload reaches the server.
         rec = self.payloads("full")[0].records[0]
         with pytest.raises(DimensionError, match="packed triangle"):
-            replace(rec, gram=unpack_upper(rec.gram, 8))
+            replace(rec, gram=unpack_gram(rec.gram, 8))
         with pytest.raises(DimensionError, match="packed triangle"):
             replace(rec, gram=rec.gram[:-1])
 
@@ -340,7 +342,7 @@ class TestSpatialAggregate:
             spatial_aggregate(payloads, self.classes, len(payloads), np.zeros(36))
 
     def test_upload_of_feature_dimension_zero_is_rejected(self):
-        # An empty packed gram and corr make a valid record, but no stage
+        # An empty RFP gram and corr make a valid record, but no stage
         # can be summed or solved at M = 0.
         rec = record(np.zeros((0, 1)), np.array([3]), gram=np.zeros(0))
         upload = UploadPayload(client_id=0, task_id=1, records=(rec,))
@@ -405,7 +407,7 @@ class TestEstimateGram:
         # the second term vanishes (n = K) and the estimate is K * v v^T.
         v = np.array([2.0, 1.0])
         records = [record(np.array([v]).T, [1]) for _ in range(3)]
-        g = unpack_upper(estimate(records, [0]), 2)
+        g = unpack_gram(estimate(records, [0]), 2)
         assert np.array_equal(g, 3.0 * np.outer(v, v))
 
     def test_hand_evaluated_two_record_case(self):
@@ -413,7 +415,7 @@ class TestEstimateGram:
         # Scalar evaluation of the estimator gives [[13, 5], [5, 4]].
         r1 = record(np.array([[1.0], [2.0]]), [2])
         r2 = record(np.array([[4.0], [2.0]]), [2])
-        g = unpack_upper(estimate([r1, r2], [0]), 2)
+        g = unpack_gram(estimate([r1, r2], [0]), 2)
         oracle = scalar_estimator_oracle(
             cols=[[1.0, 2.0], [4.0, 2.0]], counts=[2.0, 2.0]
         )
@@ -433,7 +435,7 @@ class TestEstimateGram:
             recs = []
             for j, rows in enumerate(np.array_split(np.arange(n), k)):
                 recs.append(record(np.array([x[rows].sum(axis=0)]).T, [rows.size]))
-            g = unpack_upper(estimate(recs, [0]), m)
+            g = unpack_gram(estimate(recs, [0]), m)
             acc += g
             acc2 += g * g
         mean = acc / trials
@@ -445,7 +447,7 @@ class TestEstimateGram:
     def test_absent_class_contributes_nothing(self):
         r1 = record(np.array([[1.0, 0.0], [2.0, 0.0]]), [2, 0])
         r2 = record(np.array([[4.0, 0.0], [2.0, 0.0]]), [2, 0])
-        g = unpack_upper(estimate([r1, r2], [0, 1]), 2)
+        g = unpack_gram(estimate([r1, r2], [0, 1]), 2)
         assert np.allclose(g, np.array([[13.0, 5.0], [5.0, 4.0]]), rtol=1e-14)
 
     def test_single_holder_class_raises(self):
@@ -455,8 +457,8 @@ class TestEstimateGram:
             estimate([r1, r2], [0, 9])
 
     def test_output_is_exactly_symmetric(self):
-        # The estimate is a packed triangle, which unpacks to an exactly
-        # symmetric matrix.
+        # The estimate is an RFP gram, which unpacks to an exactly symmetric
+        # matrix.
         stream = ChaChaStream(99)
         records = [
             record(stream.standard_normal(6).reshape(3, 2), [3, 2])
@@ -464,7 +466,7 @@ class TestEstimateGram:
         ]
         g = estimate(records, [0, 1])
         assert g.shape == (6,)
-        whole = unpack_upper(g, 3)
+        whole = unpack_gram(g, 3)
         assert np.array_equal(whole, whole.T)
 
     def test_noised_nonpositive_counts_are_excluded(self):
@@ -507,16 +509,16 @@ class TestEstimateGram:
 
         g = estimate(records, list(range(c_t)))
         assert g.shape == (m * (m + 1) // 2,)
-        g = unpack_upper(g, m)
+        g = unpack_gram(g, m)
         expected = per_class_estimator(records, c_t, m)
         assert np.linalg.norm(g - expected) <= 1e-12 * np.linalg.norm(expected)
 
     def test_peak_memory_is_the_triangle_and_three_factor_arrays(self):
         # U holds one row per contributing column and one per class total:
-        # R = 50 * 10 + 10 rows. The triangle is the caller's, so the peak is
-        # U and one strip's work: its scaled columns L (R x b), its product
-        # (b x M) and the product's upper entries (at most b x M). A triangle
-        # of the estimator's own would not fit.
+        # R = 50 * 10 + 10 rows. The gram is the caller's, so the peak is U
+        # and one strip's work: its scaled columns L (R x b), its product
+        # (b x M), and the strip's mask and the masked add's buffers (under
+        # b x M together). A gram of the estimator's own would not fit.
         m, k, c = 600, 50, 10
         rng = np.random.default_rng(0)
         records = [record(rng.normal(size=(m, c)), rng.integers(1, 20, size=c)) for _ in range(k)]
@@ -593,7 +595,7 @@ def scalar_estimator_oracle(cols, counts):
 class TestTemporalAggregate:
     def test_base_case_equals_stage_statistics(self):
         state = TemporalState.initial(2)
-        g = np.array([2.0, 0.5, 1.0])  # [[2, 0.5], [0.5, 1]], packed
+        g = rfp(np.array([[2.0, 0.5], [0.5, 1.0]]))
         c = np.array([[1.0], [0.0]])
         out = fold(state, g, c, [4])
         assert np.array_equal(out.gram_acc, g)
@@ -602,8 +604,8 @@ class TestTemporalAggregate:
 
     def test_columns_concatenate_in_task_order(self):
         state = TemporalState.initial(3)
-        state = fold(state, packed(np.eye(3)), np.ones((3, 3)), [0, 1, 2])
-        state = fold(state, packed(np.eye(3)), 2 * np.ones((3, 2)), [3, 4])
+        state = fold(state, rfp(np.eye(3)), np.ones((3, 3)), [0, 1, 2])
+        state = fold(state, rfp(np.eye(3)), 2 * np.ones((3, 2)), [3, 4])
         assert state.corr_acc.shape == (3, 5)
         assert state.class_ids == (0, 1, 2, 3, 4)
         assert np.all(state.corr_acc[:, :3] == 1.0)
@@ -616,13 +618,13 @@ class TestTemporalAggregate:
         g2 = rng.normal(size=(4, 4))
         g2 = g2 + g2.T
         state = TemporalState.initial(4)
-        state = fold(state, packed(g1), rng.normal(size=(4, 2)), [0, 1])
-        state = fold(state, packed(g2), rng.normal(size=(4, 2)), [2, 3])
-        assert np.allclose(unpack_upper(state.gram_acc, 4), g1 + g2, rtol=1e-12)
+        state = fold(state, rfp(g1), rng.normal(size=(4, 2)), [0, 1])
+        state = fold(state, rfp(g2), rng.normal(size=(4, 2)), [2, 3])
+        assert np.allclose(unpack_gram(state.gram_acc, 4), g1 + g2, rtol=1e-12)
         assert state.class_ids == (0, 1, 2, 3)
 
     def test_class_overlap_rejected(self):
-        state = fold(TemporalState.initial(2), packed(np.eye(2)), np.ones((2, 2)), [0, 1])
+        state = fold(TemporalState.initial(2), rfp(np.eye(2)), np.ones((2, 2)), [0, 1])
         with pytest.raises(ProtocolError, match="already seen"):
             temporal_aggregate(state, np.ones((2, 1)), [1])
 
@@ -631,18 +633,18 @@ class TestTemporalAggregate:
         # it, and the temporal fold hands the same array on.
         state = TemporalState.initial(3)
         acc = state.gram_acc
-        state = fold(state, packed(np.eye(3)), np.ones((3, 1)), [0])
-        state = fold(state, packed(2 * np.eye(3)), np.ones((3, 1)), [1])
+        state = fold(state, rfp(np.eye(3)), np.ones((3, 1)), [0])
+        state = fold(state, rfp(2 * np.eye(3)), np.ones((3, 1)), [1])
         assert state.gram_acc is acc
-        assert np.array_equal(acc, packed(3 * np.eye(3)))
+        assert np.array_equal(acc, rfp(3 * np.eye(3)))
         # A rejected fold leaves the state consumed: its upload was added
         # before the class list failed, and the run stops on the error.
         with pytest.raises(ProtocolError, match="already seen"):
-            fold(state, packed(np.eye(3)), np.ones((3, 1)), [1])
-        assert np.array_equal(acc, packed(4 * np.eye(3)))
+            fold(state, rfp(np.eye(3)), np.ones((3, 1)), [1])
+        assert np.array_equal(acc, rfp(4 * np.eye(3)))
 
     def test_shape_mismatch_rejected(self):
-        # A packed gram of another dimension is rejected by spatial_aggregate,
+        # A gram of another dimension is rejected by spatial_aggregate,
         # before it is added; see test_upload_of_another_dimension_is_rejected_before_any_add.
         state = TemporalState.initial(3)
         with pytest.raises(ProtocolError, match="stage corr shape"):
@@ -675,10 +677,10 @@ class TestJointEquivalence:
             seen = classes[:start]
             pooled_mask = np.isin(labels, seen)
             pooled = local_statistics(feat[pooled_mask], labels[pooled_mask], seen)
-            pooled_gram = unpack_upper(pooled.gram, 12)
+            pooled_gram = unpack_gram(pooled.gram, 12)
             g_ref = np.linalg.norm(pooled_gram, "fro")
             c_ref = np.linalg.norm(pooled.corr, "fro")
-            state_gram = unpack_upper(state.gram_acc, 12)
+            state_gram = unpack_gram(state.gram_acc, 12)
             assert np.linalg.norm(state_gram - pooled_gram, "fro") <= 1e-12 * g_ref
             assert np.linalg.norm(state.corr_acc - pooled.corr, "fro") <= 1e-12 * c_ref
 
@@ -707,7 +709,7 @@ class TestUpdateClassifier:
         state = fold(state, s2.gram, s2.corr, [2, 3])
         w = update_classifier(state, gamma=0.1)
 
-        g_pooled = unpack_upper(pooled.gram, 7)
+        g_pooled = unpack_gram(pooled.gram, 7)
         oracle = np.linalg.solve(g_pooled + 0.1 * np.eye(7), pooled.corr)
         delta = np.linalg.norm(w.weights - oracle, "fro")
         assert delta <= 1e-8 * np.linalg.norm(oracle, "fro")
