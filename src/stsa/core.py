@@ -303,27 +303,41 @@ def unpack_gram(g: np.ndarray, m: int) -> np.ndarray:
     return whole
 
 
-def gram_frobenius(g: np.ndarray) -> float:
+def gram_frobenius(g: np.ndarray, diagonal: np.ndarray | None = None) -> float:
     """Frobenius norm of the symmetric matrix whose RFP ``g`` holds the lower triangle.
 
     Each off-diagonal entry appears twice in the whole matrix, so
     ||A||_F^2 = 2 ||g||^2 - ||diag(A)||^2, with the diagonal read from
-    ``_rfp_diagonal``'s slots. No M x M array is made. An input that is not
-    1-D, or whose length is no triangle M(M+1)/2, is a DimensionError.
+    ``_rfp_diagonal``'s slots, or from ``diagonal`` when the caller has
+    them. No M x M array is made. An input that is not 1-D, or whose length
+    is no triangle M(M+1)/2, is a DimensionError.
     """
     if g.ndim != 1:
         raise DimensionError(f"packed gram must be 1-D, got shape {g.shape}")
     m = (math.isqrt(8 * g.size + 1) - 1) // 2
     if m * (m + 1) // 2 != g.size:
         raise DimensionError(f"packed length {g.size} is not a triangle M(M+1)/2")
-    diagonal = g[_rfp_diagonal(m)]
-    return float(np.sqrt(2.0 * (g @ g) - diagonal @ diagonal))
+    if diagonal is None:
+        diagonal = _rfp_diagonal(g, m)
+    entries = g[diagonal]
+    return float(np.sqrt(2.0 * (g @ g) - entries @ entries))
 
 
-def _rfp_diagonal(m: int) -> np.ndarray:
-    """Slot of each diagonal entry of an RFP gram of dim ``m``, in order."""
-    slots = np.arange(m * (m + 1) // 2)
-    return np.concatenate([strip.diagonal() for _, _, strip, _ in _rfp_strips(slots, m)])
+def _rfp_diagonal(g: np.ndarray, m: int) -> np.ndarray:
+    """Slot of each diagonal entry of the RFP gram ``g`` of dim ``m``, in order.
+
+    Each strip's diagonal starts at the offset of ``_rfp_strips``'s view of
+    ``g`` and steps by the sum of the view's strides, so no array of g's
+    length is made.
+    """
+    g = np.ascontiguousarray(g)  # a slot counts elements of the contiguous layout
+    base = g.__array_interface__["data"][0]
+    runs = [
+        (strip.__array_interface__["data"][0] - base + sum(strip.strides) * np.arange(b))
+        // g.itemsize
+        for _, b, strip, _ in _rfp_strips(g, m)
+    ]
+    return np.concatenate(runs) if runs else np.empty(0, dtype=np.intp)
 
 
 def _gram_product(g: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -395,7 +409,8 @@ def ridge_solve(
         class_ids = range(C.shape[1])
     class_ids = tuple(int(c) for c in class_ids)
 
-    frob = gram_frobenius(G)
+    diagonal = _rfp_diagonal(G, m)
+    frob = gram_frobenius(G, diagonal)
     # Rung k is gamma + 10^-k ||G||_F / M * max(gamma, 1). For gamma >= 1,
     # gamma / unit is exactly 1, so it rounds as gamma * (1 + 10^-k ||G||_F / M).
     unit = max(float(gamma), 1.0)
@@ -403,7 +418,6 @@ def ridge_solve(
     attempts += [unit * (gamma / unit + 10.0**-k * frob / m) for k in _JITTER_EXPONENTS]
     # A zero G makes every level gamma; a repeat would refactorize one matrix.
     attempts = list(dict.fromkeys(attempts))
-    diagonal = _rfp_diagonal(m)
     for used_gamma in attempts:
         # A failed attempt leaves its copy overwritten, so each attempt
         # copies G afresh.

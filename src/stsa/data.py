@@ -6,8 +6,8 @@ Gaussian class-cluster generator used by the verification oracles. Either
 kind of split hands out one task at a time through ``task``, as its raw rows
 and their labels: a ``SyntheticSplit`` draws each of the task's classes
 then, from that class's place in the keystream, and a ``FeatureDataset``
-indexes its loaded arrays. So a run holds one task's raw training rows
-and the resident test split.
+indexes its loaded arrays. So a synthetic run holds one task's raw rows at
+a time, training or test; a run on feature files holds both files' rows.
 """
 
 from __future__ import annotations
@@ -53,10 +53,9 @@ class TaskSchedule:
 class FeatureDataset:
     """Raw features plus labels for one split, held whole.
 
-    A test split is always one of these, and so is a training split read
-    from a feature file; a synthetic training split is a ``SyntheticSplit``,
-    which draws one task's rows at a time. Either hands out a task through
-    ``task``.
+    A split read from a feature file is one of these; a synthetic split is a
+    ``SyntheticSplit``, which draws one task's rows at a time. Either hands
+    out a task through ``task``.
     """
 
     features: np.ndarray  # (n, d) float64, resident for the whole run
@@ -292,8 +291,8 @@ class SyntheticSplit:
         np.add(spec.means[cls], spec.noise_std * z, out=out)
 
 
-# A run's training split: either kind hands out one task at a time.
-TrainingSplit = FeatureDataset | SyntheticSplit
+# A run's training or test split: either kind hands out one task at a time.
+Split = FeatureDataset | SyntheticSplit
 
 
 def generate_synthetic(spec: SynthSpec) -> tuple[FeatureDataset, FeatureDataset]:

@@ -42,8 +42,9 @@ class FormatError(StsaError):
 
 
 class OutOfMemoryError(StsaError, MemoryError):
-    """An allocation failed in a run's stage loop; the message names the stage.
+    """An allocation failed in a run's stage loop or in its scoring.
 
-    It is also a MemoryError, so one handler covers it and an allocation
-    that fails outside the stage loop, which is left a plain MemoryError.
+    The message names the stage, or the task being scored. It is also a
+    MemoryError, so one handler covers it and an allocation that fails
+    elsewhere, which is left a plain MemoryError.
     """

@@ -2,30 +2,36 @@
 
 One run walks the incremental stages: take the stage's task from the
 training split's ``task``, partition it across clients, extract payloads,
-aggregate spatially and temporally, update the classifier in closed form,
-then score it on every task seen so far with ``score_tasks``. A task's raw
-training rows exist only during its own stage: a synthetic split draws them
-then, and the stage lets them go before the next, so a run holds one task's
-raw training rows and the resident test split. Test data stays raw:
-``score_tasks`` takes one task's test rows at a time from the test split's
-``task``, maps and scores them and lets them go, so no mapped copy of the
-test set is ever held. With ``oracle_check`` enabled each stage is also
-compared against the pooled centralized solution, which the aggregation is
-exactly equivalent to. The oracle pools each task's training rows, at that task's
-stage, in blocks of at most 2M rows and folds them into a second
-``TemporalState`` as a stage with one upload per block, through the
-server's checks and fold; only the statistics and the solve, an in-place LU
-of the one unpacked system, differ. ``run_oracle`` pools the whole schedule
-that way, one task's rows at a time, and scores the one pooled classifier
-on every task with ``score_tasks``.
-An allocation that fails in the stage loop is an
-OutOfMemoryError that names the stage, as every other error there does.
+aggregate spatially and temporally, and update the classifier in closed
+form, which the run keeps. A task's raw training rows exist only during its
+own stage: a synthetic split draws them then, and the stage lets them go
+before the next, so a stage holds one task's raw training rows and the
+classifiers of the stages before it. With ``oracle_check`` enabled each
+stage is also compared against the pooled centralized solution, which the
+aggregation is exactly equivalent to. The oracle pools each task's training
+rows, at that task's stage, in blocks of at most 2M rows and folds them
+into a second ``TemporalState`` as a stage with one upload per block,
+through the server's checks and fold; only the statistics and the solve, an
+in-place LU of the one unpacked system, differ.
+
+Scoring comes after the last stage, once the states are let go.
+``score_tasks`` takes each task's test rows once from the test split's
+``task``, maps them as one block and scores every classifier that task is
+scored with: for ``run_experiment`` those of its own stage and every later
+one, which fills the accuracy matrix's column for the task; for
+``run_oracle``, which pools the whole schedule that way, the one pooled
+classifier. A synthetic test split draws a task's rows then, so test rows
+are never resident, raw or mapped, beyond one task's block.
+
+An error in a stage names the stage, and one in scoring names the task;
+each keeps its type, and an allocation that fails is an OutOfMemoryError.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -44,11 +50,10 @@ from .core import (
     unpack_gram,
 )
 from .data import (
-    FeatureDataset,
+    Split,
     SynthSpec,
     SyntheticSplit,
     TaskSchedule,
-    TrainingSplit,
     dirichlet_partition,
     load_features,
     random_synth_spec,
@@ -172,16 +177,16 @@ def synth_spec_from_config(config: ExperimentConfig) -> SynthSpec:
     )
 
 
-def load_experiment_data(config: ExperimentConfig) -> tuple[TrainingSplit, FeatureDataset]:
-    """The run's training split and its resident test split.
+def load_experiment_data(config: ExperimentConfig) -> tuple[Split, Split]:
+    """The run's training and test splits.
 
-    A synthetic training split draws no row here: its ``task`` draws a
-    task's rows when its stage asks for them. A feature file's training
-    split is held whole.
+    Synthetic splits draw no row here, only the class means: each split's
+    ``task`` draws a task's rows when a stage or the scoring asks for them.
+    The splits of feature files are read and held whole.
     """
     if config.data == "synthetic":
         spec = synth_spec_from_config(config)
-        return SyntheticSplit(spec, "train"), SyntheticSplit(spec, "test").dataset()
+        return SyntheticSplit(spec, "train"), SyntheticSplit(spec, "test")
     train = load_features(config.train_path)
     test = load_features(config.test_path)
     for role, dataset in (("train", train), ("test", test)):
@@ -224,25 +229,46 @@ def experiment_map(config: ExperimentConfig, input_dim: int) -> RandomMap:
     return make_random_map(derive_seed(config.seed, "map"), input_dim, config.M)
 
 
-def score_tasks(
-    weights: ClassifierWeights,
-    rmap: RandomMap,
-    test: FeatureDataset,
-    tasks: Sequence[Sequence[int]],
-) -> tuple[float, ...]:
-    """Top-1 accuracy on each task's test rows, in the order of ``tasks``.
+@contextmanager
+def _error_context(where: Callable[[], str]):
+    """Prefix a package error or a failed allocation raised inside with ``where()``.
 
-    Each task's raw rows are mapped as one block, and the block goes before
-    the next task's is taken, so at most one task's mapped rows are held.
+    ``where`` is called when an error is raised, so it can name what was
+    under way then. The prefix goes on in place, so the error keeps its type
+    and attributes such as NumericalError.attempted_gammas; a MemoryError
+    becomes an OutOfMemoryError.
     """
+    try:
+        yield
+    except (StsaError, MemoryError) as exc:
+        if isinstance(exc, MemoryError):
+            raise OutOfMemoryError(f"{where()}: {exc}") from exc
+        exc.args = (f"{where()}: {exc}",)
+        raise
 
-    def accuracy(task):
-        raw, labels = test.task(task)
-        mapped = apply_map(rmap, raw)
-        del raw  # only the mapped block is held while it is scored
-        return float(np.mean(predict(weights, mapped) == labels))
 
-    return tuple(accuracy(task) for task in tasks)
+def score_tasks(
+    rmap: RandomMap,
+    test: Split,
+    tasks: Sequence[Sequence[int]],
+    classifiers: Sequence[Sequence[ClassifierWeights]],
+) -> tuple[tuple[float, ...], ...]:
+    """Top-1 accuracy of each of ``classifiers[i]`` on ``tasks[i]``'s test rows.
+
+    Each task's raw test rows are taken once and mapped as one block, which
+    every classifier of the task scores; the block goes before the next
+    task's is taken, so at most one task's mapped rows are held. An error
+    names the task as ``scoring task i``, counted from 1.
+    """
+    scores = []
+    for tau, (task, weights) in enumerate(zip(tasks, classifiers, strict=True), start=1):
+        with _error_context(lambda: f"scoring task {tau}"):
+            raw, labels = test.task(task)
+            mapped = apply_map(rmap, raw)
+            del raw  # only the mapped block is held while it is scored
+            scores.append(tuple(float(np.mean(predict(w, mapped) == labels)) for w in weights))
+            del mapped  # let this block go before the next task's is made
+    return tuple(scores)
 
 
 def centralized_oracle(pooled: TemporalState, gamma: float) -> ClassifierWeights:
@@ -309,9 +335,7 @@ def _pool_task(
     return temporal_aggregate(pooled, agg.corr, task_classes)
 
 
-def _setup(
-    config: ExperimentConfig,
-) -> tuple[TrainingSplit, FeatureDataset, TaskSchedule, RandomMap]:
+def _setup(config: ExperimentConfig) -> tuple[Split, Split, TaskSchedule, RandomMap]:
     """The run's data, task schedule and random map.
 
     ``config`` was checked when it was built, so nothing here re-checks it.
@@ -338,7 +362,9 @@ def run_oracle(config: ExperimentConfig) -> OracleReport:
     for task in schedule.tasks:
         pooled = _pool_task(pooled, rmap, *train.task(task), task)
     weights = centralized_oracle(pooled, config.gamma)
-    return OracleReport(accuracies=score_tasks(weights, rmap, test, schedule.tasks))
+    del pooled  # scoring needs only the weights
+    scores = score_tasks(rmap, test, schedule.tasks, [(weights,)] * schedule.stages)
+    return OracleReport(accuracies=tuple(acc for (acc,) in scores))
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
@@ -348,7 +374,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     state = TemporalState.initial(rmap.output_dim)
     ledger = CommLedger()
 
-    acc_rows: list[tuple[float, ...]] = []
+    stage_weights: list[ClassifierWeights] = []
     oracle_deltas: list[StageOracleDelta] | None = [] if config.oracle_check else None
     # The oracle's own state, over tasks 1..t.
     pooled = TemporalState.initial(rmap.output_dim) if config.oracle_check else None
@@ -393,7 +419,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
                 # server's fold is its last use.
                 del shard, payload
 
-        try:
+        with _error_context(
+            lambda: f"stage {t}" if client is None else f"stage {t}, client {client}"
+        ):
             task_rows, task_labels = train.task(task_classes)
             parts = dirichlet_partition(
                 task_labels,
@@ -410,7 +438,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
             state = temporal_aggregate(state, agg.corr, task_classes)
             del agg  # the state holds the stage's sums; free the records before the solve
             weights = update_classifier(state, config.gamma)
-            acc_rows.append(score_tasks(weights, rmap, test, schedule.tasks[:t]))
+            stage_weights.append(weights)
             if config.oracle_check:
                 pooled = _pool_task(pooled, rmap, task_rows, task_labels, task_classes)
                 del task_rows  # the oracle was the task's last use
@@ -423,16 +451,20 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
                         corr_delta=_rel_frobenius(state.corr_acc, pooled.corr_acc),
                     )
                 )
-        except (StsaError, MemoryError) as exc:
-            where = f"stage {t}" if client is None else f"stage {t}, client {client}"
-            if isinstance(exc, MemoryError):
-                raise OutOfMemoryError(f"{where}: {exc}") from exc
-            # Prefix the message in place, so the error keeps its type and
-            # attributes such as NumericalError.attempted_gammas.
-            exc.args = (f"{where}: {exc}",)
-            raise
+                del w_star  # so the next stage's oracle solve does not hold it too
 
-    accuracy = AccuracyMatrix(rows=tuple(acc_rows))
+    # Scoring needs only the weights, so the sums go first.
+    del state, pooled
+    # Task tau is scored by its own stage's classifier and every later one:
+    # column tau of the accuracy matrix, from row tau down.
+    columns = score_tasks(
+        rmap, test, schedule.tasks, [stage_weights[tau:] for tau in range(schedule.stages)]
+    )
+    accuracy = AccuracyMatrix(
+        rows=tuple(
+            tuple(columns[tau][t - tau] for tau in range(t + 1)) for t in range(schedule.stages)
+        )
+    )
     literal = avg_incremental_accuracy(accuracy)
     return ExperimentReport(
         config=config,

@@ -490,8 +490,9 @@ def test_client_error_is_prefixed_once(tmp_path, monkeypatch, capsys, error, cod
 
 def test_a_stage_that_cannot_take_its_task_names_the_stage(tmp_path, monkeypatch, capsys):
     # A stage takes its task inside the stage's error context, so a failure
-    # there is prefixed like any other stage failure. The test split is drawn
-    # whole before stage 1, so only the training split's calls are counted.
+    # there is prefixed like any other stage failure. The test split's tasks
+    # are drawn only when scoring, after the last stage, which this run never
+    # reaches, so only the training split's calls are counted.
     task = SyntheticSplit.task
     taken = []
 
@@ -505,6 +506,34 @@ def test_a_stage_that_cannot_take_its_task_names_the_stage(tmp_path, monkeypatch
     monkeypatch.setattr(SyntheticSplit, "task", failing)
     assert main(["run", "--config", str(write_config(tmp_path))]) == 5
     assert capsys.readouterr().err == "out of memory: stage 2: boom\n"
+    assert len(taken) == 2
+
+
+@pytest.mark.parametrize("command", ["run", "oracle"])
+@pytest.mark.parametrize(
+    "error, code, label",
+    [(MemoryError, 5, "out of memory"), (NumericalError, 3, "numerical error")],
+    ids=["memory", "numerical"],
+)
+def test_a_scoring_failure_names_the_task(
+    tmp_path, monkeypatch, capsys, command, error, code, label
+):
+    # Both report commands score through one function, after every stage
+    # or pooling is done; a failure there names the task being scored and
+    # keeps its exit code, and a MemoryError exits 5 as an OutOfMemoryError.
+    task = SyntheticSplit.task
+    taken = []
+
+    def failing(split, classes):
+        if split.role == "test":
+            taken.append(classes)
+            if len(taken) == 2:
+                raise error("boom")
+        return task(split, classes)
+
+    monkeypatch.setattr(SyntheticSplit, "task", failing)
+    assert main([command, "--config", str(write_config(tmp_path))]) == code
+    assert capsys.readouterr().err == f"{label}: scoring task 2: boom\n"
     assert len(taken) == 2
 
 

@@ -311,9 +311,33 @@ class TestRfpDiagonal:
         marker = np.zeros(m * (m + 1) // 2)
         marker[i * m - i * (i - 1) // 2] = i + 1.0
         rfp, _ = dtpttf(m, marker, transr="N", uplo="L")
-        slots = _rfp_diagonal(m)
+        slots = _rfp_diagonal(rfp, m)
         assert np.array_equal(rfp[slots], i + 1.0)
         assert np.count_nonzero(rfp) == m
+
+    @pytest.mark.parametrize("m", [*range(1, 10), 600, 601, 800])
+    def test_slots_are_the_strip_diagonals_of_a_slot_number_vector(self, m):
+        # The strip views of a vector holding each slot's own number show
+        # every diagonal slot directly; read from offsets and strides, the
+        # slots must be the same without that vector.
+        numbers = np.arange(m * (m + 1) // 2)
+        expected = np.concatenate(
+            [strip.diagonal() for _, _, strip, _ in _rfp_strips(numbers, m)]
+        )
+        assert np.array_equal(_rfp_diagonal(np.zeros(numbers.size), m), expected)
+
+    def test_frobenius_allocates_far_less_than_a_gram(self):
+        # The diagonal's slots cost M integers and a strip's mask B x M
+        # booleans, not an index array as long as the gram.
+        m = 800
+        g = np.random.default_rng(8).normal(size=m * (m + 1) // 2)
+        tracemalloc.start()
+        try:
+            gram_frobenius(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= g.nbytes / 5
 
 
 class TestPackedSymmetricProduct:
@@ -404,7 +428,7 @@ class TestRidgeSolve:
 
         def failing(n, a, **kwargs):
             # The leading minor of order 1 is "not positive definite".
-            factored.append(a[_rfp_diagonal(n)].copy())
+            factored.append(a[_rfp_diagonal(a, n)].copy())
             return a, 1
 
         monkeypatch.setattr(stsa.core, "dpftrf", failing)

@@ -131,10 +131,11 @@ class TestRunExperiment:
 
     def test_peak_memory_is_flat_in_the_task_count(self):
         # (20, 5) and (80, 20) have the same classes per task and rows per
-        # class. A run holds one task's raw training rows, so only the
-        # resident test split and the class columns of the state and weights
-        # grow with the class count; the 60 added classes' raw training rows
-        # (1.5 MB) must not.
+        # class. A run holds one task's raw rows at a time, training or test,
+        # so only the class columns grow with the class count: the state's,
+        # and those of the classifiers kept for scoring, M x |classes seen by
+        # t| for each stage t. The 60 added classes' raw training rows
+        # (1.5 MB) and raw test rows (0.5 MB) must not.
         bench = load_config(Path(__file__).resolve().parent.parent / "configs" / "benchmark.cfg")
         base = replace(bench, oracle_check=False)
         run_experiment(replace(base, synth_classes=4, T=2))  # first-call imports, untraced
@@ -146,11 +147,15 @@ class TestRunExperiment:
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
-        test_split = 80 * base.synth_test_per_class * base.synth_dim * 8
-        class_columns = 2 * base.M * 60 * 8
-        assert peaks[1] - peaks[0] <= test_split + class_columns
+        per_task = 4
 
-    def test_loading_draws_only_the_means_and_the_test_split(self, monkeypatch):
+        def kept_weights(tasks):
+            return sum(base.M * per_task * t * 8 for t in range(1, tasks + 1))
+
+        state_columns = base.M * 60 * 8
+        assert peaks[1] - peaks[0] <= kept_weights(20) - kept_weights(5) + state_columns
+
+    def test_loading_draws_only_the_means(self, monkeypatch):
         draws = []
         standard_normal = ChaChaStream.standard_normal
 
@@ -161,12 +166,12 @@ class TestRunExperiment:
         monkeypatch.setattr(ChaChaStream, "standard_normal", counting)
         cfg = ExperimentConfig(**SMALL)
         train, test = load_experiment_data(cfg)
-        # One mean per class, then synth_test_per_class test rows per class.
-        row_per_class = cfg.synth_classes * cfg.synth_dim
-        assert sum(draws) == row_per_class * (1 + cfg.synth_test_per_class)
-        assert (train.class_count, train.dim) == (cfg.synth_classes, cfg.synth_dim)
+        # One mean per class; either split draws a task's rows when asked.
+        assert sum(draws) == cfg.synth_classes * cfg.synth_dim
+        for split in (train, test):
+            assert (split.class_count, split.dim) == (cfg.synth_classes, cfg.synth_dim)
         assert train.labels.size == cfg.synth_classes * cfg.synth_train_per_class
-        assert test.size == cfg.synth_classes * cfg.synth_test_per_class
+        assert test.labels.size == cfg.synth_classes * cfg.synth_test_per_class
 
     def test_degenerate_federation_is_plain_ridge(self):
         # K = 1, T = 1: the run reduces to ridge classification on the
@@ -270,10 +275,11 @@ class TestRunExperiment:
         assert peaks[32] <= peaks[2] + 4 * config.M**2 * 8
 
     def test_peak_memory_is_flat_in_the_test_set_size(self):
-        # Each stage maps one task's raw test rows at a time and lets them go,
-        # so a larger test set costs its raw rows plus one task's rows held
-        # raw, mapped and scored; a resident mapped test set (n_test x M)
-        # would cost five tasks' worth of mapped rows here.
+        # Scoring draws one task's raw test rows at a time, maps and scores
+        # them and lets them go, so a larger test set costs at most one
+        # task's rows held raw, mapped and scored. A resident raw test split
+        # would cost all five tasks' raw rows on top, and a resident mapped
+        # one (n_test x M) five tasks' worth of mapped rows.
         config = load_config(Path(__file__).resolve().parent.parent / "configs" / "benchmark.cfg")
         config = replace(config, mode="full", oracle_check=False)
         peaks = {}
@@ -285,10 +291,9 @@ class TestRunExperiment:
             finally:
                 tracemalloc.stop()
         small, large = sorted(peaks)
-        raw_test = config.synth_classes * large * config.synth_dim * 8
         task_rows = config.synth_classes // config.T * large
         one_task = task_rows * (config.synth_dim + config.M + config.synth_classes) * 8
-        assert peaks[large] <= peaks[small] + raw_test + one_task
+        assert peaks[large] <= peaks[small] + one_task
 
     @pytest.mark.parametrize("mode", ["full", "efficient"])
     def test_the_solve_path_builds_no_whole_gram(self, monkeypatch, mode):
@@ -385,24 +390,36 @@ def recording_maps(monkeypatch):
     return raws
 
 
-def test_each_stage_maps_each_seen_tasks_test_rows_once(monkeypatch):
+def test_a_run_maps_each_tasks_test_rows_once(monkeypatch):
     # With the oracle off every map made through stsa.runner scores, since
-    # clients map through stsa.client's names: stage t maps tasks 1..t, one
-    # block each, so a run maps T(T+1)/2 blocks. The tasks differ in size and
-    # list their classes out of order, so a block in the wrong place shows.
+    # clients map through stsa.client's names: a run maps T blocks, task
+    # tau's rows once, in schedule order, and scores each block with the
+    # classifiers of stages tau..T, T(T+1)/2 predictions in all. The tasks
+    # differ in size and list their classes out of order, so a block in the
+    # wrong place shows.
     raws = recording_maps(monkeypatch)
+    predicted = []
+    original = stsa.runner.predict
+
+    def recording(weights, mapped):
+        predicted.append((len(weights.class_ids), mapped))
+        return original(weights, mapped)
+
+    monkeypatch.setattr(stsa.runner, "predict", recording)
     cfg = ExperimentConfig(**{**SMALL, "first_task_classes": 4, "shuffle_classes": True})
-    run_experiment(cfg)
+    report = run_experiment(cfg)
     _, test = generate_synthetic(synth_spec_from_config(cfg))
     tasks = make_schedule(cfg, test.class_count).tasks
-    expected = [
-        test.features[np.isin(test.labels, task)]
-        for t in range(1, cfg.T + 1)
-        for task in tasks[:t]
+    assert len(raws) == cfg.T
+    for raw, task in zip(raws, tasks):
+        assert np.array_equal(raw, test.features[np.isin(test.labels, task)])
+    # Stage t's classifier knows the classes of tasks 1..t.
+    seen = np.cumsum([len(task) for task in tasks])
+    assert [classes for classes, _ in predicted] == [
+        seen[t] for tau in range(cfg.T) for t in range(tau, cfg.T)
     ]
-    assert len(raws) == cfg.T * (cfg.T + 1) // 2 == len(expected)
-    for raw, rows in zip(raws, expected):
-        assert np.array_equal(raw, rows)
+    assert len({id(mapped) for _, mapped in predicted}) == cfg.T
+    assert [len(row) for row in report.accuracy.rows] == list(range(1, cfg.T + 1))
 
 
 def test_the_oracle_scores_each_task_once_after_its_pooling(monkeypatch, pooled_blocks):
@@ -615,15 +632,22 @@ class TestTaskAccuracy:
             weights=np.random.default_rng(1).normal(size=(600, 20)),
             class_ids=tuple(range(30, 50)),
         )
+        # The first task is scored by two classifiers on its one mapped block.
+        other = ClassifierWeights(weights=-weights.weights, class_ids=weights.class_ids)
+        classifiers = [(weights, other), (weights,)]
         raws = recording_maps(monkeypatch)
-        accuracies = score_tasks(weights, rmap, test_split, tasks)
+        accuracies = score_tasks(rmap, test_split, tasks, classifiers)
         assert [raw.shape[0] for raw in raws] == [10 * self.PER_CLASS] * 2
         whole = apply_map(rmap, test_split.features)
         expected = []
-        for task in tasks:
+        for task, scorers in zip(tasks, classifiers):
             rows = np.isin(test_split.labels, task)
-            hits = predict(weights, whole[rows]) == test_split.labels[rows]
-            expected.append(float(np.mean(hits)))
+            expected.append(
+                tuple(
+                    float(np.mean(predict(w, whole[rows]) == test_split.labels[rows]))
+                    for w in scorers
+                )
+            )
         assert accuracies == tuple(expected)
 
 
