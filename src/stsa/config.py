@@ -61,14 +61,13 @@ class ExperimentConfig:
             raise ConfigurationError("files data source needs train_path and test_path")
         if self.mode not in ("full", "efficient"):
             raise ConfigurationError(f"mode must be full or efficient, got {self.mode!r}")
-        if self.T < 1:
-            raise ConfigurationError(f"T must be >= 1, got {self.T}")
-        if self.K < 1:
-            raise ConfigurationError(f"K must be >= 1, got {self.K}")
-        if self.M < 1:
-            raise ConfigurationError(f"M must be >= 1, got {self.M}")
-        if self.K_D < 1:
-            raise ConfigurationError(f"K_D must be >= 1, got {self.K_D}")
+        for key in ("synth_classes", "synth_dim", "synth_train_per_class", "T", "K", "M", "K_D"):
+            if getattr(self, key) < 1:
+                raise ConfigurationError(f"{key} must be >= 1, got {getattr(self, key)}")
+        if self.synth_test_per_class < 0:
+            raise ConfigurationError(
+                f"synth_test_per_class must be >= 0, got {self.synth_test_per_class}"
+            )
         if self.beta <= 0.0:
             raise ConfigurationError(f"beta must be > 0, got {self.beta}")
         if self.gamma < 0.0:

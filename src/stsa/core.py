@@ -9,7 +9,7 @@ A gram is stored in one layout from the client's ``dsfrk`` to the
 ``dpftrf`` solve: LAPACK's rectangular full packed format (RFP,
 ``transr="N"``, ``uplo="L"``), the M(M+1)/2 entries of its lower triangle
 as two triangles and the rectangle between them in one flat array. Only
-``_rfp_strips`` knows where those parts sit.
+``_rfp_strips`` and ``_rfp_diagonal`` know where those parts sit.
 
 The six LAPACK routines used here (``dsfrk``, ``dtpttf``, ``dtfttr``,
 ``dpftrf``, ``dpftrs``, ``dgesv``) come from scipy's compiled wrapper module
@@ -303,41 +303,34 @@ def unpack_gram(g: np.ndarray, m: int) -> np.ndarray:
     return whole
 
 
-def gram_frobenius(g: np.ndarray, diagonal: np.ndarray | None = None) -> float:
+def gram_frobenius(g: np.ndarray) -> float:
     """Frobenius norm of the symmetric matrix whose RFP ``g`` holds the lower triangle.
 
     Each off-diagonal entry appears twice in the whole matrix, so
     ||A||_F^2 = 2 ||g||^2 - ||diag(A)||^2, with the diagonal read from
-    ``_rfp_diagonal``'s slots, or from ``diagonal`` when the caller has
-    them. No M x M array is made. An input that is not 1-D, or whose length
-    is no triangle M(M+1)/2, is a DimensionError.
+    ``_rfp_diagonal``'s slots. No M x M array is made. An input that is not
+    1-D, or whose length is no triangle M(M+1)/2, is a DimensionError.
     """
     if g.ndim != 1:
         raise DimensionError(f"packed gram must be 1-D, got shape {g.shape}")
     m = (math.isqrt(8 * g.size + 1) - 1) // 2
     if m * (m + 1) // 2 != g.size:
         raise DimensionError(f"packed length {g.size} is not a triangle M(M+1)/2")
-    if diagonal is None:
-        diagonal = _rfp_diagonal(g, m)
-    entries = g[diagonal]
+    entries = g[_rfp_diagonal(m)]
     return float(np.sqrt(2.0 * (g @ g) - entries @ entries))
 
 
-def _rfp_diagonal(g: np.ndarray, m: int) -> np.ndarray:
-    """Slot of each diagonal entry of the RFP gram ``g`` of dim ``m``, in order.
+def _rfp_diagonal(m: int) -> np.ndarray:
+    """Slot of each diagonal entry G[c, c] of an RFP gram of dim ``m``, in order.
 
-    Each strip's diagonal starts at the offset of ``_rfp_strips``'s view of
-    ``g`` and steps by the sum of the view's strides, so no array of g's
-    length is made.
+    With n1 = ceil(M/2) and leading dimension lda = M + 1 - M % 2 (see
+    ``_rfp_strips``), G[c, c] for c < n1 sits in column c, row c + 1 - M % 2,
+    and for c >= n1 transposed in T2, column c - n1 + M % 2, row c - n1.
     """
-    g = np.ascontiguousarray(g)  # a slot counts elements of the contiguous layout
-    base = g.__array_interface__["data"][0]
-    runs = [
-        (strip.__array_interface__["data"][0] - base + sum(strip.strides) * np.arange(b))
-        // g.itemsize
-        for _, b, strip, _ in _rfp_strips(g, m)
-    ]
-    return np.concatenate(runs) if runs else np.empty(0, dtype=np.intp)
+    odd = m % 2
+    n1, lda = m - m // 2, m + 1 - odd
+    c = np.arange(m)
+    return np.where(c < n1, c * (lda + 1) + 1 - odd, (c - n1 + odd) * lda + c - n1)
 
 
 def _gram_product(g: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -409,8 +402,8 @@ def ridge_solve(
         class_ids = range(C.shape[1])
     class_ids = tuple(int(c) for c in class_ids)
 
-    diagonal = _rfp_diagonal(G, m)
-    frob = gram_frobenius(G, diagonal)
+    diagonal = _rfp_diagonal(m)
+    frob = gram_frobenius(G)
     # Rung k is gamma + 10^-k ||G||_F / M * max(gamma, 1). For gamma >= 1,
     # gamma / unit is exactly 1, so it rounds as gamma * (1 + 10^-k ||G||_F / M).
     unit = max(float(gamma), 1.0)

@@ -1,18 +1,19 @@
 """End-to-end experiment orchestration and verification oracles.
 
 One run walks the incremental stages: take the stage's task from the
-training split's ``task``, partition it across clients, extract payloads,
-aggregate spatially and temporally, and update the classifier in closed
-form, which the run keeps. A task's raw training rows exist only during its
-own stage: a synthetic split draws them then, and the stage lets them go
-before the next, so a stage holds one task's raw training rows and the
-classifiers of the stages before it. With ``oracle_check`` enabled each
+training split's ``task``, partition it across clients, fold the uploads
+into the run's ``TemporalState`` in place with ``_fold_stage``, the one
+stage fold, and update the classifier in closed form, which the run keeps.
+A task's raw training rows exist only during its own stage: a synthetic
+split draws them then, and they go with the last upload, before the gram
+estimate and the solve, so a stage holds one task's raw training rows and
+the classifiers of the stages before it. With ``oracle_check`` enabled each
 stage is also compared against the pooled centralized solution, which the
 aggregation is exactly equivalent to. The oracle pools each task's training
 rows, at that task's stage, in blocks of at most 2M rows and folds them
-into a second ``TemporalState`` as a stage with one upload per block,
-through the server's checks and fold; only the statistics and the solve, an
-in-place LU of the one unpacked system, differ.
+into a second ``TemporalState`` by ``_fold_stage`` too, as a stage with one
+upload per block; only the statistics and the solve, an in-place LU of the
+one unpacked system, differ.
 
 Scoring comes after the last stage, once the states are let go.
 ``score_tasks`` takes each task's test rows once from the test split's
@@ -31,7 +32,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -276,8 +277,8 @@ def centralized_oracle(pooled: TemporalState, gamma: float) -> ClassifierWeights
 
     This is the equivalence reference for the federated-incremental path, and
     mirrors ``update_classifier``: ``pooled`` is the oracle's own
-    ``TemporalState``, which ``_pool_task`` folds through ``spatial_aggregate``,
-    and the weights' class ids are its class ids. The regularized normal
+    ``TemporalState``, which ``_pool_task`` folds through ``_fold_stage``, and
+    the weights' class ids are its class ids. The regularized normal
     equations are solved by an LU solve, ``dgesv``, a route independent of
     the SPD factorization used by the aggregation path; a singular system is
     a NumericalError. The one unpacked M x M system is factorized in place:
@@ -296,21 +297,36 @@ def centralized_oracle(pooled: TemporalState, gamma: float) -> ClassifierWeights
     return ClassifierWeights(weights=weights, class_ids=pooled.class_ids)
 
 
+def _fold_stage(
+    state: TemporalState, uploads: Iterable, task_classes: Sequence[int], client_count: int
+) -> None:
+    """Fold one stage's uploads, one per client, into ``state`` in place.
+
+    The uploads are summed across clients (spatial), efficient-mode records
+    estimate the task's gram, and the task is appended onto the state
+    (temporal). The records go when this returns, before the solve.
+    """
+    corr, records = spatial_aggregate(uploads, task_classes, client_count, state.gram_acc)
+    if records:
+        estimate_gram(records, task_classes, state.gram_acc)
+    temporal_aggregate(state, corr, task_classes)
+
+
 def _pool_task(
     pooled: TemporalState,
     rmap: RandomMap,
     features: np.ndarray,
     labels: np.ndarray,
     task_classes: Sequence[int],
-) -> TemporalState:
-    """The oracle's state with one more task folded in.
+) -> None:
+    """Fold one more task into the oracle's state ``pooled``, in place.
 
     The task's raw training rows ``features``, labelled ``labels``, are
     mapped and pooled in consecutive slices of at most 2M rows, M the mapped
     dimension, by one ``local_statistics`` call each, so at most one block's
     mapped rows are held. Each block is one upload of a stage with a client
-    per block, and the stage is folded into ``pooled``, which is consumed. A
-    task of at most 2M rows, an empty one included, is a single upload.
+    per block, folded by ``_fold_stage``. A task of at most 2M rows, an
+    empty one included, is a single upload.
     """
     # Blocks of M rows would hold less, but measured slower: the allocator
     # gave each block's memory back and faulted it in again for the next.
@@ -331,8 +347,7 @@ def _pool_task(
                 ),
             )
 
-    agg = spatial_aggregate(uploads(), task_classes, len(starts), pooled.gram_acc)
-    return temporal_aggregate(pooled, agg.corr, task_classes)
+    _fold_stage(pooled, uploads(), task_classes, len(starts))
 
 
 def _setup(config: ExperimentConfig) -> tuple[Split, Split, TaskSchedule, RandomMap]:
@@ -360,7 +375,7 @@ def run_oracle(config: ExperimentConfig) -> OracleReport:
     train, test, schedule, rmap = _setup(config)
     pooled = TemporalState.initial(rmap.output_dim)
     for task in schedule.tasks:
-        pooled = _pool_task(pooled, rmap, *train.task(task), task)
+        _pool_task(pooled, rmap, *train.task(task), task)
     weights = centralized_oracle(pooled, config.gamma)
     del pooled  # scoring needs only the weights
     scores = score_tasks(rmap, test, schedule.tasks, [(weights,)] * schedule.stages)
@@ -384,7 +399,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
         c_t = len(task_classes)
         client = None  # the client computing its upload, for error context
 
-        def uploads():
+        def uploads(task_rows, task_labels, parts):
             """Each client's upload in client order, made when the server asks."""
             nonlocal client
             for k in range(config.K):
@@ -429,18 +444,14 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
                 config.beta,
                 derive_seed(config.seed, f"partition/stage={t}"),
             )
-            # Uploads add their grams into the state; efficient-mode ones carry none.
-            agg = spatial_aggregate(uploads(), task_classes, config.K, state.gram_acc)
+            stage = uploads(task_rows, task_labels, parts)
             if not config.oracle_check:
-                del task_rows  # the uploads were the task's last use
-            if agg.records:
-                estimate_gram(agg.records, task_classes, state.gram_acc)
-            state = temporal_aggregate(state, agg.corr, task_classes)
-            del agg  # the state holds the stage's sums; free the records before the solve
+                del task_rows  # the uploads' own reference goes with the last upload
+            _fold_stage(state, stage, task_classes, config.K)
             weights = update_classifier(state, config.gamma)
             stage_weights.append(weights)
             if config.oracle_check:
-                pooled = _pool_task(pooled, rmap, task_rows, task_labels, task_classes)
+                _pool_task(pooled, rmap, task_rows, task_labels, task_classes)
                 del task_rows  # the oracle was the task's last use
                 w_star = centralized_oracle(pooled, config.gamma)
                 oracle_deltas.append(

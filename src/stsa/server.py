@@ -6,7 +6,9 @@ upload in client order, rejects one out of order and adds a full-mode gram
 straight into the state. When clients upload first-order records only, the
 server adds an unbiased estimate of the task gram, made from the records'
 correlation columns and label frequencies, instead. Temporal aggregation
-appends the task's correlation columns and class ids.
+appends the task's correlation columns and class ids. So one stage is
+folded into one ``TemporalState``, which every step updates in place; the
+runner's ``_fold_stage`` is the one place that chains the three steps.
 
 Every gram on the server is one triangle in RFP, LAPACK's rectangular full
 packed format (see ``stsa.core``), as clients upload it. Uploads add into
@@ -29,31 +31,19 @@ from .errors import EstimationError, ProtocolError
 MIN_COUNT = 1e-6
 
 
-@dataclass(frozen=True)
-class StageAggregate:
-    """One task's summed correlation columns, and in efficient mode its records.
-
-    ``records`` holds the efficient-mode first-order records in upload
-    order, which is (client id, record position) order, for the gram
-    estimator; it is empty in full mode, whose grams go into the state.
-    """
-
-    corr: np.ndarray
-    records: tuple[SpatialStatistics, ...]
-
-
-@dataclass(frozen=True)
+@dataclass
 class TemporalState:
     """Accumulated statistics over the stages folded in so far.
 
     ``gram_acc`` is the summed (exact or estimated) gram in RFP, as uploaded,
     ``corr_acc`` the column-concatenated correlations, whose row count is
     the mapped dimension M, ``class_ids`` the concatenated task
-    class lists in task order; the initial state has no class ids. Each
-    state's one ``gram_acc`` array serves all its folds: each stage's grams
-    are added into it in place, so folding a stage consumes the state. A
-    failed fold leaves the state consumed; the run stops on any error. A run
-    holds one state, and with ``oracle_check`` a second, the oracle's.
+    class lists in task order; the initial state has no class ids. A stage
+    is folded into the state in place: its grams are added into the one
+    ``gram_acc`` array, and ``temporal_aggregate`` extends the columns and
+    class ids. A failed fold may leave part of a stage in the state; the
+    run stops on any error. A run holds one state, and with
+    ``oracle_check`` a second, the oracle's.
     """
 
     gram_acc: np.ndarray
@@ -69,7 +59,7 @@ class TemporalState:
 
 def spatial_aggregate(
     payloads: Iterable, task_classes: Sequence[int], client_count: int, gram_acc: np.ndarray
-) -> StageAggregate:
+) -> tuple[np.ndarray, list[SpatialStatistics]]:
     """Sum one task's uploads across clients, folding each in as it arrives.
 
     ``payloads`` is consumed lazily and must yield one upload per client in
@@ -89,6 +79,11 @@ def spatial_aggregate(
     integer and not a bool; grams and corr are float64; a full-mode upload
     has exactly one record; label counts are non-negative integers, except
     that efficient-mode counts may be noised into any finite floats.
+
+    Returns ``(corr, records)``: the task's summed correlation columns, and
+    the efficient-mode first-order records in upload order, which is
+    (client id, record position) order, for the gram estimator; ``records``
+    is empty in full mode, whose grams went into ``gram_acc``.
     """
     if client_count < 1:
         raise ProtocolError(
@@ -185,7 +180,7 @@ def spatial_aggregate(
         raise ProtocolError("summed uploads have non-finite corr entries")
     if full and not (np.isfinite(gram_acc.max()) and np.isfinite(gram_acc.min())):
         raise ProtocolError("summed uploads have non-finite gram entries")
-    return StageAggregate(corr=corr, records=tuple(records))
+    return corr, records
 
 
 def estimate_gram(
@@ -265,13 +260,13 @@ def estimate_gram(
 
 def temporal_aggregate(
     state: TemporalState, corr_new: np.ndarray, task_classes: Sequence[int]
-) -> TemporalState:
-    """Fold one task's correlation columns and class ids into the running state.
+) -> None:
+    """Fold one task's correlation columns and class ids into ``state`` in place.
 
-    The task's gram is already in ``state.gram_acc``, which the returned
-    state takes over. Correlation columns are appended and class ids extend
-    in task order. Classes must be disjoint across stages; a failed fold
-    leaves the state consumed, and the run stops on any error.
+    The task's gram is already in ``state.gram_acc``. Correlation columns
+    are appended and class ids extend in task order. Classes must be
+    disjoint across stages; a rejected fold changes nothing here, though
+    the stage's gram was already added, and the run stops on any error.
     """
     corr_new = np.asarray(corr_new, dtype=np.float64)
     m = state.corr_acc.shape[0]
@@ -285,11 +280,8 @@ def temporal_aggregate(
         raise ProtocolError(f"classes {sorted(overlap)} already seen in earlier stages")
     if len(set(task_classes)) != len(task_classes):
         raise ProtocolError(f"task class list has duplicates: {list(task_classes)}")
-    return TemporalState(
-        gram_acc=state.gram_acc,
-        corr_acc=np.hstack([state.corr_acc, corr_new]),
-        class_ids=state.class_ids + tuple(int(c) for c in task_classes),
-    )
+    state.corr_acc = np.hstack([state.corr_acc, corr_new])
+    state.class_ids += tuple(int(c) for c in task_classes)
 
 
 def update_classifier(state: TemporalState, gamma: float) -> ClassifierWeights:

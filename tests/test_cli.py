@@ -195,20 +195,23 @@ def test_test_file_of_another_width_exits_2_before_any_stage(tmp_path, capsys, c
 
 
 @pytest.mark.parametrize(
-    "sizes",
-    ["synth_classes = -3", "synth_dim = -2", "synth_classes = -3\nsynth_dim = -2"],
+    "sizes, named",
+    [
+        ("synth_classes = -3", "synth_classes must be >= 1, got -3"),
+        ("synth_dim = -2", "synth_dim must be >= 1, got -2"),
+        ("synth_classes = -3\nsynth_dim = -2", "synth_classes must be >= 1, got -3"),
+    ],
     ids=["classes", "dim", "both"],
 )
-def test_negative_synthetic_size_exits_2(tmp_path, capsys, sizes):
+def test_negative_synthetic_size_exits_2(tmp_path, capsys, sizes, named):
     # The class means are drawn as synth_classes * synth_dim normals, a
-    # count that is negative, or positive when both sizes are.
+    # count that is negative, or positive when both sizes are; the config
+    # refuses either size, by its key, before anything is drawn.
     sized = ("synth_classes", "synth_dim")
     kept = [line for line in SMALL_CONFIG.splitlines() if not line.startswith(sized)]
     cfg = write_config(tmp_path, "\n".join(kept) + f"\n{sizes}\n", name="negative.cfg")
     assert main(["run", "--config", str(cfg)]) == 2
-    assert capsys.readouterr().err == (
-        "configuration error: class_count, dim and train_per_class must be >= 1\n"
-    )
+    assert capsys.readouterr().err == f"configuration error: {named}\n"
 
 
 @pytest.mark.parametrize("oracle_check", [True, False])

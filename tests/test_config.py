@@ -108,6 +108,23 @@ def test_invalid_config_cannot_be_built(build):
             replace(ExperimentConfig(), K=0)
 
 
+@pytest.mark.parametrize(
+    "key, value, bound",
+    [
+        ("synth_classes", 0, ">= 1"),
+        ("synth_dim", 0, ">= 1"),
+        ("synth_train_per_class", 0, ">= 1"),
+        ("synth_test_per_class", -1, ">= 0"),
+    ],
+)
+def test_synthetic_sizes_are_checked_when_the_config_is_built(key, value, bound):
+    # A bad size is refused by its key, not later inside a run. A split may
+    # hold no test rows (the estimator study draws none).
+    with pytest.raises(ConfigurationError, match=f"^{key} must be {bound}, got {value}$"):
+        ExperimentConfig(**{key: value})
+    assert getattr(ExperimentConfig(**{key: value + 1}), key) == value + 1
+
+
 def test_negative_synth_noise_std_is_rejected():
     # A negative spread is refused, not run as its absolute value.
     with pytest.raises(ConfigurationError, match="synth_noise_std must be >= 0, got -2.0"):

@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -43,7 +44,7 @@ from stsa.runner import (
     score_tasks,
     synth_spec_from_config,
 )
-from stsa.server import TemporalState, spatial_aggregate, temporal_aggregate
+from stsa.server import TemporalState
 
 SMALL = dict(
     synth_classes=6,
@@ -509,10 +510,81 @@ def fold(stats, class_ids):
     As the runner does with a task of at most 2M rows, ``stats`` is the one
     upload of a one-client stage.
     """
-    initial = TemporalState.initial(stats.corr.shape[0])
+    state = TemporalState.initial(stats.corr.shape[0])
     upload = UploadPayload(client_id=0, task_id=0, records=(stats,))
-    agg = spatial_aggregate([upload], class_ids, 1, initial.gram_acc)
-    return temporal_aggregate(initial, agg.corr, class_ids)
+    stsa.runner._fold_stage(state, [upload], class_ids, 1)
+    return state
+
+
+class TestStageFold:
+    @pytest.mark.parametrize(
+        "mode, oracle_check",
+        [("full", False), ("efficient", False), ("full", True)],
+        ids=["full", "efficient", "full-oracle"],
+    )
+    def test_each_stage_is_folded_once_and_its_rows_go_before_the_solve(
+        self, monkeypatch, mode, oracle_check
+    ):
+        # Every fold goes through the runner's names: one spatial and one
+        # temporal aggregation per stage and per oracle pooling, and one gram
+        # estimate per efficient stage. With the oracle off, a stage's raw
+        # training rows are gone once its last upload is made, before the
+        # gram estimate and the solve, and its records before the solve.
+        cfg = ExperimentConfig(**SMALL, mode=mode, K_D=2, oracle_check=oracle_check)
+        steps = ("spatial_aggregate", "estimate_gram", "temporal_aggregate", "update_classifier")
+        calls = dict.fromkeys(steps, 0)
+        rows, records, alive = [], [], []
+
+        def counting(name, before=None):
+            original = getattr(stsa.runner, name)
+
+            def wrapper(*args):
+                if before is not None:
+                    before(*args)
+                calls[name] += 1
+                return original(*args)
+
+            monkeypatch.setattr(stsa.runner, name, wrapper)
+
+        def estimating(recs, *args):
+            records.extend(weakref.ref(rec) for rec in recs)
+            alive.append(("estimate_gram", [ref() is not None for ref in rows]))
+
+        def updating(*args):
+            live = [ref() is not None for ref in rows + records]
+            alive.append(("update_classifier", live))
+
+        for name in ("spatial_aggregate", "temporal_aggregate"):
+            counting(name)
+        counting("estimate_gram", estimating)
+        counting("update_classifier", updating)
+        load = stsa.runner.load_experiment_data
+
+        def loading(config):
+            train, test = load(config)
+            task = train.task
+
+            def drawing(classes):
+                raw, labels = task(classes)
+                rows.append(weakref.ref(raw))
+                return raw, labels
+
+            train.task = drawing
+            return train, test
+
+        monkeypatch.setattr(stsa.runner, "load_experiment_data", loading)
+        run_experiment(cfg)
+        folds = cfg.T * (2 if oracle_check else 1)
+        assert calls == {
+            "spatial_aggregate": folds,
+            "estimate_gram": cfg.T if mode == "efficient" else 0,
+            "temporal_aggregate": folds,
+            "update_classifier": cfg.T,
+        }
+        assert len(rows) == cfg.T
+        assert bool(records) == (mode == "efficient")
+        if not oracle_check:
+            assert [(name, live) for name, live in alive if any(live)] == []
 
 
 class TestCentralizedOracle:

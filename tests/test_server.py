@@ -21,6 +21,7 @@ from stsa.core import (
 )
 from stsa.errors import DimensionError, EstimationError, ProtocolError
 from stsa.prng import ChaChaStream
+from stsa.runner import _fold_stage
 from stsa.server import (
     MIN_COUNT,
     TemporalState,
@@ -51,14 +52,12 @@ def estimate(records, classes):
 
 
 def fold(state, gram, corr, classes):
-    """``state`` with one stage folded in: ``gram`` and ``corr`` as a one-client upload.
+    """Fold one stage into ``state`` in place: ``gram`` and ``corr`` as a one-client upload.
 
     This is how the runner folds the oracle's pooled statistics.
     """
     rec = record(corr, np.zeros(len(classes), dtype=np.int64), gram=gram)
-    upload = UploadPayload(client_id=0, task_id=1, records=(rec,))
-    agg = spatial_aggregate([upload], classes, 1, state.gram_acc)
-    return temporal_aggregate(state, agg.corr, classes)
+    _fold_stage(state, [UploadPayload(client_id=0, task_id=1, records=(rec,))], classes, 1)
 
 
 def full_payloads_from_partition(rows_per_client, labels_per_client, rmap, classes):
@@ -80,10 +79,10 @@ class TestSpatialAggregate:
     def test_single_payload_passthrough(self):
         payloads = full_payloads_from_partition([self.raw], [self.labels], self.rmap, self.classes)
         acc = TemporalState.initial(8).gram_acc
-        agg = spatial_aggregate(payloads, self.classes, 1, acc)
+        corr, _ = spatial_aggregate(payloads, self.classes, 1, acc)
         # The upload's RFP gram passes into the empty state exactly, in its layout.
         assert np.array_equal(acc, payloads[0].records[0].gram)
-        assert np.array_equal(agg.corr, payloads[0].records[0].corr)
+        assert np.array_equal(corr, payloads[0].records[0].corr)
 
     def test_partition_matches_pooled_statistics(self):
         # Centralized equivalence: statistics of a K-way partition sum to the
@@ -96,10 +95,10 @@ class TestSpatialAggregate:
             self.classes,
         )
         acc = TemporalState.initial(8).gram_acc
-        agg = spatial_aggregate(payloads, self.classes, 3, acc)
+        corr, _ = spatial_aggregate(payloads, self.classes, 3, acc)
         pooled = local_statistics(apply_map(self.rmap, self.raw), self.labels, self.classes)
         assert np.allclose(unpack_gram(acc, 8), unpack_gram(pooled.gram, 8), rtol=1e-12)
-        assert np.allclose(agg.corr, pooled.corr, rtol=1e-12)
+        assert np.allclose(corr, pooled.corr, rtol=1e-12)
 
     def payloads(self, mode):
         cuts = [(0, 10), (10, 20), (20, 30)]
@@ -124,11 +123,11 @@ class TestSpatialAggregate:
         payloads = self.payloads(mode)
         # In order, the uploads are accepted, and efficient-mode records are
         # kept in (client id, record position) order.
-        agg = spatial_aggregate(payloads, self.classes, 3, np.zeros(36))
+        _, records = spatial_aggregate(payloads, self.classes, 3, np.zeros(36))
         if mode == "efficient":
             in_order = [rec for p in payloads for rec in p.records]
-            assert len(agg.records) == 6
-            assert all(a is b for a, b in zip(agg.records, in_order))
+            assert len(records) == 6
+            assert all(a is b for a, b in zip(records, in_order))
         p0, _, p2 = payloads
         with pytest.raises(ProtocolError, match="missing upload from client 0"):
             spatial_aggregate([p2, p0, p2], self.classes, 3, np.zeros(36))
@@ -145,7 +144,7 @@ class TestSpatialAggregate:
         # its upper triangle into the same upload and leaves the sums
         # bit-identical.
         clean_acc = np.zeros(36)
-        clean = spatial_aggregate(self.payloads("full"), self.classes, 3, clean_acc)
+        clean_corr, _ = spatial_aggregate(self.payloads("full"), self.classes, 3, clean_acc)
         rng = np.random.default_rng(3)
         dirty = []
         for p in self.payloads("full"):
@@ -155,9 +154,9 @@ class TestSpatialAggregate:
                 records.append(replace(rec, gram=rfp(whole)))
             dirty.append(replace(p, records=tuple(records)))
         acc = np.zeros(36)
-        agg = spatial_aggregate(dirty, self.classes, 3, acc)
+        corr, _ = spatial_aggregate(dirty, self.classes, 3, acc)
         assert np.array_equal(acc, clean_acc)
-        assert np.array_equal(agg.corr, clean.corr)
+        assert np.array_equal(corr, clean_corr)
 
     def test_stage_gram_is_the_unpacked_sum_of_the_packed_uploads(self):
         # Each RFP upload is added into the state's RFP gram elementwise in
@@ -228,8 +227,8 @@ class TestSpatialAggregate:
             replace(rec, gram=rec.gram[:-1])
 
     def test_full_mode_keeps_no_client_grams(self):
-        agg = spatial_aggregate(self.payloads("full"), self.classes, 3, np.zeros(36))
-        assert agg.records == ()
+        _, records = spatial_aggregate(self.payloads("full"), self.classes, 3, np.zeros(36))
+        assert records == []
 
     def test_client_gram_is_freed_once_folded(self):
         # Payloads produced in client order: client k's gram must be dead
@@ -357,8 +356,8 @@ class TestSpatialAggregate:
         noised = first.label_freq.astype(float) - np.array([0.3, 5.5, 0.0])
         payloads[1] = replace(payloads[1], records=(replace(first, label_freq=noised), *rest))
         payloads[2] = replace(payloads[2], client_id=np.int64(2))
-        agg = spatial_aggregate(payloads, self.classes, 3, np.zeros(36))
-        assert agg.records[2].label_freq is noised
+        _, records = spatial_aggregate(payloads, self.classes, 3, np.zeros(36))
+        assert records[2].label_freq is noised
 
     def test_mixed_modes_rejected(self):
         # The first record sets the stage's mode; a record of the other
@@ -597,15 +596,15 @@ class TestTemporalAggregate:
         state = TemporalState.initial(2)
         g = rfp(np.array([[2.0, 0.5], [0.5, 1.0]]))
         c = np.array([[1.0], [0.0]])
-        out = fold(state, g, c, [4])
-        assert np.array_equal(out.gram_acc, g)
-        assert np.array_equal(out.corr_acc, c)
-        assert out.class_ids == (4,)
+        fold(state, g, c, [4])
+        assert np.array_equal(state.gram_acc, g)
+        assert np.array_equal(state.corr_acc, c)
+        assert state.class_ids == (4,)
 
     def test_columns_concatenate_in_task_order(self):
         state = TemporalState.initial(3)
-        state = fold(state, rfp(np.eye(3)), np.ones((3, 3)), [0, 1, 2])
-        state = fold(state, rfp(np.eye(3)), 2 * np.ones((3, 2)), [3, 4])
+        fold(state, rfp(np.eye(3)), np.ones((3, 3)), [0, 1, 2])
+        fold(state, rfp(np.eye(3)), 2 * np.ones((3, 2)), [3, 4])
         assert state.corr_acc.shape == (3, 5)
         assert state.class_ids == (0, 1, 2, 3, 4)
         assert np.all(state.corr_acc[:, :3] == 1.0)
@@ -618,30 +617,33 @@ class TestTemporalAggregate:
         g2 = rng.normal(size=(4, 4))
         g2 = g2 + g2.T
         state = TemporalState.initial(4)
-        state = fold(state, rfp(g1), rng.normal(size=(4, 2)), [0, 1])
-        state = fold(state, rfp(g2), rng.normal(size=(4, 2)), [2, 3])
+        fold(state, rfp(g1), rng.normal(size=(4, 2)), [0, 1])
+        fold(state, rfp(g2), rng.normal(size=(4, 2)), [2, 3])
         assert np.allclose(unpack_gram(state.gram_acc, 4), g1 + g2, rtol=1e-12)
         assert state.class_ids == (0, 1, 2, 3)
 
     def test_class_overlap_rejected(self):
-        state = fold(TemporalState.initial(2), rfp(np.eye(2)), np.ones((2, 2)), [0, 1])
+        state = TemporalState.initial(2)
+        fold(state, rfp(np.eye(2)), np.ones((2, 2)), [0, 1])
         with pytest.raises(ProtocolError, match="already seen"):
             temporal_aggregate(state, np.ones((2, 1)), [1])
 
     def test_fold_adds_into_the_state_in_place(self):
         # One accumulated gram serves every stage: the uploads are added into
-        # it, and the temporal fold hands the same array on.
+        # it, and the temporal fold keeps the same array.
         state = TemporalState.initial(3)
         acc = state.gram_acc
-        state = fold(state, rfp(np.eye(3)), np.ones((3, 1)), [0])
-        state = fold(state, rfp(2 * np.eye(3)), np.ones((3, 1)), [1])
+        fold(state, rfp(np.eye(3)), np.ones((3, 1)), [0])
+        fold(state, rfp(2 * np.eye(3)), np.ones((3, 1)), [1])
         assert state.gram_acc is acc
         assert np.array_equal(acc, rfp(3 * np.eye(3)))
-        # A rejected fold leaves the state consumed: its upload was added
-        # before the class list failed, and the run stops on the error.
+        # A rejected fold leaves its upload in the gram, added before the
+        # class list failed, but no column or class id; the run stops on
+        # the error.
         with pytest.raises(ProtocolError, match="already seen"):
             fold(state, rfp(np.eye(3)), np.ones((3, 1)), [1])
         assert np.array_equal(acc, rfp(4 * np.eye(3)))
+        assert state.corr_acc.shape == (3, 2) and state.class_ids == (0, 1)
 
     def test_shape_mismatch_rejected(self):
         # A gram of another dimension is rejected by spatial_aggregate,
@@ -672,7 +674,7 @@ class TestJointEquivalence:
             start += width
             mask = np.isin(labels, task)
             stats = local_statistics(feat[mask], labels[mask], task)
-            state = fold(state, stats.gram, stats.corr, task)
+            fold(state, stats.gram, stats.corr, task)
 
             seen = classes[:start]
             pooled_mask = np.isin(labels, seen)
@@ -689,7 +691,8 @@ class TestUpdateClassifier:
     def test_single_sample_scalar_ridge(self):
         # One sample with feature e1 and gamma=1 gives weight 1/2 on e1.
         stats = local_statistics(np.array([[1.0, 0.0]]), np.array([7]), [7])
-        state = fold(TemporalState.initial(2), stats.gram, stats.corr, [7])
+        state = TemporalState.initial(2)
+        fold(state, stats.gram, stats.corr, [7])
         w = update_classifier(state, gamma=1.0)
         assert w.class_ids == (7,)
         assert np.allclose(w.weights, np.array([[0.5], [0.0]]), rtol=1e-12)
@@ -705,8 +708,8 @@ class TestUpdateClassifier:
         s1 = local_statistics(feat[:20], labels[:20], [0, 1])
         s2 = local_statistics(feat[20:], labels[20:], [2, 3])
         pooled = local_statistics(feat, labels, [0, 1, 2, 3])
-        state = fold(state, s1.gram, s1.corr, [0, 1])
-        state = fold(state, s2.gram, s2.corr, [2, 3])
+        fold(state, s1.gram, s1.corr, [0, 1])
+        fold(state, s2.gram, s2.corr, [2, 3])
         w = update_classifier(state, gamma=0.1)
 
         g_pooled = unpack_gram(pooled.gram, 7)
