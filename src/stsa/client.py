@@ -6,12 +6,16 @@ dummy clients and uploads first-order records {C, n} only. A full-mode G
 is one triangle in RFP, LAPACK's rectangular full packed format (see
 ``stsa.core``); the efficient path never forms one. An upload carries no
 size of its own: what it costs to send follows from its records.
+
+Every record, and the oracle's pooled statistics too, comes from one path,
+``mapped_statistics``: it maps raw rows at most ceil(M/2) at a time and sums
+their statistics in place, so a client never holds its whole mapped shard.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -60,6 +64,45 @@ class UploadPayload:
     records: tuple[SpatialStatistics, ...]
 
 
+def mapped_statistics(
+    rmap: RandomMap,
+    raw: np.ndarray,
+    labels: np.ndarray,
+    task_classes: Sequence[int],
+    *,
+    include_gram: bool = True,
+    lift: Callable | None = None,
+    pool: Callable | None = None,
+) -> SpatialStatistics:
+    """The statistics {G, C, n} of raw rows ``raw``, mapped by ``rmap``.
+
+    The rows are mapped and pooled in consecutive blocks of at most
+    B = ceil(M/2) rows, M the mapped dimension, so a mapped block (B x M)
+    never outweighs one RFP gram (M(M+1)/2 entries). Each block after the
+    first is added into the first one's statistics in place (see
+    ``local_statistics``'s ``into``), so one set of sums is held. Rows that
+    fit one block, none included, are exactly one
+    ``local_statistics(apply_map(rmap, raw), labels, task_classes)`` call.
+
+    ``lift`` and ``pool`` are the ``apply_map`` and ``local_statistics`` the
+    blocks go through, this module's names unless given. A caller in another
+    module passes its own names, so that a wrapper on them sees its blocks:
+    ``perfbench``'s tracer wraps both modules' names.
+    """
+    lift = apply_map if lift is None else lift
+    pool = local_statistics if pool is None else pool
+    size = -(-rmap.output_dim // 2)
+    stats = None
+    for start in range(0, max(len(labels), 1), size):
+        block = slice(start, start + size)
+        # The mapped block is an argument only, so it goes when the call returns.
+        stats = pool(
+            lift(rmap, raw[block]), labels[block], task_classes,
+            include_gram=include_gram, into=stats,
+        )
+    return stats
+
+
 def extract_payload(
     shard: ClientShard,
     rmap: RandomMap,
@@ -68,20 +111,22 @@ def extract_payload(
     k_d: int = 1,
     seed: int = 0,
 ) -> UploadPayload:
-    """Map the shard and compute its upload records.
+    """Compute the shard's upload records from its raw rows.
 
     Full mode computes one record {G, C, n} over the whole shard, G in RFP.
-    Efficient mode splits the shard into at most min(k_d, shard size) dummy clients (an empty shard yields a single
-    all-zero record), computes first-order statistics per sub-shard, and
-    never materializes a gram matrix. The split deals a seeded shuffle of
-    the rows round-robin into sorted, disjoint cells.
+    Efficient mode splits the shard into at most min(k_d, shard size) dummy
+    clients (an empty shard yields a single all-zero record), computes
+    first-order statistics per sub-shard, and never materializes a gram
+    matrix. The split deals a seeded shuffle of the rows round-robin into
+    sorted, disjoint cells. Either way each record is one
+    ``mapped_statistics`` over its raw rows, so no more than ceil(M/2)
+    mapped rows are held at once, never the whole mapped shard.
     """
     if mode not in (MODE_FULL, MODE_EFFICIENT):
         raise ConfigurationError(f"unknown payload mode {mode!r}")
     if k_d < 1:
         raise ConfigurationError(f"dummy client count must be >= 1, got {k_d}")
     full = mode == MODE_FULL
-    feat = apply_map(rmap, shard.features)
     if full:
         cells = [slice(None)]  # the whole shard, as a view
     else:
@@ -90,7 +135,9 @@ def extract_payload(
         order = ChaChaStream(seed).permutation(shard.size)
         cells = [np.sort(order[j::effective]) for j in range(effective)]
     records = tuple(
-        local_statistics(feat[cell], shard.labels[cell], task_classes, include_gram=full)
+        mapped_statistics(
+            rmap, shard.features[cell], shard.labels[cell], task_classes, include_gram=full
+        )
         for cell in cells
     )
     return UploadPayload(client_id=shard.client_id, task_id=shard.task_id, records=records)

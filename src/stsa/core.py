@@ -1,9 +1,10 @@
 """Numerical kernel: seeded random feature map, local statistics, ridge solve.
 
 Feature matrices are plain float64 ndarrays of shape (n, M). Every operation
-here is a pure function of its arguments; repeated calls with equal arguments
-return bit-identical results, which is what lets clients and the server
-regenerate the shared random map from a seed instead of shipping it.
+here is a pure function of its arguments, except that ``local_statistics``
+adds into the statistics it is given as ``into``; repeated calls with equal
+arguments return bit-identical results, which is what lets clients and the
+server regenerate the shared random map from a seed instead of shipping it.
 
 A gram is stored in one layout from the client's ``dsfrk`` to the
 ``dpftrf`` solve: LAPACK's rectangular full packed format (RFP,
@@ -212,6 +213,7 @@ def local_statistics(
     task_classes: Sequence[int],
     *,
     include_gram: bool = True,
+    into: SpatialStatistics | None = None,
 ) -> SpatialStatistics:
     """Compute one shard's statistics from mapped features; they name no sender.
 
@@ -222,6 +224,12 @@ def local_statistics(
     ``feat`` yields zero statistics.
     ``include_gram=False`` skips G entirely (it is never formed), which is
     the communication-efficient transmit path.
+
+    ``into``, the statistics of the shard's earlier rows as an earlier call
+    returned them, makes ``feat`` one more block of that shard: its
+    statistics are added into ``into``'s arrays in place, G by the same
+    ``dsfrk`` with beta = 1, and the sums are returned. ``into`` must have a
+    gram exactly when ``include_gram`` is set, and the shape of these rows'.
     """
     feat = np.asarray(feat, dtype=np.float64)
     labels = np.asarray(labels)
@@ -244,18 +252,29 @@ def local_statistics(
     onehot = np.zeros((feat.shape[0], c))
     onehot[np.arange(feat.shape[0]), cols] = 1.0
 
+    n, m = feat.shape
+    if into is not None and (
+        (into.gram is not None) != include_gram or into.corr.shape != (m, c)
+    ):
+        raise DimensionError(
+            f"cannot add {'gram, ' if include_gram else ''}corr ({m}, {c}) statistics "
+            f"into {'gram, ' if into.gram is not None else ''}corr {into.corr.shape}"
+        )
     gram = None
     if include_gram:
         # beta = 0 never reads C's old contents, so an uninitialized array is
         # enough, and with no rows it is zero-filled. feat.T is a view of
         # the F-ordered X^T that dsfrk reads, so feat is not copied.
-        n, m = feat.shape
         gram = dsfrk(
-            m, n, 1.0, feat.T, 0.0, np.empty(m * (m + 1) // 2),
+            m, n, 1.0, feat.T, 0.0 if into is None else 1.0,
+            np.empty(m * (m + 1) // 2) if into is None else into.gram,
             transr="N", uplo="L", trans="N", overwrite_c=1,
         )
     corr = feat.T @ onehot
     freq = onehot.sum(axis=0).astype(np.int64)
+    if into is not None:
+        corr = np.add(into.corr, corr, out=into.corr)
+        freq = np.add(into.label_freq, freq, out=into.label_freq)
     return SpatialStatistics(gram=gram, corr=corr, label_freq=freq)
 
 

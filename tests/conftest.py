@@ -18,9 +18,9 @@ class PooledBlocks(list):
 
     def assert_each_training_row_once(self, train, schedule, m):
         """Every training row was pooled exactly once, task by task as
-        ``train.task`` hands them out; no block holds more than 2M rows, and
-        a task spans the fewest blocks that allows, so a task of at most 2M
-        rows is pooled in one call.
+        ``train.task`` hands them out; no block holds more than
+        B = ceil(M/2) rows, and a task spans the fewest blocks that allows,
+        so a task of at most B rows is pooled in one call.
 
         ``train`` is the whole training split drawn eagerly, as
         ``generate_synthetic`` draws it: a run draws one task at a time."""
@@ -34,9 +34,10 @@ class PooledBlocks(list):
             np.concatenate([labels for _, labels in self]),
             np.concatenate([labels for _, labels in tasks]),
         )
-        assert max(labels.size for _, labels in self) <= 2 * m
+        block = -(-m // 2)
+        assert max(labels.size for _, labels in self) <= block
         calls = [sum(np.isin(labels, task).all() for _, labels in self) for task in schedule.tasks]
-        assert calls == [max(1, -(-labels.size // (2 * m))) for _, labels in tasks]
+        assert calls == [max(1, -(-labels.size // block)) for _, labels in tasks]
 
 
 @pytest.fixture

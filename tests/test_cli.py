@@ -73,7 +73,7 @@ def test_oracle_command(tmp_path, capsys):
 
 def test_oracle_command_pools_task_by_task(tmp_path, capsys, pooled_blocks):
     # Every training row is pooled exactly once, task by task in blocks of at
-    # most 2M rows, so the whole training set is never mapped at once.
+    # most ceil(M/2) rows, so the whole training set is never mapped at once.
     cfg = write_config(tmp_path)
     assert main(["oracle", "--config", str(cfg)]) == 0
     config = load_config(cfg)
@@ -510,6 +510,32 @@ def test_a_stage_that_cannot_take_its_task_names_the_stage(tmp_path, monkeypatch
     assert main(["run", "--config", str(write_config(tmp_path))]) == 5
     assert capsys.readouterr().err == "out of memory: stage 2: boom\n"
     assert len(taken) == 2
+
+
+@pytest.mark.parametrize(
+    "error, code, label",
+    [(MemoryError, 5, "out of memory"), (NumericalError, 3, "numerical error")],
+    ids=["memory", "numerical"],
+)
+def test_an_oracle_pooling_failure_names_the_task(
+    tmp_path, monkeypatch, capsys, error, code, label
+):
+    # stsa oracle pools one task at a time; a failure while pooling names
+    # the task as stsa run names its stage, and keeps its exit code, and a
+    # MemoryError exits 5 as an OutOfMemoryError.
+    pooled = []
+    mapped_statistics = stsa.runner.mapped_statistics
+
+    def failing(*args, **kwargs):
+        pooled.append(args)
+        if len(pooled) == 2:
+            raise error("boom")
+        return mapped_statistics(*args, **kwargs)
+
+    monkeypatch.setattr(stsa.runner, "mapped_statistics", failing)
+    assert main(["oracle", "--config", str(write_config(tmp_path))]) == code
+    assert capsys.readouterr().err == f"{label}: pooling task 2: boom\n"
+    assert len(pooled) == 2
 
 
 @pytest.mark.parametrize("command", ["run", "oracle"])

@@ -1,11 +1,19 @@
 """Payload extraction: dummy-client splits, efficient uploads, privacy noise."""
 
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from stsa.client import ClientShard, UploadPayload, add_noise, extract_payload
+import stsa.client
+from stsa.client import (
+    ClientShard,
+    UploadPayload,
+    add_noise,
+    extract_payload,
+    mapped_statistics,
+)
 from stsa.core import apply_map, local_statistics, make_random_map, unpack_gram
 from stsa.errors import ConfigurationError, DomainError
 from stsa.metrics import comm_bytes
@@ -50,6 +58,16 @@ def dummy_cells(shard, k_d, seed):
     classes = tuple(int(c) for c in np.unique(shard.labels))
     payload = extract_payload(one_hot, rmap, classes, mode="efficient", k_d=k_d, seed=seed)
     return [np.flatnonzero(rec.corr.sum(axis=1)) for rec in payload.records]
+
+
+def assert_same_statistics(a, b):
+    """``a`` and ``b`` hold bit-identical G (or none), C and counts."""
+    assert (a.gram is None) == (b.gram is None)
+    if a.gram is not None:
+        assert np.array_equal(a.gram, b.gram)
+    assert np.array_equal(a.corr, b.corr)
+    assert np.array_equal(a.label_freq, b.label_freq)
+    assert a.label_freq.dtype == b.label_freq.dtype
 
 
 class TestSplitDummy:
@@ -98,15 +116,17 @@ class TestExtractPayload:
         self.classes = (0, 1)
 
     def test_full_mode_matches_kernel_statistics(self):
-        shard = make_shard(n=8)
-        payload = extract_payload(shard, self.rmap, self.classes, mode="full")
-        assert len(payload.records) == 1
-        oracle = local_statistics(
-            apply_map(self.rmap, shard.features), shard.labels, self.classes
-        )
-        assert np.array_equal(payload.records[0].gram, oracle.gram)
-        assert np.array_equal(payload.records[0].corr, oracle.corr)
-        assert np.array_equal(payload.records[0].label_freq, oracle.label_freq)
+        # A shard of at most ceil(M/2) = 3 rows is one block: exactly the
+        # kernel's statistics of the whole mapped shard. Larger shards are
+        # checked in TestMappedStatistics.
+        for n in (0, 1, 3):
+            shard = make_shard(n=n)
+            payload = extract_payload(shard, self.rmap, self.classes, mode="full")
+            assert len(payload.records) == 1
+            oracle = local_statistics(
+                apply_map(self.rmap, shard.features), shard.labels, self.classes
+            )
+            assert_same_statistics(payload.records[0], oracle)
 
     def test_upload_is_a_header_and_its_records(self):
         assert [f.name for f in fields(UploadPayload)] == ["client_id", "task_id", "records"]
@@ -314,3 +334,135 @@ def test_ledger_counts_the_arrays_an_upload_transmits(mode, noised, elem_bytes):
     records = len(payload.records)
     assert records == (1 if mode == "full" else 4)
     assert comm_bytes(9, 3, records, mode, elem_bytes) == elem_bytes * sent
+
+
+def integer_shard(n, m, classes=(0, 1, 2), seed=0):
+    """A shard of ``n`` rows of small-integer features of width ``m``.
+
+    Under an identity map every product and sum of these features is an
+    exactly representable integer, so every summation order gives the same
+    bits.
+    """
+    rng = np.random.default_rng(seed)
+    return ClientShard(
+        client_id=0,
+        task_id=1,
+        features=rng.integers(0, 4, size=(n, m)).astype(np.float64),
+        labels=rng.choice(classes, size=n).astype(np.int64),
+    )
+
+
+class TestMappedStatistics:
+    """One statistics path: raw rows mapped ceil(M/2) at a time, summed in place."""
+
+    @pytest.mark.parametrize("m", [600, 800])
+    def test_a_block_of_rows_is_one_kernel_call(self, m):
+        # Shards and cells of at most B = ceil(M/2) rows keep the bits of
+        # mapping the whole shard once and taking each record's rows from it:
+        # at these M a row subset maps to the bits of the whole, as
+        # test_mapping_a_row_subset_is_bit_identical pins.
+        rmap = make_random_map(3, 16, m)
+        block = -(-m // 2)
+        classes = (0, 1, 2)
+        shard = make_shard(n=block, d=16, classes=classes, seed=1)
+        mapped = apply_map(rmap, shard.features)
+        full = extract_payload(shard, rmap, classes, mode="full")
+        assert_same_statistics(full.records[0], local_statistics(mapped, shard.labels, classes))
+        shard = make_shard(n=2 * block, d=16, classes=classes, seed=2)
+        mapped = apply_map(rmap, shard.features)
+        eff = extract_payload(shard, rmap, classes, mode="efficient", k_d=2, seed=4)
+        cells = dummy_cells(shard, 2, seed=4)
+        assert [cell.size for cell in cells] == [block, block]
+        for rec, cell in zip(eff.records, cells):
+            reference = local_statistics(
+                mapped[cell], shard.labels[cell], classes, include_gram=False
+            )
+            assert_same_statistics(rec, reference)
+
+    @pytest.mark.parametrize("include_gram", [True, False], ids=["full", "first-order"])
+    @pytest.mark.parametrize("n", [0, 1, 6, 7, 41])
+    def test_blocks_sum_to_the_shards_statistics(self, n, include_gram):
+        # Identity-mapped integer rows in blocks of ceil(12/2) = 6: G, C and
+        # the counts equal numpy's X^T X, X^T Y and the per-class row counts
+        # exactly, so a dropped, repeated or misplaced block shows.
+        m, classes = 12, (0, 1, 2)
+        rmap = make_random_map(3, m, m)
+        shard = integer_shard(n, m, classes)
+        stats = mapped_statistics(
+            rmap, shard.features, shard.labels, classes,
+            include_gram=include_gram, lift=lambda rmap, raw: raw.copy(),
+        )
+        x = shard.features
+        onehot = np.eye(len(classes))[shard.labels]
+        if include_gram:
+            assert np.array_equal(unpack_gram(stats.gram, m), x.T @ x)
+        else:
+            assert stats.gram is None
+        assert np.array_equal(stats.corr, x.T @ onehot)
+        assert stats.label_freq.tolist() == np.bincount(shard.labels, minlength=3).tolist()
+        assert stats.label_freq.dtype == np.int64
+
+    @pytest.mark.parametrize("mode", ["full", "efficient"])
+    def test_uploads_count_every_row_once(self, monkeypatch, mode):
+        # Through extract_payload, with stsa.client's map made the identity:
+        # a full-mode shard of 41 rows and each efficient-mode cell of about
+        # 20 span several blocks, and the records still sum exactly.
+        m, classes = 12, (0, 1, 2)
+        monkeypatch.setattr(stsa.client, "apply_map", lambda rmap, raw: raw.copy())
+        shard = integer_shard(41, m, classes, seed=5)
+        payload = extract_payload(
+            shard, make_random_map(3, m, m), classes, mode=mode, k_d=2, seed=6
+        )
+        x = shard.features
+        onehot = np.eye(len(classes))[shard.labels]
+        assert np.array_equal(sum(rec.corr for rec in payload.records), x.T @ onehot)
+        freq = sum(rec.label_freq for rec in payload.records)
+        assert freq.tolist() == np.bincount(shard.labels, minlength=3).tolist()
+        if mode == "full":
+            assert np.array_equal(unpack_gram(payload.records[0].gram, m), x.T @ x)
+        else:
+            assert len(payload.records) == 2
+
+    def test_full_mode_holds_one_block(self):
+        # A shard of 8M rows mapped whole would hold 4 M x M units of mapped
+        # rows. Mapped in blocks of B = ceil(M/2) rows, the peak is one
+        # block's raw rows, mapped rows and one-hot labels, with a few int64
+        # of label bookkeeping per row, plus the one RFP gram that every
+        # block adds into, and C twice: the block's and the sum's.
+        m, d, c = 200, 16, 2
+        block = -(-m // 2)
+        shard = make_shard(n=8 * m, d=d, classes=tuple(range(c)), seed=3)
+        rmap = make_random_map(1, d, m)
+        rmap.matrix  # made once and cached, before tracing
+        peak = traced_peak(lambda: extract_payload(shard, rmap, tuple(range(c)), mode="full"))
+        assert peak <= (block * (d + m + c + 8) + m * (m + 1) // 2 + 2 * m * c) * 8
+
+    def test_efficient_mode_never_holds_the_mapped_shard(self):
+        # Each of the two cells' raw rows and labels are gathered, then
+        # mapped a block at a time, so the peak is one cell's raw rows and
+        # labels, the shard's shuffle and the cells' sorted row indices (n
+        # int64 each), one block as above, C per record plus the block's,
+        # and 8 KB of array headers and views: not the 4 M x M units of the
+        # whole mapped shard.
+        m, d, c, k_d = 200, 16, 2, 2
+        n, block = 8 * m, -(-m // 2)
+        shard = make_shard(n=n, d=d, classes=tuple(range(c)), seed=3)
+        rmap = make_random_map(1, d, m)
+        rmap.matrix  # made once and cached, before tracing
+        peak = traced_peak(
+            lambda: extract_payload(shard, rmap, tuple(range(c)), mode="efficient", k_d=k_d)
+        )
+        cell = n // k_d * (d + 1)
+        headers = 8 * 1024
+        assert peak <= (cell + 2 * n + block * (m + c + 8) + (k_d + 1) * m * c) * 8 + headers
+        assert peak < n * m * 8
+
+
+def traced_peak(call) -> int:
+    """The peak traced allocation, in bytes, of ``call()``."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

@@ -128,6 +128,31 @@ class TestLocalStatistics:
         assert np.all(stats.corr == 0.0) and stats.corr.shape == (3, 2)
         assert stats.label_freq.tolist() == [0, 0]
 
+    def test_into_adds_a_block_in_place(self):
+        # Integer features sum exactly in any order: the second block's
+        # statistics land in the first block's arrays.
+        feat = np.array([[1.0, 2.0], [0.0, 3.0], [2.0, 1.0]])
+        labels = np.array([5, 8, 8])
+        first = local_statistics(feat[:1], labels[:1], [5, 8])
+        arrays = (first.gram, first.corr, first.label_freq)
+        both = local_statistics(feat[1:], labels[1:], [5, 8], into=first)
+        assert all(a is b for a, b in zip((both.gram, both.corr, both.label_freq), arrays))
+        whole = local_statistics(feat, labels, [5, 8])
+        assert np.array_equal(both.gram, whole.gram)
+        assert np.array_equal(both.corr, whole.corr)
+        assert both.label_freq.tolist() == [1, 2]
+
+    @pytest.mark.parametrize(
+        "feat, classes, gram",
+        [(np.ones((2, 3)), [5, 8], True), (np.ones((2, 2)), [5], True),
+         (np.ones((2, 2)), [5, 8], False)],
+        ids=["dimension", "classes", "mode"],
+    )
+    def test_into_must_match_the_block(self, feat, classes, gram):
+        into = local_statistics(np.ones((1, 2)), np.array([5]), [5, 8])
+        with pytest.raises(DimensionError, match="cannot add"):
+            local_statistics(feat, np.full(2, 5), classes, include_gram=gram, into=into)
+
     def test_duplicating_samples_doubles_statistics(self):
         feat = np.array([[1.0, 2.0], [0.5, 0.25], [3.0, 1.0]])
         labels = np.array([5, 5, 8])

@@ -99,9 +99,10 @@ class TestRunExperiment:
             assert report.accuracy.rows[cfg.T - 1][tau - 1] == oracle_acc
 
     def test_oracle_pools_each_training_row_once(self, pooled_blocks):
-        # Each task holds 80 training rows: over 2M at M = 16, so the oracle
-        # pools it in blocks; at most 2M at M = 40, so in one call.
-        for m in (16, 40):
+        # Each task holds 80 training rows: over ceil(M/2) at M = 16, so the
+        # oracle pools it in blocks; at most ceil(M/2) at M = 160, so in one
+        # call.
+        for m in (16, 160):
             pooled_blocks.clear()
             cfg = ExperimentConfig(**{**SMALL, "M": m}, oracle_check=True)
             run_experiment(cfg)
@@ -111,9 +112,11 @@ class TestRunExperiment:
 
     def test_oracle_holds_one_block_of_mapped_rows_at_a_time(self):
         # A task of 8M rows, mapped whole, would cost 8 M x M units. Pooled in
-        # blocks of 2M rows, the peak is one block's cost: its raw rows and
-        # one-hot labels, its mapped rows and the RFP gram it uploads, which
-        # dsfrk writes directly.
+        # blocks of B = ceil(M/2) rows, the peak is one block's cost: its raw
+        # rows and one-hot labels, its mapped rows and a few int64 of label
+        # bookkeeping per row; and the RFP gram its statistics add into,
+        # which dsfrk writes directly, with C twice, the block's and the
+        # sum's.
         m, d, c = 200, 16, 2
         rng = np.random.default_rng(5)
         n = 8 * m
@@ -127,16 +130,64 @@ class TestRunExperiment:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        block = 2 * m
-        assert peak <= (block * (d + c) + block * m + m * (m + 1) // 2) * 8
+        block = -(-m // 2)
+        assert peak <= (block * (d + c + m + 8) + m * (m + 1) // 2 + 2 * m * c) * 8
+
+    @pytest.mark.parametrize("m", [600, 800])
+    def test_a_task_of_one_block_is_one_kernel_call(self, m):
+        # A task of at most B = ceil(M/2) rows is pooled by exactly one
+        # local_statistics over its whole mapped rows, and folded onto the
+        # zero initial state, which adds nothing to its bits.
+        block, d, classes = -(-m // 2), 16, (3, 0, 5)
+        rng = np.random.default_rng(6)
+        features, labels = rng.normal(size=(block, d)), rng.choice(classes, size=block)
+        rmap = make_random_map(2, d, m)
+        pooled = TemporalState.initial(m)
+        stsa.runner._pool_task(pooled, rmap, features, labels, classes)
+        reference = local_statistics(apply_map(rmap, features), labels, classes)
+        assert np.array_equal(pooled.gram_acc, reference.gram)
+        assert np.array_equal(pooled.corr_acc, reference.corr)
+
+    def test_oracle_blocks_sum_exactly(self, monkeypatch):
+        # With stsa.runner's map made the identity, a task of 41 integer
+        # rows at M = 12 spans 7 blocks of at most 6 rows; its one upload
+        # holds numpy's X^T X, X^T Y and per-class row counts exactly, so a
+        # dropped or repeated block shows here, not only in the oracle's
+        # gaps, which the clients' shared path would drop too.
+        m, classes = 12, (2, 0, 1)
+        rng = np.random.default_rng(8)
+        features = rng.integers(0, 4, size=(41, m)).astype(np.float64)
+        labels = rng.choice(classes, size=41)
+        uploads = []
+        spatial_aggregate = stsa.runner.spatial_aggregate
+
+        def recording(payloads, *args):
+            payloads = list(payloads)
+            uploads.extend(payloads)
+            return spatial_aggregate(payloads, *args)
+
+        monkeypatch.setattr(stsa.runner, "apply_map", lambda rmap, raw: raw.copy())
+        monkeypatch.setattr(stsa.runner, "spatial_aggregate", recording)
+        pooled = TemporalState.initial(m)
+        stsa.runner._pool_task(pooled, make_random_map(2, m, m), features, labels, classes)
+        (upload,) = uploads
+        (stats,) = upload.records
+        onehot = (labels[:, None] == np.array(classes)).astype(np.float64)
+        assert np.array_equal(unpack_gram(pooled.gram_acc, m), features.T @ features)
+        assert np.array_equal(stats.corr, features.T @ onehot)
+        assert stats.label_freq.tolist() == [int(np.sum(labels == c)) for c in classes]
 
     def test_peak_memory_is_flat_in_the_task_count(self):
         # (20, 5) and (80, 20) have the same classes per task and rows per
         # class. A run holds one task's raw rows at a time, training or test,
-        # so only the class columns grow with the class count: the state's,
-        # and those of the classifiers kept for scoring, M x |classes seen by
-        # t| for each stage t. The 60 added classes' raw training rows
-        # (1.5 MB) and raw test rows (0.5 MB) must not.
+        # so only the class columns grow with the class count: the state's;
+        # the last solve's W, its residual and the gram product that makes
+        # it, M x 80 each; those of the classifiers kept for scoring, M x
+        # |classes seen by t| for each stage t; and the splits' labels, one
+        # int64 per row. The 60 added classes' raw training rows (1.5 MB)
+        # and raw test rows (0.5 MB) must not. The (20, 5) run peaks while it
+        # folds a stage and the (80, 20) run while it solves its last, so
+        # the solve's columns count whole.
         bench = load_config(Path(__file__).resolve().parent.parent / "configs" / "benchmark.cfg")
         base = replace(bench, oracle_check=False)
         run_experiment(replace(base, synth_classes=4, T=2))  # first-call imports, untraced
@@ -154,7 +205,11 @@ class TestRunExperiment:
             return sum(base.M * per_task * t * 8 for t in range(1, tasks + 1))
 
         state_columns = base.M * 60 * 8
-        assert peaks[1] - peaks[0] <= kept_weights(20) - kept_weights(5) + state_columns
+        solve_columns = 3 * base.M * 60 * 8
+        labels = 60 * (base.synth_train_per_class + base.synth_test_per_class) * 8
+        assert peaks[1] - peaks[0] <= (
+            kept_weights(20) - kept_weights(5) + state_columns + solve_columns + labels
+        )
 
     def test_loading_draws_only_the_means(self, monkeypatch):
         draws = []
@@ -430,8 +485,8 @@ def test_the_oracle_scores_each_task_once_after_its_pooling(monkeypatch, pooled_
     train, test = generate_synthetic(synth_spec_from_config(cfg))
     schedule = make_schedule(cfg, train.class_count)
     pooled_blocks.assert_each_training_row_once(train, schedule, cfg.M)
-    # Each task of 80 rows is pooled in 3 blocks of at most 2M = 32 rows.
-    assert len(pooled_blocks) == 3 * cfg.T
+    # Each task of 80 rows is pooled in 10 blocks of at most ceil(M/2) = 8 rows.
+    assert len(pooled_blocks) == 10 * cfg.T
     assert len(raws) == len(pooled_blocks) + cfg.T
     assert all(raw is block for raw, (block, _) in zip(raws, pooled_blocks))
     for raw, task in zip(raws[len(pooled_blocks) :], schedule.tasks):
@@ -507,8 +562,8 @@ def pool(feat, labels, class_ids):
 def fold(stats, class_ids):
     """The oracle's state after folding ``stats`` of ``class_ids`` into an empty one.
 
-    As the runner does with a task of at most 2M rows, ``stats`` is the one
-    upload of a one-client stage.
+    As the runner does with every task, ``stats`` is the one upload of a
+    one-client stage.
     """
     state = TemporalState.initial(stats.corr.shape[0])
     upload = UploadPayload(client_id=0, task_id=0, records=(stats,))
