@@ -10,6 +10,10 @@ checkout), and runs it twice. For each point it prints one JSON line:
   wall time, and the child's peak RSS from ``ru_maxrss`` (10^6 bytes per MB,
   as ``perfbench`` counts it);
 - ``peaks_agree``: whether the two peaks are within 2% of each other;
+- ``peak_units``: the higher peak net of ``tiny_peak_rss_mb``, in units of
+  one M x M float64 array (8·M² bytes), M the point's mapped dimension;
+  ``tiny_peak_rss_mb`` is the peak of one run of the tiny point, made first
+  in the same invocation, which stands for the interpreter and libraries;
 - ``report_sha256``: the sha256 of the report, which both runs must share;
 - ``env``: the git revision of ``DIR`` (``-dirty`` when its ``src/`` differs
   from that revision), the sha256 of ``src/stsa/*.py``, the Python, numpy
@@ -103,7 +107,8 @@ def run_child(root: Path, config: dict) -> dict:
     env.update({var: "1" for var in BLAS_THREAD_VARS})
     done = subprocess.run(
         [sys.executable, "-c", CHILD, json.dumps(config)],
-        capture_output=True, text=True, env=env, timeout=CHILD_TIMEOUT_S,
+        capture_output=True, text=True, encoding="utf-8", env=env,
+        timeout=CHILD_TIMEOUT_S,
     )
     if done.returncode != 0:
         raise SystemExit(f"child failed ({done.returncode}):\n{done.stderr}")
@@ -117,7 +122,8 @@ def git_revision(root: Path) -> str:
     """``root``'s HEAD, with ``-dirty`` when its ``src/`` differs from HEAD."""
     def git(*args):
         return subprocess.run(
-            ["git", "-C", str(root), *args], capture_output=True, text=True, timeout=30
+            ["git", "-C", str(root), *args],
+            capture_output=True, text=True, encoding="utf-8", timeout=30,
         )
 
     head = git("rev-parse", "HEAD")
@@ -161,8 +167,8 @@ def environment(root: Path) -> dict:
     }
 
 
-def measure(root: Path, name: str, config: dict, env: dict) -> dict:
-    """Run one point twice; its record."""
+def measure(root: Path, name: str, config: dict, env: dict, tiny_peak: float) -> dict:
+    """Run one point twice; its record, its peak net of ``tiny_peak`` MB."""
     runs = [run_child(root, config) for _ in range(2)]
     hashes = {run["report_sha256"] for run in runs}
     if len(hashes) != 1:
@@ -174,6 +180,8 @@ def measure(root: Path, name: str, config: dict, env: dict) -> dict:
         "wall_s": [run["wall_s"] for run in runs],
         "peak_rss_mb": peaks,
         "peaks_agree": abs(peaks[0] - peaks[1]) <= PEAK_AGREEMENT * max(peaks),
+        "tiny_peak_rss_mb": tiny_peak,
+        "peak_units": (max(peaks) - tiny_peak) * 1e6 / (8 * config["M"] ** 2),
         "report_sha256": hashes.pop(),
         "env": env,
     }
@@ -189,9 +197,10 @@ def main(argv: list[str] | None = None) -> int:
     if not (root / "src" / "stsa").is_dir():
         parser.error(f"{root} has no src/stsa")
     env = environment(root)
+    tiny_peak = run_child(root, TINY_POINTS["tiny"])["peak_rss_mb"]
     records = []
     for name, config in (TINY_POINTS if args.tiny else POINTS).items():
-        records.append(measure(root, name, config, env))
+        records.append(measure(root, name, config, env, tiny_peak))
         print(json.dumps(records[-1]), flush=True)
     if args.out is not None:
         args.out.write_text(json.dumps(records, indent=1) + "\n", encoding="utf-8")

@@ -15,7 +15,7 @@ their statistics in place, so a client never holds its whole mapped shard.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -71,8 +71,6 @@ def mapped_statistics(
     task_classes: Sequence[int],
     *,
     include_gram: bool = True,
-    lift: Callable | None = None,
-    pool: Callable | None = None,
 ) -> SpatialStatistics:
     """The statistics {G, C, n} of raw rows ``raw``, mapped by ``rmap``.
 
@@ -83,21 +81,14 @@ def mapped_statistics(
     ``local_statistics``'s ``into``), so one set of sums is held. Rows that
     fit one block, none included, are exactly one
     ``local_statistics(apply_map(rmap, raw), labels, task_classes)`` call.
-
-    ``lift`` and ``pool`` are the ``apply_map`` and ``local_statistics`` the
-    blocks go through, this module's names unless given. A caller in another
-    module passes its own names, so that a wrapper on them sees its blocks:
-    ``perfbench``'s tracer wraps both modules' names.
     """
-    lift = apply_map if lift is None else lift
-    pool = local_statistics if pool is None else pool
     size = -(-rmap.output_dim // 2)
     stats = None
     for start in range(0, max(len(labels), 1), size):
         block = slice(start, start + size)
         # The mapped block is an argument only, so it goes when the call returns.
-        stats = pool(
-            lift(rmap, raw[block]), labels[block], task_classes,
+        stats = local_statistics(
+            apply_map(rmap, raw[block]), labels[block], task_classes,
             include_gram=include_gram, into=stats,
         )
     return stats

@@ -49,7 +49,6 @@ from .config import ExperimentConfig
 from .core import (
     ClassifierWeights,
     RandomMap,
-    SpatialStatistics,
     apply_map,
     dgesv,
     gram_frobenius,
@@ -341,17 +340,12 @@ def _pool_task(
     # BLAS thread on a 2-vCPU VM), and peaked 4.5 MB lower.
 
     def upload():
-        # The blocks go through this module's names, as the clients' go
-        # through stsa.client's. Yielded with no name bound, so the
-        # server's fold is the statistics' last use.
+        # Yielded with no name bound, so the server's fold is the
+        # statistics' last use.
         yield UploadPayload(
             client_id=0,
             task_id=0,
-            records=(
-                mapped_statistics(
-                    rmap, features, labels, task_classes, lift=apply_map, pool=local_statistics
-                ),
-            ),
+            records=(mapped_statistics(rmap, features, labels, task_classes),),
         )
 
     _fold_stage(pooled, upload(), task_classes, 1)
@@ -505,8 +499,9 @@ def run_estimator_study(
     """Monte-Carlo sweep of the gram-estimation error over client counts.
 
     Each trial draws the per-class samples, splits them evenly across K
-    clients (fixed total n), estimates the gram from the first-order records
-    and measures the squared Frobenius gap to the realized gram.
+    clients (fixed total n), estimates the gram from the clients' first-order
+    ``local_statistics`` records and measures the squared Frobenius gap to
+    the realized gram.
     """
     k_values = tuple(int(k) for k in k_values)
     if trials < 100:
@@ -537,20 +532,25 @@ def run_estimator_study(
 
 
 def _estimation_trial(spec: SynthSpec, k: int, stream: ChaChaStream) -> float:
-    c = spec.class_count
-    m = spec.dim
+    """One trial's squared Frobenius error of the estimated gram.
+
+    Each class draws its ``n`` samples, and client j holds the j-th of K
+    even slices of every class's samples. Its record is the first-order
+    ``local_statistics`` of its rows, the clients' own path.
+    """
+    c, m, n = spec.class_count, spec.dim, spec.train_per_class
     gram_true = np.zeros((m, m))
-    corrs = np.zeros((k, m, c))
-    counts = np.zeros((k, c), dtype=np.int64)
-    n = spec.train_per_class
+    samples = np.empty((c, n, m))
     for cls in range(c):
         x = spec.means[cls] + spec.noise_std * stream.standard_normal(n * m).reshape(n, m)
         gram_true += x.T @ x
-        for j, rows in enumerate(np.array_split(np.arange(n), k)):
-            corrs[j, :, cls] = x[rows].sum(axis=0)
-            counts[j, cls] = rows.size
+        samples[cls] = x
     records = [
-        SpatialStatistics(gram=None, corr=corrs[j], label_freq=counts[j]) for j in range(k)
+        local_statistics(
+            part.reshape(-1, m), np.repeat(np.arange(c), part.shape[1]), range(c),
+            include_gram=False,
+        )
+        for part in np.array_split(samples, k, axis=1)
     ]
     g_hat = np.zeros(m * (m + 1) // 2)
     estimate_gram(records, range(c), g_hat)

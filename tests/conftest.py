@@ -43,27 +43,40 @@ class PooledBlocks(list):
 @pytest.fixture
 def pooled_blocks(monkeypatch):
     """The blocks pooled by ``local_statistics`` calls made through
-    ``stsa.runner``'s names, recorded as a ``PooledBlocks``.
+    ``stsa.client``'s names while ``stsa.runner._pool_task`` runs, recorded
+    as a ``PooledBlocks``.
 
-    Clients pool through ``stsa.client``'s names, so every block recorded
-    here was pooled by the oracle. A block's raw rows are those of the
-    ``apply_map`` call made through ``stsa.runner`` just before it.
+    Clients pool through the same names, but never inside ``_pool_task``, so
+    every block recorded here was pooled by the oracle. A block's raw rows
+    are those of the ``apply_map`` call made through ``stsa.client`` just
+    before it.
     """
+    import stsa.client
     import stsa.runner
 
-    blocks, raws = PooledBlocks(), []
-    apply_map, local_statistics = stsa.runner.apply_map, stsa.runner.local_statistics
+    blocks, raws, pooling_task = PooledBlocks(), [], []
+    apply_map, local_statistics = stsa.client.apply_map, stsa.client.local_statistics
+    pool_task = stsa.runner._pool_task
+
+    def pooling_a_task(*args):
+        pooling_task.append(True)
+        try:
+            return pool_task(*args)
+        finally:
+            pooling_task.pop()
 
     def mapping(rmap, raw):
         raws[:] = [raw]
         return apply_map(rmap, raw)
 
     def pooling(feat, labels, *args, **kwargs):
-        (raw,) = raws
-        assert raw.shape[0] == feat.shape[0]
-        blocks.append((raw, labels))
+        if pooling_task:
+            (raw,) = raws
+            assert raw.shape[0] == feat.shape[0]
+            blocks.append((raw, labels))
         return local_statistics(feat, labels, *args, **kwargs)
 
-    monkeypatch.setattr(stsa.runner, "apply_map", mapping)
-    monkeypatch.setattr(stsa.runner, "local_statistics", pooling)
+    monkeypatch.setattr(stsa.runner, "_pool_task", pooling_a_task)
+    monkeypatch.setattr(stsa.client, "apply_map", mapping)
+    monkeypatch.setattr(stsa.client, "local_statistics", pooling)
     return blocks

@@ -381,16 +381,16 @@ class TestMappedStatistics:
 
     @pytest.mark.parametrize("include_gram", [True, False], ids=["full", "first-order"])
     @pytest.mark.parametrize("n", [0, 1, 6, 7, 41])
-    def test_blocks_sum_to_the_shards_statistics(self, n, include_gram):
+    def test_blocks_sum_to_the_shards_statistics(self, monkeypatch, n, include_gram):
         # Identity-mapped integer rows in blocks of ceil(12/2) = 6: G, C and
         # the counts equal numpy's X^T X, X^T Y and the per-class row counts
         # exactly, so a dropped, repeated or misplaced block shows.
         m, classes = 12, (0, 1, 2)
+        monkeypatch.setattr(stsa.client, "apply_map", lambda rmap, raw: raw.copy())
         rmap = make_random_map(3, m, m)
         shard = integer_shard(n, m, classes)
         stats = mapped_statistics(
-            rmap, shard.features, shard.labels, classes,
-            include_gram=include_gram, lift=lambda rmap, raw: raw.copy(),
+            rmap, shard.features, shard.labels, classes, include_gram=include_gram
         )
         x = shard.features
         onehot = np.eye(len(classes))[shard.labels]

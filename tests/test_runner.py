@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import stsa.client
 import stsa.core
 import stsa.runner
 from stsa.client import UploadPayload
@@ -149,7 +150,7 @@ class TestRunExperiment:
         assert np.array_equal(pooled.corr_acc, reference.corr)
 
     def test_oracle_blocks_sum_exactly(self, monkeypatch):
-        # With stsa.runner's map made the identity, a task of 41 integer
+        # With stsa.client's map made the identity, a task of 41 integer
         # rows at M = 12 spans 7 blocks of at most 6 rows; its one upload
         # holds numpy's X^T X, X^T Y and per-class row counts exactly, so a
         # dropped or repeated block shows here, not only in the oracle's
@@ -166,7 +167,7 @@ class TestRunExperiment:
             uploads.extend(payloads)
             return spatial_aggregate(payloads, *args)
 
-        monkeypatch.setattr(stsa.runner, "apply_map", lambda rmap, raw: raw.copy())
+        monkeypatch.setattr(stsa.client, "apply_map", lambda rmap, raw: raw.copy())
         monkeypatch.setattr(stsa.runner, "spatial_aggregate", recording)
         pooled = TemporalState.initial(m)
         stsa.runner._pool_task(pooled, make_random_map(2, m, m), features, labels, classes)
@@ -433,16 +434,18 @@ def test_a_later_task_with_no_test_rows_is_named(tmp_path):
         run_experiment(file_cfg)
 
 
-def recording_maps(monkeypatch):
-    """The raw rows of each ``apply_map`` call made through ``stsa.runner``, in order."""
+def recording_maps(monkeypatch, *modules):
+    """The raw rows of each ``apply_map`` call made through the names of
+    ``modules``, ``stsa.runner`` alone by default, in call order."""
     raws = []
-    original = stsa.runner.apply_map
+    for module in modules or (stsa.runner,):
+        original = module.apply_map
 
-    def recording(rmap, raw):
-        raws.append(raw)
-        return original(rmap, raw)
+        def recording(rmap, raw, original=original):
+            raws.append(raw)
+            return original(rmap, raw)
 
-    monkeypatch.setattr(stsa.runner, "apply_map", recording)
+        monkeypatch.setattr(module, "apply_map", recording)
     return raws
 
 
@@ -479,7 +482,9 @@ def test_a_run_maps_each_tasks_test_rows_once(monkeypatch):
 
 
 def test_the_oracle_scores_each_task_once_after_its_pooling(monkeypatch, pooled_blocks):
-    raws = recording_maps(monkeypatch)
+    # The oracle pools through stsa.client's names and scores through
+    # stsa.runner's.
+    raws = recording_maps(monkeypatch, stsa.client, stsa.runner)
     cfg = ExperimentConfig(**SMALL)
     report = run_oracle(cfg)
     train, test = generate_synthetic(synth_spec_from_config(cfg))
@@ -779,6 +784,25 @@ class TestTaskAccuracy:
 
 
 class TestEstimatorStudy:
+    def test_records_come_through_local_statistics(self, monkeypatch):
+        # A trial's K records are K first-order local_statistics calls made
+        # through stsa.runner's name, client j's over the j-th even slice of
+        # every class's samples: 2 classes x 10 samples split 2 or 5 ways.
+        calls = []
+        original = stsa.runner.local_statistics
+
+        def recording(feat, labels, task_classes, **kwargs):
+            calls.append((feat.shape[0], np.bincount(labels).tolist(), kwargs))
+            return original(feat, labels, task_classes, **kwargs)
+
+        monkeypatch.setattr(stsa.runner, "local_statistics", recording)
+        spec = random_synth_spec(2, 4, train_per_class=10, test_per_class=0,
+                                 seed=3, noise_std=1.0)
+        run_estimator_study(spec, (2, 5), trials=100, seed=1)
+        assert calls == [(10, [5, 5], {"include_gram": False})] * 200 + [
+            (4, [2, 2], {"include_gram": False})
+        ] * 500
+
     def test_error_decreases_with_more_clients(self):
         spec = random_synth_spec(2, 4, train_per_class=100, test_per_class=0,
                                  seed=99, noise_std=1.0)

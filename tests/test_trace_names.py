@@ -54,18 +54,26 @@ EVERY_MODE = [
 ]
 
 
+# A tiny run's 240 training rows are pooled once by the clients, and once
+# more by the oracle, which pools through stsa.client's names as the clients
+# do; its 120 test rows are mapped once more to be scored.
 @pytest.mark.parametrize(
-    "extra, reached",
+    "extra, reached, rows",
     [
-        ({"oracle_check": True}, ["runner.centralized_oracle_s"]),
+        (
+            {"oracle_check": True},
+            ["runner.centralized_oracle_s"],
+            {"core.local_statistics.rows": 480, "core.apply_map.rows": 600},
+        ),
         (
             {"mode": "efficient", "K_D": 2, "noise_q": 0.2, "noise_s": 0.05},
             ["server.estimate_gram.calls"],
+            {"core.local_statistics.rows": 240, "core.apply_map.rows": 360},
         ),
     ],
     ids=["full-oracle", "efficient-noisy"],
 )
-def test_traced_run_shows_every_layer_it_reaches(extra, reached):
+def test_traced_run_shows_every_layer_it_reaches(extra, reached, rows):
     code = TRACED_RUN.format(
         src=str(ROOT / "src"), perfbench=str(ROOT / "perfbench"), config={**TINY, **extra}
     )
@@ -76,3 +84,4 @@ def test_traced_run_shows_every_layer_it_reaches(extra, reached):
     assert done.returncode == 0, done.stderr
     metrics = json.loads(done.stdout)
     assert [name for name in EVERY_MODE + reached if not metrics[name] > 0] == []
+    assert {name: metrics[name] for name in rows} == rows
