@@ -8,8 +8,9 @@ is one triangle in RFP, LAPACK's rectangular full packed format (see
 size of its own: what it costs to send follows from its records.
 
 Every record, and the oracle's pooled statistics too, comes from one path,
-``mapped_statistics``: it maps raw rows at most ceil(M/2) at a time and sums
-their statistics in place, so a client never holds its whole mapped shard.
+``mapped_statistics``: it maps raw rows one ``core.map_blocks`` block at a
+time and sums their statistics in place, so a client never holds its whole
+mapped shard.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import RandomMap, SpatialStatistics, apply_map, dtpttf, local_statistics
+from .core import RandomMap, SpatialStatistics, apply_map, dtpttf, local_statistics, map_blocks
 from .errors import ConfigurationError, DomainError
 from .prng import ChaChaStream
 
@@ -74,18 +75,15 @@ def mapped_statistics(
 ) -> SpatialStatistics:
     """The statistics {G, C, n} of raw rows ``raw``, mapped by ``rmap``.
 
-    The rows are mapped and pooled in consecutive blocks of at most
-    B = ceil(M/2) rows, M the mapped dimension, so a mapped block (B x M)
-    never outweighs one RFP gram (M(M+1)/2 entries). Each block after the
-    first is added into the first one's statistics in place (see
+    The rows are mapped and pooled one ``map_blocks`` block at a time, so at
+    most B x M mapped floats are held (see ``core.map_blocks``). Each block
+    after the first is added into the first one's statistics in place (see
     ``local_statistics``'s ``into``), so one set of sums is held. Rows that
     fit one block, none included, are exactly one
     ``local_statistics(apply_map(rmap, raw), labels, task_classes)`` call.
     """
-    size = -(-rmap.output_dim // 2)
     stats = None
-    for start in range(0, max(len(labels), 1), size):
-        block = slice(start, start + size)
+    for block in map_blocks(rmap, len(labels)):
         # The mapped block is an argument only, so it goes when the call returns.
         stats = local_statistics(
             apply_map(rmap, raw[block]), labels[block], task_classes,
@@ -110,8 +108,8 @@ def extract_payload(
     first-order statistics per sub-shard, and never materializes a gram
     matrix. The split deals a seeded shuffle of the rows round-robin into
     sorted, disjoint cells. Either way each record is one
-    ``mapped_statistics`` over its raw rows, so no more than ceil(M/2)
-    mapped rows are held at once, never the whole mapped shard.
+    ``mapped_statistics`` over its raw rows, so one block of mapped rows is
+    held at a time, never the whole mapped shard.
     """
     if mode not in (MODE_FULL, MODE_EFFICIENT):
         raise ConfigurationError(f"unknown payload mode {mode!r}")

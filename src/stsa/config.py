@@ -61,9 +61,11 @@ class ExperimentConfig:
             raise ConfigurationError("files data source needs train_path and test_path")
         if self.mode not in ("full", "efficient"):
             raise ConfigurationError(f"mode must be full or efficient, got {self.mode!r}")
-        for key in ("synth_classes", "synth_dim", "synth_train_per_class", "T", "K", "M", "K_D"):
-            if getattr(self, key) < 1:
-                raise ConfigurationError(f"{key} must be >= 1, got {getattr(self, key)}")
+        for key in ("synth_classes", "synth_dim", "synth_train_per_class", "T", "K", "M", "K_D",
+                    "first_task_classes"):
+            value = getattr(self, key)
+            if value is not None and value < 1:
+                raise ConfigurationError(f"{key} must be >= 1, got {value}")
         if self.synth_test_per_class < 0:
             raise ConfigurationError(
                 f"synth_test_per_class must be >= 0, got {self.synth_test_per_class}"

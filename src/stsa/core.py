@@ -75,6 +75,8 @@ _JITTER_EXPONENTS = (6, 4, 2)
 # (unpack, residual product, gram estimate) holds at most this many rows.
 _SYMMETRY_BLOCK = 256
 
+_MAP_TILE = 8  # rows and map columns per tile of the map's gemm (see ``apply_map``)
+
 
 @dataclass(frozen=True)
 class RandomMap:
@@ -82,7 +84,8 @@ class RandomMap:
 
     The matrix is materialized lazily from the seed, so the descriptor
     (seed, input_dim, output_dim) is all that ever needs to travel between
-    parties.
+    parties. Its columns are zero-padded to a multiple of ``_MAP_TILE``;
+    the padding maps every row to zeros, which ``apply_map`` drops.
     """
 
     seed: int
@@ -91,9 +94,10 @@ class RandomMap:
 
     @cached_property
     def matrix(self) -> np.ndarray:
-        stream = ChaChaStream(self.seed)
-        entries = stream.standard_normal(self.input_dim * self.output_dim)
-        return entries.reshape(self.input_dim, self.output_dim)
+        d, m = self.input_dim, self.output_dim
+        entries = ChaChaStream(self.seed).standard_normal(d * m).reshape(d, m)
+        # Padding copies, so a map of whole tiles is kept as drawn.
+        return np.pad(entries, ((0, 0), (0, -m % _MAP_TILE))) if m % _MAP_TILE else entries
 
 
 @dataclass(frozen=True)
@@ -165,7 +169,14 @@ def make_random_map(seed: int, d: int, m: int) -> RandomMap:
 
 
 def apply_map(rmap: RandomMap, raw: np.ndarray) -> np.ndarray:
-    """Lift raw features (n, d) to mapped features relu(raw @ matrix), (n, M)."""
+    """Lift raw features (n, d) to mapped features relu(raw @ matrix), (n, M).
+
+    A row maps to the same bits in any block of rows, because each gemm
+    works in whole tiles of ``_MAP_TILE``: over the map's padded columns, on
+    the first n - n mod ``_MAP_TILE`` rows straight from ``raw`` and on the
+    rest as one zero-padded tile. The padding is dropped in place, a tile of
+    rows at a time, so no copy of ``raw`` and no second product are made.
+    """
     raw = np.asarray(raw, dtype=np.float64)
     if raw.ndim != 2:
         raise DimensionError(f"raw features must be 2-D, got shape {raw.shape}")
@@ -177,16 +188,34 @@ def apply_map(rmap: RandomMap, raw: np.ndarray) -> np.ndarray:
     # 0.0, so non-finite input is rejected before it is lifted.
     if not np.isfinite(raw).all():
         raise NumericalError("raw features have non-finite entries")
-    if raw.shape[0] == 1:
-        # numpy multiplies a lone row with gemv, whose sums round differently
-        # from gemm's, so a lone row is mapped as a row of a two-row product.
-        # A row's bits may still depend on the rows mapped with it (they do
-        # at M >= 1250); reports stay deterministic because each task's rows
-        # are always mapped as the same block.
-        return apply_map(rmap, np.repeat(raw, 2, axis=0))[:1].copy()
-    mapped = raw @ rmap.matrix
+    n, m, matrix = raw.shape[0], rmap.output_dim, rmap.matrix
+    head = n - n % _MAP_TILE
+    # Rows for the tail's whole tile too, so its product is made in place.
+    product = np.empty((-(-n // _MAP_TILE) * _MAP_TILE, matrix.shape[1]))
+    np.matmul(raw[:head], matrix, out=product[:head])
+    if head < n:
+        tile = np.zeros((_MAP_TILE, raw.shape[1]))
+        tile[: n - head] = raw[head:]
+        np.matmul(tile, matrix, out=product[head:])
+    mapped = product.reshape(-1)[: n * m].reshape(n, m)
+    if m < matrix.shape[1]:
+        for i in range(0, n, _MAP_TILE):
+            rows = mapped[i : i + _MAP_TILE]
+            rows[...] = product[i : i + len(rows), :m]  # numpy buffers the overlap
     np.maximum(mapped, 0.0, out=mapped)
     return mapped
+
+
+def map_blocks(rmap: RandomMap, n: int) -> Iterator[slice]:
+    """Consecutive slices of ``n`` rows, one block of rows to map at a time.
+
+    Every block but the last holds B rows, ceil(M/2) rounded down to whole
+    tiles (at least one), so from M = 15 on a mapped block never outweighs
+    one RFP gram, and only the last one is padded. No rows make one empty
+    block.
+    """
+    size = max(_MAP_TILE, -(-rmap.output_dim // 2) // _MAP_TILE * _MAP_TILE)
+    return (slice(start, start + size) for start in range(0, max(n, 1), size))
 
 
 def _label_columns(labels: np.ndarray, class_list: list[int]) -> np.ndarray:

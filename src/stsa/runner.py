@@ -11,19 +11,19 @@ the classifiers of the stages before it. With ``oracle_check`` enabled each
 stage is also compared against the pooled centralized solution, which the
 aggregation is exactly equivalent to. The oracle pools each task's training
 rows, at that task's stage, through the clients' own statistics path,
-``client.mapped_statistics``, which maps at most ceil(M/2) rows at a time,
-and folds them into a second ``TemporalState`` by ``_fold_stage`` too, as a
-stage with one upload; only the solve, an in-place LU of the one unpacked
-system, differs.
+``client.mapped_statistics``, and folds them into a second ``TemporalState``
+by ``_fold_stage`` too, as a stage with one upload; only the solve, an
+in-place LU of the one unpacked system, differs.
 
 Scoring comes after the last stage, once the states are let go.
 ``score_tasks`` takes each task's test rows once from the test split's
-``task``, maps them as one block and scores every classifier that task is
-scored with: for ``run_experiment`` those of its own stage and every later
-one, which fills the accuracy matrix's column for the task; for
-``run_oracle``, which pools the whole schedule that way, the one pooled
-classifier. A synthetic test split draws a task's rows then, so test rows
-are never resident, raw or mapped, beyond one task's block.
+``task`` and scores every classifier that task is scored with: for
+``run_experiment`` those of its own stage and every later one, which fills
+the accuracy matrix's column for the task; for ``run_oracle``, which pools
+the whole schedule that way, the one pooled classifier. A synthetic test
+split draws a task's rows then, so raw test rows are never resident beyond
+one task's. Clients, the oracle and scoring all map rows one
+``core.map_blocks`` block at a time, so no mapped array outweighs a block.
 
 An error in a stage names the stage, and one in the oracle's pooling or in
 scoring names the task; each keeps its type, and an allocation that fails
@@ -54,6 +54,7 @@ from .core import (
     gram_frobenius,
     local_statistics,
     make_random_map,
+    map_blocks,
     predict,
     unpack_gram,
 )
@@ -263,19 +264,23 @@ def score_tasks(
 ) -> tuple[tuple[float, ...], ...]:
     """Top-1 accuracy of each of ``classifiers[i]`` on ``tasks[i]``'s test rows.
 
-    Each task's raw test rows are taken once and mapped as one block, which
-    every classifier of the task scores; the block goes before the next
-    task's is taken, so at most one task's mapped rows are held. An error
-    names the task as ``scoring task i``, counted from 1.
+    Each task's raw test rows are taken once and mapped one ``map_blocks``
+    block at a time; every classifier of the task scores each block, which
+    goes before the next is mapped, and an accuracy is the correct count
+    over the task's rows. An error names the task as ``scoring task i``,
+    counted from 1.
     """
     scores = []
     for tau, (task, weights) in enumerate(zip(tasks, classifiers, strict=True), start=1):
         with _error_context(lambda: f"scoring task {tau}"):
             raw, labels = test.task(task)
-            mapped = apply_map(rmap, raw)
-            del raw  # only the mapped block is held while it is scored
-            scores.append(tuple(float(np.mean(predict(w, mapped) == labels)) for w in weights))
-            del mapped  # let this block go before the next task's is made
+            correct = [0] * len(weights)
+            for block in map_blocks(rmap, labels.size):
+                mapped = apply_map(rmap, raw[block])
+                for i, w in enumerate(weights):
+                    correct[i] += int(np.count_nonzero(predict(w, mapped) == labels[block]))
+                del mapped  # let this block go before the next one is made
+            scores.append(tuple(count / labels.size for count in correct))
     return tuple(scores)
 
 
@@ -329,15 +334,10 @@ def _pool_task(
     """Fold one more task into the oracle's state ``pooled``, in place.
 
     The task's raw training rows ``features``, labelled ``labels``, are
-    pooled by ``mapped_statistics``, the clients' own path, so they are
-    mapped at most ceil(M/2) at a time, M the mapped dimension, and summed
-    into one set of statistics. That is the one upload of a one-client
-    stage, folded by ``_fold_stage``.
+    pooled by ``mapped_statistics``, the clients' own path, into one set of
+    statistics. That is the one upload of a one-client stage, folded by
+    ``_fold_stage``.
     """
-    # Small blocks cost no time: on the perfbench full-oracle workload
-    # (M = 600), blocks of ceil(M/2) rows ran in 0.652 s against 0.673 s for
-    # blocks of 2M rows (medians of 10 alternating fresh-process pairs, one
-    # BLAS thread on a 2-vCPU VM), and peaked 4.5 MB lower.
 
     def upload():
         # Yielded with no name bound, so the server's fold is the

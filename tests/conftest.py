@@ -18,13 +18,15 @@ class PooledBlocks(list):
 
     def assert_each_training_row_once(self, train, schedule, m):
         """Every training row was pooled exactly once, task by task as
-        ``train.task`` hands them out; no block holds more than
-        B = ceil(M/2) rows, and a task spans the fewest blocks that allows,
-        so a task of at most B rows is pooled in one call.
+        ``train.task`` hands them out; no block holds more than the B rows
+        of ``stsa.core.map_blocks`` at ``M = m``, and a task spans the fewest
+        blocks that allows, so a task of at most B rows is pooled in one call.
 
         ``train`` is the whole training split drawn eagerly, as
         ``generate_synthetic`` draws it: a run draws one task at a time."""
         import numpy as np
+
+        from stsa.core import RandomMap, map_blocks
 
         tasks = [train.task(task) for task in schedule.tasks]
         assert np.array_equal(
@@ -34,7 +36,7 @@ class PooledBlocks(list):
             np.concatenate([labels for _, labels in self]),
             np.concatenate([labels for _, labels in tasks]),
         )
-        block = -(-m // 2)
+        block = next(map_blocks(RandomMap(seed=0, input_dim=1, output_dim=m), 2 * m)).stop
         assert max(labels.size for _, labels in self) <= block
         calls = [sum(np.isin(labels, task).all() for _, labels in self) for task in schedule.tasks]
         assert calls == [max(1, -(-labels.size // block)) for _, labels in tasks]

@@ -73,7 +73,7 @@ def test_oracle_command(tmp_path, capsys):
 
 def test_oracle_command_pools_task_by_task(tmp_path, capsys, pooled_blocks):
     # Every training row is pooled exactly once, task by task in blocks of at
-    # most ceil(M/2) rows, so the whole training set is never mapped at once.
+    # most B rows, so the whole training set is never mapped at once.
     cfg = write_config(tmp_path)
     assert main(["oracle", "--config", str(cfg)]) == 0
     config = load_config(cfg)

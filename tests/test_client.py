@@ -116,10 +116,10 @@ class TestExtractPayload:
         self.classes = (0, 1)
 
     def test_full_mode_matches_kernel_statistics(self):
-        # A shard of at most ceil(M/2) = 3 rows is one block: exactly the
+        # A shard of at most B = 8 rows at M = 6 is one block: exactly the
         # kernel's statistics of the whole mapped shard. Larger shards are
         # checked in TestMappedStatistics.
-        for n in (0, 1, 3):
+        for n in (0, 1, 3, 8):
             shard = make_shard(n=n)
             payload = extract_payload(shard, self.rmap, self.classes, mode="full")
             assert len(payload.records) == 1
@@ -353,16 +353,16 @@ def integer_shard(n, m, classes=(0, 1, 2), seed=0):
 
 
 class TestMappedStatistics:
-    """One statistics path: raw rows mapped ceil(M/2) at a time, summed in place."""
+    """One statistics path: raw rows mapped a block at a time, summed in place."""
 
     @pytest.mark.parametrize("m", [600, 800])
     def test_a_block_of_rows_is_one_kernel_call(self, m):
-        # Shards and cells of at most B = ceil(M/2) rows keep the bits of
-        # mapping the whole shard once and taking each record's rows from it:
-        # at these M a row subset maps to the bits of the whole, as
-        # test_mapping_a_row_subset_is_bit_identical pins.
+        # Shards and cells of one whole block, B rows (296 at M = 600, 400
+        # at M = 800), keep the bits of mapping the whole shard once and
+        # taking each record's rows from it: a row maps to the same bits in
+        # any block, as test_mapping_a_row_subset_is_bit_identical pins.
         rmap = make_random_map(3, 16, m)
-        block = -(-m // 2)
+        block = {600: 296, 800: 400}[m]
         classes = (0, 1, 2)
         shard = make_shard(n=block, d=16, classes=classes, seed=1)
         mapped = apply_map(rmap, shard.features)
@@ -382,7 +382,7 @@ class TestMappedStatistics:
     @pytest.mark.parametrize("include_gram", [True, False], ids=["full", "first-order"])
     @pytest.mark.parametrize("n", [0, 1, 6, 7, 41])
     def test_blocks_sum_to_the_shards_statistics(self, monkeypatch, n, include_gram):
-        # Identity-mapped integer rows in blocks of ceil(12/2) = 6: G, C and
+        # Identity-mapped integer rows in blocks of B = 8 at M = 12: G, C and
         # the counts equal numpy's X^T X, X^T Y and the per-class row counts
         # exactly, so a dropped, repeated or misplaced block shows.
         m, classes = 12, (0, 1, 2)

@@ -125,6 +125,18 @@ def test_synthetic_sizes_are_checked_when_the_config_is_built(key, value, bound)
     assert getattr(ExperimentConfig(**{key: value + 1}), key) == value + 1
 
 
+@pytest.mark.parametrize("value", [0, -4])
+def test_first_task_size_is_checked_when_the_config_is_built(value):
+    # A first task of no classes is refused by its key, not later when the
+    # schedule is split after the data is loaded; None keeps equal tasks.
+    with pytest.raises(ConfigurationError, match=f"^first_task_classes must be >= 1, got {value}$"):
+        ExperimentConfig(first_task_classes=value)
+    with pytest.raises(ConfigurationError, match="first_task_classes must be >= 1"):
+        parse_config(f"first_task_classes = {value}\n")
+    assert ExperimentConfig(first_task_classes=1).first_task_classes == 1
+    assert ExperimentConfig(first_task_classes=None).first_task_classes is None
+
+
 def test_negative_synth_noise_std_is_rejected():
     # A negative spread is refused, not run as its absolute value.
     with pytest.raises(ConfigurationError, match="synth_noise_std must be >= 0, got -2.0"):

@@ -19,11 +19,13 @@ from stsa.core import (
     gram_frobenius,
     local_statistics,
     make_random_map,
+    map_blocks,
     predict,
     ridge_solve,
     unpack_gram,
 )
 from stsa.errors import DimensionError, DomainError, NumericalError
+from stsa.prng import ChaChaStream
 
 
 def rfp(a: np.ndarray) -> np.ndarray:
@@ -112,6 +114,48 @@ class TestApplyMap:
         raw[2, 3] = bad
         with pytest.raises(NumericalError, match="raw features have non-finite entries"):
             apply_map(m, raw)
+
+
+    def test_map_columns_are_padded_to_whole_tiles(self):
+        # M = 9 pads to 16 columns of zeros, which every row maps to zero
+        # and apply_map drops; the first 9 are the seed's draws as before.
+        m = make_random_map(3, 5, 9)
+        assert m.matrix.shape == (5, 16) and not m.matrix[:, 9:].any()
+        assert np.array_equal(m.matrix[:, :9], ChaChaStream(3).standard_normal(45).reshape(5, 9))
+        raw = np.random.default_rng(4).normal(size=(16, 5))
+        assert np.array_equal(apply_map(m, raw), np.maximum(raw @ m.matrix, 0.0)[:, :9])
+
+    def test_a_padded_map_holds_one_product(self):
+        # At M = 201 the product has 208 columns and is compacted in place:
+        # the peak is that product, the tail tile's raw rows and product, a
+        # tile of rows on the move and the finiteness mask, no copy of raw.
+        d, m, n = 16, 201, 1003
+        rmap = make_random_map(1, d, m)
+        rmap.matrix  # made once and cached, before tracing
+        raw = np.random.default_rng(5).normal(size=(n, d))
+        tracemalloc.start()
+        try:
+            out = apply_map(rmap, raw)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.shape == (n, m) and out.flags.c_contiguous
+        assert np.array_equal(out[:1000], apply_map(rmap, raw[:1000]))
+        headers = 4096
+        assert peak <= (n * 208 + 8 * (d + 208) + 8 * m) * 8 + n * d + headers
+
+    @pytest.mark.parametrize(
+        "m, block",
+        [(1, 8), (12, 8), (16, 8), (36, 16), (200, 96), (600, 296), (800, 400), (1250, 624)],
+    )
+    def test_map_blocks_are_half_of_m_in_whole_tiles(self, m, block):
+        # B is ceil(M/2) rounded down to whole tiles of 8 rows, at least one;
+        # the blocks cover the rows in order, and no rows make one empty block.
+        rmap = make_random_map(0, 1, m)
+        for n, sizes in [(0, [0]), (1, [1]), (block, [block]), (2 * block + 5, [block, block, 5])]:
+            slices = list(map_blocks(rmap, n))
+            assert [len(range(n)[s]) for s in slices] == sizes
+            assert [s.start for s in slices] == [0, *(s.stop for s in slices[:-1])]
 
 
 class TestLocalStatistics:

@@ -1,5 +1,6 @@
 """End-to-end runs, the centralized oracle, and the estimator study."""
 
+import json
 import os
 import re
 import subprocess
@@ -100,8 +101,8 @@ class TestRunExperiment:
             assert report.accuracy.rows[cfg.T - 1][tau - 1] == oracle_acc
 
     def test_oracle_pools_each_training_row_once(self, pooled_blocks):
-        # Each task holds 80 training rows: over ceil(M/2) at M = 16, so the
-        # oracle pools it in blocks; at most ceil(M/2) at M = 160, so in one
+        # Each task holds 80 training rows: over B = 8 at M = 16, so the
+        # oracle pools it in blocks; at most B = 80 at M = 160, so in one
         # call.
         for m in (16, 160):
             pooled_blocks.clear()
@@ -136,10 +137,11 @@ class TestRunExperiment:
 
     @pytest.mark.parametrize("m", [600, 800])
     def test_a_task_of_one_block_is_one_kernel_call(self, m):
-        # A task of at most B = ceil(M/2) rows is pooled by exactly one
-        # local_statistics over its whole mapped rows, and folded onto the
-        # zero initial state, which adds nothing to its bits.
-        block, d, classes = -(-m // 2), 16, (3, 0, 5)
+        # A task of one whole block, B rows (296 at M = 600, 400 at M = 800),
+        # is pooled by exactly one local_statistics over its whole mapped
+        # rows, and folded onto the zero initial state, which adds nothing to
+        # its bits.
+        block, d, classes = {600: 296, 800: 400}[m], 16, (3, 0, 5)
         rng = np.random.default_rng(6)
         features, labels = rng.normal(size=(block, d)), rng.choice(classes, size=block)
         rmap = make_random_map(2, d, m)
@@ -151,7 +153,7 @@ class TestRunExperiment:
 
     def test_oracle_blocks_sum_exactly(self, monkeypatch):
         # With stsa.client's map made the identity, a task of 41 integer
-        # rows at M = 12 spans 7 blocks of at most 6 rows; its one upload
+        # rows at M = 12 spans 6 blocks of at most B = 8 rows; its one upload
         # holds numpy's X^T X, X^T Y and per-class row counts exactly, so a
         # dropped or repeated block shows here, not only in the oracle's
         # gaps, which the clients' shared path would drop too.
@@ -451,11 +453,11 @@ def recording_maps(monkeypatch, *modules):
 
 def test_a_run_maps_each_tasks_test_rows_once(monkeypatch):
     # With the oracle off every map made through stsa.runner scores, since
-    # clients map through stsa.client's names: a run maps T blocks, task
-    # tau's rows once, in schedule order, and scores each block with the
-    # classifiers of stages tau..T, T(T+1)/2 predictions in all. The tasks
-    # differ in size and list their classes out of order, so a block in the
-    # wrong place shows.
+    # clients map through stsa.client's names: a run maps task tau's rows
+    # once, in schedule order, in blocks of B = 8 rows at M = 16, and scores
+    # each block with the classifiers of stages tau..T. The tasks differ in
+    # size and list their classes out of order, so a block in the wrong place
+    # shows.
     raws = recording_maps(monkeypatch)
     predicted = []
     original = stsa.runner.predict
@@ -469,16 +471,47 @@ def test_a_run_maps_each_tasks_test_rows_once(monkeypatch):
     report = run_experiment(cfg)
     _, test = generate_synthetic(synth_spec_from_config(cfg))
     tasks = make_schedule(cfg, test.class_count).tasks
-    assert len(raws) == cfg.T
-    for raw, task in zip(raws, tasks):
-        assert np.array_equal(raw, test.features[np.isin(test.labels, task)])
+    blocks = []  # each task's blocks of its rows, the last one short
+    for task in tasks:
+        rows = test.features[np.isin(test.labels, task)]
+        blocks.append(np.split(rows, range(8, len(rows), 8)))
+    expected = [block for task_blocks in blocks for block in task_blocks]
+    assert len(raws) == len(expected) == 16
+    assert all(np.array_equal(raw, block) for raw, block in zip(raws, expected))
     # Stage t's classifier knows the classes of tasks 1..t.
     seen = np.cumsum([len(task) for task in tasks])
     assert [classes for classes, _ in predicted] == [
-        seen[t] for tau in range(cfg.T) for t in range(tau, cfg.T)
+        seen[t] for tau in range(cfg.T) for _ in blocks[tau] for t in range(tau, cfg.T)
     ]
-    assert len({id(mapped) for _, mapped in predicted}) == cfg.T
+    assert len({id(mapped) for _, mapped in predicted}) == len(raws)
     assert [len(row) for row in report.accuracy.rows] == list(range(1, cfg.T + 1))
+
+
+def test_scoring_maps_a_block_at_a_time_and_keeps_the_whole_splits_accuracies(monkeypatch):
+    # At M = 36, whose map pads to 40 columns, B = 16: each task's 40 test
+    # rows are mapped as 16 + 16 + 8, never more than B at a time, and every
+    # accuracy equals the stage's classifier scored on the whole test split
+    # mapped at once.
+    raws = recording_maps(monkeypatch)
+    weights = []
+    update_classifier = stsa.runner.update_classifier
+
+    def recording(state, gamma):
+        weights.append(update_classifier(state, gamma))
+        return weights[-1]
+
+    monkeypatch.setattr(stsa.runner, "update_classifier", recording)
+    cfg = ExperimentConfig(**{**SMALL, "M": 36})
+    report = run_experiment(cfg)
+    assert [raw.shape[0] for raw in raws] == [16, 16, 8] * cfg.T
+    _, test = generate_synthetic(synth_spec_from_config(cfg))
+    whole = apply_map(experiment_map(cfg, cfg.synth_dim), test.features)
+    tasks = make_schedule(cfg, test.class_count).tasks
+    rows = [np.isin(test.labels, task) for task in tasks]
+    assert report.accuracy.rows == tuple(
+        tuple(float(np.mean(predict(w, whole[r]) == test.labels[r])) for r in rows[: t + 1])
+        for t, w in enumerate(weights)
+    )
 
 
 def test_the_oracle_scores_each_task_once_after_its_pooling(monkeypatch, pooled_blocks):
@@ -490,12 +523,17 @@ def test_the_oracle_scores_each_task_once_after_its_pooling(monkeypatch, pooled_
     train, test = generate_synthetic(synth_spec_from_config(cfg))
     schedule = make_schedule(cfg, train.class_count)
     pooled_blocks.assert_each_training_row_once(train, schedule, cfg.M)
-    # Each task of 80 rows is pooled in 10 blocks of at most ceil(M/2) = 8 rows.
+    # Each task of 80 training rows is pooled in 10 blocks of B = 8 rows,
+    # and then its 40 test rows are scored in 5 more.
     assert len(pooled_blocks) == 10 * cfg.T
-    assert len(raws) == len(pooled_blocks) + cfg.T
+    assert len(raws) == len(pooled_blocks) + 5 * cfg.T
     assert all(raw is block for raw, (block, _) in zip(raws, pooled_blocks))
-    for raw, task in zip(raws[len(pooled_blocks) :], schedule.tasks):
-        assert np.array_equal(raw, test.features[np.isin(test.labels, task)])
+    scored = raws[len(pooled_blocks) :]
+    assert [raw.shape[0] for raw in scored] == [8] * 5 * cfg.T
+    assert np.array_equal(
+        np.concatenate(scored),
+        np.concatenate([test.features[np.isin(test.labels, task)] for task in schedule.tasks]),
+    )
     assert len(report.accuracies) == cfg.T
 
 
@@ -534,7 +572,7 @@ def sweep_configs(count):
 
 def test_seeded_sweep_matches_the_oracle_and_reruns_identically(monkeypatch):
     # Every client shard size drawn. An empty shard uploads zero statistics,
-    # and a one-row shard takes apply_map's lone-row path.
+    # and a one-row shard is mapped as one row of a zero-padded tile.
     shard_sizes = set()
     original = stsa.runner.dirichlet_partition
 
@@ -729,6 +767,57 @@ print((after - before) * 1024 / (m * m * 8))
         assert float(done.stdout) < 1.5
 
 
+# (d, M) of the row-subset checks: the benchmark's M = 600 and 800, the
+# pretrained shape, and a scratch-scale M.
+ROW_SUBSET_SHAPES = [(64, 600), (64, 800), (768, 1250), (64, 2500)]
+
+
+def row_subset_mismatches(d, m, n=1000):
+    """Sizes of the row subsets of ``n`` random rows of width ``d`` that map,
+    at ``M = m``, to other bits than the same rows of the whole mapped set.
+
+    The subsets hold 1 to 17 rows, scattered and contiguous, so lone rows and
+    every tail length of a tile are covered, and 500 scattered rows.
+    """
+    rng = np.random.default_rng(m)
+    raw = rng.normal(size=(n, d))
+    rmap = make_random_map(5, d, m)
+    whole = apply_map(rmap, raw)
+    subsets = [np.sort(rng.choice(n, k, replace=False)) for k in [*range(1, 18), 500]]
+    subsets += [np.arange(2 * k + 1, 3 * k + 1) for k in range(1, 18)]
+    return [
+        rows.size for rows in subsets if not np.array_equal(apply_map(rmap, raw[rows]), whole[rows])
+    ]
+
+
+def cpu_features():
+    """The CPU features numpy detected, by name."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy 1.x
+        from numpy.core import _multiarray_umath as umath
+    return umath.__cpu_features__
+
+
+# Run with this directory and the package's src on PYTHONPATH; prints the
+# OpenBLAS kernel in use, where numpy's OpenBLAS names it, and each M's
+# mismatched subset sizes.
+KERNEL_CHECK = """
+import ctypes, glob, json, os
+import numpy as np
+from test_runner import ROW_SUBSET_SHAPES, row_subset_mismatches
+
+kernel = None
+for path in glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs", "*openblas*")):
+    corename = getattr(ctypes.CDLL(path), "scipy_openblas_get_corename64_", None)
+    if corename is not None:
+        corename.restype = ctypes.c_char_p
+        kernel = corename().decode()
+mismatches = {str(m): row_subset_mismatches(d, m) for d, m in ROW_SUBSET_SHAPES}
+print(json.dumps({"kernel": kernel, "mismatches": mismatches}))
+"""
+
+
 class TestTaskAccuracy:
     D, N_CLASSES, PER_CLASS = 64, 100, 50
 
@@ -738,24 +827,53 @@ class TestTaskAccuracy:
                                  test_per_class=self.PER_CLASS, seed=3)
         return generate_synthetic(spec)[1]
 
-    @pytest.mark.parametrize("m", [600, 800])
-    def test_mapping_a_row_subset_is_bit_identical(self, test_split, m):
-        # Evaluation maps each task's raw rows as one block, always the same
-        # block, which is what keeps reports deterministic. This pins more: at
-        # M = 600 and 800, on the BLAS kernel the goldens were made with, a row
-        # subset maps to the bits of the whole mapped set. At M >= 1250 it
-        # does not, so no larger M is pinned.
+    @pytest.mark.parametrize("d, m", ROW_SUBSET_SHAPES, ids=[str(m) for _, m in ROW_SUBSET_SHAPES])
+    def test_mapping_a_row_subset_is_bit_identical(self, test_split, d, m):
+        # Clients, the oracle and scoring each map their rows in blocks of
+        # their own, so a row must map to the same bits in any block: also at
+        # M = 1250 and 2500, where a plain gemm's rows depend on the rows
+        # beside them.
+        assert row_subset_mismatches(d, m) == []
+        # A task's rows, as the test split hands them out, map to the bits of
+        # the same rows of the whole mapped split.
         rmap = make_random_map(5, self.D, m)
         whole = apply_map(rmap, test_split.features)
-        rng = np.random.default_rng(m)
-        subsets = [np.sort(rng.choice(test_split.size, n, replace=False)) for n in (1, 7, 500)]
-        assert all(np.any(np.diff(rows) > 1) for rows in subsets[1:])
-        for rows in subsets:
-            assert np.array_equal(apply_map(rmap, test_split.features[rows]), whole[rows])
         for task in split_tasks(self.N_CLASSES, 10, shuffle_seed=9).tasks:
             rows = np.flatnonzero(np.isin(test_split.labels, task))
             raw, _ = test_split.task(task)
             assert np.array_equal(apply_map(rmap, raw), whole[rows])
+
+    @pytest.mark.parametrize("kernel", ["Haswell", "Zen", "Sandybridge"])
+    def test_mapping_a_row_subset_is_bit_identical_on_other_kernels(self, kernel):
+        # The same check in a child process whose OpenBLAS runs another
+        # kernel: the map's tile padding is empirical, so each kernel that
+        # this CPU can run is checked by name.
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        if "DYNAMIC_ARCH" not in blas.get("openblas configuration", ""):
+            pytest.skip("numpy's BLAS is not an OpenBLAS built with DYNAMIC_ARCH")
+        needs = {"Sandybridge": ("AVX",)}.get(kernel, ("AVX2", "FMA3"))
+        if not all(cpu_features().get(feature) for feature in needs):
+            pytest.skip(f"this CPU cannot run OpenBLAS's {kernel} kernel")
+        tests = Path(__file__).resolve().parent
+        paths = [str(tests.parent / "src"), str(tests), os.environ.get("PYTHONPATH")]
+        env = {
+            **os.environ,
+            "PYTHONPATH": os.pathsep.join(filter(None, paths)),
+            "OPENBLAS_CORETYPE": kernel,
+        }
+        done = subprocess.run(
+            [sys.executable, "-c", KERNEL_CHECK],
+            capture_output=True,
+            env=env,
+            encoding="utf-8",
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        result = json.loads(done.stdout)
+        assert result["mismatches"] == {str(m): [] for _, m in ROW_SUBSET_SHAPES}
+        if result["kernel"] not in (None, kernel):
+            # A DYNAMIC_ARCH build without the kernel runs a close one.
+            pytest.skip(f"this OpenBLAS runs {result['kernel']} for {kernel}, which passed")
 
     def test_scores_only_the_given_rows(self, test_split, monkeypatch):
         rmap = make_random_map(5, self.D, 600)
@@ -764,12 +882,13 @@ class TestTaskAccuracy:
             weights=np.random.default_rng(1).normal(size=(600, 20)),
             class_ids=tuple(range(30, 50)),
         )
-        # The first task is scored by two classifiers on its one mapped block.
+        # The first task is scored by two classifiers on each mapped block.
         other = ClassifierWeights(weights=-weights.weights, class_ids=weights.class_ids)
         classifiers = [(weights, other), (weights,)]
         raws = recording_maps(monkeypatch)
         accuracies = score_tasks(rmap, test_split, tasks, classifiers)
-        assert [raw.shape[0] for raw in raws] == [10 * self.PER_CLASS] * 2
+        # Each task's 500 rows are mapped in blocks of B = 296 at M = 600.
+        assert [raw.shape[0] for raw in raws] == [296, 204] * 2
         whole = apply_map(rmap, test_split.features)
         expected = []
         for task, scorers in zip(tasks, classifiers):
