@@ -4,7 +4,8 @@
 
 Runs each point as one ``run_experiment`` in a fresh child process at one
 BLAS thread, against the stsa package in ``DIR/src`` (default: this
-checkout), and runs it twice. For each point it prints one JSON line:
+checkout), and runs it twice, each child at a pinned glibc mmap threshold
+(``MALLOC_MMAP_THRESHOLD``). For each point it prints one JSON line:
 
 - ``wall_s`` and ``peak_rss_mb`` of both runs: the ``run_experiment`` call's
   wall time, and the child's peak RSS from ``ru_maxrss`` (10^6 bytes per MB,
@@ -17,7 +18,8 @@ checkout), and runs it twice. For each point it prints one JSON line:
 - ``report_sha256``: the sha256 of the report, which both runs must share;
 - ``env``: the git revision of ``DIR`` (``-dirty`` when its ``src/`` differs
   from that revision), the sha256 of ``src/stsa/*.py``, the Python, numpy
-  and scipy versions, the BLAS, and the numpy SIMD targets this CPU runs.
+  and scipy versions, the BLAS, the numpy SIMD targets this CPU runs and
+  the pinned mmap threshold.
 
 ``--out FILE`` also writes the records as one JSON list, such as
 ``scale/BENCH_<rev>.json``. ``--tiny`` runs one small point, in seconds,
@@ -44,6 +46,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+# Without it glibc raises the threshold as large blocks are freed, so where
+# later arrays land, and the peak RSS, depends on what ran before them.
+MALLOC_MMAP_THRESHOLD = 131072
 CHILD_TIMEOUT_S = 1200
 PEAK_AGREEMENT = 0.02
 
@@ -105,6 +110,7 @@ def run_child(root: Path, config: dict) -> dict:
         p for p in (str(root / "src"), env.get("PYTHONPATH")) if p
     )
     env.update({var: "1" for var in BLAS_THREAD_VARS})
+    env["MALLOC_MMAP_THRESHOLD_"] = str(MALLOC_MMAP_THRESHOLD)
     done = subprocess.run(
         [sys.executable, "-c", CHILD, json.dumps(config)],
         capture_output=True, text=True, encoding="utf-8", env=env,
@@ -160,6 +166,7 @@ def environment(root: Path) -> dict:
         "scipy": scipy.__version__,
         "blas": f"{blas.get('name')} {blas.get('version')}",
         "blas_threads": 1,
+        "malloc_mmap_threshold": MALLOC_MMAP_THRESHOLD,
         "numpy_simd": {
             "baseline": list(umath.__cpu_baseline__),
             "dispatched": [t for t in umath.__cpu_dispatch__ if features.get(t)],

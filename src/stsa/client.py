@@ -20,7 +20,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import RandomMap, SpatialStatistics, apply_map, dtpttf, local_statistics, map_blocks
+from .core import (
+    RandomMap, SpatialStatistics, apply_map, class_columns, dtpttf, local_statistics, map_blocks
+)
 from .errors import ConfigurationError, DomainError
 from .prng import ChaChaStream
 
@@ -68,25 +70,26 @@ class UploadPayload:
 def mapped_statistics(
     rmap: RandomMap,
     raw: np.ndarray,
-    labels: np.ndarray,
-    task_classes: Sequence[int],
+    cols: np.ndarray,
+    class_count: int,
     *,
     include_gram: bool = True,
 ) -> SpatialStatistics:
     """The statistics {G, C, n} of raw rows ``raw``, mapped by ``rmap``.
 
     The rows are mapped and pooled one ``map_blocks`` block at a time, so at
-    most B x M mapped floats are held (see ``core.map_blocks``). Each block
-    after the first is added into the first one's statistics in place (see
-    ``local_statistics``'s ``into``), so one set of sums is held. Rows that
-    fit one block, none included, are exactly one
-    ``local_statistics(apply_map(rmap, raw), labels, task_classes)`` call.
+    most B x M mapped floats are held (see ``core.map_blocks``), and each
+    block takes its slice of the rows' ``class_columns``, ``cols``, matched
+    once per shard. Each block after the first is added into the first one's
+    statistics in place (see ``local_statistics``'s ``into``). Rows that fit
+    one block are exactly one ``local_statistics(apply_map(rmap, raw), cols,
+    class_count)`` call.
     """
     stats = None
-    for block in map_blocks(rmap, len(labels)):
+    for block in map_blocks(rmap, len(cols)):
         # The mapped block is an argument only, so it goes when the call returns.
         stats = local_statistics(
-            apply_map(rmap, raw[block]), labels[block], task_classes,
+            apply_map(rmap, raw[block]), cols[block], class_count,
             include_gram=include_gram, into=stats,
         )
     return stats
@@ -107,14 +110,15 @@ def extract_payload(
     clients (an empty shard yields a single all-zero record), computes
     first-order statistics per sub-shard, and never materializes a gram
     matrix. The split deals a seeded shuffle of the rows round-robin into
-    sorted, disjoint cells. Either way each record is one
-    ``mapped_statistics`` over its raw rows, so one block of mapped rows is
-    held at a time, never the whole mapped shard.
+    sorted, disjoint cells. The shard's labels become ``class_columns`` once,
+    before any cell is dealt, and each record is one ``mapped_statistics``
+    over its raw rows: one block of mapped rows is held at a time.
     """
     if mode not in (MODE_FULL, MODE_EFFICIENT):
         raise ConfigurationError(f"unknown payload mode {mode!r}")
     if k_d < 1:
         raise ConfigurationError(f"dummy client count must be >= 1, got {k_d}")
+    cols = class_columns(shard.labels, task_classes)
     full = mode == MODE_FULL
     if full:
         cells = [slice(None)]  # the whole shard, as a view
@@ -125,7 +129,7 @@ def extract_payload(
         cells = [np.sort(order[j::effective]) for j in range(effective)]
     records = tuple(
         mapped_statistics(
-            rmap, shard.features[cell], shard.labels[cell], task_classes, include_gram=full
+            rmap, shard.features[cell], cols[cell], len(task_classes), include_gram=full
         )
         for cell in cells
     )

@@ -218,39 +218,43 @@ def map_blocks(rmap: RandomMap, n: int) -> Iterator[slice]:
     return (slice(start, start + size) for start in range(0, max(n, 1), size))
 
 
-def _label_columns(labels: np.ndarray, class_list: list[int]) -> np.ndarray:
-    """Column index of each label in the task's class order."""
-    if not class_list:
-        if labels.size:
-            raise DomainError(f"label {int(labels[0])} is not in task classes []")
-        return np.empty(0, dtype=np.int64)
-    class_arr = np.asarray(class_list, dtype=np.int64)
-    order = np.argsort(class_arr, kind="stable")
-    sorted_classes = class_arr[order]
-    pos = np.searchsorted(sorted_classes, labels)
-    pos_clipped = np.minimum(pos, len(class_arr) - 1)
-    bad = (pos >= len(class_arr)) | (sorted_classes[pos_clipped] != labels)
-    if bad.any():
-        offender = int(labels[np.flatnonzero(bad)[0]])
+def class_columns(labels: np.ndarray, task_classes: Sequence[int]) -> np.ndarray:
+    """Column of each label in ``task_classes``' order: ``local_statistics``' ``cols``.
+
+    Non-integer labels (not truncated), duplicate classes and a label outside
+    them are each a DomainError. No labels make no columns, whatever the classes.
+    """
+    labels = np.asarray(labels)
+    class_list = list(task_classes)
+    if len(set(class_list)) != len(class_list):
+        raise DomainError(f"task class list has duplicates: {class_list}")
+    if not labels.size:
+        return np.empty(labels.shape, dtype=np.int64)
+    if labels.dtype.kind not in "iu":
+        raise DomainError(f"labels must be integers, got dtype {labels.dtype}")
+    hits = labels[..., None] == np.asarray(class_list, dtype=np.int64)
+    found = hits.any(axis=-1)
+    if not found.all():
+        offender = int(labels[~found].flat[0])
         raise DomainError(f"label {offender} is not in task classes {class_list}")
-    return order[pos_clipped]
+    return hits.argmax(axis=-1)
 
 
 def local_statistics(
     feat: np.ndarray,
-    labels: np.ndarray,
-    task_classes: Sequence[int],
+    cols: np.ndarray,
+    class_count: int,
     *,
     include_gram: bool = True,
     into: SpatialStatistics | None = None,
 ) -> SpatialStatistics:
     """Compute one shard's statistics from mapped features; they name no sender.
 
-    G = X^T X, C = X^T Y with Y one-hot over ``task_classes`` in the given
-    order, label_freq = per-class counts. Labels of a non-integer dtype are a
-    DomainError, not truncated. G is X^T X in RFP, written by one ``dsfrk``
-    into an array of this call's own; no M x M array is made. A zero-row
-    ``feat`` yields zero statistics.
+    G = X^T X, C = X^T Y with Y one-hot over ``class_count`` columns, row i
+    in column ``cols[i]``, label_freq = per-column counts. ``cols`` are the
+    rows' ``class_columns``, which alone checks labels: this call only adds.
+    G is X^T X in RFP, written by one ``dsfrk`` into an array of this call's
+    own; no M x M array is made. A zero-row ``feat`` yields zero statistics.
     ``include_gram=False`` skips G entirely (it is never formed), which is
     the communication-efficient transmit path.
 
@@ -261,27 +265,13 @@ def local_statistics(
     gram exactly when ``include_gram`` is set, and the shape of these rows'.
     """
     feat = np.asarray(feat, dtype=np.float64)
-    labels = np.asarray(labels)
-    if labels.size and labels.dtype.kind not in "iu":
-        raise DomainError(f"labels must be integers, got dtype {labels.dtype}")
-    labels = labels.astype(np.int64, copy=False)
     if feat.ndim != 2:
         raise DimensionError(f"features must be 2-D, got shape {feat.shape}")
-    if labels.shape != (feat.shape[0],):
+    (n, m), c = feat.shape, class_count
+    if cols.shape != (n,):
         raise DimensionError(
-            f"{labels.shape[0] if labels.ndim == 1 else labels.shape} labels "
-            f"for {feat.shape[0]} feature rows"
+            f"{cols.shape[0] if cols.ndim == 1 else cols.shape} class columns for {n} feature rows"
         )
-    class_list = list(task_classes)
-    if len(set(class_list)) != len(class_list):
-        raise DomainError(f"task class list has duplicates: {class_list}")
-
-    c = len(class_list)
-    cols = _label_columns(labels, class_list)
-    onehot = np.zeros((feat.shape[0], c))
-    onehot[np.arange(feat.shape[0]), cols] = 1.0
-
-    n, m = feat.shape
     if into is not None and (
         (into.gram is not None) != include_gram or into.corr.shape != (m, c)
     ):
@@ -289,6 +279,8 @@ def local_statistics(
             f"cannot add {'gram, ' if include_gram else ''}corr ({m}, {c}) statistics "
             f"into {'gram, ' if into.gram is not None else ''}corr {into.corr.shape}"
         )
+    onehot = np.zeros((n, c))
+    onehot[np.arange(n), cols] = 1.0
     gram = None
     if include_gram:
         # beta = 0 never reads C's old contents, so an uninitialized array is

@@ -306,9 +306,11 @@ def save_features(dataset: FeatureDataset, path) -> None:
     header = _HEADER.pack(
         MAGIC, FORMAT_VERSION, n, d, dataset.class_count, _ROLE_CODES[dataset.role]
     )
-    body = dataset.features.astype("<f4").tobytes(order="C")
-    tail = dataset.labels.astype("<u4").tobytes()
-    Path(path).write_bytes(header + body + tail)
+    with open(path, "wb") as out:
+        out.write(header)
+        # Written from the float32 array's own buffer, so no bytes copy is made.
+        out.write(np.ascontiguousarray(dataset.features, dtype="<f4"))
+        out.write(dataset.labels.astype("<u4"))
 
 
 def load_features(path) -> FeatureDataset:

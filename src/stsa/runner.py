@@ -50,6 +50,7 @@ from .core import (
     ClassifierWeights,
     RandomMap,
     apply_map,
+    class_columns,
     dgesv,
     gram_frobenius,
     local_statistics,
@@ -333,11 +334,12 @@ def _pool_task(
 ) -> None:
     """Fold one more task into the oracle's state ``pooled``, in place.
 
-    The task's raw training rows ``features``, labelled ``labels``, are
-    pooled by ``mapped_statistics``, the clients' own path, into one set of
-    statistics. That is the one upload of a one-client stage, folded by
-    ``_fold_stage``.
+    The task's ``labels`` become ``class_columns`` once, and its raw
+    training rows ``features`` are pooled by ``mapped_statistics``, the
+    clients' own path, into one set of statistics. That is the one upload of
+    a one-client stage, folded by ``_fold_stage``.
     """
+    cols = class_columns(labels, task_classes)
 
     def upload():
         # Yielded with no name bound, so the server's fold is the
@@ -345,7 +347,7 @@ def _pool_task(
         yield UploadPayload(
             client_id=0,
             task_id=0,
-            records=(mapped_statistics(rmap, features, labels, task_classes),),
+            records=(mapped_statistics(rmap, features, cols, len(task_classes)),),
         )
 
     _fold_stage(pooled, upload(), task_classes, 1)
@@ -547,8 +549,7 @@ def _estimation_trial(spec: SynthSpec, k: int, stream: ChaChaStream) -> float:
         samples[cls] = x
     records = [
         local_statistics(
-            part.reshape(-1, m), np.repeat(np.arange(c), part.shape[1]), range(c),
-            include_gram=False,
+            part.reshape(-1, m), np.repeat(np.arange(c), part.shape[1]), c, include_gram=False
         )
         for part in np.array_split(samples, k, axis=1)
     ]

@@ -51,8 +51,11 @@ def pooled_blocks(monkeypatch):
     Clients pool through the same names, but never inside ``_pool_task``, so
     every block recorded here was pooled by the oracle. A block's raw rows
     are those of the ``apply_map`` call made through ``stsa.client`` just
-    before it.
+    before it, and its labels are its class columns read back through the
+    task's classes.
     """
+    import numpy as np
+
     import stsa.client
     import stsa.runner
 
@@ -61,7 +64,7 @@ def pooled_blocks(monkeypatch):
     pool_task = stsa.runner._pool_task
 
     def pooling_a_task(*args):
-        pooling_task.append(True)
+        pooling_task.append(args[-1])  # the task's classes
         try:
             return pool_task(*args)
         finally:
@@ -71,12 +74,12 @@ def pooled_blocks(monkeypatch):
         raws[:] = [raw]
         return apply_map(rmap, raw)
 
-    def pooling(feat, labels, *args, **kwargs):
+    def pooling(feat, cols, *args, **kwargs):
         if pooling_task:
             (raw,) = raws
             assert raw.shape[0] == feat.shape[0]
-            blocks.append((raw, labels))
-        return local_statistics(feat, labels, *args, **kwargs)
+            blocks.append((raw, np.asarray(pooling_task[-1])[cols]))
+        return local_statistics(feat, cols, *args, **kwargs)
 
     monkeypatch.setattr(stsa.runner, "_pool_task", pooling_a_task)
     monkeypatch.setattr(stsa.client, "apply_map", mapping)

@@ -14,7 +14,7 @@ from stsa.client import (
     extract_payload,
     mapped_statistics,
 )
-from stsa.core import apply_map, local_statistics, make_random_map, unpack_gram
+from stsa.core import apply_map, class_columns, local_statistics, make_random_map, unpack_gram
 from stsa.errors import ConfigurationError, DomainError
 from stsa.metrics import comm_bytes
 from stsa.prng import ChaChaStream
@@ -124,7 +124,9 @@ class TestExtractPayload:
             payload = extract_payload(shard, self.rmap, self.classes, mode="full")
             assert len(payload.records) == 1
             oracle = local_statistics(
-                apply_map(self.rmap, shard.features), shard.labels, self.classes
+                apply_map(self.rmap, shard.features),
+                class_columns(shard.labels, self.classes),
+                len(self.classes),
             )
             assert_same_statistics(payload.records[0], oracle)
 
@@ -367,16 +369,16 @@ class TestMappedStatistics:
         shard = make_shard(n=block, d=16, classes=classes, seed=1)
         mapped = apply_map(rmap, shard.features)
         full = extract_payload(shard, rmap, classes, mode="full")
-        assert_same_statistics(full.records[0], local_statistics(mapped, shard.labels, classes))
+        cols = class_columns(shard.labels, classes)
+        assert_same_statistics(full.records[0], local_statistics(mapped, cols, len(classes)))
         shard = make_shard(n=2 * block, d=16, classes=classes, seed=2)
         mapped = apply_map(rmap, shard.features)
         eff = extract_payload(shard, rmap, classes, mode="efficient", k_d=2, seed=4)
         cells = dummy_cells(shard, 2, seed=4)
         assert [cell.size for cell in cells] == [block, block]
         for rec, cell in zip(eff.records, cells):
-            reference = local_statistics(
-                mapped[cell], shard.labels[cell], classes, include_gram=False
-            )
+            cols = class_columns(shard.labels[cell], classes)
+            reference = local_statistics(mapped[cell], cols, len(classes), include_gram=False)
             assert_same_statistics(rec, reference)
 
     @pytest.mark.parametrize("include_gram", [True, False], ids=["full", "first-order"])
@@ -389,8 +391,9 @@ class TestMappedStatistics:
         monkeypatch.setattr(stsa.client, "apply_map", lambda rmap, raw: raw.copy())
         rmap = make_random_map(3, m, m)
         shard = integer_shard(n, m, classes)
+        cols = class_columns(shard.labels, classes)
         stats = mapped_statistics(
-            rmap, shard.features, shard.labels, classes, include_gram=include_gram
+            rmap, shard.features, cols, len(classes), include_gram=include_gram
         )
         x = shard.features
         onehot = np.eye(len(classes))[shard.labels]
@@ -422,6 +425,31 @@ class TestMappedStatistics:
             assert np.array_equal(unpack_gram(payload.records[0].gram, m), x.T @ x)
         else:
             assert len(payload.records) == 2
+
+    @pytest.mark.parametrize(
+        "mode, k_d, blocks", [("full", 1, 6), ("efficient", 4, 8)], ids=["full", "efficient"]
+    )
+    def test_labels_become_columns_once_per_shard(self, monkeypatch, mode, k_d, blocks):
+        # A shard of 41 rows at M = 12 spans 6 blocks of B = 8 in full mode,
+        # and 4 cells of 10 or 11 rows, two blocks each, in efficient mode;
+        # its labels are matched to class columns by one call all the same.
+        matches, pooled = [], []
+        match, pool = stsa.client.class_columns, stsa.client.local_statistics
+
+        def matching(labels, task_classes):
+            matches.append(labels.size)
+            return match(labels, task_classes)
+
+        def pooling(feat, *args, **kwargs):
+            pooled.append(feat.shape[0])
+            return pool(feat, *args, **kwargs)
+
+        monkeypatch.setattr(stsa.client, "class_columns", matching)
+        monkeypatch.setattr(stsa.client, "local_statistics", pooling)
+        shard = integer_shard(41, 12, seed=7)
+        extract_payload(shard, make_random_map(3, 12, 12), (0, 1, 2), mode=mode, k_d=k_d, seed=2)
+        assert matches == [41]
+        assert len(pooled) == blocks and sum(pooled) == 41
 
     def test_full_mode_holds_one_block(self):
         # A shard of 8M rows mapped whole would hold 4 M x M units of mapped

@@ -16,6 +16,7 @@ from stsa.core import (
     _rfp_diagonal,
     _rfp_strips,
     apply_map,
+    class_columns,
     gram_frobenius,
     local_statistics,
     make_random_map,
@@ -158,16 +159,49 @@ class TestApplyMap:
             assert [s.start for s in slices] == [0, *(s.stop for s in slices[:-1])]
 
 
+class TestClassColumns:
+    def test_columns_follow_the_task_list(self):
+        cols = class_columns(np.array([9, 4, 9, 7]), [9, 7, 4])
+        assert cols.tolist() == [0, 2, 0, 1]
+        assert cols.dtype == np.int64
+
+    def test_unsigned_labels_are_matched(self):
+        assert class_columns(np.array([8, 5], dtype=np.uint8), [5, 8]).tolist() == [1, 0]
+
+    @pytest.mark.parametrize("classes", [[], [4, 9]], ids=["no-classes", "classes"])
+    def test_no_labels_make_no_columns(self, classes):
+        # A broadcast argmax over zero classes raises; no rows need no match.
+        cols = class_columns(np.zeros(0, dtype=int), classes)
+        assert cols.shape == (0,) and cols.dtype == np.int64
+
+    def test_a_label_with_no_classes_is_a_domain_error(self):
+        with pytest.raises(DomainError, match=r"label 4 is not in task classes \[\]"):
+            class_columns(np.array([4]), [])
+
+    def test_unknown_label_is_a_domain_error(self):
+        with pytest.raises(DomainError, match="label 3"):
+            class_columns(np.array([0, 3]), [0, 1])
+
+    def test_non_integer_labels_are_a_domain_error(self):
+        # An int64 cast would read 0.5 as class 0.
+        with pytest.raises(DomainError, match="labels must be integers, got dtype float64"):
+            class_columns(np.array([0.5, 1.0]), [0, 1])
+
+    def test_duplicate_classes_are_a_domain_error(self):
+        with pytest.raises(DomainError, match=r"task class list has duplicates: \[3, 1, 3\]"):
+            class_columns(np.array([1]), [3, 1, 3])
+
+
 class TestLocalStatistics:
     def test_identity_features(self):
-        stats = local_statistics(np.eye(2), np.array([0, 1]), [0, 1])
+        stats = local_statistics(np.eye(2), np.array([0, 1]), 2)
         assert np.array_equal(stats.gram, rfp(np.eye(2)))
         assert np.array_equal(stats.corr, np.eye(2))
         assert stats.label_freq.tolist() == [1, 1]
         assert stats.label_freq.dtype == np.int64
 
     def test_empty_input_gives_zero_statistics(self):
-        stats = local_statistics(np.zeros((0, 3)), np.zeros(0, dtype=int), [4, 9])
+        stats = local_statistics(np.zeros((0, 3)), np.zeros(0, dtype=int), 2)
         assert np.all(stats.gram == 0.0) and stats.gram.shape == (6,)
         assert np.all(stats.corr == 0.0) and stats.corr.shape == (3, 2)
         assert stats.label_freq.tolist() == [0, 0]
@@ -176,12 +210,12 @@ class TestLocalStatistics:
         # Integer features sum exactly in any order: the second block's
         # statistics land in the first block's arrays.
         feat = np.array([[1.0, 2.0], [0.0, 3.0], [2.0, 1.0]])
-        labels = np.array([5, 8, 8])
-        first = local_statistics(feat[:1], labels[:1], [5, 8])
+        cols = class_columns(np.array([5, 8, 8]), [5, 8])
+        first = local_statistics(feat[:1], cols[:1], 2)
         arrays = (first.gram, first.corr, first.label_freq)
-        both = local_statistics(feat[1:], labels[1:], [5, 8], into=first)
+        both = local_statistics(feat[1:], cols[1:], 2, into=first)
         assert all(a is b for a, b in zip((both.gram, both.corr, both.label_freq), arrays))
-        whole = local_statistics(feat, labels, [5, 8])
+        whole = local_statistics(feat, cols, 2)
         assert np.array_equal(both.gram, whole.gram)
         assert np.array_equal(both.corr, whole.corr)
         assert both.label_freq.tolist() == [1, 2]
@@ -193,15 +227,17 @@ class TestLocalStatistics:
         ids=["dimension", "classes", "mode"],
     )
     def test_into_must_match_the_block(self, feat, classes, gram):
-        into = local_statistics(np.ones((1, 2)), np.array([5]), [5, 8])
+        into = local_statistics(np.ones((1, 2)), np.array([0]), 2)
         with pytest.raises(DimensionError, match="cannot add"):
-            local_statistics(feat, np.full(2, 5), classes, include_gram=gram, into=into)
+            local_statistics(
+                feat, np.zeros(2, dtype=int), len(classes), include_gram=gram, into=into
+            )
 
     def test_duplicating_samples_doubles_statistics(self):
         feat = np.array([[1.0, 2.0], [0.5, 0.25], [3.0, 1.0]])
-        labels = np.array([5, 5, 8])
-        once = local_statistics(feat, labels, [5, 8])
-        twice = local_statistics(np.vstack([feat, feat]), np.concatenate([labels, labels]), [5, 8])
+        cols = class_columns(np.array([5, 5, 8]), [5, 8])
+        once = local_statistics(feat, cols, 2)
+        twice = local_statistics(np.vstack([feat, feat]), np.concatenate([cols, cols]), 2)
         assert np.allclose(twice.gram, 2.0 * once.gram, rtol=1e-12)
         assert np.allclose(twice.corr, 2.0 * once.corr, rtol=1e-12)
         assert np.array_equal(twice.label_freq, 2 * once.label_freq)
@@ -212,29 +248,24 @@ class TestLocalStatistics:
         b = rng.normal(size=(5, 4))
         la = rng.integers(0, 3, size=7)
         lb = rng.integers(0, 3, size=5)
-        whole = local_statistics(np.vstack([a, b]), np.concatenate([la, lb]), [0, 1, 2])
-        pa = local_statistics(a, la, [0, 1, 2])
-        pb = local_statistics(b, lb, [0, 1, 2])
+        whole = local_statistics(np.vstack([a, b]), np.concatenate([la, lb]), 3)
+        pa = local_statistics(a, la, 3)
+        pb = local_statistics(b, lb, 3)
         assert np.allclose(whole.gram, pa.gram + pb.gram, rtol=1e-12)
         assert np.allclose(whole.corr, pa.corr + pb.corr, rtol=1e-12)
 
     def test_class_column_order_follows_task_list(self):
-        stats = local_statistics(np.array([[2.0]]), np.array([9]), [9, 4])
+        stats = local_statistics(np.array([[2.0]]), class_columns(np.array([9]), [9, 4]), 2)
         assert stats.corr.tolist() == [[2.0, 0.0]]
-        stats = local_statistics(np.array([[2.0]]), np.array([9]), [4, 9])
+        stats = local_statistics(np.array([[2.0]]), class_columns(np.array([9]), [4, 9]), 2)
         assert stats.corr.tolist() == [[0.0, 2.0]]
 
-    def test_unknown_label_is_a_domain_error(self):
-        with pytest.raises(DomainError, match="label 3"):
-            local_statistics(np.eye(2), np.array([0, 3]), [0, 1])
-
-    def test_non_integer_labels_are_a_domain_error(self):
-        # An int64 cast would read 0.5 as class 0.
-        with pytest.raises(DomainError, match="labels must be integers, got dtype float64"):
-            local_statistics(np.ones((2, 2)), np.array([0.5, 1.0]), [0, 1])
+    def test_columns_must_match_the_rows(self):
+        with pytest.raises(DimensionError, match="3 class columns for 2 feature rows"):
+            local_statistics(np.eye(2), np.zeros(3, dtype=int), 2)
 
     def test_gram_can_be_omitted(self):
-        stats = local_statistics(np.eye(2), np.array([0, 1]), [0, 1], include_gram=False)
+        stats = local_statistics(np.eye(2), np.array([0, 1]), 2, include_gram=False)
         assert stats.gram is None
 
     @pytest.mark.parametrize(
@@ -251,11 +282,11 @@ class TestLocalStatistics:
         # entry is held to the rounding bound of an n-term dot product.
         rng = np.random.default_rng(n + m)
         exact = rng.integers(0, 4, size=(n, m)).astype(np.float64)
-        gram = local_statistics(exact, np.zeros(n, dtype=int), [0]).gram
+        gram = local_statistics(exact, np.zeros(n, dtype=int), 1).gram
         assert gram.shape == (m * (m + 1) // 2,)
         assert np.array_equal(gram, rfp(exact.T @ exact))
         feat = np.maximum(rng.normal(size=(n, m)), 0.0)
-        gram = local_statistics(feat, np.zeros(n, dtype=int), [0]).gram
+        gram = local_statistics(feat, np.zeros(n, dtype=int), 1).gram
         bound = n * np.finfo(np.float64).eps * rfp(np.abs(feat).T @ np.abs(feat))
         assert np.all(np.abs(gram - rfp(feat.T @ feat)) <= bound)
 
@@ -270,20 +301,20 @@ class TestLocalStatistics:
                 feat = rng.integers(0, 4, size=(n, m)).astype(np.float64)
                 stale = np.full(m * (m + 1) // 2, np.nan)
                 del stale
-                gram = local_statistics(feat, np.zeros(n, dtype=int), [0]).gram
+                gram = local_statistics(feat, np.zeros(n, dtype=int), 1).gram
                 assert np.array_equal(gram, rfp(feat.T @ feat))
                 assert not np.shares_memory(gram, feat)
 
     def test_peak_memory_is_the_gram_and_the_label_arrays(self):
         # dsfrk writes the RFP gram directly: beyond it the call holds the
-        # one-hot labels, their column indices and the corr it returns, and
-        # no M x M array.
+        # one-hot labels, the row indices that place them and the corr it
+        # returns, and no M x M array.
         n, m, c = 400, 600, 10
         feat = np.random.default_rng(13).normal(size=(n, m))
-        labels = np.arange(n) % c
+        cols = np.arange(n) % c
         tracemalloc.start()
         try:
-            local_statistics(feat, labels, range(c))
+            local_statistics(feat, cols, c)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -321,7 +352,7 @@ class TestUnpackUpper:
 
     def test_local_statistics_round_trip_is_numpy_gram(self):
         feat = np.random.default_rng(3).integers(0, 4, size=(50, 70)).astype(np.float64)
-        gram = local_statistics(feat, np.zeros(50, dtype=int), [0]).gram
+        gram = local_statistics(feat, np.zeros(50, dtype=int), 1).gram
         assert np.array_equal(unpack_gram(gram, 70), feat.T @ feat)
 
     @pytest.mark.parametrize("shape", [(9,), (11,), (4, 4)])

@@ -1,5 +1,7 @@
 """Task splitting, non-IID partitioning, synthesis, feature files."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -256,6 +258,19 @@ class TestFeatureFiles:
         assert np.array_equal(loaded.features, train.features.astype(np.float32).astype(np.float64))
         assert np.array_equal(loaded.labels, train.labels)
         assert loaded.class_count == 3 and loaded.role == "train"
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_file_is_the_header_body_and_labels(self, tmp_path, order):
+        # The body is written from the float32 array itself, in row order
+        # whatever the features' memory order.
+        features = np.asarray(np.random.default_rng(4).normal(size=(7, 3)), order=order)
+        labels = np.array([0, 4, 1, 4, 2, 0, 3])
+        path = tmp_path / "rows.stsafeat"
+        save_features(FeatureDataset(features, labels, 5, "test"), path)
+        header = struct.pack("<8sIQIIB7x", b"STSAFEAT", 1, 7, 3, 5, 1)
+        body = features.astype("<f4").tobytes(order="C")
+        tail = labels.astype("<u4").tobytes()
+        assert path.read_bytes() == header + body + tail
 
     def test_second_round_trip_is_bit_identical(self, tmp_path):
         spec = random_synth_spec(2, 4, train_per_class=6, test_per_class=2, seed=8)

@@ -21,6 +21,7 @@ from stsa.config import ExperimentConfig, load_config
 from stsa.core import (
     ClassifierWeights,
     apply_map,
+    class_columns,
     local_statistics,
     make_random_map,
     predict,
@@ -92,7 +93,8 @@ class TestRunExperiment:
         # Every training row pooled by one call and folded once: the one-shot
         # reference against the runner's task-by-task fold.
         class_ids = [c for task in schedule.tasks for c in task]
-        pooled = local_statistics(apply_map(rmap, train.features), train.labels, class_ids)
+        cols = class_columns(train.labels, class_ids)
+        pooled = local_statistics(apply_map(rmap, train.features), cols, len(class_ids))
         w_star = centralized_oracle(fold(pooled, class_ids), cfg.gamma)
         mapped_test = apply_map(rmap, test.features)
         for tau, task in enumerate(schedule.tasks, start=1):
@@ -147,7 +149,9 @@ class TestRunExperiment:
         rmap = make_random_map(2, d, m)
         pooled = TemporalState.initial(m)
         stsa.runner._pool_task(pooled, rmap, features, labels, classes)
-        reference = local_statistics(apply_map(rmap, features), labels, classes)
+        reference = local_statistics(
+            apply_map(rmap, features), class_columns(labels, classes), len(classes)
+        )
         assert np.array_equal(pooled.gram_acc, reference.gram)
         assert np.array_equal(pooled.corr_acc, reference.corr)
 
@@ -179,6 +183,22 @@ class TestRunExperiment:
         assert np.array_equal(unpack_gram(pooled.gram_acc, m), features.T @ features)
         assert np.array_equal(stats.corr, features.T @ onehot)
         assert stats.label_freq.tolist() == [int(np.sum(labels == c)) for c in classes]
+
+    def test_the_oracle_matches_labels_once_per_task(self, monkeypatch):
+        # The oracle pools each task's 80 rows in 10 blocks of B = 8 at
+        # M = 16, and matches its labels to class columns once; the clients
+        # match theirs through stsa.client's name.
+        matches = []
+        match = stsa.runner.class_columns
+
+        def matching(labels, task_classes):
+            matches.append(tuple(task_classes))
+            return match(labels, task_classes)
+
+        monkeypatch.setattr(stsa.runner, "class_columns", matching)
+        cfg = ExperimentConfig(**{**SMALL, "M": 16}, oracle_check=True)
+        run_experiment(cfg)
+        assert matches == [tuple(task) for task in make_schedule(cfg, cfg.synth_classes).tasks]
 
     def test_peak_memory_is_flat_in_the_task_count(self):
         # (20, 5) and (80, 20) have the same classes per task and rows per
@@ -599,7 +619,7 @@ def pool(feat, labels, class_ids):
     The gram stays in RFP, as the runner pools it for the oracle.
     """
     rows = np.isin(labels, class_ids)
-    return local_statistics(feat[rows], labels[rows], class_ids)
+    return local_statistics(feat[rows], class_columns(labels[rows], class_ids), len(class_ids))
 
 
 def fold(stats, class_ids):
@@ -910,9 +930,9 @@ class TestEstimatorStudy:
         calls = []
         original = stsa.runner.local_statistics
 
-        def recording(feat, labels, task_classes, **kwargs):
-            calls.append((feat.shape[0], np.bincount(labels).tolist(), kwargs))
-            return original(feat, labels, task_classes, **kwargs)
+        def recording(feat, cols, class_count, **kwargs):
+            calls.append((feat.shape[0], np.bincount(cols).tolist(), kwargs))
+            return original(feat, cols, class_count, **kwargs)
 
         monkeypatch.setattr(stsa.runner, "local_statistics", recording)
         spec = random_synth_spec(2, 4, train_per_class=10, test_per_class=0,
@@ -921,6 +941,17 @@ class TestEstimatorStudy:
         assert calls == [(10, [5, 5], {"include_gram": False})] * 200 + [
             (4, [2, 2], {"include_gram": False})
         ] * 500
+
+    def test_a_trial_matches_no_labels(self, monkeypatch):
+        # A trial's records take their class columns as built, so no label
+        # is matched to a column through any module's name.
+        matches = []
+        for module in (stsa.core, stsa.client, stsa.runner):
+            monkeypatch.setattr(module, "class_columns", lambda *args: matches.append(args))
+        spec = random_synth_spec(3, 4, train_per_class=10, test_per_class=0,
+                                 seed=3, noise_std=1.0)
+        stsa.runner._estimation_trial(spec, 5, ChaChaStream(1))
+        assert matches == []
 
     def test_error_decreases_with_more_clients(self):
         spec = random_synth_spec(2, 4, train_per_class=100, test_per_class=0,

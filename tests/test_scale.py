@@ -40,3 +40,5 @@ def test_tiny_point_prints_and_writes_its_record(tmp_path):
         "git_revision", "src_sha256", "python", "numpy", "scipy", "blas", "numpy_simd"
     }
     assert len(env["src_sha256"]) == 64
+    # Each child runs with glibc's mmap threshold pinned at this value.
+    assert env["malloc_mmap_threshold"] == 131072

@@ -15,6 +15,7 @@ from stsa.core import (
     _SYMMETRY_BLOCK,
     SpatialStatistics,
     apply_map,
+    class_columns,
     local_statistics,
     make_random_map,
     unpack_gram,
@@ -96,7 +97,8 @@ class TestSpatialAggregate:
         )
         acc = TemporalState.initial(8).gram_acc
         corr, _ = spatial_aggregate(payloads, self.classes, 3, acc)
-        pooled = local_statistics(apply_map(self.rmap, self.raw), self.labels, self.classes)
+        cols = class_columns(self.labels, self.classes)
+        pooled = local_statistics(apply_map(self.rmap, self.raw), cols, len(self.classes))
         assert np.allclose(unpack_gram(acc, 8), unpack_gram(pooled.gram, 8), rtol=1e-12)
         assert np.allclose(corr, pooled.corr, rtol=1e-12)
 
@@ -673,12 +675,13 @@ class TestJointEquivalence:
             task = classes[start : start + width]
             start += width
             mask = np.isin(labels, task)
-            stats = local_statistics(feat[mask], labels[mask], task)
+            stats = local_statistics(feat[mask], class_columns(labels[mask], task), width)
             fold(state, stats.gram, stats.corr, task)
 
             seen = classes[:start]
             pooled_mask = np.isin(labels, seen)
-            pooled = local_statistics(feat[pooled_mask], labels[pooled_mask], seen)
+            cols = class_columns(labels[pooled_mask], seen)
+            pooled = local_statistics(feat[pooled_mask], cols, len(seen))
             pooled_gram = unpack_gram(pooled.gram, 12)
             g_ref = np.linalg.norm(pooled_gram, "fro")
             c_ref = np.linalg.norm(pooled.corr, "fro")
@@ -690,7 +693,7 @@ class TestJointEquivalence:
 class TestUpdateClassifier:
     def test_single_sample_scalar_ridge(self):
         # One sample with feature e1 and gamma=1 gives weight 1/2 on e1.
-        stats = local_statistics(np.array([[1.0, 0.0]]), np.array([7]), [7])
+        stats = local_statistics(np.array([[1.0, 0.0]]), class_columns(np.array([7]), [7]), 1)
         state = TemporalState.initial(2)
         fold(state, stats.gram, stats.corr, [7])
         w = update_classifier(state, gamma=1.0)
@@ -705,9 +708,9 @@ class TestUpdateClassifier:
         feat = apply_map(rmap, raw)
 
         state = TemporalState.initial(7)
-        s1 = local_statistics(feat[:20], labels[:20], [0, 1])
-        s2 = local_statistics(feat[20:], labels[20:], [2, 3])
-        pooled = local_statistics(feat, labels, [0, 1, 2, 3])
+        s1 = local_statistics(feat[:20], class_columns(labels[:20], [0, 1]), 2)
+        s2 = local_statistics(feat[20:], class_columns(labels[20:], [2, 3]), 2)
+        pooled = local_statistics(feat, class_columns(labels, [0, 1, 2, 3]), 4)
         fold(state, s1.gram, s1.corr, [0, 1])
         fold(state, s2.gram, s2.corr, [2, 3])
         w = update_classifier(state, gamma=0.1)
