@@ -5,7 +5,8 @@
 Runs each point as one ``run_experiment`` in a fresh child process at one
 BLAS thread, against the stsa package in ``DIR/src`` (default: this
 checkout), and runs it twice, each child at a pinned glibc mmap threshold
-(``MALLOC_MMAP_THRESHOLD``). For each point it prints one JSON line:
+(``MALLOC_MMAP_THRESHOLD``) and in one temporary directory, which is
+removed when the script ends. For each point it prints one JSON line:
 
 - ``wall_s`` and ``peak_rss_mb`` of both runs: the ``run_experiment`` call's
   wall time, and the child's peak RSS from ``ru_maxrss`` (10^6 bytes per MB,
@@ -22,15 +23,25 @@ checkout), and runs it twice, each child at a pinned glibc mmap threshold
   the pinned mmap threshold.
 
 ``--out FILE`` also writes the records as one JSON list, such as
-``scale/BENCH_<rev>.json``. ``--tiny`` runs one small point, in seconds,
-instead of the scale points.
+``scale/BENCH_<rev>.json``. ``--tiny`` runs three small points, in seconds,
+instead of the scale points: the tiny point, and the same config read from
+feature files, sorted by class and shuffled.
 
 The points are the pretrained shape (d=768, M=1250, 500 train and 100 test
 rows per class, K=5, ``synth_noise_std = 6``) in full mode, efficient mode
 and full mode with the oracle check, and M=2500 full mode at K=5 on the
 ``perfbench`` data shape (d=64, 200 train and 50 test rows per class,
-``synth_noise_std = 2``). All draw synthetic data: the pretrained points'
-peaks include the generator's one task of raw rows at a time.
+``synth_noise_std = 2``). These draw synthetic data: the pretrained points'
+peaks include the generator's one task of raw rows at a time. The last
+point, pretrained-files, is pretrained full mode with ``data = files``: the
+script writes its two feature files with ``stsa gen-features`` from the
+same config, once, into the temporary directory, untimed, and the run reads
+a task's rows from them when it takes the task. Its config names the files
+relative to that directory, so its report is the same on every invocation.
+pretrained-files-shuffled runs the same config from the same files once a
+child has put each file's rows in one seeded random order, classes mixed,
+as features an extractor wrote in dataset order would be; ``--tiny`` runs
+``tiny-files-shuffled`` likewise.
 """
 
 from __future__ import annotations
@@ -41,6 +52,7 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -51,6 +63,14 @@ BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"
 MALLOC_MMAP_THRESHOLD = 131072
 CHILD_TIMEOUT_S = 1200
 PEAK_AGREEMENT = 0.02
+# A files point reads the feature files that `stsa gen-features` writes
+# from its config under this prefix, in the directory every child runs in.
+FEATURES = "features"
+# The rows of these points' feature files are put in one seeded random
+# order once written, as an extractor run in dataset order writes them:
+# classes mixed, where `stsa gen-features` writes each class's rows together.
+SHUFFLED = frozenset({"pretrained-files-shuffled", "tiny-files-shuffled"})
+SHUFFLE_SEED = 1
 
 # Settings every point shares: 100 classes in 10 tasks, as perfbench runs.
 _COMMON = dict(synth_classes=100, T=10, beta=0.5, gamma=1e6, seed=1, K=5, K_D=10)
@@ -62,6 +82,15 @@ _PRETRAINED = dict(
     synth_noise_std=6.0,
     M=1250,
 )
+
+
+def from_files(config: dict) -> dict:
+    """``config`` run from the feature files written from its synthetic keys."""
+    return dict(
+        config, data="files",
+        train_path=f"{FEATURES}.train.stsafeat", test_path=f"{FEATURES}.test.stsafeat",
+    )
+
 
 POINTS = {
     "pretrained-full": dict(_PRETRAINED, mode="full"),
@@ -76,13 +105,16 @@ POINTS = {
         M=2500,
         mode="full",
     ),
+    "pretrained-files": from_files(dict(_PRETRAINED, mode="full")),
+    "pretrained-files-shuffled": from_files(dict(_PRETRAINED, mode="full")),
 }
 
+_TINY = dict(
+    synth_classes=6, synth_dim=4, synth_train_per_class=40, synth_test_per_class=20,
+    T=3, K=3, beta=0.5, M=16, gamma=10.0, seed=7, mode="full", oracle_check=True,
+)
 TINY_POINTS = {
-    "tiny": dict(
-        synth_classes=6, synth_dim=4, synth_train_per_class=40, synth_test_per_class=20,
-        T=3, K=3, beta=0.5, M=16, gamma=10.0, seed=7, mode="full", oracle_check=True,
-    ),
+    "tiny": _TINY, "tiny-files": from_files(_TINY), "tiny-files-shuffled": from_files(_TINY),
 }
 
 CHILD = """
@@ -102,9 +134,30 @@ print(json.dumps({
 }))
 """
 
+# Rewrites each feature file named in argv[2:] with its rows, and their
+# labels, in the order of a permutation seeded by argv[1]. It reads the
+# file format itself, so it runs the same against any checkout's stsa.
+SHUFFLE = """
+import struct, sys
+import numpy as np
+HEADER = struct.Struct("<8sIQIIB7x")  # magic, version, n, d, class_count, role
+for path in sys.argv[2:]:
+    with open(path, "rb") as f:
+        head = f.read(HEADER.size)
+        _, _, n, d, _, _ = HEADER.unpack(head)
+        rows = np.fromfile(f, dtype="<f4", count=n * d).reshape(n, d)
+        labels = np.fromfile(f, dtype="<u4", count=n)
+    order = np.random.default_rng(int(sys.argv[1])).permutation(n)
+    with open(path, "wb") as f:
+        f.write(head)
+        f.write(np.ascontiguousarray(rows[order]))
+        f.write(labels[order])
+"""
 
-def run_child(root: Path, config: dict) -> dict:
-    """One ``run_experiment`` of ``config`` in a fresh child at one BLAS thread."""
+
+def run_python(root: Path, work: Path, *args: str) -> str:
+    """Run ``args`` in a fresh Python child in ``work``, against ``root``'s
+    stsa, at one BLAS thread and the pinned mmap threshold; its stdout."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(root / "src"), env.get("PYTHONPATH")) if p
@@ -112,13 +165,31 @@ def run_child(root: Path, config: dict) -> dict:
     env.update({var: "1" for var in BLAS_THREAD_VARS})
     env["MALLOC_MMAP_THRESHOLD_"] = str(MALLOC_MMAP_THRESHOLD)
     done = subprocess.run(
-        [sys.executable, "-c", CHILD, json.dumps(config)],
-        capture_output=True, text=True, encoding="utf-8", env=env,
+        [sys.executable, *args],
+        capture_output=True, text=True, encoding="utf-8", env=env, cwd=work,
         timeout=CHILD_TIMEOUT_S,
     )
     if done.returncode != 0:
         raise SystemExit(f"child failed ({done.returncode}):\n{done.stderr}")
-    result = json.loads(done.stdout.splitlines()[-1])
+    return done.stdout
+
+
+def write_features(root: Path, work: Path, config: dict, shuffled: bool = False) -> None:
+    """``stsa gen-features`` from ``config``, written in ``work`` as ``FEATURES``;
+    with ``shuffled``, each file's rows then go in ``SHUFFLE_SEED``'s order."""
+    path = work / f"{FEATURES}.cfg"
+    text = "".join(f"{key} = {value}\n" for key, value in config.items())
+    path.write_text(text, encoding="utf-8")
+    run_python(root, work, "-m", "stsa", "gen-features", "--config", path.name, "--out", FEATURES)
+    if shuffled:
+        files = [f"{FEATURES}.{role}.stsafeat" for role in ("train", "test")]
+        run_python(root, work, "-c", SHUFFLE, str(SHUFFLE_SEED), *files)
+
+
+def run_child(root: Path, work: Path, config: dict) -> dict:
+    """One ``run_experiment`` of ``config`` in a fresh child in ``work``."""
+    stdout = run_python(root, work, "-c", CHILD, json.dumps(config))
+    result = json.loads(stdout.splitlines()[-1])
     if Path(result.pop("stsa")).resolve().parent != root / "src" / "stsa":
         raise SystemExit(f"the child did not import stsa from {root / 'src'}")
     return result
@@ -174,9 +245,14 @@ def environment(root: Path) -> dict:
     }
 
 
-def measure(root: Path, name: str, config: dict, env: dict, tiny_peak: float) -> dict:
-    """Run one point twice; its record, its peak net of ``tiny_peak`` MB."""
-    runs = [run_child(root, config) for _ in range(2)]
+def measure(root: Path, work: Path, name: str, config: dict, env: dict, tiny_peak: float) -> dict:
+    """Run one point twice in ``work``; its record, its peak net of ``tiny_peak`` MB.
+
+    A files point's features are written first, outside the timed runs.
+    """
+    if config.get("data") == "files":
+        write_features(root, work, config, shuffled=name in SHUFFLED)
+    runs = [run_child(root, work, config) for _ in range(2)]
     hashes = {run["report_sha256"] for run in runs}
     if len(hashes) != 1:
         raise SystemExit(f"{name}: two runs made different reports")
@@ -204,11 +280,13 @@ def main(argv: list[str] | None = None) -> int:
     if not (root / "src" / "stsa").is_dir():
         parser.error(f"{root} has no src/stsa")
     env = environment(root)
-    tiny_peak = run_child(root, TINY_POINTS["tiny"])["peak_rss_mb"]
     records = []
-    for name, config in (TINY_POINTS if args.tiny else POINTS).items():
-        records.append(measure(root, name, config, env, tiny_peak))
-        print(json.dumps(records[-1]), flush=True)
+    with tempfile.TemporaryDirectory(prefix="stsa-scale-") as work:
+        work = Path(work)
+        tiny_peak = run_child(root, work, TINY_POINTS["tiny"])["peak_rss_mb"]
+        for name, config in (TINY_POINTS if args.tiny else POINTS).items():
+            records.append(measure(root, work, name, config, env, tiny_peak))
+            print(json.dumps(records[-1]), flush=True)
     if args.out is not None:
         args.out.write_text(json.dumps(records, indent=1) + "\n", encoding="utf-8")
     return 0

@@ -3,8 +3,8 @@
 Three report commands share one path: ``run`` (full experiment), ``oracle``
 (pooled centralized reference) and ``estimator-study`` (gram-estimator
 error sweep) each load ``--config``, call one runner entry point and write
-its report. ``gen-features`` writes synthetic feature files from the same
-``--config``. A config file is a command's only input. Exit codes:
+its report. ``gen-features`` writes ``--config``'s synthetic splits, one at
+a time, as feature files. A config file is a command's only input. Exit codes:
 0 success, 2 configuration error, 3 numerical error, 4 format error, 5 out
 of memory.
 """
@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 
 from .config import load_config
-from .data import save_features, generate_synthetic
+from .data import SyntheticSplit, save_features
 from .errors import FormatError, NumericalError, StsaError
 from .runner import run_estimator_study, run_experiment, run_oracle, synth_spec_from_config
 
@@ -50,14 +50,15 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_gen_features(args) -> int:
-    config = load_config(args.config)
-    train, test = generate_synthetic(synth_spec_from_config(config))
+    spec = synth_spec_from_config(load_config(args.config))
     prefix = Path(args.out)
-    train_path = prefix.with_name(prefix.name + ".train.stsafeat")
-    test_path = prefix.with_name(prefix.name + ".test.stsafeat")
-    save_features(train, train_path)
-    save_features(test, test_path)
-    sys.stdout.write(f"wrote {train_path}\nwrote {test_path}\n")
+    for role in ("train", "test"):
+        path = prefix.with_name(f"{prefix.name}.{role}.stsafeat")
+        # Bound to no name, so each split goes before the next is drawn.
+        save_features(
+            path, *SyntheticSplit(spec, role).task(range(spec.class_count)), spec.class_count, role
+        )
+        sys.stdout.write(f"wrote {path}\n")
     return 0
 
 

@@ -23,7 +23,7 @@ import numpy as np
 from .core import (
     RandomMap, SpatialStatistics, apply_map, class_columns, dtpttf, local_statistics, map_blocks
 )
-from .errors import ConfigurationError, DomainError
+from .errors import ConfigurationError, DimensionError, DomainError
 from .prng import ChaChaStream
 
 MODE_FULL = "full"
@@ -85,6 +85,8 @@ def mapped_statistics(
     one block are exactly one ``local_statistics(apply_map(rmap, raw), cols,
     class_count)`` call.
     """
+    if len(raw) != len(cols):
+        raise DimensionError(f"{len(cols)} class columns for {len(raw)} raw rows")
     stats = None
     for block in map_blocks(rmap, len(cols)):
         # The mapped block is an argument only, so it goes when the call returns.

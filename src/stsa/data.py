@@ -3,16 +3,17 @@
 Raw features stand in for the output of an external frozen feature
 extractor: they arrive either from a binary feature file or from the
 Gaussian class-cluster generator used by the verification oracles. Either
-kind of split hands out one task at a time through ``task``, as its raw rows
-and their labels: a ``SyntheticSplit`` draws each of the task's classes
-then, from that class's place in the keystream, and a ``FeatureDataset``
-indexes its loaded arrays. So a synthetic run holds one task's raw rows at
-a time, training or test; a run on feature files holds both files' rows.
+kind of split holds every row's label, and hands out one task at a time
+through ``task``, as its raw rows and their labels: a ``SyntheticSplit``
+draws each of the task's classes then, from that class's place in the
+keystream, and a ``FeatureFile`` reads the task's rows from its file then.
+So a run holds one task's raw rows at a time, training or test.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -28,6 +29,8 @@ FORMAT_VERSION = 1
 _HEADER = struct.Struct("<8sIQIIB7x")  # magic, version, n, d, class_count, role
 _ROLE_CODES = {"train": 0, "test": 1}
 _ROLE_NAMES = {0: "train", 1: "test"}
+# Loading checks, and a task reads, the body at most this many bytes at a time.
+_BLOCK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -47,50 +50,6 @@ class TaskSchedule:
     @property
     def stages(self) -> int:
         return len(self.tasks)
-
-
-@dataclass(frozen=True)
-class FeatureDataset:
-    """Raw features plus labels for one split, held whole.
-
-    A split read from a feature file is one of these; a synthetic split is a
-    ``SyntheticSplit``, which draws one task's rows at a time. Either hands
-    out a task through ``task``.
-    """
-
-    features: np.ndarray  # (n, d) float64, resident for the whole run
-    labels: np.ndarray  # (n,) int64
-    class_count: int
-    role: str  # "train" | "test"
-
-    def __post_init__(self):
-        if self.features.ndim != 2 or self.labels.shape != (self.features.shape[0],):
-            raise DomainError(
-                f"features {self.features.shape} and labels {self.labels.shape} "
-                f"are inconsistent"
-            )
-        if self.role not in _ROLE_CODES:
-            raise DomainError(f"unknown dataset role {self.role!r}")
-        if self.labels.size and (self.labels.min() < 0 or self.labels.max() >= self.class_count):
-            raise DomainError(
-                f"labels must lie in [0, {self.class_count}), "
-                f"got range [{self.labels.min()}, {self.labels.max()}]"
-            )
-        if self.role == "train" and self.features.shape[0] == 0:
-            raise DomainError("a train dataset needs at least one sample")
-
-    @property
-    def size(self) -> int:
-        return self.features.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.features.shape[1]
-
-    def task(self, classes: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
-        """The raw rows labelled in ``classes`` and their labels, in ascending row order."""
-        rows = np.isin(self.labels, classes)
-        return self.features[rows], self.labels[rows]
 
 
 @dataclass(frozen=True)
@@ -252,8 +211,8 @@ class SyntheticSplit:
         self.spec = spec
         self.role = role
         self.per_class = spec.train_per_class if role == "train" else spec.test_per_class
-        # Every row's label, as a FeatureDataset holds them, for callers that
-        # look at the whole split; the runner takes a task's through ``task``.
+        # Every row's label, as a FeatureFile holds them; a task's raw rows
+        # are drawn only when ``task`` is asked for them.
         self.labels = np.repeat(np.arange(spec.class_count, dtype=np.int64), self.per_class)
 
     @property
@@ -273,13 +232,6 @@ class SyntheticSplit:
         labels = np.repeat(np.array(classes, dtype=np.int64), self.per_class)
         return out.reshape(-1, self.dim), labels
 
-    def dataset(self) -> FeatureDataset:
-        """The whole split, drawn."""
-        features, labels = self.task(range(self.class_count))
-        return FeatureDataset(
-            features=features, labels=labels, class_count=self.class_count, role=self.role
-        )
-
     def _draw_class(self, cls: int, out: np.ndarray) -> None:
         """Write class ``cls``'s (per_class, dim) rows into ``out``."""
         spec = self.spec
@@ -291,66 +243,133 @@ class SyntheticSplit:
         np.add(spec.means[cls], spec.noise_std * z, out=out)
 
 
+@dataclass(frozen=True)
+class FeatureFile:
+    """One split in a feature file: ``load_features`` checks the file and keeps
+    its labels and header fields, and ``task`` reads a task's rows when asked."""
+
+    path: Path
+    labels: np.ndarray  # (n,) int64
+    dim: int
+    class_count: int
+    role: str  # "train" | "test"
+    stamp: tuple[int, int, int, int]  # the loaded file's device, inode, size, mtime_ns
+
+    def task(self, classes: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+        """The raw rows labelled in ``classes``, widened to float64, and their labels,
+        in ascending row order, read from the blocks of the body that hold them;
+        a file changed since it was loaded is a FormatError."""
+        rows = np.flatnonzero(np.isin(self.labels, classes))
+        out = np.empty((rows.size, self.dim))
+        with open(self.path, "rb") as f:
+            if _stamp(f) != self.stamp:
+                raise FormatError(f"{self.path} has changed since it was loaded")
+            for first, block in _blocks(f, self.path, self.labels.size, self.dim, rows):
+                a, b = np.searchsorted(rows, (first, first + len(block)))
+                out[a:b] = block if b - a == len(block) else block[rows[a:b] - first]
+        return out, self.labels[rows]
+
+
 # A run's training or test split: either kind hands out one task at a time.
-Split = FeatureDataset | SyntheticSplit
+Split = FeatureFile | SyntheticSplit
 
 
-def generate_synthetic(spec: SynthSpec) -> tuple[FeatureDataset, FeatureDataset]:
-    """Draw disjoint seeded train/test splits from the class clusters."""
-    return SyntheticSplit(spec, "train").dataset(), SyntheticSplit(spec, "test").dataset()
+def _stamp(f) -> tuple[int, int, int, int]:
+    """The open file's device, inode, size and modification time in ns."""
+    st = os.fstat(f.fileno())
+    return st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns
 
 
-def save_features(dataset: FeatureDataset, path) -> None:
-    """Write the little-endian feature file (values stored as float32)."""
-    n, d = dataset.features.shape
-    header = _HEADER.pack(
-        MAGIC, FORMAT_VERSION, n, d, dataset.class_count, _ROLE_CODES[dataset.role]
-    )
+def _blocks(f, path, n: int, d: int, rows: np.ndarray | None = None):
+    """``(first, block)``: the n rows of d float32 values of ``f``, the open file
+    ``path``, read into one buffer ``_BLOCK_BYTES`` at a time from row ``first``.
+    With ``rows``, ascending, each block that holds some of them is read only
+    from the first of them to the last."""
+    step = max(1, _BLOCK_BYTES // max(4 * d, 1))
+    if rows is None:
+        spans = ((first, min(first + step, n)) for first in range(0, n, step))
+    else:
+        index = rows // step  # the block each row lies in
+        firsts = rows[np.diff(index, prepend=-1) != 0]
+        lasts = rows[np.diff(index, append=index[-1:] + 1) != 0]
+        spans = zip(firsts.tolist(), (lasts + 1).tolist())
+    buffer = np.empty((min(step, n), d), dtype="<f4")
+    for first, end in spans:
+        yield first, _read(f, path, _HEADER.size + first * d * 4, buffer[: end - first])
+
+
+def _read(f, path, offset: int, out: np.ndarray) -> np.ndarray:
+    """``out`` filled by one read from byte ``offset`` of ``f``, the open file ``path``."""
+    f.seek(offset)
+    if (got := f.readinto(out)) != out.nbytes:
+        raise FormatError(f"{path} is cut short: {got} of {out.nbytes} bytes at byte {offset}")
+    return out
+
+
+def save_features(path, features, labels, class_count: int, role: str) -> None:
+    """Write (n, d) ``features`` and their ``labels`` as a little-endian feature
+    file of float32 values; a bad shape, role or label is a DomainError."""
+    features, labels = np.asarray(features), np.asarray(labels)
+    if features.ndim != 2 or labels.shape != (features.shape[0],):
+        raise DomainError(f"features {features.shape} and labels {labels.shape} are inconsistent")
+    if role not in _ROLE_CODES:
+        raise DomainError(f"unknown dataset role {role!r}")
+    if labels.size and (labels.min() < 0 or labels.max() >= class_count):
+        raise DomainError(
+            f"labels must lie in [0, {class_count}), got range [{labels.min()}, {labels.max()}]"
+        )
+    if role == "train" and features.shape[0] == 0:
+        raise DomainError("a train dataset needs at least one sample")
+    n, d = features.shape
     with open(path, "wb") as out:
-        out.write(header)
+        out.write(_HEADER.pack(MAGIC, FORMAT_VERSION, n, d, class_count, _ROLE_CODES[role]))
         # Written from the float32 array's own buffer, so no bytes copy is made.
-        out.write(np.ascontiguousarray(dataset.features, dtype="<f4"))
-        out.write(dataset.labels.astype("<u4"))
+        out.write(np.ascontiguousarray(features, dtype="<f4"))
+        out.write(labels.astype("<u4"))
 
 
-def load_features(path) -> FeatureDataset:
-    """Read a feature file, widening stored float32 values to float64."""
-    data = Path(path).read_bytes()
-    if len(data) < _HEADER.size:
-        raise FormatError(
-            f"truncated header: expected {_HEADER.size} bytes, got {len(data)}"
-        )
-    magic, version, n, d, class_count, role_code = _HEADER.unpack_from(data, 0)
-    if magic != MAGIC:
-        raise FormatError(f"bad magic {magic!r} at byte 0, expected {MAGIC!r}")
-    if version != FORMAT_VERSION:
-        raise FormatError(f"unsupported version {version} at byte 8")
-    if role_code not in _ROLE_NAMES:
-        raise FormatError(f"unknown role code {role_code} at byte 24")
-    expected = _HEADER.size + n * d * 4 + n * 4
-    if len(data) != expected:
-        raise FormatError(
-            f"payload length mismatch: expected {expected} bytes, got {len(data)} "
-            f"(n={n}, d={d})"
-        )
-    features = (
-        np.frombuffer(data, dtype="<f4", count=n * d, offset=_HEADER.size)
-        .reshape(n, d)
-        .astype(np.float64)
-    )
-    finite = np.isfinite(features).all(axis=1)
-    if not finite.all():
-        raise FormatError(f"non-finite feature value in row {int(np.argmin(finite))}")
-    labels = np.frombuffer(
-        data, dtype="<u4", count=n, offset=_HEADER.size + n * d * 4
-    ).astype(np.int64)
+def load_features(path) -> FeatureFile:
+    """Check a feature file and read its labels; ``task`` reads its rows.
+
+    The header and the file's size are checked before any row is read; then
+    one pass over the body, a block of rows at a time, names the first row
+    that holds a non-finite value."""
+    with open(path, "rb") as f:
+        head = f.read(_HEADER.size)
+        if len(head) < _HEADER.size:
+            raise FormatError(f"truncated header: expected {_HEADER.size} bytes, got {len(head)}")
+        magic, version, n, d, class_count, role_code = _HEADER.unpack(head)
+        if magic != MAGIC:
+            raise FormatError(f"bad magic {magic!r} at byte 0, expected {MAGIC!r}")
+        if version != FORMAT_VERSION:
+            raise FormatError(f"unsupported version {version} at byte 8")
+        if role_code not in _ROLE_NAMES:
+            raise FormatError(f"unknown role code {role_code} at byte 24")
+        expected = _HEADER.size + n * d * 4 + n * 4
+        stamp = _stamp(f)
+        if (size := stamp[2]) != expected:
+            raise FormatError(
+                f"payload length mismatch: expected {expected} bytes, got {size} "
+                f"(n={n}, d={d})"
+            )
+        for first, block in _blocks(f, path, n, d):
+            # A row of finite float32 values sums finite in float64, and any
+            # NaN or infinity makes its row's sum NaN or infinite.
+            finite = np.isfinite(block.sum(axis=1, dtype=np.float64))
+            if not finite.all():
+                raise FormatError(
+                    f"non-finite feature value in row {first + int(np.argmin(finite))}"
+                )
+        block = None  # the check's rows go before the labels are read
+        labels = _read(f, path, _HEADER.size + n * d * 4, np.empty(n, dtype="<u4"))
+    labels = labels.astype(np.int64)
     if labels.size and labels.max() >= class_count:
         raise FormatError(
             f"label {int(labels.max())} exceeds declared class count {class_count}"
         )
-    return FeatureDataset(
-        features=features,
-        labels=labels,
-        class_count=class_count,
-        role=_ROLE_NAMES[role_code],
+    role = _ROLE_NAMES[role_code]
+    if role == "train" and n == 0:
+        raise DomainError("a train dataset needs at least one sample")
+    return FeatureFile(
+        path=Path(path), labels=labels, dim=d, class_count=class_count, role=role, stamp=stamp
     )

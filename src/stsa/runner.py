@@ -5,24 +5,24 @@ training split's ``task``, partition it across clients, fold the uploads
 into the run's ``TemporalState`` in place with ``_fold_stage``, the one
 stage fold, and update the classifier in closed form, which the run keeps.
 A task's raw training rows exist only during its own stage: a synthetic
-split draws them then, and they go with the last upload, before the gram
-estimate and the solve, so a stage holds one task's raw training rows and
-the classifiers of the stages before it. With ``oracle_check`` enabled each
-stage is also compared against the pooled centralized solution, which the
-aggregation is exactly equivalent to. The oracle pools each task's training
-rows, at that task's stage, through the clients' own statistics path,
-``client.mapped_statistics``, and folds them into a second ``TemporalState``
-by ``_fold_stage`` too, as a stage with one upload; only the solve, an
-in-place LU of the one unpacked system, differs.
+split draws them then, a feature file reads them, and they go with the last
+upload, before the gram estimate and the solve, so a stage holds one task's
+raw training rows and the classifiers of the stages before it. With
+``oracle_check`` enabled each stage is also compared against the pooled
+centralized solution, which the aggregation is exactly equivalent to. The
+oracle pools each task's training rows, at that task's stage, through the
+clients' own statistics path, ``client.mapped_statistics``, and folds them
+into a second ``TemporalState`` by ``_fold_stage`` too, as a stage with one
+upload; only the solve, an in-place LU of the one unpacked system, differs.
 
 Scoring comes after the last stage, once the states are let go.
 ``score_tasks`` takes each task's test rows once from the test split's
 ``task`` and scores every classifier that task is scored with: for
 ``run_experiment`` those of its own stage and every later one, which fills
 the accuracy matrix's column for the task; for ``run_oracle``, which pools
-the whole schedule that way, the one pooled classifier. A synthetic test
-split draws a task's rows then, so raw test rows are never resident beyond
-one task's. Clients, the oracle and scoring all map rows one
+the whole schedule that way, the one pooled classifier. A test split
+draws or reads a task's rows then, so raw test rows are never resident
+beyond one task's. Clients, the oracle and scoring all map rows one
 ``core.map_blocks`` block at a time, so no mapped array outweighs a block.
 
 An error in a stage names the stage, and one in the oracle's pooling or in
@@ -190,9 +190,10 @@ def synth_spec_from_config(config: ExperimentConfig) -> SynthSpec:
 def load_experiment_data(config: ExperimentConfig) -> tuple[Split, Split]:
     """The run's training and test splits.
 
-    Synthetic splits draw no row here, only the class means: each split's
-    ``task`` draws a task's rows when a stage or the scoring asks for them.
-    The splits of feature files are read and held whole.
+    No row is read or drawn here. Synthetic splits draw only the class
+    means, and feature files are checked and their labels read (see
+    ``load_features``). Either split's ``task`` hands out a task's rows when
+    a stage or the scoring asks for them.
     """
     if config.data == "synthetic":
         spec = synth_spec_from_config(config)

@@ -22,8 +22,8 @@ class PooledBlocks(list):
         of ``stsa.core.map_blocks`` at ``M = m``, and a task spans the fewest
         blocks that allows, so a task of at most B rows is pooled in one call.
 
-        ``train`` is the whole training split drawn eagerly, as
-        ``generate_synthetic`` draws it: a run draws one task at a time."""
+        ``train`` is the run's training split, whose ``task`` hands out each
+        task's rows as the run took them."""
         import numpy as np
 
         from stsa.core import RandomMap, map_blocks

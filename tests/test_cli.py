@@ -3,7 +3,6 @@
 import os
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 from typing import get_type_hints
 
@@ -14,7 +13,7 @@ import stsa.runner
 from stsa.cli import main
 from stsa.config import ExperimentConfig, load_config, parse_config
 from stsa.core import apply_map
-from stsa.data import SyntheticSplit, generate_synthetic, load_features, save_features
+from stsa.data import SyntheticSplit, load_features, save_features
 from stsa.errors import DomainError, NumericalError
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -77,7 +76,7 @@ def test_oracle_command_pools_task_by_task(tmp_path, capsys, pooled_blocks):
     cfg = write_config(tmp_path)
     assert main(["oracle", "--config", str(cfg)]) == 0
     config = load_config(cfg)
-    train, _ = generate_synthetic(stsa.runner.synth_spec_from_config(config))
+    train = SyntheticSplit(stsa.runner.synth_spec_from_config(config), "train")
     schedule = stsa.runner.make_schedule(config, train.class_count)
     pooled_blocks.assert_each_training_row_once(train, schedule, config.M)
     assert len(pooled_blocks) > len(schedule.tasks)
@@ -116,7 +115,7 @@ def test_gen_features_then_run_from_files(tmp_path):
     prefix = tmp_path / "bench"
     assert main(["gen-features", "--config", str(gen_cfg), "--out", str(prefix)]) == 0
     train = load_features(tmp_path / "bench.train.stsafeat")
-    assert train.class_count == 6 and train.size == 6 * 40
+    assert train.class_count == 6 and train.labels.size == 6 * 40
 
     run_cfg = write_config(
         tmp_path,
@@ -223,9 +222,9 @@ def test_first_task_with_no_training_rows_exits_0(tmp_path, capsys, oracle_check
     assert main(["gen-features", "--config", str(gen_cfg), "--out", str(tmp_path / "feat")]) == 0
     train_path = tmp_path / "feat.train.stsafeat"
     train = load_features(train_path)
-    kept = ~np.isin(train.labels, [0, 1])
-    save_features(replace(train, features=train.features[kept], labels=train.labels[kept]),
-                  train_path)
+    features, labels = train.task(range(train.class_count))
+    kept = ~np.isin(labels, [0, 1])
+    save_features(train_path, features[kept], labels[kept], train.class_count, train.role)
     cfg = write_config(
         tmp_path,
         SMALL_CONFIG
@@ -267,8 +266,9 @@ def test_singular_oracle_system_exits_3(tmp_path, capsys, command, extra):
     # column makes the pooled gram exactly singular at gamma = 0; the
     # federated solve gets past it on the jitter ladder.
     config = parse_config(SINGULAR_ORACLE_CONFIG)
-    train, _ = generate_synthetic(stsa.runner.synth_spec_from_config(config))
-    mapped = apply_map(stsa.runner.experiment_map(config, config.synth_dim), train.features)
+    spec = stsa.runner.synth_spec_from_config(config)
+    train, _ = SyntheticSplit(spec, "train").task(range(spec.class_count))
+    mapped = apply_map(stsa.runner.experiment_map(config, config.synth_dim), train)
     assert (mapped == 0.0).all(axis=0).any()
     cfg = write_config(tmp_path, SINGULAR_ORACLE_CONFIG + extra, name="singular.cfg")
     assert main([command, "--config", str(cfg)]) == 3
@@ -381,9 +381,9 @@ def test_non_finite_feature_file_exits_4(tmp_path, capsys):
     assert main(["gen-features", "--config", str(gen_cfg), "--out", str(prefix)]) == 0
     train_path = tmp_path / "bench.train.stsafeat"
     train = load_features(train_path)
-    features = train.features.copy()
+    features, labels = train.task(range(train.class_count))
     features[0, 0] = np.nan
-    save_features(replace(train, features=features), train_path)
+    save_features(train_path, features, labels, train.class_count, train.role)
     run_cfg = write_config(
         tmp_path,
         SMALL_CONFIG

@@ -15,7 +15,7 @@ from stsa.client import (
     mapped_statistics,
 )
 from stsa.core import apply_map, class_columns, local_statistics, make_random_map, unpack_gram
-from stsa.errors import ConfigurationError, DomainError
+from stsa.errors import ConfigurationError, DimensionError, DomainError
 from stsa.metrics import comm_bytes
 from stsa.prng import ChaChaStream
 
@@ -380,6 +380,15 @@ class TestMappedStatistics:
             cols = class_columns(shard.labels[cell], classes)
             reference = local_statistics(mapped[cell], cols, len(classes), include_gram=False)
             assert_same_statistics(rec, reference)
+
+    @pytest.mark.parametrize("rows, columns", [(20, 16), (16, 20)], ids=["rows", "columns"])
+    def test_rows_and_columns_of_different_lengths_are_refused(self, rows, columns):
+        # The blocks walk the columns; raw rows beyond them were once
+        # dropped without a word whenever the last block still lined up.
+        with pytest.raises(DimensionError, match=f"^{columns} class columns for {rows} raw rows$"):
+            mapped_statistics(
+                make_random_map(1, 3, 16), np.ones((rows, 3)), np.zeros(columns, dtype=int), 1
+            )
 
     @pytest.mark.parametrize("include_gram", [True, False], ids=["full", "first-order"])
     @pytest.mark.parametrize("n", [0, 1, 6, 7, 41])

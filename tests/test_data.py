@@ -1,17 +1,19 @@
 """Task splitting, non-IID partitioning, synthesis, feature files."""
 
+import os
+import re
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from stsa import data
 from stsa.data import (
-    FeatureDataset,
     SynthSpec,
     SyntheticSplit,
     _distinct,
     dirichlet_partition,
-    generate_synthetic,
     load_features,
     random_synth_spec,
     save_features,
@@ -154,6 +156,17 @@ class TestDirichletPartition:
                 dirichlet_partition([0, 1], 2, beta=beta, seed=0)
 
 
+def drawn(spec, role="train"):
+    """A synthetic split's rows and labels, the whole split drawn at once."""
+    return SyntheticSplit(spec, role).task(range(spec.class_count))
+
+
+def saved(path, spec, role="train"):
+    """``path``, holding a synthetic split written whole by ``save_features``."""
+    save_features(path, *drawn(spec, role), spec.class_count, role)
+    return path
+
+
 class TestGenerateSynthetic:
     def test_zero_variance_reproduces_means(self):
         means = np.array([[1.0, 2.0], [3.0, -4.0]])
@@ -161,17 +174,17 @@ class TestGenerateSynthetic:
             class_count=2, dim=2, means=means, noise_std=0.0,
             train_per_class=5, test_per_class=3, seed=0,
         )
-        train, test = generate_synthetic(spec)
+        (train, train_labels), (test, test_labels) = drawn(spec), drawn(spec, "test")
         for cls in range(2):
-            assert np.all(train.features[train.labels == cls] == means[cls])
-            assert np.all(test.features[test.labels == cls] == means[cls])
+            assert np.all(train[train_labels == cls] == means[cls])
+            assert np.all(test[test_labels == cls] == means[cls])
 
     def test_sample_means_concentrate(self):
         spec = random_synth_spec(4, 8, train_per_class=400, test_per_class=10,
                                  seed=123, noise_std=1.5)
-        train, _ = generate_synthetic(spec)
+        train, labels = drawn(spec)
         for cls in range(4):
-            sample_mean = train.features[train.labels == cls].mean(axis=0)
+            sample_mean = train[labels == cls].mean(axis=0)
             trace = spec.dim * spec.noise_std**2
             bound = 3.0 * np.sqrt(trace / 400)
             assert np.linalg.norm(sample_mean - spec.means[cls]) <= bound
@@ -189,24 +202,22 @@ class TestGenerateSynthetic:
         b = random_synth_spec(3, 4, 10, 5, seed=1)
         c = SynthSpec(class_count=3, dim=4, means=a.means, noise_std=a.noise_std,
                       train_per_class=10, test_per_class=5, seed=2)
-        train_a, _ = generate_synthetic(a)
-        train_b, _ = generate_synthetic(b)
-        train_c, _ = generate_synthetic(c)
-        assert np.array_equal(train_a.features, train_b.features)
-        assert not np.array_equal(train_a.features, train_c.features)
-        assert np.array_equal(train_a.labels, train_c.labels)
+        (train_a, labels_a), (train_b, _), (train_c, labels_c) = drawn(a), drawn(b), drawn(c)
+        assert np.array_equal(train_a, train_b)
+        assert not np.array_equal(train_a, train_c)
+        assert np.array_equal(labels_a, labels_c)
 
     def test_train_and_test_draws_differ(self):
         spec = random_synth_spec(2, 3, train_per_class=4, test_per_class=4, seed=9)
-        train, test = generate_synthetic(spec)
-        assert train.size == 8 and test.size == 8
-        assert not np.array_equal(train.features, test.features)
+        (train, _), (test, _) = drawn(spec), drawn(spec, "test")
+        assert len(train) == 8 and len(test) == 8
+        assert not np.array_equal(train, test)
 
     def test_per_class_counts_are_exact(self):
         spec = random_synth_spec(5, 2, train_per_class=13, test_per_class=7, seed=3)
-        train, test = generate_synthetic(spec)
-        assert all(np.sum(train.labels == c) == 13 for c in range(5))
-        assert all(np.sum(test.labels == c) == 7 for c in range(5))
+        (_, train_labels), (_, test_labels) = drawn(spec), drawn(spec, "test")
+        assert all(np.sum(train_labels == c) == 13 for c in range(5))
+        assert all(np.sum(test_labels == c) == 7 for c in range(5))
 
 
 class TestTaskFeatures:
@@ -219,45 +230,94 @@ class TestTaskFeatures:
         # 7 * 3 and 5 * 5 draws per class are odd: each class's normal call
         # drops the second value of its last pair, which the offsets count.
         spec = random_synth_spec(9, dim, per_class, 2, seed=21)
-        eager, _ = generate_synthetic(spec)
+        eager, eager_labels = drawn(spec)
         split = SyntheticSplit(spec, "train")
-        assert np.array_equal(split.labels, eager.labels)
+        assert np.array_equal(split.labels, eager_labels)
         assert any(list(task) != sorted(task) for task in self.SCHEDULE.tasks)
         for task in self.SCHEDULE.tasks:
-            rows = np.flatnonzero(np.isin(eager.labels, task))
-            drawn, labels = split.task(task)
-            assert drawn.dtype == np.float64
-            assert drawn.tobytes() == eager.features[rows].tobytes()
+            rows = np.flatnonzero(np.isin(eager_labels, task))
+            features, labels = split.task(task)
+            assert features.dtype == np.float64
+            assert features.tobytes() == eager[rows].tobytes()
             assert labels.dtype == np.int64
-            assert labels.tobytes() == eager.labels[rows].tobytes()
+            assert labels.tobytes() == eager_labels[rows].tobytes()
 
     def test_a_file_task_is_the_loaded_rows_in_row_order(self, tmp_path):
         spec = random_synth_spec(9, 4, 6, 2, seed=22)
-        eager, _ = generate_synthetic(spec)
-        order = np.random.default_rng(3).permutation(eager.size)  # classes interleaved
-        save_features(
-            FeatureDataset(eager.features[order], eager.labels[order], 9, "train"),
-            tmp_path / "train.stsafeat",
-        )
+        eager, eager_labels = drawn(spec)
+        order = np.random.default_rng(3).permutation(len(eager))  # classes interleaved
+        written, written_labels = eager[order], eager_labels[order]
+        save_features(tmp_path / "train.stsafeat", written, written_labels, 9, "train")
         loaded = load_features(tmp_path / "train.stsafeat")
+        # Stored values are float32; each read widens them exactly.
+        stored = written.astype(np.float32).astype(np.float64)
         for task in self.SCHEDULE.tasks:
-            rows = np.flatnonzero(np.isin(loaded.labels, task))
+            rows = np.flatnonzero(np.isin(written_labels, task))
             features, labels = loaded.task(task)
-            assert features.tobytes() == loaded.features[rows].tobytes()
-            assert labels.tobytes() == loaded.labels[rows].tobytes()
+            assert features.dtype == np.float64 and labels.dtype == np.int64
+            assert features.tobytes() == stored[rows].tobytes()
+            assert labels.tobytes() == written_labels[rows].tobytes()
+
+
+    def test_a_file_task_reads_only_the_blocks_that_hold_its_rows(self, tmp_path, monkeypatch):
+        # At d = 64 a block is 4096 rows. Classes 0 and 2 alternate in rows
+        # 0-99 and 9000-9099, and class 1 fills the rows between: a task of
+        # classes 0 and 2 reads rows 0-99 of block 0 and 9000-9099 of block
+        # 2 and picks its rows out of each, and one of class 1 reads its run
+        # a block at a time, from row 100 up to row 8999.
+        n, d = 9100, 64
+        labels = np.r_[np.tile([0, 2], 50), np.ones(8900, dtype=np.int64), np.tile([2, 0], 50)]
+        written = np.random.default_rng(5).normal(size=(n, d))
+        path = tmp_path / "blocks.stsafeat"
+        save_features(path, written, labels, 3, "train")
+        loaded = load_features(path)
+        reads, read = [], data._read
+
+        def counted(f, path, offset, out):
+            reads.append(((offset - 36) // (d * 4), len(out)))  # first row, row count
+            return read(f, path, offset, out)
+
+        monkeypatch.setattr(data, "_read", counted)
+        stored = written.astype(np.float32).astype(np.float64)
+        for task, expected in [
+            ([2, 0], [(0, 100), (9000, 100)]),
+            ([1], [(100, 3996), (4096, 4096), (8192, 808)]),
+        ]:
+            reads.clear()
+            features, task_labels = loaded.task(task)
+            assert reads == expected
+            rows = np.flatnonzero(np.isin(labels, task))
+            assert features.tobytes() == stored[rows].tobytes()
+            assert task_labels.tobytes() == labels[rows].tobytes()
+
+
+def rewritten(path, blob):
+    # The same size, rows now zero, labels all 0: only the times differ.
+    path.write_bytes(blob[:36] + bytes(len(blob) - 36))
+
+
+def cut_short(path, blob):
+    path.write_bytes(blob[: 36 + 12 * 4 * 4])  # the header and 12 rows
+
+
+def replaced(path, blob):
+    # The same bytes and times in a new file put in the old one's place.
+    new = path.with_suffix(".new")
+    new.write_bytes(blob)
+    os.utime(new, ns=(0, 0))
+    os.replace(new, path)
 
 
 class TestFeatureFiles:
     def test_round_trip(self, tmp_path):
         spec = random_synth_spec(3, 5, train_per_class=11, test_per_class=4, seed=77)
-        train, _ = generate_synthetic(spec)
-        path = tmp_path / "train.stsafeat"
-        save_features(train, path)
-        loaded = load_features(path)
+        train, labels = drawn(spec)
+        loaded = load_features(saved(tmp_path / "train.stsafeat", spec))
         # Stored values are float32; the round trip is exact after widening.
-        assert np.array_equal(loaded.features, train.features.astype(np.float32).astype(np.float64))
-        assert np.array_equal(loaded.labels, train.labels)
-        assert loaded.class_count == 3 and loaded.role == "train"
+        features, loaded_labels = loaded.task(range(3))
+        assert np.array_equal(features, train.astype(np.float32).astype(np.float64))
+        assert np.array_equal(loaded_labels, labels) and np.array_equal(loaded.labels, labels)
+        assert loaded.class_count == 3 and loaded.role == "train" and loaded.dim == 5
 
     @pytest.mark.parametrize("order", ["C", "F"])
     def test_file_is_the_header_body_and_labels(self, tmp_path, order):
@@ -266,7 +326,7 @@ class TestFeatureFiles:
         features = np.asarray(np.random.default_rng(4).normal(size=(7, 3)), order=order)
         labels = np.array([0, 4, 1, 4, 2, 0, 3])
         path = tmp_path / "rows.stsafeat"
-        save_features(FeatureDataset(features, labels, 5, "test"), path)
+        save_features(path, features, labels, 5, "test")
         header = struct.pack("<8sIQIIB7x", b"STSAFEAT", 1, 7, 3, 5, 1)
         body = features.astype("<f4").tobytes(order="C")
         tail = labels.astype("<u4").tobytes()
@@ -274,44 +334,83 @@ class TestFeatureFiles:
 
     def test_second_round_trip_is_bit_identical(self, tmp_path):
         spec = random_synth_spec(2, 4, train_per_class=6, test_per_class=2, seed=8)
-        train, _ = generate_synthetic(spec)
-        p1, p2 = tmp_path / "a.stsafeat", tmp_path / "b.stsafeat"
-        save_features(train, p1)
-        save_features(load_features(p1), p2)
+        p1, p2 = saved(tmp_path / "a.stsafeat", spec), tmp_path / "b.stsafeat"
+        loaded = load_features(p1)
+        save_features(p2, *loaded.task(range(2)), loaded.class_count, loaded.role)
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_empty_test_dataset(self, tmp_path):
-        empty = FeatureDataset(
-            features=np.zeros((0, 4)), labels=np.zeros(0, dtype=np.int64),
-            class_count=9, role="test",
-        )
         path = tmp_path / "empty.stsafeat"
-        save_features(empty, path)
+        save_features(path, np.zeros((0, 4)), np.zeros(0, dtype=np.int64), 9, "test")
         loaded = load_features(path)
-        assert loaded.size == 0 and loaded.features.shape == (0, 4)
+        features, labels = loaded.task(range(9))
+        assert loaded.labels.size == 0 and features.shape == (0, 4) and labels.size == 0
         assert loaded.class_count == 9 and loaded.role == "test"
 
     def test_truncated_payload_names_byte_counts(self, tmp_path):
         spec = random_synth_spec(2, 3, train_per_class=4, test_per_class=1, seed=5)
-        train, _ = generate_synthetic(spec)
-        path = tmp_path / "cut.stsafeat"
-        save_features(train, path)
+        path = saved(tmp_path / "cut.stsafeat", spec)
         blob = path.read_bytes()
         path.write_bytes(blob[:-5])
         with pytest.raises(FormatError) as err:
             load_features(path)
         assert f"expected {len(blob)} bytes, got {len(blob) - 5}" in str(err.value)
 
+    @pytest.mark.parametrize(
+        "change", [rewritten, cut_short, replaced], ids=["rewritten", "cut-short", "replaced"]
+    )
+    def test_a_file_changed_after_loading_fails_its_task(self, tmp_path, change):
+        # The rows are read when a task asks for them; a file rewritten, cut
+        # short or replaced since it was loaded is a format error naming the
+        # file, not a task of rows the loaded labels no longer describe.
+        spec = random_synth_spec(3, 4, train_per_class=5, test_per_class=1, seed=6)
+        path = saved(tmp_path / "changed.stsafeat", spec)
+        os.utime(path, ns=(0, 0))  # written long before the run
+        loaded = load_features(path)
+        assert loaded.task([0, 1])[0].shape == (10, 4)
+        change(path, path.read_bytes())
+        message = f"{path} has changed since it was loaded"
+        with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
+            loaded.task([2])
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_feature_rejected(self, tmp_path, bad):
         spec = random_synth_spec(2, 3, train_per_class=4, test_per_class=1, seed=5)
-        train, _ = generate_synthetic(spec)
-        features = train.features.copy()
+        features, labels = drawn(spec)
         features[5, 1] = bad
         path = tmp_path / "bad-value.stsafeat"
-        save_features(FeatureDataset(features, train.labels, 2, "train"), path)
+        save_features(path, features, labels, 2, "train")
         with pytest.raises(FormatError, match="row 5"):
             load_features(path)
+
+    def test_a_non_finite_row_is_named_past_the_first_check_block(self, tmp_path):
+        # The check reads the body in blocks of 4096 rows at d = 64; a bad
+        # row in a later block is named by its place in the file.
+        features = np.ones((9000, 64))
+        features[8200, 63] = np.nan
+        path = tmp_path / "late.stsafeat"
+        save_features(path, features, np.zeros(9000, dtype=np.int64), 1, "train")
+        with pytest.raises(FormatError, match="^non-finite feature value in row 8200$"):
+            load_features(path)
+
+    def test_loading_holds_no_rows(self, tmp_path):
+        # Loading holds one check block, 1 MiB of float32 rows, and then the
+        # int64 labels, n * 8 bytes, as they widen from the n * 4 bytes of
+        # uint32 ones. The rows of this 20,000 x 64 file, read whole and
+        # widened, would be 10 MB in float64 alone.
+        n, d = 20000, 64
+        rows = np.random.default_rng(1).normal(size=(n, d))
+        path = tmp_path / "big.stsafeat"
+        save_features(path, rows, np.arange(n) % 7, 7, "train")
+        del rows
+        tracemalloc.start()
+        try:
+            loaded = load_features(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert loaded.labels.nbytes == n * 8
+        assert peak <= n * 8 + (1 << 20) + n * 4 + 64 * 1024
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.stsafeat"
@@ -321,9 +420,7 @@ class TestFeatureFiles:
 
     def test_bad_version(self, tmp_path):
         spec = random_synth_spec(2, 3, train_per_class=4, test_per_class=1, seed=5)
-        train, _ = generate_synthetic(spec)
-        path = tmp_path / "v2.stsafeat"
-        save_features(train, path)
+        path = saved(tmp_path / "v2.stsafeat", spec)
         blob = bytearray(path.read_bytes())
         blob[8] = 2
         path.write_bytes(bytes(blob))
@@ -336,9 +433,29 @@ class TestFeatureFiles:
         with pytest.raises(FormatError, match="truncated header"):
             load_features(path)
 
-    def test_empty_train_rejected(self):
-        with pytest.raises(DomainError):
-            FeatureDataset(
-                features=np.zeros((0, 4)), labels=np.zeros(0, dtype=np.int64),
-                class_count=2, role="train",
-            )
+    def test_empty_train_rejected(self, tmp_path):
+        message = "^a train dataset needs at least one sample$"
+        with pytest.raises(DomainError, match=message):
+            save_features(tmp_path / "x", np.zeros((0, 4)), np.zeros(0, dtype=np.int64), 2, "train")
+        # A train file of no rows, written by hand, fails to load the same way.
+        path = tmp_path / "empty-train.stsafeat"
+        path.write_bytes(struct.pack("<8sIQIIB7x", b"STSAFEAT", 1, 0, 4, 2, 0))
+        with pytest.raises(DomainError, match=message):
+            load_features(path)
+
+    @pytest.mark.parametrize(
+        "features, labels, role, message",
+        [
+            (np.zeros(3), np.zeros(3, dtype=int), "train", r"features \(3,\) and labels \(3,\)"),
+            (np.zeros((3, 2)), np.zeros(2, dtype=int), "train", r"features \(3, 2\) and labels"),
+            (np.zeros((3, 2)), np.zeros(3, dtype=int), "valid", "unknown dataset role 'valid'"),
+            (np.zeros((2, 2)), np.array([0, 2]), "test", r"in \[0, 2\), got range \[0, 2\]"),
+            (np.zeros((2, 2)), np.array([-1, 1]), "test", r"got range \[-1, 1\]"),
+        ],
+        ids=["1-d", "lengths", "role", "label-high", "label-negative"],
+    )
+    def test_save_refuses_a_malformed_split(self, tmp_path, features, labels, role, message):
+        path = tmp_path / "never.stsafeat"
+        with pytest.raises(DomainError, match=message):
+            save_features(path, features, labels, 2, role)
+        assert not path.exists()

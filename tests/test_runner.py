@@ -27,7 +27,7 @@ from stsa.core import (
     predict,
     unpack_gram,
 )
-from stsa.data import SynthSpec, generate_synthetic, random_synth_spec, split_tasks
+from stsa.data import SynthSpec, SyntheticSplit, random_synth_spec, save_features, split_tasks
 from stsa.errors import ConfigurationError, EstimationError, NumericalError
 from stsa.metrics import (
     avg_incremental_accuracy,
@@ -63,6 +63,12 @@ SMALL = dict(
 )
 
 
+def drawn(cfg, role):
+    """The rows and labels of ``cfg``'s synthetic split ``role``, drawn whole."""
+    spec = synth_spec_from_config(cfg)
+    return SyntheticSplit(spec, role).task(range(spec.class_count))
+
+
 class TestRunExperiment:
     def test_full_mode_matches_centralized_oracle_each_stage(self):
         report = run_experiment(ExperimentConfig(**SMALL, oracle_check=True))
@@ -87,19 +93,19 @@ class TestRunExperiment:
         # give the same final accuracy row (weights agree to ~1e-14).
         cfg = ExperimentConfig(**SMALL)
         report = run_experiment(cfg)
-        train, test = generate_synthetic(synth_spec_from_config(cfg))
-        schedule = make_schedule(cfg, train.class_count)
+        (train, train_labels), (test, test_labels) = drawn(cfg, "train"), drawn(cfg, "test")
+        schedule = make_schedule(cfg, cfg.synth_classes)
         rmap = experiment_map(cfg, cfg.synth_dim)
         # Every training row pooled by one call and folded once: the one-shot
         # reference against the runner's task-by-task fold.
         class_ids = [c for task in schedule.tasks for c in task]
-        cols = class_columns(train.labels, class_ids)
-        pooled = local_statistics(apply_map(rmap, train.features), cols, len(class_ids))
+        cols = class_columns(train_labels, class_ids)
+        pooled = local_statistics(apply_map(rmap, train), cols, len(class_ids))
         w_star = centralized_oracle(fold(pooled, class_ids), cfg.gamma)
-        mapped_test = apply_map(rmap, test.features)
+        mapped_test = apply_map(rmap, test)
         for tau, task in enumerate(schedule.tasks, start=1):
-            rows = np.flatnonzero(np.isin(test.labels, task))
-            oracle_acc = float(np.mean(predict(w_star, mapped_test[rows]) == test.labels[rows]))
+            rows = np.flatnonzero(np.isin(test_labels, task))
+            oracle_acc = float(np.mean(predict(w_star, mapped_test[rows]) == test_labels[rows]))
             assert report.accuracy.rows[cfg.T - 1][tau - 1] == oracle_acc
 
     def test_oracle_pools_each_training_row_once(self, pooled_blocks):
@@ -110,7 +116,7 @@ class TestRunExperiment:
             pooled_blocks.clear()
             cfg = ExperimentConfig(**{**SMALL, "M": m}, oracle_check=True)
             run_experiment(cfg)
-            train, _ = generate_synthetic(synth_spec_from_config(cfg))
+            train = SyntheticSplit(synth_spec_from_config(cfg), "train")
             schedule = make_schedule(cfg, train.class_count)
             pooled_blocks.assert_each_training_row_once(train, schedule, m)
 
@@ -257,15 +263,15 @@ class TestRunExperiment:
         # pooled dataset.
         cfg = ExperimentConfig(**{**SMALL, "T": 1, "K": 1})
         report = run_experiment(cfg)
-        train, test = generate_synthetic(synth_spec_from_config(cfg))
+        (train, train_labels), (test, test_labels) = drawn(cfg, "train"), drawn(cfg, "test")
         rmap = make_random_map(derive_seed(cfg.seed, "map"), cfg.synth_dim, cfg.M)
-        feat = apply_map(rmap, train.features)
-        onehot = np.eye(cfg.synth_classes)[train.labels]
+        feat = apply_map(rmap, train)
+        onehot = np.eye(cfg.synth_classes)[train_labels]
         w = np.linalg.solve(
             feat.T @ feat + cfg.gamma * np.eye(cfg.M), feat.T @ onehot
         )
-        scores = apply_map(rmap, test.features) @ w
-        direct = float(np.mean(np.argmax(scores, axis=1) == test.labels))
+        scores = apply_map(rmap, test) @ w
+        direct = float(np.mean(np.argmax(scores, axis=1) == test_labels))
         assert report.accuracy.rows[0][0] == pytest.approx(direct, abs=1e-12)
 
     def test_efficient_mode_with_many_dummies_tracks_full_mode(self):
@@ -406,26 +412,18 @@ class TestRunExperiment:
     def test_data_pipeline_is_mode_independent(self):
         # The generated datasets depend on the seed and synthesis keys only,
         # so full and efficient runs of one seed see identical shards.
-        a_train, a_test = generate_synthetic(
-            synth_spec_from_config(ExperimentConfig(**SMALL, mode="full"))
-        )
-        b_train, b_test = generate_synthetic(
-            synth_spec_from_config(
-                ExperimentConfig(**SMALL, mode="efficient", K_D=9, noise_q=0.5, noise_s=1.0)
-            )
-        )
-        assert np.array_equal(a_train.features, b_train.features)
-        assert np.array_equal(a_test.features, b_test.features)
-        assert np.array_equal(a_train.labels, b_train.labels)
+        a = ExperimentConfig(**SMALL, mode="full")
+        b = ExperimentConfig(**SMALL, mode="efficient", K_D=9, noise_q=0.5, noise_s=1.0)
+        (a_train, a_labels), (a_test, _) = drawn(a, "train"), drawn(a, "test")
+        (b_train, b_labels), (b_test, _) = drawn(b, "train"), drawn(b, "test")
+        assert np.array_equal(a_train, b_train)
+        assert np.array_equal(a_test, b_test)
+        assert np.array_equal(a_labels, b_labels)
 
     def test_file_data_source_round_trip(self, tmp_path):
-        from stsa.data import generate_synthetic, save_features
-        from stsa.runner import synth_spec_from_config
-
         cfg = ExperimentConfig(**SMALL)
-        train, test = generate_synthetic(synth_spec_from_config(cfg))
-        save_features(train, tmp_path / "train.stsafeat")
-        save_features(test, tmp_path / "test.stsafeat")
+        for role in ("train", "test"):
+            save_features(tmp_path / f"{role}.stsafeat", *drawn(cfg, role), cfg.synth_classes, role)
         file_cfg = ExperimentConfig(
             **{**SMALL, "data": "files"},
             train_path=str(tmp_path / "train.stsafeat"),
@@ -436,16 +434,14 @@ class TestRunExperiment:
 
 
 def test_a_later_task_with_no_test_rows_is_named(tmp_path):
-    from stsa.data import generate_synthetic, save_features
-    from stsa.runner import synth_spec_from_config
-
     cfg = ExperimentConfig(**SMALL)
-    train, test = generate_synthetic(synth_spec_from_config(cfg))
-    task = make_schedule(cfg, train.class_count).tasks[1]
-    kept = ~np.isin(test.labels, task)
-    test = replace(test, features=test.features[kept], labels=test.labels[kept])
-    save_features(train, tmp_path / "train.stsafeat")
-    save_features(test, tmp_path / "test.stsafeat")
+    task = make_schedule(cfg, cfg.synth_classes).tasks[1]
+    test, test_labels = drawn(cfg, "test")
+    kept = ~np.isin(test_labels, task)
+    save_features(tmp_path / "train.stsafeat", *drawn(cfg, "train"), cfg.synth_classes, "train")
+    save_features(
+        tmp_path / "test.stsafeat", test[kept], test_labels[kept], cfg.synth_classes, "test"
+    )
     file_cfg = ExperimentConfig(
         **{**SMALL, "data": "files"},
         train_path=str(tmp_path / "train.stsafeat"),
@@ -489,11 +485,11 @@ def test_a_run_maps_each_tasks_test_rows_once(monkeypatch):
     monkeypatch.setattr(stsa.runner, "predict", recording)
     cfg = ExperimentConfig(**{**SMALL, "first_task_classes": 4, "shuffle_classes": True})
     report = run_experiment(cfg)
-    _, test = generate_synthetic(synth_spec_from_config(cfg))
-    tasks = make_schedule(cfg, test.class_count).tasks
+    test, test_labels = drawn(cfg, "test")
+    tasks = make_schedule(cfg, cfg.synth_classes).tasks
     blocks = []  # each task's blocks of its rows, the last one short
     for task in tasks:
-        rows = test.features[np.isin(test.labels, task)]
+        rows = test[np.isin(test_labels, task)]
         blocks.append(np.split(rows, range(8, len(rows), 8)))
     expected = [block for task_blocks in blocks for block in task_blocks]
     assert len(raws) == len(expected) == 16
@@ -524,12 +520,12 @@ def test_scoring_maps_a_block_at_a_time_and_keeps_the_whole_splits_accuracies(mo
     cfg = ExperimentConfig(**{**SMALL, "M": 36})
     report = run_experiment(cfg)
     assert [raw.shape[0] for raw in raws] == [16, 16, 8] * cfg.T
-    _, test = generate_synthetic(synth_spec_from_config(cfg))
-    whole = apply_map(experiment_map(cfg, cfg.synth_dim), test.features)
-    tasks = make_schedule(cfg, test.class_count).tasks
-    rows = [np.isin(test.labels, task) for task in tasks]
+    test, test_labels = drawn(cfg, "test")
+    whole = apply_map(experiment_map(cfg, cfg.synth_dim), test)
+    tasks = make_schedule(cfg, cfg.synth_classes).tasks
+    rows = [np.isin(test_labels, task) for task in tasks]
     assert report.accuracy.rows == tuple(
-        tuple(float(np.mean(predict(w, whole[r]) == test.labels[r])) for r in rows[: t + 1])
+        tuple(float(np.mean(predict(w, whole[r]) == test_labels[r])) for r in rows[: t + 1])
         for t, w in enumerate(weights)
     )
 
@@ -540,7 +536,8 @@ def test_the_oracle_scores_each_task_once_after_its_pooling(monkeypatch, pooled_
     raws = recording_maps(monkeypatch, stsa.client, stsa.runner)
     cfg = ExperimentConfig(**SMALL)
     report = run_oracle(cfg)
-    train, test = generate_synthetic(synth_spec_from_config(cfg))
+    train = SyntheticSplit(synth_spec_from_config(cfg), "train")
+    test, test_labels = drawn(cfg, "test")
     schedule = make_schedule(cfg, train.class_count)
     pooled_blocks.assert_each_training_row_once(train, schedule, cfg.M)
     # Each task of 80 training rows is pooled in 10 blocks of B = 8 rows,
@@ -552,7 +549,7 @@ def test_the_oracle_scores_each_task_once_after_its_pooling(monkeypatch, pooled_
     assert [raw.shape[0] for raw in scored] == [8] * 5 * cfg.T
     assert np.array_equal(
         np.concatenate(scored),
-        np.concatenate([test.features[np.isin(test.labels, task)] for task in schedule.tasks]),
+        np.concatenate([test[np.isin(test_labels, task)] for task in schedule.tasks]),
     )
     assert len(report.accuracies) == cfg.T
 
@@ -845,7 +842,7 @@ class TestTaskAccuracy:
     def test_split(self):
         spec = random_synth_spec(self.N_CLASSES, self.D, train_per_class=1,
                                  test_per_class=self.PER_CLASS, seed=3)
-        return generate_synthetic(spec)[1]
+        return SyntheticSplit(spec, "test")
 
     @pytest.mark.parametrize("d, m", ROW_SUBSET_SHAPES, ids=[str(m) for _, m in ROW_SUBSET_SHAPES])
     def test_mapping_a_row_subset_is_bit_identical(self, test_split, d, m):
@@ -857,7 +854,7 @@ class TestTaskAccuracy:
         # A task's rows, as the test split hands them out, map to the bits of
         # the same rows of the whole mapped split.
         rmap = make_random_map(5, self.D, m)
-        whole = apply_map(rmap, test_split.features)
+        whole = apply_map(rmap, test_split.task(range(self.N_CLASSES))[0])
         for task in split_tasks(self.N_CLASSES, 10, shuffle_seed=9).tasks:
             rows = np.flatnonzero(np.isin(test_split.labels, task))
             raw, _ = test_split.task(task)
@@ -909,7 +906,7 @@ class TestTaskAccuracy:
         accuracies = score_tasks(rmap, test_split, tasks, classifiers)
         # Each task's 500 rows are mapped in blocks of B = 296 at M = 600.
         assert [raw.shape[0] for raw in raws] == [296, 204] * 2
-        whole = apply_map(rmap, test_split.features)
+        whole = apply_map(rmap, test_split.task(range(self.N_CLASSES))[0])
         expected = []
         for task, scorers in zip(tasks, classifiers):
             rows = np.isin(test_split.labels, task)

@@ -23,9 +23,23 @@ def test_tiny_point_prints_and_writes_its_record(tmp_path):
     )
     assert done.returncode == 0, done.stderr
     assert time.perf_counter() - start < 10
-    (record,) = json.loads(out.read_text(encoding="utf-8"))
-    assert [json.loads(line) for line in done.stdout.splitlines()] == [record]
+    record, files, shuffled = json.loads(out.read_text(encoding="utf-8"))
+    assert [json.loads(line) for line in done.stdout.splitlines()] == [record, files, shuffled]
     assert record["point"] == "tiny"
+    # The tiny config again, read from the feature files the script wrote
+    # from it, named relative to the children's directory.
+    assert files["point"] == "tiny-files"
+    assert files["config"] == {
+        **record["config"],
+        "data": "files",
+        "train_path": "features.train.stsafeat",
+        "test_path": "features.test.stsafeat",
+    }
+    assert files["report_sha256"] != record["report_sha256"]  # the echo names the files
+    assert files["env"] == record["env"]
+    # The same files with their rows put in a seeded order, classes mixed.
+    assert shuffled["point"] == "tiny-files-shuffled"
+    assert shuffled["config"] == files["config"] and shuffled["env"] == record["env"]
     assert len(record["wall_s"]) == len(record["peak_rss_mb"]) == 2
     assert all(value > 0 for value in record["wall_s"] + record["peak_rss_mb"])
     assert isinstance(record["peaks_agree"], bool)
